@@ -116,7 +116,6 @@ class WorldRisk:
 
 
 TrainMode = Literal["greedy", "lse"]
-TrainLoss = Literal["zero_one", "logistic"]
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,6 @@ class TrainConfig:
     step_size: float = 0.1
     steps: int = 200
     seed: int = 0
-    loss: TrainLoss = "logistic"
 
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "lse"):
@@ -257,8 +255,6 @@ def train(
     hypothesis seen (by worst-world 0-1 risk) and the trace.
     """
     _check_binary(spec)
-    if cfg.loss == "zero_one":
-        raise ValidationError("zero_one loss is evaluation-only; train with the logistic surrogate")
     h = init if init is not None else _default_init(spec, cfg.seed)
     step = cfg.step_size
     trace: list[WorldRisk] = []

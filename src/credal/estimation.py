@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -293,12 +293,7 @@ def certificate(
     eps_star: Optional[float] = None,
 ) -> Certificate:
     """Assemble a finite-sample certificate from a disagreement matrix."""
-    if regime not in (
-        "exact_hard_deterministic",
-        "exact_soft",
-        "conservative_stochastic_hard",
-        "closed_form_noisy",
-    ):
+    if regime not in get_args(Regime):
         raise ValidationError(f"unknown regime {regime!r}")
     wants = "hard" if regime in _HARD_REGIMES else "soft"
     if matrix.kind != wants:

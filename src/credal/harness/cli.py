@@ -16,7 +16,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import get_args
 
+from credal.estimation import Regime
 from credal.harness.config import (
     EXPERIMENTS,
     ConfigError,
@@ -44,16 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, help="parallel replication workers")
         if name == "certificate":
             p.add_argument("--annotations", help="annotation file to certify")
-            p.add_argument(
-                "--regime",
-                choices=(
-                    "exact_hard_deterministic",
-                    "exact_soft",
-                    "conservative_stochastic_hard",
-                    "closed_form_noisy",
-                ),
-                help="certificate regime tag",
-            )
+            p.add_argument("--regime", choices=get_args(Regime), help="certificate regime tag")
     return parser
 
 

@@ -3,8 +3,10 @@
 Every runner is deterministic given the config seed: replication r of
 experiment e draws from an independent Philox substream, rows carry the
 replication coordinates, and the CSV body is sorted before writing so the
-output is schedule-independent.  The CSV gets one timestamped comment line;
-everything below it is byte-reproducible for a given config hash.
+output is schedule-independent.  Runners return only their own columns;
+:func:`run` prefixes every CSV line with the ``experiment,config_hash,seed``
+provenance columns.  The CSV gets one timestamped comment line; everything
+below it is byte-reproducible for a given config hash.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from credal.estimation import (
     empirical_disagreement_soft,
 )
 from credal.harness.config import ConfigError, ExperimentConfig, config_hash, parse_env
-from credal.harness.summary import summarize
+from credal.harness.summary import summarize, wilson_interval
 from credal.measures import (
     Gaussian,
     Probit,
@@ -41,7 +43,7 @@ from credal.measures import (
     joint_tv_exact,
     tv_env,
 )
-from credal.sets import CredalSpec
+from credal.sets import CredalSpec, joint_shift_bounds
 from credal.synthgen import (
     GenSeed,
     block_mechanisms,
@@ -63,11 +65,14 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str], cfg_hash: str) -> None:
+def _write_csv(
+    path: Path, rows: list[dict], columns: list[str], config: ExperimentConfig, cfg_hash: str
+) -> None:
     stamped = f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()} config_hash={cfg_hash}"
-    lines = [stamped, ",".join(columns)]
+    prefix = f"{config.experiment},{cfg_hash},{config.seed},"
+    lines = [stamped, "experiment,config_hash,seed," + ",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(prefix + ",".join(_fmt(row.get(c)) for c in columns))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -79,8 +84,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _meta(config: ExperimentConfig) -> dict:
-    return {"experiment": config.experiment, "config_hash": config_hash(config), "seed": config.seed}
+def _rep_chunks(total: int, jobs: int) -> list[list[int]]:
+    """Replication indices 0..total-1 split into about ``jobs`` contiguous chunks."""
+    chunk = max(1, total // max(jobs, 1))
+    return [list(range(s, min(s + chunk, total))) for s in range(0, total, chunk)]
+
+
+def _concentration_summary(rows: list[dict], eps: float) -> dict:
+    """Error quantiles and Hoeffding-violation rate of one replication group."""
+    errs = np.sort([r["err"] for r in rows])
+    q95 = float(np.quantile(errs, 0.95))
+    viols = int(sum(r["viol"] for r in rows))
+    lo, hi = wilson_interval(viols, len(rows))
+    return {
+        "replications": len(rows),
+        "q50_err": float(np.quantile(errs, 0.5)),
+        "q95_err": q95,
+        "eps_hoeff": eps,
+        "p_viol": viols / len(rows),
+        "wilson_low": lo,
+        "wilson_high": hi,
+        "tightness_ratio": eps / q95 if q95 > 0 else float("inf"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +130,18 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
         a1 = expected_conditional_tv(e1, l_left, l_right, quad)
         a2 = expected_conditional_tv(e2, l_left, l_right, quad)
         joint = joint_tv_exact(e1, l_left, e2, l_right, quad)
+        lower, upper, _ = joint_shift_bounds(cov, a1, a2)
         rows.append(
             {
-                **_meta(config),
                 "window_center": float(m),
                 "cov_tv": cov,
                 "joint_tv": joint,
-                "lower_bound": max(abs(a1 - cov), abs(a2 - cov)),
-                "upper_bound": min(1.0, cov + min(a1, a2)),
+                "lower_bound": lower,
+                "upper_bound": upper,
             }
         )
     rows.sort(key=lambda r: r["window_center"])
-    cols = ["experiment", "config_hash", "seed", "window_center", "cov_tv", "joint_tv", "lower_bound", "upper_bound"]
+    cols = ["window_center", "cov_tv", "joint_tv", "lower_bound", "upper_bound"]
     return rows, summarize(rows), cols
 
 
@@ -175,14 +200,11 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
                 c = cov[(min(i, ip), max(i, ip))]
                 a_i = ect[(i, min(j, jp), max(j, jp))]
                 a_ip = ect[(ip, min(j, jp), max(j, jp))]
-                lower = max(abs(a_i - c), abs(a_ip - c))
-                upper_raw = c + min(a_i, a_ip)
-                upper = min(1.0, upper_raw)
+                lower, upper, upper_raw = joint_shift_bounds(c, a_i, a_ip)
                 exact = joint_tv_exact(envs[i], labs[j], envs[ip], labs[jp], quad)
             viol = 1.0 if (exact < lower - tol or exact > upper + tol) else 0.0
             rows.append(
                 {
-                    **_meta(config),
                     "regime": regime,
                     "pair_class": pair_class,
                     "i": i,
@@ -209,10 +231,7 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
                 "delta_up": float(np.mean([r["gap_up"] for r in joint])),
                 "violations": int(sum(r["viol"] for r in joint)),
             }
-    cols = [
-        "experiment", "config_hash", "seed", "regime", "pair_class",
-        "i", "j", "ip", "jp", "exact", "lower", "upper", "gap_low", "gap_up", "viol",
-    ]
+    cols = ["regime", "pair_class", "i", "j", "ip", "jp", "exact", "lower", "upper", "gap_low", "gap_up", "viol"]
     return rows, summary, cols
 
 
@@ -253,7 +272,6 @@ def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[di
                 ) from exc
             rows.append(
                 {
-                    **_meta(config),
                     "env_index": e_idx,
                     "rep": run,
                     "env_mean": env.mean,
@@ -265,10 +283,7 @@ def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[di
                 }
             )
     rows.sort(key=lambda r: (r["env_index"], r["rep"]))
-    cols = [
-        "experiment", "config_hash", "seed", "env_index", "rep",
-        "env_mean", "env_std", "eta_star", "eta_hat", "gap", "abs_gap",
-    ]
+    cols = ["env_index", "rep", "env_mean", "env_std", "eta_star", "eta_hat", "gap", "abs_gap"]
     return rows, summarize(rows), cols
 
 
@@ -296,7 +311,6 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict]
                 ) from exc
             rows.append(
                 {
-                    **_meta(config),
                     "eps_max": float(eps_max),
                     "rep": rep,
                     "eta_true": eta_true,
@@ -308,15 +322,12 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict]
                 }
             )
     rows.sort(key=lambda r: (r["eps_max"], r["rep"]))
-    cols = [
-        "experiment", "config_hash", "seed", "eps_max", "rep",
-        "eta_true", "bound", "eta_hat", "gap", "abs_gap", "hat_exceeds_bound",
-    ]
+    cols = ["eps_max", "rep", "eta_true", "bound", "eta_hat", "gap", "abs_gap", "hat_exceeds_bound"]
     return rows, summarize(rows, group_by="eps_max"), cols
 
 
 def _concentration_reps(args) -> list[dict]:
-    env_doc, thresholds, n, reps, master, stream, eta_star, eps, meta = args
+    env_doc, thresholds, n, reps, master, stream, eta_star, eps = args
     env = parse_env(env_doc)
     labs = tuple(Threshold(float(t)) for t in thresholds)
     seed = GenSeed(master)
@@ -328,7 +339,6 @@ def _concentration_reps(args) -> list[dict]:
         err = abs(eta_hat - eta_star)
         out.append(
             {
-                **meta,
                 "n": n,
                 "rep": rep,
                 "eta_hat": eta_hat,
@@ -349,7 +359,6 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
         expected_conditional_tv(env, l1, l2, config.quadrature)
         for l1, l2 in itertools.combinations(labs, 2)
     )
-    meta = _meta(config)
     rows: list[dict] = []
     tasks = []
     plan: dict[int, int] = {}
@@ -359,11 +368,9 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
         plan[int(n)] = max(plan.get(int(n), 0), int(p["violation_replications"]))
     for n, total in sorted(plan.items()):
         eps = hoeffding_epsilon(n, len(labs), config.delta)
-        chunk = max(1, total // max(jobs, 1))
-        rep_chunks = [list(range(s, min(s + chunk, total))) for s in range(0, total, chunk)]
         tasks.extend(
-            (dict(p["env"]), tuple(p["thresholds"]), n, reps, config.seed, 2, eta_star, eps, meta)
-            for reps in rep_chunks
+            (dict(p["env"]), tuple(p["thresholds"]), n, reps, config.seed, 2, eta_star, eps)
+            for reps in _rep_chunks(total, jobs)
         )
     try:
         for chunk_rows in _parallel_map(_concentration_reps, tasks, jobs):
@@ -377,38 +384,23 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
     summary["population_diameter"] = eta_star
     summary["per_n"] = {}
     medians = {}
-    for n, total in sorted(plan.items()):
-        sub = [r for r in rows if r["n"] == n]
-        errs = np.sort([r["err"] for r in sub])
-        eps = hoeffding_epsilon(n, len(labs), config.delta)
-        q50 = float(np.quantile(errs, 0.5))
-        q95 = float(np.quantile(errs, 0.95))
-        medians[n] = q50
-        from credal.harness.summary import wilson_interval
-
-        viols = int(sum(r["viol"] for r in sub))
-        lo, hi = wilson_interval(viols, len(sub))
-        summary["per_n"][str(n)] = {
-            "replications": len(sub),
-            "q50_err": q50,
-            "q95_err": q95,
-            "eps_hoeff": eps,
-            "p_viol": viols / len(sub),
-            "wilson_low": lo,
-            "wilson_high": hi,
-            "tightness_ratio": eps / q95 if q95 > 0 else float("inf"),
-        }
+    for n in sorted(plan):
+        group = _concentration_summary(
+            [r for r in rows if r["n"] == n], hoeffding_epsilon(n, len(labs), config.delta)
+        )
+        medians[n] = group["q50_err"]
+        summary["per_n"][str(n)] = group
     slope_ns = [int(n) for n in p["n_list"]]
     if len(slope_ns) >= 3:
         xs = np.log([n for n in slope_ns])
         ys = np.log([max(medians[n], 1e-12) for n in slope_ns])
         summary["log_log_slope"] = float(np.polyfit(xs, ys, 1)[0])
-    cols = ["experiment", "config_hash", "seed", "n", "rep", "eta_hat", "err", "viol"]
+    cols = ["n", "rep", "eta_hat", "err", "viol"]
     return rows, summary, cols
 
 
 def _mechanism_reps(args) -> list[dict]:
-    env_doc, method, pinned, step, n_y, n, reps, master, eta_star, eps, meta = args
+    env_doc, method, pinned, step, n_y, n, reps, master, eta_star, eps = args
     env = parse_env(env_doc)
     if method == "interval":
         labs, _ = interval_mechanisms(n_y, env, pinned)
@@ -423,7 +415,6 @@ def _mechanism_reps(args) -> list[dict]:
         err = abs(eta_hat - eta_star)
         out.append(
             {
-                **meta,
                 "n_y": n_y,
                 "rep": rep,
                 "eta_star": eta_star,
@@ -442,7 +433,6 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list
     if method not in ("interval", "block"):
         raise ConfigError(f"method must be 'interval' or 'block', got {method!r}")
     n = int(p["n"])
-    meta = _meta(config)
     tasks = []
     implied: dict[int, float] = {}
     for n_y in p["n_y_list"]:
@@ -453,15 +443,12 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list
             _, eta_star = block_mechanisms(n_y, env, float(p["block_step"]))
         implied[n_y] = eta_star
         eps = hoeffding_epsilon(n, n_y, config.delta)
-        total = int(p["replications"])
-        chunk = max(1, total // max(jobs, 1))
-        rep_chunks = [list(range(s, min(s + chunk, total))) for s in range(0, total, chunk)]
         tasks.extend(
             (
                 dict(p["env"]), method, float(p["pinned_mass"]), float(p["block_step"]),
-                n_y, n, reps, config.seed, eta_star, eps, meta,
+                n_y, n, reps, config.seed, eta_star, eps,
             )
-            for reps in rep_chunks
+            for reps in _rep_chunks(int(p["replications"]), jobs)
         )
     rows: list[dict] = []
     try:
@@ -472,28 +459,12 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list
     rows.sort(key=lambda r: (r["n_y"], r["rep"]))
     summary = summarize(rows, group_by="n_y")
     summary["per_n_y"] = {}
-    from credal.harness.summary import wilson_interval
-
     for n_y in sorted(implied):
-        sub = [r for r in rows if r["n_y"] == n_y]
-        errs = np.sort([r["err"] for r in sub])
-        eps = hoeffding_epsilon(n, n_y, config.delta)
-        q50 = float(np.quantile(errs, 0.5))
-        q95 = float(np.quantile(errs, 0.95))
-        viols = int(sum(r["viol"] for r in sub))
-        lo, hi = wilson_interval(viols, len(sub))
-        summary["per_n_y"][str(n_y)] = {
-            "replications": len(sub),
-            "implied_eta_star": implied[n_y],
-            "q50_err": q50,
-            "q95_err": q95,
-            "eps_hoeff": eps,
-            "p_viol": viols / len(sub),
-            "wilson_low": lo,
-            "wilson_high": hi,
-            "tightness_ratio": eps / q95 if q95 > 0 else float("inf"),
-        }
-    cols = ["experiment", "config_hash", "seed", "n_y", "rep", "eta_star", "eta_hat", "err", "viol"]
+        group = _concentration_summary(
+            [r for r in rows if r["n_y"] == n_y], hoeffding_epsilon(n, n_y, config.delta)
+        )
+        summary["per_n_y"][str(n_y)] = {**group, "implied_eta_star": implied[n_y]}
+    cols = ["n_y", "rep", "eta_star", "eta_hat", "err", "viol"]
     return rows, summary, cols
 
 
@@ -517,7 +488,6 @@ def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
             min_max = min(min_max, wr.worst_value)
         rows.append(
             {
-                **_meta(config),
                 "eta": float(eta),
                 "min_risk_sum": min_sum,
                 "min_max_risk": min_max,
@@ -526,10 +496,7 @@ def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
             }
         )
     rows.sort(key=lambda r: r["eta"])
-    cols = [
-        "experiment", "config_hash", "seed", "eta",
-        "min_risk_sum", "min_max_risk", "sum_floor_ok", "minimax_floor_ok",
-    ]
+    cols = ["eta", "min_risk_sum", "min_max_risk", "sum_floor_ok", "minimax_floor_ok"]
     return rows, summarize(rows), cols
 
 
@@ -550,7 +517,6 @@ def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dic
     for step, wr in enumerate(trace):
         rows.append(
             {
-                **_meta(config),
                 "step": step,
                 "worst_value": wr.worst_value,
                 "worst_i": wr.worst_world[0],
@@ -567,7 +533,7 @@ def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dic
         "oracle_value": oracle_value,
         "gap_to_oracle": final.worst_value - oracle_value,
     }
-    cols = ["experiment", "config_hash", "seed", "step", "worst_value", "worst_i", "worst_j", "lse_value"]
+    cols = ["step", "worst_value", "worst_i", "worst_j", "lse_value"]
     return rows, summary, cols
 
 
@@ -588,13 +554,9 @@ def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[list[dict], d
     )
     regime = p["regime"]
     cert = certificate(matrix, delta=config.delta, regime=regime)
-    row = {**_meta(config), **cert.to_dict()}
-    cols = [
-        "experiment", "config_hash", "seed", "eta_hat", "epsilon", "delta",
-        "n", "k", "regime", "penalty_upper", "eps_star_input",
-    ]
-    summary = {"experiment": config.experiment, "certificate": cert.to_dict()}
-    return [row], summary, cols
+    row = cert.to_dict()
+    cols = ["eta_hat", "epsilon", "delta", "n", "k", "regime", "penalty_upper", "eps_star_input"]
+    return [row], {"certificate": row}, cols
 
 
 _RUNNERS = {
@@ -621,9 +583,10 @@ def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     rows, summary, cols = runner(config, jobs)
     cfg_hash = config_hash(config)
     csv_path = out / f"{config.experiment}.csv"
-    _write_csv(csv_path, rows, cols, cfg_hash)
+    _write_csv(csv_path, rows, cols, config, cfg_hash)
     summary = {
         **summary,
+        "experiment": config.experiment,
         "config": config.document(),
         "config_hash": cfg_hash,
         "abs_tol": config.quadrature.abs_tol,

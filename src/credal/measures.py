@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Literal, Union
+from typing import Callable, Literal, Union, get_args
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
@@ -362,7 +362,7 @@ Labeler = Union[Threshold, Interval, Sigmoid, Probit, SymmetricNoise, Tabular]
 # Quadrature configuration and engine
 # ---------------------------------------------------------------------------
 
-QuadratureMethod = Literal["gauss_hermite", "adaptive_simpson", "grid"]
+QuadratureMethod = Literal["gauss_hermite", "adaptive_simpson"]
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,6 @@ class QuadratureConfig:
     ``gauss_hermite`` is used for smooth integrands under a Gaussian;
     integrands with label-boundary kinks are handled by breakpoint-split
     adaptive Simpson on a [mean +/- domain_halfwidth_sigmas * std] window.
-    ``grid`` is a cheap fixed composite-Simpson rule for exploratory use.
     """
 
     method: QuadratureMethod = "gauss_hermite"
@@ -381,7 +380,7 @@ class QuadratureConfig:
     domain_halfwidth_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.method not in ("gauss_hermite", "adaptive_simpson", "grid"):
+        if self.method not in get_args(QuadratureMethod):
             raise ValidationError(f"unknown quadrature method {self.method!r}")
         if self.node_count < 16:
             raise ValidationError("node_count must be >= 16")
@@ -466,14 +465,6 @@ def adaptive_simpson(
     return total
 
 
-def _grid_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, nodes: int) -> float:
-    n = nodes if nodes % 2 == 1 else nodes + 1
-    xs = np.linspace(a, b, n)
-    ys = f(xs)
-    h = (b - a) / (n - 1)
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
-
-
 def gaussian_domain(*envs: Gaussian, halfwidth_sigmas: float) -> tuple[float, float]:
     lo = min(e.mean - halfwidth_sigmas * e.std for e in envs)
     hi = max(e.mean + halfwidth_sigmas * e.std for e in envs)
@@ -491,8 +482,6 @@ def _expectation(
         return float(np.dot(env.weights, g(np.asarray(env.points))))
     lo, hi = gaussian_domain(env, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
     finite_bps = tuple(p for p in breakpoints if math.isfinite(p))
-    if cfg.method == "grid":
-        return _grid_simpson(lambda x: g(x) * env.pdf(x), lo, hi, cfg.node_count)
     if cfg.method == "gauss_hermite" and not finite_bps:
         return gauss_hermite_expectation(g, env, cfg.node_count)
     return adaptive_simpson(
@@ -540,9 +529,14 @@ def _conditional_tv_vec(l1: Labeler, l2: Labeler) -> Callable[[np.ndarray], np.n
     return g
 
 
-def _deterministic_disagreement_mass(env: Gaussian, l1, l2) -> float:
-    # piecewise-constant disagreement indicator: integrate exactly via the CDF
-    cuts = sorted(set(l1.breakpoints()) | set(l2.breakpoints()))
+def _cdf_regions(l1, l2, extra_cuts: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """CDF regions of two deterministic labelers as ``(edges, disagree)``.
+
+    ``edges`` runs from -inf through the sorted label boundaries and
+    ``extra_cuts`` to +inf; ``disagree`` marks the regions between
+    consecutive edges where the two labelers give different labels.
+    """
+    cuts = sorted(set(l1.breakpoints()) | set(l2.breakpoints()) | set(extra_cuts))
     edges = np.asarray([-np.inf, *cuts, np.inf])
     inner = np.where(
         np.isfinite(edges[:-1]) & np.isfinite(edges[1:]),
@@ -550,7 +544,12 @@ def _deterministic_disagreement_mass(env: Gaussian, l1, l2) -> float:
         np.where(np.isfinite(edges[:-1]), edges[:-1] + 1.0, edges[1:] - 1.0),
     )
     inner = np.where(np.isfinite(inner), inner, 0.0)
-    disagree = l1.labels(inner) != l2.labels(inner)
+    return edges, l1.labels(inner) != l2.labels(inner)
+
+
+def _deterministic_disagreement_mass(env: Gaussian, l1, l2) -> float:
+    # piecewise-constant disagreement indicator: integrate exactly via the CDF
+    edges, disagree = _cdf_regions(l1, l2)
     mass = env.cdf(edges[1:]) - env.cdf(edges[:-1])
     return float(mass[disagree].sum())
 
@@ -569,7 +568,6 @@ def expected_conditional_tv(
         isinstance(env, Gaussian)
         and getattr(l1, "is_deterministic", False)
         and getattr(l2, "is_deterministic", False)
-        and cfg.method != "grid"
     ):
         return _clip01(_deterministic_disagreement_mass(env, l1, l2), "expected_conditional_tv")
     bps = tuple(l1.breakpoints()) + tuple(l2.breakpoints())
@@ -679,17 +677,7 @@ def _joint_tv_deterministic(e1: Gaussian, l1, e2: Gaussian, l2) -> float:
     # crossings, the integrand is either phi1 + phi2 (labels differ) or
     # |phi1 - phi2| with constant sign (labels agree), so every segment is a
     # difference of CDF values
-    cuts = sorted(
-        set(l1.breakpoints()) | set(l2.breakpoints()) | set(_gaussian_crossings(e1, e2))
-    )
-    edges = np.asarray([-np.inf, *cuts, np.inf])
-    inner = np.where(
-        np.isfinite(edges[:-1]) & np.isfinite(edges[1:]),
-        0.5 * (edges[:-1] + edges[1:]),
-        np.where(np.isfinite(edges[:-1]), edges[:-1] + 1.0, edges[1:] - 1.0),
-    )
-    inner = np.where(np.isfinite(inner), inner, 0.0)
-    differ = l1.labels(inner) != l2.labels(inner)
+    edges, differ = _cdf_regions(l1, l2, _gaussian_crossings(e1, e2))
     m1 = np.diff(e1.cdf(edges))
     m2 = np.diff(e2.cdf(edges))
     return 0.5 * float(np.where(differ, m1 + m2, np.abs(m1 - m2)).sum())
@@ -718,11 +706,7 @@ def joint_tv_exact(
         return _clip01(0.5 * float(np.abs(m1 - m2).sum()), "joint_tv_exact")
     if not (isinstance(e1, Gaussian) and isinstance(e2, Gaussian)):
         raise SupportError("joint_tv_exact requires both environments Gaussian or both DiscreteGrid")
-    if (
-        getattr(l1, "is_deterministic", False)
-        and getattr(l2, "is_deterministic", False)
-        and cfg.method != "grid"
-    ):
+    if getattr(l1, "is_deterministic", False) and getattr(l2, "is_deterministic", False):
         return _clip01(_joint_tv_deterministic(e1, l1, e2, l2), "joint_tv_exact")
 
     def integrand(x: np.ndarray) -> np.ndarray:

@@ -144,6 +144,18 @@ def default_sup_domain(spec: CredalSpec, halfwidth_sigmas: float = 8.0) -> tuple
     return lo, hi
 
 
+def joint_shift_bounds(cov: float, a_i: float, a_ip: float) -> tuple[float, float, float]:
+    """Joint-shift sandwich ``max_k |A_k - C| <= d <= C + min_k A_k``.
+
+    ``cov`` is the environment TV ``C`` and ``a_i`` / ``a_ip`` the expected
+    conditional disagreements ``A_k`` under each endpoint's environment, all
+    in [0, 1].  Returns ``(lower, upper, upper_raw)``: ``upper`` is clamped
+    to 1, ``upper_raw`` is not.
+    """
+    upper_raw = cov + min(a_i, a_ip)
+    return max(abs(a_i - cov), abs(a_ip - cov)), min(1.0, upper_raw), upper_raw
+
+
 def pairwise_bounds(
     spec: CredalSpec,
     a: VertexIndex,
@@ -156,9 +168,8 @@ def pairwise_bounds(
     Shared-environment pairs are exactly the expected conditional
     disagreement; shared-labeler pairs are exactly the environment TV.  In
     the joint-shift regime the two-sided bounds are
-    ``max_k |A_k - C| <= d <= C + min_k A_k`` with ``C`` the environment TV
-    and ``A_k`` the expected disagreement under environment k, clamped to
-    [0, 1]; ``exact`` is computed by joint quadrature only when requested.
+    :func:`joint_shift_bounds`; ``exact`` is computed by joint quadrature
+    only when requested.
     """
     i, j = spec.check_vertex(a)
     ip, jp = spec.check_vertex(b)
@@ -179,8 +190,7 @@ def pairwise_bounds(
         exact = cov
         lower = upper = exact
     else:
-        lower = min(1.0, max(abs(a_i - cov), abs(a_ip - cov)))
-        upper = min(1.0, cov + min(a_i, a_ip))
+        lower, upper, _ = joint_shift_bounds(cov, a_i, a_ip)
         exact = (
             joint_tv_exact(env_i, lab_j, env_ip, lab_jp, cfg) if with_exact else None
         )

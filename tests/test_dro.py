@@ -175,10 +175,6 @@ class TestTrain:
         with pytest.raises(ValidationError):
             TrainConfig(mode="annealed")
 
-    def test_zero_one_loss_is_eval_only(self):
-        with pytest.raises(ValidationError):
-            train(TWO_WORLD, TrainConfig(loss="zero_one"))
-
     def test_singleton_world_reduces_to_erm(self):
         spec = CredalSpec((Gaussian(0, 1),), (Threshold(0.4),))
         h, trace = train(spec, TrainConfig(mode="greedy", steps=150, seed=2))

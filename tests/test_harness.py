@@ -16,7 +16,8 @@ from credal.harness.cli import main as cli_main
 from credal.harness.experiments import run
 from credal.harness.summary import SummaryError, summarize, wilson_interval
 from credal.estimation import write_annotations
-from credal.measures import Gaussian, Threshold
+from credal.measures import Gaussian, Sigmoid, Threshold
+from credal.sets import CredalSpec, pairwise_bounds
 from credal.synthgen import GenSeed, sample_annotated
 
 
@@ -24,6 +25,12 @@ def _csv_body(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# generated_at=")
     return "\n".join(lines[1:])
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[2:]]
 
 
 class TestConfig:
@@ -186,6 +193,60 @@ class TestRunners:
         assert summary["config_hash"] == manifest["config_hash"]
         assert summary["config"]["experiment"] == "minimax_demo"
         assert summary["abs_tol"] == cfg.quadrature.abs_tol
+
+    def test_sweep_and_gating_bounds_match_pairwise_bounds(self, tmp_path):
+        cfg = validate_config(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "experiment": "bounds_sweep",
+                "seed": 5,
+                "params": {"grid_env_count": 3, "random_env_count": 1, "labeler_count": 3},
+            }
+        )
+        run(cfg, tmp_path / "sweep")
+        p = cfg.params
+        envs = [
+            Gaussian(float(m), float(p["env_std"]))
+            for m in np.linspace(*p["env_mean_range"], p["grid_env_count"])
+        ]
+        rng = GenSeed(cfg.seed).derive(0).generator()
+        envs.append(
+            Gaussian(
+                float(rng.uniform(*p["random_mean_range"])),
+                float(rng.uniform(*p["random_std_range"])),
+            )
+        )
+        grid = np.linspace(*p["labeler_range"], p["labeler_count"])
+        specs = {
+            "hard": CredalSpec(tuple(envs), tuple(Threshold(float(t)) for t in grid)),
+            "soft": CredalSpec(tuple(envs), tuple(Sigmoid(1.0, -float(b)) for b in grid)),
+        }
+        rows = _csv_rows(tmp_path / "sweep" / "bounds_sweep.csv")
+        joint = [r for r in rows if r["pair_class"] == "joint_shift"]
+        assert {r["regime"] for r in joint} == {"hard", "soft"}
+        for r in joint:
+            a = (int(r["i"]), int(r["j"]))
+            b = (int(r["ip"]), int(r["jp"]))
+            want = pairwise_bounds(specs[r["regime"]], a, b, cfg.quadrature)
+            assert (float(r["lower"]), float(r["upper"])) == (want.lower, want.upper)
+
+        cfg = validate_config(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "experiment": "gating_curve",
+                "params": {"window_means": [0.5]},
+            }
+        )
+        run(cfg, tmp_path / "gating")
+        (row,) = _csv_rows(tmp_path / "gating" / "gating_curve.csv")
+        p = cfg.params
+        slope, gap, std = float(p["sigmoid_slope"]), float(p["env_gap"]), float(p["window_std"])
+        spec = CredalSpec(
+            (Gaussian(0.5 - gap / 2.0, std), Gaussian(0.5 + gap / 2.0, std)),
+            tuple(Sigmoid(slope, -slope * float(b)) for b in p["sigmoid_boundaries"]),
+        )
+        want = pairwise_bounds(spec, (0, 0), (1, 1), cfg.quadrature)
+        assert (float(row["lower_bound"]), float(row["upper_bound"])) == (want.lower, want.upper)
 
     def test_every_row_carries_hash_and_seed(self, tmp_path):
         cfg = preset_config("minimax_demo", "desk", seed=4)

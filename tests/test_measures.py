@@ -121,6 +121,8 @@ class TestEnvironmentTypes:
             QuadratureConfig(abs_tol=1e-3)
         with pytest.raises(ValidationError):
             QuadratureConfig(method="romberg")
+        with pytest.raises(ValidationError):
+            QuadratureConfig(method="grid")
 
 
 class TestTvEnv:
@@ -201,12 +203,6 @@ class TestExpectedConditionalTv:
         gh = expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, -1), Sigmoid(1, 1))
         si = expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, -1), Sigmoid(1, 1), SIMPSON)
         assert gh == pytest.approx(si, abs=1e-7)
-
-    def test_grid_method_is_a_coarse_approximation(self):
-        grid_cfg = QuadratureConfig(method="grid", node_count=2001, abs_tol=1e-8)
-        got = expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, -1), Sigmoid(1, 1), grid_cfg)
-        want = expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, -1), Sigmoid(1, 1))
-        assert got == pytest.approx(want, abs=1e-6)
 
     def test_discrete_env_weighted_sum(self):
         env = DiscreteGrid((-1.0, 0.5), (0.25, 0.75))
