@@ -2,10 +2,12 @@
 
 Worst-case risk over the credal set is attained at a vertex, so robust
 training reduces to a discrete game against the worst (environment,
-labeler) world.  This module evaluates exact per-world 0-1 risks by
-quadrature, descends either the worst world's smoothed risk (greedy) or
-the Log-Sum-Exp surrogate (softmax-weighted world gradients), and ships a
-grid brute-force oracle for threshold classifiers.
+labeler) world.  A hypothesis is a crisp labeler, so its 0-1 risk in a
+world is the expected conditional TV between the world's labeler and the
+hypothesis.  This module evaluates those per-world risks, descends
+either the worst world's smoothed risk (greedy) or the Log-Sum-Exp
+surrogate (softmax-weighted world gradients), and ships a grid
+brute-force oracle for threshold classifiers.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from scipy.special import expit
 
 from credal.measures import (
     DEFAULT_QUADRATURE,
+    CrispLabeler,
     Gaussian,
     Labeler,
     QuadratureConfig,
     ValidationError,
-    _deterministic_disagreement_mass,
     _expectation,
+    expected_conditional_tv,
 )
 from credal.sets import CredalSpec
 
@@ -40,7 +43,7 @@ class DivergenceError(Exception):
 
 
 @dataclass(frozen=True)
-class ThresholdClassifier:
+class ThresholdClassifier(CrispLabeler):
     """Binary classifier: class 1 iff orientation * (x - theta) > 0."""
 
     theta: float
@@ -71,7 +74,7 @@ class ThresholdClassifier:
 
 
 @dataclass(frozen=True)
-class LinearLogistic:
+class LinearLogistic(CrispLabeler):
     """Binary classifier: class 1 iff weight * x + bias > 0."""
 
     weight: float
@@ -147,22 +150,6 @@ def _check_binary(spec: CredalSpec) -> None:
         raise ValidationError("robust training supports binary specs only")
 
 
-def _zero_one_risk(h: Hypothesis, env, labeler: Labeler, cfg: QuadratureConfig) -> float:
-    """E[P(Y != h(X) | X)] under the (env, labeler) world, by exact quadrature."""
-    if getattr(labeler, "is_deterministic", False) and isinstance(env, Gaussian):
-        return _deterministic_disagreement_mass(env, labeler, h)
-
-    def g(x: np.ndarray) -> np.ndarray:
-        probs = labeler.prob_matrix(x)
-        picked = probs[np.arange(x.shape[0]), h.labels(x)]
-        return 1.0 - picked
-
-    bps = tuple(labeler.breakpoints()) + tuple(h.breakpoints())
-    return float(
-        np.clip(_expectation(env, g, cfg, tuple(p for p in bps if math.isfinite(p))), 0.0, 1.0)
-    )
-
-
 # decision smoothing scale: sigma(score / T).  Small enough that the
 # surrogate minimizer tracks the 0-1 minimizer to well under the training
 # tolerance, large enough to keep usable gradients off the boundary.
@@ -189,7 +176,7 @@ def world_risks(
     risks = np.empty((spec.n_x, spec.n_y))
     for i, env in enumerate(spec.environments):
         for j, lab in enumerate(spec.labelers):
-            risks[i, j] = _zero_one_risk(h, env, lab, cfg)
+            risks[i, j] = expected_conditional_tv(env, lab, h, cfg)
     flat = int(np.argmax(risks))  # first maximum in row-major order = lexicographic
     worst = (flat // spec.n_y, flat % spec.n_y)
     risks.setflags(write=False)

@@ -3,8 +3,9 @@
 Every runner is deterministic given the config seed: replication r of
 experiment e draws from an independent Philox substream, rows carry the
 replication coordinates, and the CSV body is sorted before writing so the
-output is schedule-independent.  Runners return only their own columns;
-:func:`run` prefixes every CSV line with the ``experiment,config_hash,seed``
+output is schedule-independent.  Runners return ``(rows, summary)``; the
+CSV columns are the keys of the first row, in order.  :func:`run`
+prefixes every CSV line with the ``experiment,config_hash,seed``
 provenance columns.  The CSV gets one timestamped comment line; everything
 below it is byte-reproducible for a given config hash.
 """
@@ -65,14 +66,13 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_csv(
-    path: Path, rows: list[dict], columns: list[str], config: ExperimentConfig, cfg_hash: str
-) -> None:
+def _write_csv(path: Path, rows: list[dict], config: ExperimentConfig, cfg_hash: str) -> None:
+    columns = list(rows[0])
     stamped = f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()} config_hash={cfg_hash}"
     prefix = f"{config.experiment},{cfg_hash},{config.seed},"
     lines = [stamped, "experiment,config_hash,seed," + ",".join(columns)]
     for row in rows:
-        lines.append(prefix + ",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(prefix + ",".join(_fmt(row[c]) for c in columns))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -113,7 +113,7 @@ def _concentration_summary(rows: list[dict], eps: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     quad = config.quadrature
     slope = float(p["sigmoid_slope"])
@@ -141,8 +141,7 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
             }
         )
     rows.sort(key=lambda r: r["window_center"])
-    cols = ["window_center", "cov_tv", "joint_tv", "lower_bound", "upper_bound"]
-    return rows, summarize(rows), cols
+    return rows, summarize(rows)
 
 
 def _sweep_labelers(regime: str, count: int, lo: float, hi: float):
@@ -154,7 +153,7 @@ def _sweep_labelers(regime: str, count: int, lo: float, hi: float):
     raise ConfigError(f"unknown labeler regime {regime!r}")
 
 
-def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     quad = config.quadrature
     rng = GenSeed(config.seed).derive(0).generator()
@@ -231,11 +230,10 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
                 "delta_up": float(np.mean([r["gap_up"] for r in joint])),
                 "violations": int(sum(r["viol"] for r in joint)),
             }
-    cols = ["regime", "pair_class", "i", "j", "ip", "jp", "exact", "lower", "upper", "gap_low", "gap_up", "viol"]
-    return rows, summary, cols
+    return rows, summary
 
 
-def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     quad = config.quadrature
     regime = p["regime"]
@@ -283,11 +281,10 @@ def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[di
                 }
             )
     rows.sort(key=lambda r: (r["env_index"], r["rep"]))
-    cols = ["env_index", "rep", "env_mean", "env_std", "eta_star", "eta_hat", "gap", "abs_gap"]
-    return rows, summarize(rows), cols
+    return rows, summarize(rows)
 
 
-def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     env = parse_env(p["env"])
     base = Threshold(float(p["base_threshold"]))
@@ -322,8 +319,7 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict]
                 }
             )
     rows.sort(key=lambda r: (r["eps_max"], r["rep"]))
-    cols = ["eps_max", "rep", "eta_true", "bound", "eta_hat", "gap", "abs_gap", "hat_exceeds_bound"]
-    return rows, summarize(rows, group_by="eps_max"), cols
+    return rows, summarize(rows, group_by="eps_max")
 
 
 def _concentration_reps(args) -> list[dict]:
@@ -349,7 +345,7 @@ def _concentration_reps(args) -> list[dict]:
     return out
 
 
-def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     env = parse_env(p["env"])
     labs = tuple(Threshold(float(t)) for t in p["thresholds"])
@@ -395,8 +391,7 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
         xs = np.log([n for n in slope_ns])
         ys = np.log([max(medians[n], 1e-12) for n in slope_ns])
         summary["log_log_slope"] = float(np.polyfit(xs, ys, 1)[0])
-    cols = ["n", "rep", "eta_hat", "err", "viol"]
-    return rows, summary, cols
+    return rows, summary
 
 
 def _mechanism_reps(args) -> list[dict]:
@@ -426,7 +421,7 @@ def _mechanism_reps(args) -> list[dict]:
     return out
 
 
-def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     env = parse_env(p["env"])
     method = p["method"]
@@ -464,11 +459,10 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list
             [r for r in rows if r["n_y"] == n_y], hoeffding_epsilon(n, n_y, config.delta)
         )
         summary["per_n_y"][str(n_y)] = {**group, "implied_eta_star": implied[n_y]}
-    cols = ["n_y", "rep", "eta_star", "eta_hat", "err", "viol"]
-    return rows, summary, cols
+    return rows, summary
 
 
-def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     env = parse_env(p["env"])
     quad = config.quadrature
@@ -496,11 +490,10 @@ def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
             }
         )
     rows.sort(key=lambda r: r["eta"])
-    cols = ["eta", "min_risk_sum", "min_max_risk", "sum_floor_ok", "minimax_floor_ok"]
-    return rows, summarize(rows), cols
+    return rows, summarize(rows)
 
 
-def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     env = parse_env(p["env"])
     spec = CredalSpec((env,), tuple(Threshold(float(t)) for t in p["thresholds"]))
@@ -533,11 +526,10 @@ def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dic
         "oracle_value": oracle_value,
         "gap_to_oracle": final.worst_value - oracle_value,
     }
-    cols = ["step", "worst_value", "worst_i", "worst_j", "lse_value"]
-    return rows, summary, cols
+    return rows, summary
 
 
-def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict, list[str]]:
+def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
     p = config.params
     path = p["annotations"]
     if not path:
@@ -555,8 +547,7 @@ def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[list[dict], d
     regime = p["regime"]
     cert = certificate(matrix, delta=config.delta, regime=regime)
     row = cert.to_dict()
-    cols = ["eta_hat", "epsilon", "delta", "n", "k", "regime", "penalty_upper", "eps_star_input"]
-    return [row], {"certificate": row}, cols
+    return [row], {"certificate": row}
 
 
 _RUNNERS = {
@@ -580,10 +571,10 @@ def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.experiment]
-    rows, summary, cols = runner(config, jobs)
+    rows, summary = runner(config, jobs)
     cfg_hash = config_hash(config)
     csv_path = out / f"{config.experiment}.csv"
-    _write_csv(csv_path, rows, cols, config, cfg_hash)
+    _write_csv(csv_path, rows, config, cfg_hash)
     summary = {
         **summary,
         "experiment": config.experiment,

@@ -2,11 +2,21 @@
 
 Environments are univariate covariate distributions (Gaussian or a finite
 grid of atoms).  Labelers are conditional label mechanisms over ``C``
-classes.  On top of these the module provides every total-variation (TV)
-quantity the rest of the package needs: discrete TV between probability
-vectors, TV between environments, pointwise and expected conditional TV
-between labelers, a grid-based supremum of the conditional TV, and the
-exact joint TV between two (environment, labeler) product distributions.
+classes.  Every TV quantity the rest of the package needs is a TV between
+product distributions P = (environment, labeler): the TV between
+environments holds the labeler fixed, the expected conditional TV holds the
+environment fixed, and a crisp hypothesis is one more labeler, so its 0-1
+risk in a world is an expected conditional TV too.
+
+Exact values come from one partition kernel.  When the two product
+distributions share a finite partition of the covariate line (the union
+atoms of two grids, or the CDF cells between label boundaries and density
+crossings of two Gaussians with deterministic labelers), each becomes a
+(cells x classes) joint mass table and the TV is the half-L1 distance
+between the tables.  Every other pair is integrated by Gauss-Hermite or
+breakpoint-split adaptive Simpson quadrature.  The module also provides
+discrete TV between probability vectors, pointwise conditional TV, and a
+grid-based supremum of the conditional TV.
 
 Conventions
 -----------
@@ -25,7 +35,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Literal, Union, get_args
+from typing import Callable, Literal, Optional, Union, get_args
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
@@ -95,13 +105,7 @@ class Gaussian:
         return np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        finite = np.isfinite(x)
-        out[finite] = ndtr((x[finite] - self.mean) / self.std)
-        out[x == np.inf] = 1.0
-        out[x == -np.inf] = 0.0
-        return out
+        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
 
     def ppf(self, u) -> np.ndarray:
         return self.mean + self.std * ndtri(np.asarray(u, dtype=float))
@@ -146,8 +150,31 @@ Environment = Union[Gaussian, DiscreteGrid]
 # ---------------------------------------------------------------------------
 
 
+class _LabelerBase:
+    """Defaults of the labeler families: binary, stochastic, no hard breakpoints."""
+
+    class_count = 2
+    is_deterministic = False
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
+
+
+class CrispLabeler(_LabelerBase):
+    """Deterministic binary labeler: ``prob_matrix`` is the one-hot of ``labels``.
+
+    Subclasses supply ``labels(x)`` (class 0 or 1 per point) and the
+    ``breakpoints`` where the label can change.
+    """
+
+    is_deterministic = True
+
+    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
+        return np.eye(2).take(self.labels(x), axis=0)
+
+
 @dataclass(frozen=True)
-class Threshold:
+class Threshold(CrispLabeler):
     """Deterministic binary labeler: class 1 iff x > theta.
 
     ``theta`` may be +/-inf, which realizes the constant class-0 / class-1
@@ -160,29 +187,15 @@ class Threshold:
         if math.isnan(self.theta):
             raise ValidationError("theta must not be NaN")
 
-    @property
-    def class_count(self) -> int:
-        return 2
-
-    @property
-    def is_deterministic(self) -> bool:
-        return True
-
     def breakpoints(self) -> tuple[float, ...]:
         return (self.theta,) if math.isfinite(self.theta) else ()
 
     def labels(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) > self.theta).astype(np.int64)
 
-    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        lab = self.labels(x)
-        out = np.zeros((lab.shape[0], 2))
-        out[np.arange(lab.shape[0]), lab] = 1.0
-        return out
-
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(CrispLabeler):
     """Deterministic binary labeler: class 1 iff a < x <= b."""
 
     a: float
@@ -194,14 +207,6 @@ class Interval:
         if not self.a < self.b:
             raise ValidationError(f"interval needs a < b, got ({self.a}, {self.b})")
 
-    @property
-    def class_count(self) -> int:
-        return 2
-
-    @property
-    def is_deterministic(self) -> bool:
-        return True
-
     def breakpoints(self) -> tuple[float, ...]:
         return (self.a, self.b)
 
@@ -209,15 +214,9 @@ class Interval:
         x = np.asarray(x, dtype=float)
         return ((x > self.a) & (x <= self.b)).astype(np.int64)
 
-    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        lab = self.labels(x)
-        out = np.zeros((lab.shape[0], 2))
-        out[np.arange(lab.shape[0]), lab] = 1.0
-        return out
-
 
 @dataclass(frozen=True)
-class Sigmoid:
+class Sigmoid(_LabelerBase):
     """Stochastic binary labeler with logistic link: P(1|x) = sigma(slope*x + bias)."""
 
     slope: float
@@ -227,24 +226,13 @@ class Sigmoid:
         _require_finite(self.slope, "slope")
         _require_finite(self.bias, "bias")
 
-    @property
-    def class_count(self) -> int:
-        return 2
-
-    @property
-    def is_deterministic(self) -> bool:
-        return False
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
-
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         p1 = expit(self.slope * np.asarray(x, dtype=float) + self.bias)
         return np.column_stack([1.0 - p1, p1])
 
 
 @dataclass(frozen=True)
-class Probit:
+class Probit(_LabelerBase):
     """Stochastic binary labeler with probit link: P(1|x) = Phi(kappa*x + bias)."""
 
     kappa: float
@@ -254,24 +242,13 @@ class Probit:
         _require_finite(self.kappa, "kappa")
         _require_finite(self.bias, "bias")
 
-    @property
-    def class_count(self) -> int:
-        return 2
-
-    @property
-    def is_deterministic(self) -> bool:
-        return False
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
-
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         p1 = ndtr(self.kappa * np.asarray(x, dtype=float) + self.bias)
         return np.column_stack([1.0 - p1, p1])
 
 
 @dataclass(frozen=True)
-class SymmetricNoise:
+class SymmetricNoise(_LabelerBase):
     """Binary symmetric channel on top of a deterministic base labeler.
 
     With probability ``epsilon`` the base label is flipped.
@@ -286,14 +263,6 @@ class SymmetricNoise:
         if not (0.0 <= self.epsilon <= 0.5):
             raise ValidationError(f"epsilon must lie in [0, 0.5], got {self.epsilon!r}")
 
-    @property
-    def class_count(self) -> int:
-        return 2
-
-    @property
-    def is_deterministic(self) -> bool:
-        return False
-
     def breakpoints(self) -> tuple[float, ...]:
         return self.base.breakpoints()
 
@@ -303,7 +272,7 @@ class SymmetricNoise:
 
 
 @dataclass(frozen=True)
-class Tabular:
+class Tabular(_LabelerBase):
     """Labeler defined only on explicit grid points; off-grid evaluation errors.
 
     ``probs[i]`` is the conditional probability vector at ``grid[i]``.
@@ -331,10 +300,6 @@ class Tabular:
     @property
     def class_count(self) -> int:
         return len(self.probs[0])
-
-    @property
-    def is_deterministic(self) -> bool:
-        return False
 
     def breakpoints(self) -> tuple[float, ...]:
         return self.grid
@@ -529,14 +494,27 @@ def _conditional_tv_vec(l1: Labeler, l2: Labeler) -> Callable[[np.ndarray], np.n
     return g
 
 
-def _cdf_regions(l1, l2, extra_cuts: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """CDF regions of two deterministic labelers as ``(edges, disagree)``.
+def _joint_pmf_tables(
+    e1: Environment, l1: Labeler, e2: Environment, l2: Labeler
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Joint (cell, class) mass tables of (e1, l1) and (e2, l2) on one shared partition.
 
-    ``edges`` runs from -inf through the sorted label boundaries and
-    ``extra_cuts`` to +inf; ``disagree`` marks the regions between
-    consecutive edges where the two labelers give different labels.
+    Returns ``(m1, m2)``, each of shape (cells, classes), so that the joint
+    TV is the half-L1 distance ``0.5 * |m1 - m2|`` summed over each cell
+    and then over the cells.  Both environments must be of one kind.  Two
+    grids share their union atoms.  Two Gaussians with deterministic
+    labelers share the cells between label boundaries and density
+    crossings: inside a cell both labels and the sign of ``phi1 - phi2``
+    are constant, so a row is the cell's CDF mass times the one-hot label
+    at an inner point.  Any other pair has no finite partition and gives
+    ``None``.
     """
-    cuts = sorted(set(l1.breakpoints()) | set(l2.breakpoints()) | set(extra_cuts))
+    if isinstance(e1, DiscreteGrid):
+        pts, w1, w2 = _union_grid(e1, e2)
+        return l1.prob_matrix(pts) * w1[:, None], l2.prob_matrix(pts) * w2[:, None]
+    if not (l1.is_deterministic and l2.is_deterministic):
+        return None
+    cuts = sorted(set(l1.breakpoints()) | set(l2.breakpoints()) | set(_gaussian_crossings(e1, e2)))
     edges = np.asarray([-np.inf, *cuts, np.inf])
     inner = np.where(
         np.isfinite(edges[:-1]) & np.isfinite(edges[1:]),
@@ -544,32 +522,29 @@ def _cdf_regions(l1, l2, extra_cuts: tuple[float, ...] = ()) -> tuple[np.ndarray
         np.where(np.isfinite(edges[:-1]), edges[:-1] + 1.0, edges[1:] - 1.0),
     )
     inner = np.where(np.isfinite(inner), inner, 0.0)
-    return edges, l1.labels(inner) != l2.labels(inner)
+    w1 = np.diff(e1.cdf(edges))
+    w2 = w1 if e2 is e1 else np.diff(e2.cdf(edges))
+    return l1.prob_matrix(inner) * w1[:, None], l2.prob_matrix(inner) * w2[:, None]
 
 
-def _deterministic_disagreement_mass(env: Gaussian, l1, l2) -> float:
-    # piecewise-constant disagreement indicator: integrate exactly via the CDF
-    edges, disagree = _cdf_regions(l1, l2)
-    mass = env.cdf(edges[1:]) - env.cdf(edges[:-1])
-    return float(mass[disagree].sum())
+def _half_l1(m1: np.ndarray, m2: np.ndarray) -> float:
+    return 0.5 * float(np.abs(m1 - m2).sum(axis=1).sum())
 
 
 def expected_conditional_tv(
     env: Environment, l1: Labeler, l2: Labeler, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """E_{X~env}[ TV(l1(.|X), l2(.|X)) ].
+    """E_{X~env}[ TV(l1(.|X), l2(.|X)) ]: the joint TV with the environment held fixed.
 
-    Deterministic labeler pairs under a Gaussian reduce to exact CDF
-    arithmetic over the disagreement region (the quadrature-free value that
-    smooth-pair quadrature is cross-checked against in the test suite).
+    Grid environments, and deterministic labeler pairs under a Gaussian,
+    take the exact partition sum of :func:`joint_tv_exact` with ``e2 = e1``
+    (the quadrature-free value that smooth-pair quadrature is cross-checked
+    against in the test suite).  Other pairs are integrated by quadrature.
     """
     _check_class_counts(l1, l2)
-    if (
-        isinstance(env, Gaussian)
-        and getattr(l1, "is_deterministic", False)
-        and getattr(l2, "is_deterministic", False)
-    ):
-        return _clip01(_deterministic_disagreement_mass(env, l1, l2), "expected_conditional_tv")
+    tables = _joint_pmf_tables(env, l1, env, l2)
+    if tables is not None:
+        return _clip01(_half_l1(*tables), "expected_conditional_tv")
     bps = tuple(l1.breakpoints()) + tuple(l2.breakpoints())
     value = _expectation(env, _conditional_tv_vec(l1, l2), cfg, bps)
     return _clip01(value, "expected_conditional_tv")
@@ -672,17 +647,6 @@ def tv_env(e1: Environment, e2: Environment, cfg: QuadratureConfig = DEFAULT_QUA
     return _clip01(value, "tv_env")
 
 
-def _joint_tv_deterministic(e1: Gaussian, l1, e2: Gaussian, l2) -> float:
-    # exact region arithmetic: between label boundaries and density
-    # crossings, the integrand is either phi1 + phi2 (labels differ) or
-    # |phi1 - phi2| with constant sign (labels agree), so every segment is a
-    # difference of CDF values
-    edges, differ = _cdf_regions(l1, l2, _gaussian_crossings(e1, e2))
-    m1 = np.diff(e1.cdf(edges))
-    m2 = np.diff(e2.cdf(edges))
-    return 0.5 * float(np.where(differ, m1 + m2, np.abs(m1 - m2)).sum())
-
-
 def joint_tv_exact(
     e1: Environment,
     l1: Labeler,
@@ -692,22 +656,20 @@ def joint_tv_exact(
 ) -> float:
     """TV distance between the product distributions (e1, l1) and (e2, l2).
 
-    Computes (1/2) * integral of sum_y |p1(x) p1(y|x) - p2(x) p2(y|x)| dx by
-    breakpoint-split adaptive quadrature, an exact sum for grid
-    environments, or exact CDF region arithmetic when both labelers are
-    deterministic.  Reduces to :func:`tv_env` when l1 == l2 and to
+    Computes (1/2) * integral of sum_y |p1(x) p1(y|x) - p2(x) p2(y|x)| dx.
+    Two grid environments, or two Gaussians with deterministic labelers,
+    give an exact sum over a shared finite partition (union atoms, or CDF
+    cells between label boundaries and density crossings); any other
+    Gaussian pair is integrated by breakpoint-split adaptive quadrature.
+    Reduces to :func:`tv_env` when l1 == l2 and to
     :func:`expected_conditional_tv` when e1 == e2.
     """
     _check_class_counts(l1, l2)
-    if isinstance(e1, DiscreteGrid) and isinstance(e2, DiscreteGrid):
-        pts, w1, w2 = _union_grid(e1, e2)
-        m1 = l1.prob_matrix(pts) * w1[:, None]
-        m2 = l2.prob_matrix(pts) * w2[:, None]
-        return _clip01(0.5 * float(np.abs(m1 - m2).sum()), "joint_tv_exact")
-    if not (isinstance(e1, Gaussian) and isinstance(e2, Gaussian)):
+    if isinstance(e1, Gaussian) != isinstance(e2, Gaussian):
         raise SupportError("joint_tv_exact requires both environments Gaussian or both DiscreteGrid")
-    if getattr(l1, "is_deterministic", False) and getattr(l2, "is_deterministic", False):
-        return _clip01(_joint_tv_deterministic(e1, l1, e2, l2), "joint_tv_exact")
+    tables = _joint_pmf_tables(e1, l1, e2, l2)
+    if tables is not None:
+        return _clip01(_half_l1(*tables), "joint_tv_exact")
 
     def integrand(x: np.ndarray) -> np.ndarray:
         m1 = l1.prob_matrix(x) * e1.pdf(x)[:, None]

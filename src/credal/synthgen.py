@@ -43,7 +43,7 @@ class GenSeed:
 
 
 def _draw_hard_labels(labeler: Labeler, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if getattr(labeler, "is_deterministic", False):
+    if labeler.is_deterministic:
         return labeler.labels(xs)
     probs = labeler.prob_matrix(xs)
     cdf = np.cumsum(probs, axis=1)

@@ -16,6 +16,7 @@ from credal.dro import (
     _smoothed_risk,
 )
 from credal.measures import (
+    DEFAULT_QUADRATURE,
     DiscreteGrid,
     Gaussian,
     QuadratureConfig,
@@ -23,10 +24,11 @@ from credal.measures import (
     Tabular,
     Threshold,
     ValidationError,
+    expected_conditional_tv,
 )
 from credal.sets import CredalSpec
 
-from oracles import discrete_joint_pmf
+from oracles import discrete_joint_pmf, quadrature_joint_tv, threshold_pair_disagreement
 
 TWO_WORLD = CredalSpec((Gaussian(0, 1),), (Threshold(-1), Threshold(1)))
 
@@ -63,6 +65,26 @@ class TestWorldRisks:
         # risk = E[1 - p(decide)] and TV to the matched threshold obeys
         # TV = E|p1 - 1{x>0}| = risk, so the two coincide here
         assert wr.risks[0, 0] == pytest.approx(want, abs=1e-8)
+
+    def test_hypothesis_is_a_crisp_labeler(self):
+        # the 0-1 risk of h in a world is the expected disagreement between
+        # the world's labeler and h under the world's environment
+        h = ThresholdClassifier(0.4, 1)
+        env = Gaussian(0.2, 1.3)
+        sig, thr = Sigmoid(1.5, -0.3), Threshold(-0.6)
+        pts = (-1.0, 0.0, 0.5, 1.5)
+        grid = DiscreteGrid(pts, (0.1, 0.4, 0.3, 0.2))
+        tab = Tabular(pts, ((0.9, 0.1), (0.3, 0.7), (0.6, 0.4), (0.2, 0.8)))
+        grid_pmf_gap = discrete_joint_pmf(grid, tab) - discrete_joint_pmf(grid, h)
+        cases = [
+            (env, sig, quadrature_joint_tv(env, sig, env, h)),
+            (env, thr, threshold_pair_disagreement(0.2, 1.3, -0.6, 0.4)),
+            (grid, tab, 0.5 * float(np.abs(grid_pmf_gap).sum())),
+        ]
+        for world_env, lab, oracle in cases:
+            risk = world_risks(h, CredalSpec((world_env,), (lab,))).risks[0, 0]
+            assert risk == expected_conditional_tv(world_env, lab, h)
+            assert risk == pytest.approx(oracle, abs=DEFAULT_QUADRATURE.abs_tol)
 
     def test_binary_only(self):
         tab3 = Tabular((0.0,), ((0.2, 0.3, 0.5),))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credal.dro import LinearLogistic, ThresholdClassifier
 from credal.measures import (
     DiscreteGrid,
     Gaussian,
@@ -28,6 +29,7 @@ from credal.measures import (
 )
 
 from oracles import (
+    discrete_joint_pmf,
     gaussian_tv_via_crossings,
     quadrature_joint_tv,
     threshold_pair_disagreement,
@@ -96,6 +98,10 @@ class TestEnvironmentTypes:
         with pytest.raises(ValidationError):
             Gaussian(math.inf, 1.0)
 
+    def test_gaussian_cdf_non_finite_inputs(self):
+        got = Gaussian(0.4, 1.3).cdf([-math.inf, math.nan, math.inf])
+        assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == 1.0
+
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             DiscreteGrid((0.0, 0.0), (0.5, 0.5))
@@ -123,6 +129,31 @@ class TestEnvironmentTypes:
             QuadratureConfig(method="romberg")
         with pytest.raises(ValidationError):
             QuadratureConfig(method="grid")
+
+
+CRISP_LABELERS = [
+    Threshold(0.3),
+    Threshold(math.inf),
+    Threshold(-math.inf),
+    Interval(-0.5, 1.2),
+    SymmetricNoise(Interval(-0.5, 1.2), 0.0),
+    ThresholdClassifier(0.3, 1),
+    ThresholdClassifier(0.3, -1),
+    LinearLogistic(2.0, -1.0),
+    LinearLogistic(0.0, 0.5),
+    LinearLogistic(0.0, -0.5),
+]
+
+
+class TestLabelerProtocol:
+    @pytest.mark.parametrize("labeler", CRISP_LABELERS, ids=repr)
+    def test_prob_matrix_is_one_hot_of_labels(self, labeler):
+        x = np.asarray([-3.0, -0.5, 0.3, 0.5, 1.2, 4.0])
+        crisp = labeler.base if isinstance(labeler, SymmetricNoise) else labeler
+        want = np.zeros((x.size, 2))
+        want[np.arange(x.size), crisp.labels(x)] = 1.0
+        assert np.array_equal(labeler.prob_matrix(x), want)
+        assert labeler.class_count == 2
 
 
 class TestTvEnv:
@@ -314,6 +345,21 @@ class TestJointTvExact:
                 for b in range(3):
                     assert d[(a, b)] == pytest.approx(d[(b, a)], abs=2 * SIMPSON.abs_tol)
             assert d[(0, 2)] <= d[(0, 1)] + d[(1, 2)] + 2 * SIMPSON.abs_tol
+
+    def test_grid_partition_matches_joint_pmf_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            pts = tuple(np.sort(rng.uniform(-3, 3, 12)).tolist())
+            env = DiscreteGrid(pts, tuple(rng.dirichlet(np.ones(12)).tolist()))
+            classes = int(rng.integers(2, 5))
+            l1, l2 = (
+                Tabular(pts, tuple(tuple(r) for r in rng.dirichlet(np.ones(classes), size=12)))
+                for _ in range(2)
+            )
+            ect = expected_conditional_tv(env, l1, l2)
+            assert ect == joint_tv_exact(env, l1, env, l2)
+            want = 0.5 * float(np.abs(discrete_joint_pmf(env, l1) - discrete_joint_pmf(env, l2)).sum())
+            assert ect == pytest.approx(want, abs=1e-14)
 
     def test_grid_spec_joint(self):
         e1 = DiscreteGrid((0.0, 1.0), (0.7, 0.3))
