@@ -157,15 +157,20 @@ SMOOTHING_TEMPERATURE = 0.1
 
 
 def _smoothed_risk(h: Hypothesis, env, labeler: Labeler, cfg: QuadratureConfig) -> float:
-    """Logistic smoothing of the 0-1 risk: the hard decision becomes sigma(score/T)."""
+    """Logistic smoothing of the 0-1 risk: the hard decision becomes sigma(score/T).
+
+    The integral splits at the labeler's breakpoints and at the hypothesis's
+    decision point, where sigma(score/T) steps over a width of order T; a
+    smooth labeler therefore still takes adaptive quadrature, because
+    Gauss-Hermite does not resolve that step to ``abs_tol``.
+    """
 
     def g(x: np.ndarray) -> np.ndarray:
         probs = labeler.prob_matrix(x)
         s = expit(h.score(x) / SMOOTHING_TEMPERATURE)
         return probs[:, 1] * (1.0 - s) + probs[:, 0] * s
 
-    bps = tuple(p for p in labeler.breakpoints() if math.isfinite(p))
-    return float(_expectation(env, g, cfg, bps))
+    return float(_expectation(env, g, cfg, (*labeler.breakpoints(), *h.breakpoints())))
 
 
 def world_risks(

@@ -160,6 +160,10 @@ class _LabelerBase:
         return ()
 
 
+_ONE_HOT = np.eye(2)
+_ONE_HOT.setflags(write=False)
+
+
 class CrispLabeler(_LabelerBase):
     """Deterministic binary labeler: ``prob_matrix`` is the one-hot of ``labels``.
 
@@ -170,7 +174,7 @@ class CrispLabeler(_LabelerBase):
     is_deterministic = True
 
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        return np.eye(2).take(self.labels(x), axis=0)
+        return _ONE_HOT.take(self.labels(x), axis=0)
 
 
 @dataclass(frozen=True)
@@ -286,6 +290,8 @@ class Tabular(_LabelerBase):
         probs = tuple(tuple(float(p) for p in row) for row in self.probs)
         if len(grid) != len(probs) or not grid:
             raise ValidationError("grid and probs must be equal-length and non-empty")
+        if any(not math.isfinite(g) for g in grid):
+            raise ValidationError("tabular grid points must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("tabular grid must be strictly increasing")
         widths = {len(row) for row in probs}
@@ -307,17 +313,13 @@ class Tabular(_LabelerBase):
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         grid = np.asarray(self.grid)
-        idx = np.searchsorted(grid, x)
-        idx = np.clip(idx, 0, len(grid) - 1)
-        # accept both exact hits and hits on the left neighbour
-        left = np.clip(idx - 1, 0, len(grid) - 1)
-        match_right = np.isclose(grid[idx], x, rtol=0.0, atol=1e-12)
-        match_left = np.isclose(grid[left], x, rtol=0.0, atol=1e-12)
-        if not np.all(match_right | match_left):
-            bad = x[~(match_right | match_left)][0]
-            raise SupportError(f"tabular labeler evaluated off-grid at x={bad!r}")
-        use = np.where(match_right, idx, left)
-        return np.asarray(self.probs, dtype=float)[use]
+        # nearest grid point: the first midpoint between neighbours at or
+        # above x (halving before adding keeps the midpoints finite)
+        idx = np.searchsorted(0.5 * grid[:-1] + 0.5 * grid[1:], x)
+        hit = np.abs(grid[idx] - x) <= 1e-12
+        if not np.all(hit):
+            raise SupportError(f"tabular labeler evaluated off-grid at x={x[~hit][0]!r}")
+        return np.asarray(self.probs, dtype=float)[idx]
 
 
 Labeler = Union[Threshold, Interval, Sigmoid, Probit, SymmetricNoise, Tabular]
@@ -386,9 +388,12 @@ def adaptive_simpson(
     """Integrate a vectorized scalar integrand over [a, b].
 
     The interval is pre-split at ``breakpoints`` so kinks and jumps sit at
-    segment edges; each segment is then refined by standard adaptive Simpson
-    with Richardson extrapolation.  Raises :class:`QuadratureError` carrying
-    the remaining error estimate if the evaluation budget is exhausted.
+    segment edges.  Each initial segment's end values are one-sided limits,
+    taken one ulp inside the segment, so a jump at a cut lies outside every
+    segment whichever side the integrand assigns the cut point itself to.
+    Each segment is then refined by standard adaptive Simpson with
+    Richardson extrapolation.  Raises :class:`QuadratureError` carrying the
+    remaining error estimate if the evaluation budget is exhausted.
     """
     if not (b > a):
         raise ValidationError(f"empty integration interval [{a}, {b}]")
@@ -396,7 +401,7 @@ def adaptive_simpson(
     lo = np.asarray(cuts[:-1], dtype=float)
     hi = np.asarray(cuts[1:], dtype=float)
     mid = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = f(lo), f(mid), f(hi)
+    f_lo, f_mid, f_hi = f(np.nextafter(lo, hi)), f(mid), f(np.nextafter(hi, lo))
     coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
     width = b - a
 
@@ -514,14 +519,15 @@ def _joint_pmf_tables(
         return l1.prob_matrix(pts) * w1[:, None], l2.prob_matrix(pts) * w2[:, None]
     if not (l1.is_deterministic and l2.is_deterministic):
         return None
-    cuts = sorted(set(l1.breakpoints()) | set(l2.breakpoints()) | set(_gaussian_crossings(e1, e2)))
-    edges = np.asarray([-np.inf, *cuts, np.inf])
-    inner = np.where(
-        np.isfinite(edges[:-1]) & np.isfinite(edges[1:]),
-        0.5 * (edges[:-1] + edges[1:]),
-        np.where(np.isfinite(edges[:-1]), edges[:-1] + 1.0, edges[1:] - 1.0),
+    # a non-finite breakpoint (a crisp labeler whose boundary overflowed)
+    # bounds an empty cell, so only finite cuts split the line
+    cuts = sorted(
+        {*l1.breakpoints(), *l2.breakpoints(), *_gaussian_crossings(e1, e2)} - {-math.inf, math.inf}
     )
-    inner = np.where(np.isfinite(inner), inner, 0.0)
+    inner = np.asarray(
+        [cuts[0] - 1.0, *(0.5 * (u + v) for u, v in zip(cuts, cuts[1:])), cuts[-1] + 1.0] if cuts else [0.0]
+    )
+    edges = np.asarray([-np.inf, *cuts, np.inf])
     w1 = np.diff(e1.cdf(edges))
     w2 = w1 if e2 is e1 else np.diff(e2.cdf(edges))
     return l1.prob_matrix(inner) * w1[:, None], l2.prob_matrix(inner) * w2[:, None]

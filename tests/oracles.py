@@ -12,7 +12,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 
 def tv_subset_brute_force(p, q) -> float:
@@ -109,6 +109,29 @@ def quadrature_joint_tv(e1, l1, e2, l2, n_grid: int = 200_001, halfwidth: float 
         f1 = l1.prob_matrix(xs) * e1.pdf(xs)[:, None]
         f2 = l2.prob_matrix(xs) * e2.pdf(xs)[:, None]
         return 0.5 * np.abs(f1 - f2).sum(axis=1)
+
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        xs = np.linspace(a + 1e-9, b - 1e-9, n_grid)
+        total += float(np.trapezoid(integrand(xs), xs))
+    return total
+
+
+def smoothed_risk(env, labeler, h, temperature: float, n_grid: int = 200_001, halfwidth: float = 10.0) -> float:
+    """Dense-trapezoid E[p1(X) (1 - s(X)) + p0(X) s(X)] with s = sigma(h.score / T).
+
+    Splits at the labeler's breakpoints and at the hypothesis's decision
+    points (nudged just inside each piece), like :func:`quadrature_joint_tv`.
+    """
+    lo, hi = env.mean - halfwidth * env.std, env.mean + halfwidth * env.std
+    cuts = sorted(
+        {lo, hi} | {p for p in (*labeler.breakpoints(), *h.breakpoints()) if lo < p < hi}
+    )
+
+    def integrand(xs):
+        probs = labeler.prob_matrix(xs)
+        s = expit(h.score(xs) / temperature)
+        return (probs[:, 1] * (1.0 - s) + probs[:, 0] * s) * env.pdf(xs)
 
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):

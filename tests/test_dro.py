@@ -6,6 +6,7 @@ import pytest
 from credal.dro import (
     DivergenceError,
     LinearLogistic,
+    SMOOTHING_TEMPERATURE,
     ThresholdClassifier,
     TrainConfig,
     WorldRisk,
@@ -19,6 +20,7 @@ from credal.measures import (
     DEFAULT_QUADRATURE,
     DiscreteGrid,
     Gaussian,
+    Probit,
     QuadratureConfig,
     Sigmoid,
     Tabular,
@@ -28,7 +30,12 @@ from credal.measures import (
 )
 from credal.sets import CredalSpec
 
-from oracles import discrete_joint_pmf, quadrature_joint_tv, threshold_pair_disagreement
+from oracles import (
+    discrete_joint_pmf,
+    quadrature_joint_tv,
+    smoothed_risk,
+    threshold_pair_disagreement,
+)
 
 TWO_WORLD = CredalSpec((Gaussian(0, 1),), (Threshold(-1), Threshold(1)))
 
@@ -86,6 +93,15 @@ class TestWorldRisks:
             assert risk == expected_conditional_tv(world_env, lab, h)
             assert risk == pytest.approx(oracle, abs=DEFAULT_QUADRATURE.abs_tol)
 
+    def test_jump_at_split_point_is_resolved(self):
+        # the hypothesis's jump sits at a cut of the Sigmoid-labeler integral;
+        # without one-sided end values all five first samples agreed and the
+        # risk came out as 9.0e-10
+        h = ThresholdClassifier(-1.899068975581462, 1)
+        env, sig = Gaussian(-0.45253765953320735, 1.907039479456706), Sigmoid(10.0, -1.0467212200648612)
+        risk = world_risks(h, CredalSpec((env,), (sig,))).risks[0, 0]
+        assert risk == pytest.approx(quadrature_joint_tv(env, sig, env, h), abs=DEFAULT_QUADRATURE.abs_tol)
+
     def test_binary_only(self):
         tab3 = Tabular((0.0,), ((0.2, 0.3, 0.5),))
         spec = CredalSpec((DiscreteGrid((0.0,), (1.0,)),), (tab3,))
@@ -97,6 +113,30 @@ class TestWorldRisks:
         h = LinearLogistic(weight=2.0, bias=-1.0)  # boundary at 0.5
         wr = world_risks(h, spec)
         assert wr.risks[0, 0] == pytest.approx(0.0, abs=1e-12)
+        # a boundary that overflows to +inf labels every finite x as class 0
+        flat = LinearLogistic(weight=1e-310, bias=-1.0)
+        assert flat.breakpoints() == (math.inf,)
+        assert world_risks(flat, spec).risks[0, 0] == world_risks(LinearLogistic(0.0, -1.0), spec).risks[0, 0]
+
+
+class TestSmoothedRisk:
+    def test_stochastic_labelers_meet_abs_tol(self):
+        # sigma(score / T) steps over a width of order T at the decision
+        # point; without a split there, Gauss-Hermite missed abs_tol
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            env = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.3, 2.5)))
+            if rng.random() < 0.5:
+                lab = Sigmoid(float(rng.uniform(-4, 4)), float(rng.uniform(-2, 2)))
+            else:
+                lab = Probit(float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
+            if rng.random() < 0.5:
+                h = ThresholdClassifier(float(rng.uniform(-2.5, 2.5)), int(rng.choice([-1, 1])))
+            else:
+                h = LinearLogistic(float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
+            got = _smoothed_risk(h, env, lab, DEFAULT_QUADRATURE)
+            want = smoothed_risk(env, lab, h, SMOOTHING_TEMPERATURE)
+            assert got == pytest.approx(want, abs=DEFAULT_QUADRATURE.abs_tol)
 
 
 class TestLseObjective:

@@ -119,6 +119,8 @@ class TestEnvironmentTypes:
             SymmetricNoise(Sigmoid(1.0, 0.0), 0.1)
         with pytest.raises(ValidationError):
             Tabular((0.0, 1.0), ((0.5, 0.6), (0.5, 0.5)))
+        with pytest.raises(ValidationError):
+            Tabular((0.0, math.inf), ((0.5, 0.5), (0.5, 0.5)))
 
     def test_quadrature_config_validation(self):
         with pytest.raises(ValidationError):
@@ -154,6 +156,14 @@ class TestLabelerProtocol:
         want[np.arange(x.size), crisp.labels(x)] = 1.0
         assert np.array_equal(labeler.prob_matrix(x), want)
         assert labeler.class_count == 2
+
+    def test_tabular_matches_grid_points_within_1e12(self):
+        tab = Tabular((-1.0, 0.0, 2.5), ((0.9, 0.1), (0.3, 0.7), (0.6, 0.4)))
+        x = np.asarray([2.5, -1.0 + 5e-13, -5e-13, 0.0, 2.5 - 5e-13])
+        assert np.array_equal(tab.prob_matrix(x)[:, 1], [0.4, 0.1, 0.7, 0.7, 0.4])
+        for off in (-1.0 - 1e-9, 1.25, 2.5 + 1e-9, math.inf, math.nan):
+            with pytest.raises(SupportError):
+                tab.prob_matrix(np.asarray([0.0, off]))
 
 
 class TestTvEnv:
@@ -252,6 +262,37 @@ class TestExpectedConditionalTv:
                 for g in gaps
             ]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_jump_at_split_point_is_resolved(self):
+        # the Threshold's jump sits at a cut; the right segment's end value
+        # must be its one-sided limit, or all five first samples agree and
+        # the integral accepts a value near 0
+        env = Gaussian(-0.45253765953320735, 1.907039479456706)
+        l1, l2 = Threshold(-1.899068975581462), Sigmoid(10.0, -1.0467212200648612)
+        got = expected_conditional_tv(env, l1, l2)
+        assert got == pytest.approx(quadrature_joint_tv(env, l1, env, l2), abs=1e-8)
+
+    def test_mixed_crisp_stochastic_pairs_default_config(self):
+        # seed 3 holds one case (the 27th) whose five first samples agree;
+        # splitting at a cut without one-sided limits returned 3.8e-13 there
+        # against a true 0.168
+        rng = np.random.default_rng(3)
+        crisp = [
+            lambda: Threshold(float(rng.uniform(-2, 2))),
+            lambda: Interval(*sorted(rng.uniform(-2.5, 2.5, size=2).tolist())),
+            lambda: SymmetricNoise(Threshold(float(rng.uniform(-2, 2))), float(rng.uniform(0, 0.4))),
+        ]
+        smooth = [
+            lambda: Sigmoid(float(rng.choice([-1, 1]) * rng.uniform(0.5, 10)), float(rng.uniform(-2, 2))),
+            lambda: Probit(float(rng.choice([-1, 1]) * rng.uniform(0.5, 5)), float(rng.uniform(-1.5, 1.5))),
+        ]
+        for _ in range(60):
+            env = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.4, 2.0)))
+            l1, l2 = crisp[rng.integers(3)](), smooth[rng.integers(2)]()
+            if rng.random() < 0.5:
+                l1, l2 = l2, l1
+            got = expected_conditional_tv(env, l1, l2)
+            assert got == pytest.approx(quadrature_joint_tv(env, l1, env, l2), abs=1e-8)
 
     def test_noise_pair_kink_handled(self):
         # symmetric-noise pairs have jump discontinuities; quadrature must split
@@ -375,6 +416,16 @@ class TestAdaptiveSimpson:
         with pytest.raises(QuadratureError) as err:
             adaptive_simpson(f, 0.0, 10.0, 1e-12, (), eval_budget=50)
         assert err.value.residual > 0
+
+    def test_jump_at_cut_takes_one_pass(self):
+        calls = []
+
+        def step(x):
+            calls.append(x.size)
+            return (x > 0.3).astype(float)
+
+        assert adaptive_simpson(step, -1.0, 2.0, 1e-10, (0.3,)) == 1.7
+        assert sum(calls) <= 10
 
     def test_polynomial_exact(self):
         # integral of x^3 - x + 2 over [-1, 2] is 33/4; Simpson is exact on cubics
