@@ -22,6 +22,7 @@ from credal.measures import (
     conditional_tv,
     expected_conditional_tv,
     joint_tv_exact,
+    joint_tv_many,
     sup_conditional_tv,
     tv_discrete,
     tv_env,
@@ -58,6 +59,7 @@ __all__ = [
     "diameter_bounds",
     "expected_conditional_tv",
     "joint_tv_exact",
+    "joint_tv_many",
     "pairwise_bounds",
     "robust_penalty",
     "sup_conditional_tv",

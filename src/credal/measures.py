@@ -14,9 +14,17 @@ atoms of two grids, or the CDF cells between label boundaries and density
 crossings of two Gaussians with deterministic labelers), each becomes a
 (cells x classes) joint mass table and the TV is the half-L1 distance
 between the tables.  Every other pair is integrated by Gauss-Hermite or
-breakpoint-split adaptive Simpson quadrature.  The module also provides
-discrete TV between probability vectors, pointwise conditional TV, and a
-grid-based supremum of the conditional TV.
+breakpoint-split adaptive Simpson quadrature.
+
+Adaptive Simpson is one worklist engine for many integrals, each getting
+the same bits as alone: :func:`adaptive_simpson` and :func:`joint_tv_exact`
+are batches of one, and :func:`joint_tv_many` integrates a group of pairs
+per pass.  Its memory grows with the batch, so callers pass natural groups
+(one vertex row, one environment pair) rather than a whole sweep.
+
+The module also provides discrete TV between probability vectors,
+pointwise conditional TV, and a grid-based supremum of the conditional
+TV.
 
 Conventions
 -----------
@@ -25,7 +33,7 @@ Conventions
   threshold, ``a < x <= b`` for an interval); ties at an exact boundary
   resolve to class 0.
 * All TV outputs are clamped to [0, 1]; raw pre-clamp values are emitted at
-  DEBUG log level.
+  DEBUG log level.  A NaN value raises :class:`MeasureError` instead.
 * Everything here is immutable and pure, so concurrent use is safe.
 """
 
@@ -35,7 +43,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Literal, Optional, Union, get_args
+from typing import Callable, Literal, Optional, Sequence, Union, get_args
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
@@ -78,6 +86,8 @@ def _require_finite(value: float, name: str) -> float:
 
 
 def _clip01(value: float, label: str) -> float:
+    if math.isnan(value):
+        raise MeasureError(f"{label} is NaN")
     if value < 0.0 or value > 1.0:
         logger.debug("%s raw value %r clamped to [0, 1]", label, value)
     return min(1.0, max(0.0, float(value)))
@@ -130,8 +140,8 @@ class DiscreteGrid:
             raise ValidationError("grid points must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValidationError("grid points must be strictly increasing")
-        if any(w < 0 for w in wts):
-            raise ValidationError("weights must be non-negative")
+        if any(not (math.isfinite(w) and w >= 0) for w in wts):
+            raise ValidationError("weights must be finite and non-negative")
         if abs(sum(wts) - 1.0) > WEIGHT_TOL:
             raise ValidationError(f"weights must sum to 1 within {WEIGHT_TOL}, got {sum(wts)!r}")
         object.__setattr__(self, "points", pts)
@@ -298,7 +308,8 @@ class Tabular(_LabelerBase):
         if len(widths) != 1 or min(widths) < 2:
             raise ValidationError("probs rows must share one class count >= 2")
         for row in probs:
-            if any(p < -WEIGHT_TOL for p in row) or abs(sum(row) - 1.0) > WEIGHT_TOL:
+            off = any(not (math.isfinite(p) and p >= -WEIGHT_TOL) for p in row)
+            if off or abs(sum(row) - 1.0) > WEIGHT_TOL:
                 raise ValidationError(f"probs row off the simplex beyond {WEIGHT_TOL}: {row!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "probs", probs)
@@ -388,31 +399,72 @@ def adaptive_simpson(
     """Integrate a vectorized scalar integrand over [a, b].
 
     The interval is pre-split at ``breakpoints`` so kinks and jumps sit at
-    segment edges.  Each initial segment's end values are one-sided limits,
+    segment edges, and refined by :func:`_simpson_worklist` as a batch of
+    one integral.  Raises :class:`QuadratureError` carrying the remaining
+    error estimate if the evaluation budget is exhausted.
+    """
+    return float(_simpson_worklist(lambda x, own: f(x), [(a, b, breakpoints)], abs_tol, eval_budget)[0])
+
+
+def _simpson_worklist(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    windows: Sequence[tuple[float, float, tuple[float, ...]]],
+    abs_tol: float,
+    eval_budget: int,
+) -> np.ndarray:
+    """Adaptive Simpson over many integrals in one worklist; one value per window.
+
+    Window ``k = (a, b, breakpoints)`` is integral ``k`` over [a, b], split
+    at its breakpoints inside (a, b).  Every segment carries its owner
+    ``k``, and ``f(x, own)`` evaluates integral ``own[i]``'s integrand at
+    ``x[i]``.  Each initial segment's end values are one-sided limits,
     taken one ulp inside the segment, so a jump at a cut lies outside every
     segment whichever side the integrand assigns the cut point itself to.
-    Each segment is then refined by standard adaptive Simpson with
-    Richardson extrapolation.  Raises :class:`QuadratureError` carrying the
-    remaining error estimate if the evaluation budget is exhausted.
+    Segments are refined by standard adaptive Simpson with Richardson
+    extrapolation.  Acceptance depends only on the owner's own width, and
+    an owner's accepted values are summed in worklist order, where its
+    segments keep the order they have alone, so each integral comes out
+    bit for bit as in a batch of one.  Raises :class:`QuadratureError`
+    with the residual of the first integral whose own evaluation count
+    passes ``eval_budget``.
     """
-    if not (b > a):
-        raise ValidationError(f"empty integration interval [{a}, {b}]")
-    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    lo = np.asarray(cuts[:-1], dtype=float)
-    hi = np.asarray(cuts[1:], dtype=float)
+    lo_cuts, hi_cuts, owners = [], [], []
+    for k, (a, b, bps) in enumerate(windows):
+        if not (b > a):
+            raise ValidationError(f"empty integration interval [{a}, {b}]")
+        cuts = sorted({a, b, *(p for p in bps if a < p < b)})
+        lo_cuts += cuts[:-1]
+        hi_cuts += cuts[1:]
+        owners += [k] * (len(cuts) - 1)
+    n_int = len(windows)
+    own = np.asarray(owners, dtype=np.intp)
+    lo = np.asarray(lo_cuts, dtype=float)
+    hi = np.asarray(hi_cuts, dtype=float)
     mid = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = f(np.nextafter(lo, hi)), f(mid), f(np.nextafter(hi, lo))
+    n = lo.size
+    fx = f(np.concatenate([np.nextafter(lo, hi), mid, np.nextafter(hi, lo)]), np.tile(own, 3))
+    f_lo, f_mid, f_hi = fx[:n], fx[n : 2 * n], fx[2 * n :]
     coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    width = b - a
+    width = np.asarray([b - a for a, b, _ in windows])[own]
+    # the worklist: one column per segment, one row per field (owner indices
+    # are exact in float64)
+    state = np.array([lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own])
+    # a pass stacks m1, m2, f_m1, f_m2, left, right under the state as rows
+    # 9-14; field r of a kept segment's left and right children comes from
+    # rows children[r] of that table
+    children = np.asarray([[0, 1], [9, 10], [1, 2], [3, 4], [11, 12], [4, 5], [13, 14], [7, 7], [8, 8]])
 
-    total = 0.0
-    evals = lo.size * 3
-    # each worklist entry: one interval with cached endpoint/middle values
-    while lo.size:
+    total = np.zeros(n_int)
+    evals = 3 * np.bincount(own, minlength=n_int)
+    while state.shape[1]:
+        lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own = state
+        n = lo.size
+        own = own.astype(np.intp)
         m1 = 0.5 * (lo + mid)
         m2 = 0.5 * (mid + hi)
-        f_m1, f_m2 = f(m1), f(m2)
-        evals += 2 * lo.size
+        f_m = f(np.concatenate([m1, m2]), np.concatenate([own, own]))
+        f_m1, f_m2 = f_m[:n], f_m[n:]
+        evals += 2 * np.bincount(own, minlength=n_int)
         left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_m1 + f_mid)
         right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_m2 + f_hi)
         fine = left + right
@@ -420,18 +472,18 @@ def adaptive_simpson(
         # factor 4 guards against the Richardson estimate running optimistic
         # near kinks; the integrals here are cheap enough to over-refine
         accept = err <= 0.25 * abs_tol * np.maximum((hi - lo) / width, 1e-300)
-        total += float(np.sum((fine + (fine - coarse) / 15.0)[accept]))
+        total += np.bincount(
+            own[accept], weights=(fine + (fine - coarse) / 15.0)[accept], minlength=n_int
+        )
         keep = ~accept
-        if evals > eval_budget and np.any(keep):
-            residual = float(np.sum(err[keep]))
-            raise QuadratureError("quadrature eval budget exhausted", residual)
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        f_lo = np.concatenate([f_lo[keep], f_mid[keep]])
-        f_hi = np.concatenate([f_mid[keep], f_hi[keep]])
-        mid = np.concatenate([m1[keep], m2[keep]])
-        f_mid = np.concatenate([f_m1[keep], f_m2[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
+        if evals.max() > eval_budget:
+            over = (evals > eval_budget) & (np.bincount(own[keep], minlength=n_int) > 0)
+            if over.any():
+                k = int(np.argmax(over))
+                residual = float(np.sum(err[keep & (own == k)]))
+                raise QuadratureError("quadrature eval budget exhausted", residual)
+        table = np.concatenate([state, np.array([m1, m2, f_m1, f_m2, left, right])])
+        state = table[:, keep][children].reshape(len(children), -1)
     return total
 
 
@@ -471,7 +523,7 @@ def tv_discrete(p, q) -> float:
     if p.shape != q.shape or p.ndim != 1:
         raise ValidationError(f"probability vectors must share one dimension, got {p.shape} vs {q.shape}")
     for name, v in (("p", p), ("q", q)):
-        if np.any(v < -SIMPLEX_TOL) or abs(v.sum() - 1.0) > SIMPLEX_TOL:
+        if not np.all(np.isfinite(v)) or np.any(v < -SIMPLEX_TOL) or abs(v.sum() - 1.0) > SIMPLEX_TOL:
             raise ValidationError(f"{name} is off the simplex beyond {SIMPLEX_TOL}")
     return _clip01(0.5 * float(np.abs(p - q).sum()), "tv_discrete")
 
@@ -662,33 +714,81 @@ def joint_tv_exact(
 ) -> float:
     """TV distance between the product distributions (e1, l1) and (e2, l2).
 
-    Computes (1/2) * integral of sum_y |p1(x) p1(y|x) - p2(x) p2(y|x)| dx.
+    Computes (1/2) * integral of sum_y |p1(x) p1(y|x) - p2(x) p2(y|x)| dx
+    as :func:`joint_tv_many` of the one pair.  Reduces to :func:`tv_env`
+    when l1 == l2 and to :func:`expected_conditional_tv` when e1 == e2.
+    """
+    return joint_tv_many([(e1, l1, e2, l2)], cfg)[0]
+
+
+def joint_tv_many(
+    pairs: Sequence[tuple[Environment, Labeler, Environment, Labeler]],
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list[float]:
+    """Joint TV of every pair ``(e1, l1, e2, l2)`` of product distributions.
+
     Two grid environments, or two Gaussians with deterministic labelers,
     give an exact sum over a shared finite partition (union atoms, or CDF
-    cells between label boundaries and density crossings); any other
-    Gaussian pair is integrated by breakpoint-split adaptive quadrature.
-    Reduces to :func:`tv_env` when l1 == l2 and to
-    :func:`expected_conditional_tv` when e1 == e2.
+    cells between label boundaries and density crossings).  All other
+    Gaussian pairs share one breakpoint-split adaptive Simpson worklist,
+    whose memory grows with their number; each value is bit for bit that
+    of the pair alone.
     """
-    _check_class_counts(l1, l2)
-    if isinstance(e1, Gaussian) != isinstance(e2, Gaussian):
-        raise SupportError("joint_tv_exact requires both environments Gaussian or both DiscreteGrid")
-    tables = _joint_pmf_tables(e1, l1, e2, l2)
-    if tables is not None:
-        return _clip01(_half_l1(*tables), "joint_tv_exact")
+    values = [0.0] * len(pairs)
+    windows, quad = [], []
+    for k, (e1, l1, e2, l2) in enumerate(pairs):
+        _check_class_counts(l1, l2)
+        if isinstance(e1, Gaussian) != isinstance(e2, Gaussian):
+            raise SupportError("joint TV requires both environments Gaussian or both DiscreteGrid")
+        tables = _joint_pmf_tables(e1, l1, e2, l2)
+        if tables is not None:
+            values[k] = _half_l1(*tables)
+            continue
+        lo, hi = gaussian_domain(e1, e2, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
+        windows.append((lo, hi, (*l1.breakpoints(), *l2.breakpoints(), *_gaussian_crossings(e1, e2))))
+        quad.append(k)
+    if quad:
+        integrand = _joint_density_gap([pairs[k] for k in quad])
+        for k, v in zip(quad, _simpson_worklist(integrand, windows, cfg.abs_tol, cfg.eval_budget)):
+            values[k] = float(v)
+    return [_clip01(v, "joint_tv") for v in values]
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        m1 = l1.prob_matrix(x) * e1.pdf(x)[:, None]
-        m2 = l2.prob_matrix(x) * e2.pdf(x)[:, None]
-        return 0.5 * np.abs(m1 - m2).sum(axis=1)
 
-    lo, hi = gaussian_domain(e1, e2, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-    bps = (
-        tuple(l1.breakpoints())
-        + tuple(l2.breakpoints())
-        + _gaussian_crossings(e1, e2)
-    )
-    value = adaptive_simpson(
-        integrand, lo, hi, cfg.abs_tol, tuple(p for p in bps if math.isfinite(p)), cfg.eval_budget
-    )
-    return _clip01(value, "joint_tv_exact")
+def _joint_density_gap(
+    pairs: Sequence[tuple[Gaussian, Labeler, Gaussian, Labeler]],
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Worklist integrand ``0.5 * sum_y |phi1 p1(y|x) - phi2 p2(y|x)|`` of pair ``own`` at x.
+
+    Both sides of all owners are stacked, so each distinct environment's
+    ``pdf`` and each distinct labeler's ``prob_matrix`` is called once per
+    pass, on the points whose owners use it.
+    """
+    envs: dict = {}
+    labs: dict = {}
+    env_ids = np.asarray([[envs.setdefault(e, len(envs)) for e in (e1, e2)] for e1, _, e2, _ in pairs])
+    lab_ids = np.asarray([[labs.setdefault(l, len(labs)) for l in (l1, l2)] for _, l1, _, l2 in pairs])
+    env_fns = [e.pdf for e in envs]
+    lab_fns = [l.prob_matrix for l in labs]
+    classes = pairs[0][1].class_count
+
+    def integrand(x: np.ndarray, own: np.ndarray) -> np.ndarray:
+        n = x.size
+        xs = np.concatenate([x, x])
+        dens = _by_group(env_fns, env_ids[own].T.ravel(), xs, np.empty(2 * n))
+        probs = _by_group(lab_fns, lab_ids[own].T.ravel(), xs, np.empty((2 * n, classes)))
+        joint = probs * dens[:, None]
+        return 0.5 * np.abs(joint[:n] - joint[n:]).sum(axis=1)
+
+    return integrand
+
+
+def _by_group(fns: list, ids: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i] = fns[ids[i]](x[i])``, calling each function once on all its points."""
+    order = ids.argsort(kind="stable")
+    xs = x[order]
+    start = 0
+    for fn, stop in zip(fns, np.bincount(ids, minlength=len(fns)).cumsum().tolist()):
+        if stop > start:
+            out[order[start:stop]] = fn(xs[start:stop])
+        start = stop
+    return out

@@ -25,6 +25,7 @@ from credal.measures import (
     ValidationError,
     expected_conditional_tv,
     joint_tv_exact,
+    joint_tv_many,
     sup_conditional_tv,
     tv_env,
 )
@@ -264,17 +265,17 @@ def diameter_bounds(
         exact = 0.0
         verts = spec.vertices()
         argmax_pair = (verts[0], verts[0])
-        for va, vb in itertools.combinations(verts, 2):
-            d = joint_tv_exact(
-                spec.environments[va[0]],
-                spec.labelers[va[1]],
-                spec.environments[vb[0]],
-                spec.labelers[vb[1]],
-                cfg,
+        envs, labs = spec.environments, spec.labelers
+        # one joint_tv_many call per vertex row of the pair triangle
+        for a, va in enumerate(verts):
+            row = verts[a + 1 :]
+            values = joint_tv_many(
+                [(envs[va[0]], labs[va[1]], envs[vb[0]], labs[vb[1]]) for vb in row], cfg
             )
-            if d > exact:
-                exact = d
-                argmax_pair = (va, vb)
+            for vb, d in zip(row, values):
+                if d > exact:
+                    exact = d
+                    argmax_pair = (va, vb)
     return DiameterReport(
         eta_x=eta_x,
         eta_star=eta_star,

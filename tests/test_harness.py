@@ -16,7 +16,7 @@ from credal.harness.cli import main as cli_main
 from credal.harness.experiments import run
 from credal.harness.summary import SummaryError, summarize, wilson_interval
 from credal.estimation import write_annotations
-from credal.measures import Gaussian, Sigmoid, Threshold
+from credal.measures import Gaussian, Sigmoid, Threshold, joint_tv_exact
 from credal.sets import CredalSpec, pairwise_bounds
 from credal.synthgen import GenSeed, sample_annotated
 
@@ -227,26 +227,38 @@ class TestRunners:
         for r in joint:
             a = (int(r["i"]), int(r["j"]))
             b = (int(r["ip"]), int(r["jp"]))
-            want = pairwise_bounds(specs[r["regime"]], a, b, cfg.quadrature)
+            spec = specs[r["regime"]]
+            want = pairwise_bounds(spec, a, b, cfg.quadrature)
             assert (float(r["lower"]), float(r["upper"])) == (want.lower, want.upper)
+            exact = joint_tv_exact(
+                spec.environments[a[0]], spec.labelers[a[1]],
+                spec.environments[b[0]], spec.labelers[b[1]], cfg.quadrature,
+            )
+            assert float(r["exact"]) == exact
 
         cfg = validate_config(
             {
                 "schema_version": SCHEMA_VERSION,
                 "experiment": "gating_curve",
-                "params": {"window_means": [0.5]},
+                "params": {"window_means": [0.5, -1.0, 2.25]},
             }
         )
         run(cfg, tmp_path / "gating")
-        (row,) = _csv_rows(tmp_path / "gating" / "gating_curve.csv")
+        rows = _csv_rows(tmp_path / "gating" / "gating_curve.csv")
+        assert len(rows) == 3
         p = cfg.params
         slope, gap, std = float(p["sigmoid_slope"]), float(p["env_gap"]), float(p["window_std"])
-        spec = CredalSpec(
-            (Gaussian(0.5 - gap / 2.0, std), Gaussian(0.5 + gap / 2.0, std)),
-            tuple(Sigmoid(slope, -slope * float(b)) for b in p["sigmoid_boundaries"]),
-        )
-        want = pairwise_bounds(spec, (0, 0), (1, 1), cfg.quadrature)
-        assert (float(row["lower_bound"]), float(row["upper_bound"])) == (want.lower, want.upper)
+        for row in rows:
+            m = float(row["window_center"])
+            spec = CredalSpec(
+                (Gaussian(m - gap / 2.0, std), Gaussian(m + gap / 2.0, std)),
+                tuple(Sigmoid(slope, -slope * float(b)) for b in p["sigmoid_boundaries"]),
+            )
+            want = pairwise_bounds(spec, (0, 0), (1, 1), cfg.quadrature)
+            assert (float(row["lower_bound"]), float(row["upper_bound"])) == (want.lower, want.upper)
+            envs, labs = spec.environments, spec.labelers
+            joint = joint_tv_exact(envs[0], labs[0], envs[1], labs[1], cfg.quadrature)
+            assert float(row["joint_tv"]) == joint
 
     def test_every_row_carries_hash_and_seed(self, tmp_path):
         cfg = preset_config("minimax_demo", "desk", seed=4)

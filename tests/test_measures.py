@@ -10,6 +10,7 @@ from credal.measures import (
     DiscreteGrid,
     Gaussian,
     Interval,
+    MeasureError,
     Probit,
     QuadratureConfig,
     QuadratureError,
@@ -23,6 +24,7 @@ from credal.measures import (
     conditional_tv,
     expected_conditional_tv,
     joint_tv_exact,
+    joint_tv_many,
     sup_conditional_tv,
     tv_discrete,
     tv_env,
@@ -68,6 +70,8 @@ class TestTvDiscrete:
     def test_off_simplex(self):
         with pytest.raises(ValidationError):
             tv_discrete((0.9, 0.3), (0.5, 0.5))
+        with pytest.raises(ValidationError):
+            tv_discrete((math.nan, 1.0), (0.0, 1.0))
 
     @given(simplex(), simplex())
     @settings(max_examples=60, deadline=None)
@@ -109,6 +113,8 @@ class TestEnvironmentTypes:
             DiscreteGrid((0.0, 1.0), (0.6, 0.5))
         with pytest.raises(ValidationError):
             DiscreteGrid((0.0, 1.0), (-0.1, 1.1))
+        with pytest.raises(ValidationError):
+            DiscreteGrid((0.0, 1.0), (math.nan, 1.0))
 
     def test_labeler_validation(self):
         with pytest.raises(ValidationError):
@@ -121,6 +127,8 @@ class TestEnvironmentTypes:
             Tabular((0.0, 1.0), ((0.5, 0.6), (0.5, 0.5)))
         with pytest.raises(ValidationError):
             Tabular((0.0, math.inf), ((0.5, 0.5), (0.5, 0.5)))
+        with pytest.raises(ValidationError):
+            Tabular((0.0, 1.0), ((math.nan, 1.0), (0.5, 0.5)))
 
     def test_quadrature_config_validation(self):
         with pytest.raises(ValidationError):
@@ -223,6 +231,11 @@ class TestConditionalTv:
     def test_symmetric_noise_vectors(self):
         noisy = SymmetricNoise(Threshold(0.0), 0.2)
         assert conditional_tv(noisy, Threshold(0.0), 1.0) == pytest.approx(0.2)
+
+    def test_nan_value_is_an_error(self):
+        # a NaN TV is reported, not clamped to 0
+        with pytest.raises(MeasureError):
+            conditional_tv(Sigmoid(1.0, 0.0), Sigmoid(2.0, 0.0), math.nan)
 
 
 class TestExpectedConditionalTv:
@@ -407,6 +420,52 @@ class TestJointTvExact:
         e2 = DiscreteGrid((0.0, 1.0), (0.4, 0.6))
         tab = Tabular((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))
         assert joint_tv_exact(e1, tab, e2, tab) == pytest.approx(0.3, abs=1e-12)
+
+
+class TestJointTvMany:
+    def test_batched_values_equal_batch_of_one(self):
+        rng = np.random.default_rng(29)
+        families = [
+            lambda: Threshold(float(rng.uniform(-2, 2))),
+            lambda: Interval(*sorted(rng.uniform(-2.5, 2.5, size=2))),
+            lambda: Sigmoid(float(rng.uniform(-4, 4)), float(rng.uniform(-2, 2))),
+            lambda: Probit(float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5))),
+            lambda: SymmetricNoise(Threshold(float(rng.uniform(-2, 2))), float(rng.uniform(0, 0.5))),
+        ]
+        envs = [Gaussian(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.4, 2.0))) for _ in range(4)]
+        labs = [families[k % len(families)]() for k in range(8)]
+        # an equal but distinct labeler object, and an identical environment copy
+        labs.append(Sigmoid(labs[2].slope, labs[2].bias))
+        envs.append(Gaussian(envs[0].mean, envs[0].std))
+        pairs = []
+        for _ in range(150):
+            i, ip = rng.integers(len(envs), size=2)
+            j, jp = rng.integers(len(labs), size=2)
+            pairs.append((envs[i], labs[j], envs[ip], labs[jp]))
+        pairs.append((envs[0], labs[2], envs[4], labs[8]))
+        pts = (-1.0, 0.0, 1.5)
+        grid = DiscreteGrid(pts, (0.2, 0.5, 0.3))
+        pairs.append((grid, Tabular(pts, ((0.9, 0.1), (0.4, 0.6), (0.5, 0.5))), grid, Threshold(0.5)))
+        single = [joint_tv_exact(*pair) for pair in pairs]
+        assert joint_tv_many(pairs) == single
+        assert joint_tv_many(pairs[::-1]) == single[::-1]
+        assert joint_tv_many([]) == []
+
+    def test_budget_exhaustion_names_its_integral(self):
+        # at an unreachable tolerance every nonzero integral refines until
+        # its budget runs out: `hard` starts from 3 segments (two density
+        # crossings) and runs out passes before the 1-segment `slow`, which
+        # is still refining; the identical pair is exactly 0 in one pass
+        cfg = QuadratureConfig(abs_tol=1e-300)
+        same = (Gaussian(0, 1), Sigmoid(1.0, 0.0), Gaussian(0, 1), Sigmoid(1.0, 0.0))
+        slow = (Gaussian(0, 1), Sigmoid(1.0, 0.0), Gaussian(0, 1), Sigmoid(1.5, 0.0))
+        hard = (Gaussian(0, 1), Sigmoid(2.0, -1.0), Gaussian(0.5, 1.5), Probit(1.0, 0.5))
+        with pytest.raises(QuadratureError) as alone:
+            joint_tv_exact(*hard, cfg)
+        with pytest.raises(QuadratureError) as batched:
+            joint_tv_many([same, slow, hard, same], cfg)
+        assert batched.value.residual == alone.value.residual > 0
+        assert joint_tv_many([same, same], cfg) == [0.0, 0.0]
 
 
 class TestAdaptiveSimpson:

@@ -6,6 +6,7 @@ import pytest
 from credal.measures import (
     DiscreteGrid,
     Gaussian,
+    Probit,
     QuadratureConfig,
     Sigmoid,
     Tabular,
@@ -191,6 +192,27 @@ class TestDiameterBounds:
             )
             assert abs(pb.lower - exact) <= 2 * SIMPSON.abs_tol
             assert abs(pb.upper - exact) <= 2 * SIMPSON.abs_tol
+
+    def test_exact_diameter_matches_pairwise_loop(self):
+        # labelers 1 and 3 are equal, so the maximum is attained twice and
+        # the lexicographically first pair must win
+        spec = CredalSpec(
+            (Gaussian(-0.4, 0.8), Gaussian(0.6, 1.4), Gaussian(0.1, 1.0)),
+            (Sigmoid(2.0, -0.5), Probit(-1.0, 0.3), Threshold(0.2), Probit(-1.0, 0.3)),
+        )
+        values = {
+            (va, vb): joint_tv_exact(
+                spec.environments[va[0]], spec.labelers[va[1]],
+                spec.environments[vb[0]], spec.labelers[vb[1]],
+            )
+            for va, vb in itertools.combinations(spec.vertices(), 2)
+        }
+        best = max(values.values())
+        tied = [pair for pair, d in values.items() if d == best]
+        assert len(tied) == 2
+        rep = diameter_bounds(spec, with_exact=True)
+        assert rep.exact == best
+        assert rep.argmax_pair == tied[0]
 
     def test_eta_eff_gating_branch(self):
         # constant conditional disagreement: the eta_star branch must bind
