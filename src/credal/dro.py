@@ -27,7 +27,8 @@ from credal.measures import (
     QuadratureConfig,
     ValidationError,
     _expectation,
-    expected_conditional_tv,
+    _split_hints,
+    joint_tv_many,
 )
 from credal.sets import CredalSpec
 
@@ -159,10 +160,9 @@ SMOOTHING_TEMPERATURE = 0.1
 def _smoothed_risk(h: Hypothesis, env, labeler: Labeler, cfg: QuadratureConfig) -> float:
     """Logistic smoothing of the 0-1 risk: the hard decision becomes sigma(score/T).
 
-    The integral splits at the labeler's breakpoints and at the hypothesis's
-    decision point, where sigma(score/T) steps over a width of order T; a
-    smooth labeler therefore still takes adaptive quadrature, because
-    Gauss-Hermite does not resolve that step to ``abs_tol``.
+    The integral splits at the labeler's split hints and at the
+    hypothesis's decision point, where sigma(score/T) steps over a width of
+    order T.
     """
 
     def g(x: np.ndarray) -> np.ndarray:
@@ -170,7 +170,7 @@ def _smoothed_risk(h: Hypothesis, env, labeler: Labeler, cfg: QuadratureConfig) 
         s = expit(h.score(x) / SMOOTHING_TEMPERATURE)
         return probs[:, 1] * (1.0 - s) + probs[:, 0] * s
 
-    return float(_expectation(env, g, cfg, (*labeler.breakpoints(), *h.breakpoints())))
+    return _expectation(env, g, cfg, (*_split_hints(labeler), *_split_hints(h)))
 
 
 def world_risks(
@@ -178,10 +178,8 @@ def world_risks(
 ) -> WorldRisk:
     """Exact 0-1 risks of h in every world, with lexicographic worst-world tie-break."""
     _check_binary(spec)
-    risks = np.empty((spec.n_x, spec.n_y))
-    for i, env in enumerate(spec.environments):
-        for j, lab in enumerate(spec.labelers):
-            risks[i, j] = expected_conditional_tv(env, lab, h, cfg)
+    worlds = [(env, lab, env, h) for env in spec.environments for lab in spec.labelers]
+    risks = np.asarray(joint_tv_many(worlds, cfg)).reshape(spec.n_x, spec.n_y)
     flat = int(np.argmax(risks))  # first maximum in row-major order = lexicographic
     worst = (flat // spec.n_y, flat % spec.n_y)
     risks.setflags(write=False)

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from credal.measures import QuadratureConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXPERIMENTS = (
     "gating_curve",
@@ -32,7 +32,7 @@ EXPERIMENTS = (
 )
 
 _TOP_KEYS = {"schema_version", "experiment", "preset", "seed", "delta", "quadrature", "params"}
-_QUAD_KEYS = {"method", "node_count", "abs_tol", "domain_halfwidth_sigmas"}
+_QUAD_KEYS = {"abs_tol", "domain_halfwidth_sigmas"}
 
 
 class ConfigError(ValueError):
@@ -57,8 +57,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "delta": self.delta,
             "quadrature": {
-                "method": self.quadrature.method,
-                "node_count": self.quadrature.node_count,
                 "abs_tol": self.quadrature.abs_tol,
                 "domain_halfwidth_sigmas": self.quadrature.domain_halfwidth_sigmas,
             },

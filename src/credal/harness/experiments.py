@@ -40,7 +40,6 @@ from credal.measures import (
     Sigmoid,
     SymmetricNoise,
     Threshold,
-    expected_conditional_tv,
     joint_tv_many,
     tv_env,
 )
@@ -126,12 +125,12 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
         (Gaussian(float(m) - gap / 2.0, std), Gaussian(float(m) + gap / 2.0, std))
         for m in p["window_means"]
     ]
-    joints = joint_tv_many([(e1, l_left, e2, l_right) for e1, e2 in windows], quad)
+    triples = [((e1, l_left, e2, l_right), (e1, l_left, e1, l_right), (e2, l_left, e2, l_right)) for e1, e2 in windows]
+    values = joint_tv_many([pair for triple in triples for pair in triple], quad)
     rows = []
-    for m, (e1, e2), joint in zip(p["window_means"], windows, joints):
+    for k, (m, (e1, e2)) in enumerate(zip(p["window_means"], windows)):
+        joint, a1, a2 = values[3 * k : 3 * k + 3]
         cov = tv_env(e1, e2, quad)
-        a1 = expected_conditional_tv(e1, l_left, l_right, quad)
-        a2 = expected_conditional_tv(e2, l_left, l_right, quad)
         lower, upper, _ = joint_shift_bounds(cov, a1, a2)
         rows.append(
             {
@@ -179,11 +178,9 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
             (i, ip): tv_env(envs[i], envs[ip], quad)
             for i, ip in itertools.combinations(range(n_env), 2)
         }
-        ect = {
-            (i, j, jp): expected_conditional_tv(envs[i], labs[j], labs[jp], quad)
-            for i in range(n_env)
-            for j, jp in itertools.combinations(range(n_lab), 2)
-        }
+        ect_keys = [(i, j, jp) for i in range(n_env) for j, jp in itertools.combinations(range(n_lab), 2)]
+        ect_pairs = [(envs[i], labs[j], envs[i], labs[jp]) for i, j, jp in ect_keys]
+        ect = dict(zip(ect_keys, joint_tv_many(ect_pairs, quad)))
         # joint-shift pairs (i, j)-(ip, jp), i < ip and j != jp: one joint_tv_many call per (i, ip)
         lab_pairs = [(j, jp) for j, jp in itertools.product(range(n_lab), repeat=2) if j != jp]
         joint = {}
@@ -259,10 +256,7 @@ def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[di
         env = Gaussian(
             float(env_rng.uniform(*p["mean_range"])), float(env_rng.uniform(*p["std_range"]))
         )
-        eta_star = max(
-            expected_conditional_tv(env, l1, l2, quad)
-            for l1, l2 in itertools.combinations(labs, 2)
-        )
+        eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in itertools.combinations(labs, 2)], quad))
         for run in range(int(p["runs_per_env"])):
             sub = seed.derive(1, e_idx, run)
             try:
@@ -359,10 +353,7 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
     labs = tuple(Threshold(float(t)) for t in p["thresholds"])
     if len(labs) < 2:
         raise ConfigError("sample_complexity needs at least two thresholds")
-    eta_star = max(
-        expected_conditional_tv(env, l1, l2, config.quadrature)
-        for l1, l2 in itertools.combinations(labs, 2)
-    )
+    eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in itertools.combinations(labs, 2)], config.quadrature))
     rows: list[dict] = []
     tasks = []
     plan: dict[int, int] = {}

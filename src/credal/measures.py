@@ -13,14 +13,13 @@ distributions share a finite partition of the covariate line (the union
 atoms of two grids, or the CDF cells between label boundaries and density
 crossings of two Gaussians with deterministic labelers), each becomes a
 (cells x classes) joint mass table and the TV is the half-L1 distance
-between the tables.  Every other pair is integrated by Gauss-Hermite or
-breakpoint-split adaptive Simpson quadrature.
-
-Adaptive Simpson is one worklist engine for many integrals, each getting
-the same bits as alone: :func:`adaptive_simpson` and :func:`joint_tv_exact`
-are batches of one, and :func:`joint_tv_many` integrates a group of pairs
-per pass.  Its memory grows with the batch, so callers pass natural groups
-(one vertex row, one environment pair) rather than a whole sweep.
+between the tables; the TV between environments is always one, under a
+constant labeler.  Every other pair is integrated by one adaptive Simpson
+worklist engine, cut at split hints, each integral getting the same bits as
+alone: :func:`joint_tv_many` integrates a group of pairs per pass, and the
+other integrals are batches of one.  Its memory grows with the batch, so
+callers pass natural groups (one vertex row, one environment pair, one
+spec's disagreements) rather than a whole sweep.
 
 The module also provides discrete TV between probability vectors,
 pointwise conditional TV, and a grid-based supremum of the conditional
@@ -42,8 +41,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Literal, Optional, Sequence, Union, get_args
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
@@ -242,7 +240,7 @@ class Sigmoid(_LabelerBase):
 
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         p1 = expit(self.slope * np.asarray(x, dtype=float) + self.bias)
-        return np.column_stack([1.0 - p1, p1])
+        return np.array([1.0 - p1, p1]).T
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ class Probit(_LabelerBase):
 
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         p1 = ndtr(self.kappa * np.asarray(x, dtype=float) + self.bias)
-        return np.column_stack([1.0 - p1, p1])
+        return np.array([1.0 - p1, p1]).T
 
 
 @dataclass(frozen=True)
@@ -340,52 +338,29 @@ Labeler = Union[Threshold, Interval, Sigmoid, Probit, SymmetricNoise, Tabular]
 # Quadrature configuration and engine
 # ---------------------------------------------------------------------------
 
-QuadratureMethod = Literal["gauss_hermite", "adaptive_simpson"]
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Settings for 1-D numerical integration against an environment.
+    """Settings for 1-D numerical integration against a Gaussian environment.
 
-    ``gauss_hermite`` is used for smooth integrands under a Gaussian;
-    integrands with label-boundary kinks are handled by breakpoint-split
-    adaptive Simpson on a [mean +/- domain_halfwidth_sigmas * std] window.
+    Adaptive Simpson on a [mean +/- domain_halfwidth_sigmas * std] window,
+    split at hints, to ``abs_tol``.
     """
 
-    method: QuadratureMethod = "gauss_hermite"
-    node_count: int = 128
     abs_tol: float = 1e-8
     domain_halfwidth_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.method not in get_args(QuadratureMethod):
-            raise ValidationError(f"unknown quadrature method {self.method!r}")
-        if self.node_count < 16:
-            raise ValidationError("node_count must be >= 16")
         if not (0 < self.abs_tol <= 1e-4):
             raise ValidationError("abs_tol must be in (0, 1e-4]")
         if self.domain_halfwidth_sigmas <= 0:
             raise ValidationError("domain_halfwidth_sigmas must be > 0")
 
-    @property
-    def eval_budget(self) -> int:
-        return max(200_000, self.node_count * 2_000)
-
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-
-@lru_cache(maxsize=16)
-def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    return nodes, weights / math.sqrt(math.pi)
-
-
-def gauss_hermite_expectation(g: Callable[[np.ndarray], np.ndarray], env: Gaussian, n: int) -> float:
-    """E[g(X)] for X ~ env via n-node Gauss-Hermite (smooth integrands only)."""
-    nodes, weights = _hermite_nodes(n)
-    x = env.mean + math.sqrt(2.0) * env.std * nodes
-    return float(np.dot(weights, g(x)))
+# integrand evaluations one integral may take before QuadratureError
+_EVAL_BUDGET = 256_000
 
 
 def adaptive_simpson(
@@ -448,16 +423,16 @@ def _simpson_worklist(
     width = np.asarray([b - a for a, b, _ in windows])[own]
     # the worklist: one column per segment, one row per field (owner indices
     # are exact in float64)
-    state = np.array([lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own])
-    # a pass stacks m1, m2, f_m1, f_m2, left, right under the state as rows
-    # 9-14; field r of a kept segment's left and right children comes from
-    # rows children[r] of that table
-    children = np.asarray([[0, 1], [9, 10], [1, 2], [3, 4], [11, 12], [4, 5], [13, 14], [7, 7], [8, 8]])
+    state = np.array([lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own, np.zeros(n)])
+    # a pass stacks m1, m2, f_m1, f_m2, left, right, err / 32 under the state
+    # as rows 10-16; field r of a kept segment's left and right children comes
+    # from rows children[r] of that table
+    children = np.asarray([[0, 1], [10, 11], [1, 2], [3, 4], [12, 13], [4, 5], [14, 15], [7, 7], [8, 8], [16, 16]])
 
     total = np.zeros(n_int)
     evals = 3 * np.bincount(own, minlength=n_int)
     while state.shape[1]:
-        lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own = state
+        lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own, inherited = state
         n = lo.size
         own = own.astype(np.intp)
         m1 = 0.5 * (lo + mid)
@@ -470,8 +445,10 @@ def _simpson_worklist(
         fine = left + right
         err = np.abs(fine - coarse) / 15.0
         # factor 4 guards against the Richardson estimate running optimistic
-        # near kinks; the integrals here are cheap enough to over-refine
-        accept = err <= 0.25 * abs_tol * np.maximum((hi - lo) / width, 1e-300)
+        # near kinks; the integrals here are cheap enough to over-refine.  A
+        # half's error is about 1/32 of its parent's, so an estimate far
+        # below that is taken for a lucky cancellation, not for convergence
+        accept = np.maximum(err, inherited) <= 0.25 * abs_tol * np.maximum((hi - lo) / width, 1e-300)
         total += np.bincount(
             own[accept], weights=(fine + (fine - coarse) / 15.0)[accept], minlength=n_int
         )
@@ -482,7 +459,7 @@ def _simpson_worklist(
                 k = int(np.argmax(over))
                 residual = float(np.sum(err[keep & (own == k)]))
                 raise QuadratureError("quadrature eval budget exhausted", residual)
-        table = np.concatenate([state, np.array([m1, m2, f_m1, f_m2, left, right])])
+        table = np.concatenate([state, np.array([m1, m2, f_m1, f_m2, left, right, err / 32.0])])
         state = table[:, keep][children].reshape(len(children), -1)
     return total
 
@@ -493,22 +470,27 @@ def gaussian_domain(*envs: Gaussian, halfwidth_sigmas: float) -> tuple[float, fl
     return lo, hi
 
 
+def _split_hints(lab: Labeler) -> tuple[float, ...]:
+    """Quadrature cuts: a smooth link's argument at 0, +/-2, +/-8, +/-30, else the breakpoints."""
+    slope = lab.slope if isinstance(lab, Sigmoid) else lab.kappa if isinstance(lab, Probit) else 0.0
+    return tuple((k - lab.bias) / slope for k in (0, -2, 2, -8, 8, -30, 30)) if slope else lab.breakpoints()
+
+
+def _env_hints(env: Gaussian) -> tuple[float, ...]:
+    return tuple(env.mean + k * env.std for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
+
+
 def _expectation(
     env: Environment,
     g: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig,
-    breakpoints: tuple[float, ...] = (),
+    hints: tuple[float, ...] = (),
 ) -> float:
-    """E[g(X)] for bounded vectorized g, dispatching on env type and method."""
+    """E[g(X)] for bounded vectorized g; a Gaussian integral is split at ``hints`` and env's own."""
     if isinstance(env, DiscreteGrid):
         return float(np.dot(env.weights, g(np.asarray(env.points))))
     lo, hi = gaussian_domain(env, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-    finite_bps = tuple(p for p in breakpoints if math.isfinite(p))
-    if cfg.method == "gauss_hermite" and not finite_bps:
-        return gauss_hermite_expectation(g, env, cfg.node_count)
-    return adaptive_simpson(
-        lambda x: g(x) * env.pdf(x), lo, hi, cfg.abs_tol, finite_bps, cfg.eval_budget
-    )
+    return adaptive_simpson(lambda x: g(x) * env.pdf(x), lo, hi, cfg.abs_tol, (*hints, *_env_hints(env)), _EVAL_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +526,6 @@ def conditional_tv(l1: Labeler, l2: Labeler, x: float) -> float:
     return _clip01(0.5 * float(diff), "conditional_tv")
 
 
-def _conditional_tv_vec(l1: Labeler, l2: Labeler) -> Callable[[np.ndarray], np.ndarray]:
-    def g(x: np.ndarray) -> np.ndarray:
-        return 0.5 * np.abs(l1.prob_matrix(x) - l2.prob_matrix(x)).sum(axis=1)
-
-    return g
-
-
 def _joint_pmf_tables(
     e1: Environment, l1: Labeler, e2: Environment, l2: Labeler
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -567,7 +542,10 @@ def _joint_pmf_tables(
     ``None``.
     """
     if isinstance(e1, DiscreteGrid):
-        pts, w1, w2 = _union_grid(e1, e2)
+        pts = np.asarray(sorted(set(e1.points) | set(e2.points)))
+        w1, w2 = np.zeros(pts.size), np.zeros(pts.size)
+        w1[np.searchsorted(pts, e1.points)] = e1.weights
+        w2[np.searchsorted(pts, e2.points)] = e2.weights
         return l1.prob_matrix(pts) * w1[:, None], l2.prob_matrix(pts) * w2[:, None]
     if not (l1.is_deterministic and l2.is_deterministic):
         return None
@@ -594,18 +572,10 @@ def expected_conditional_tv(
 ) -> float:
     """E_{X~env}[ TV(l1(.|X), l2(.|X)) ]: the joint TV with the environment held fixed.
 
-    Grid environments, and deterministic labeler pairs under a Gaussian,
-    take the exact partition sum of :func:`joint_tv_exact` with ``e2 = e1``
-    (the quadrature-free value that smooth-pair quadrature is cross-checked
-    against in the test suite).  Other pairs are integrated by quadrature.
+    This is :func:`joint_tv_many` of the one pair ``(env, l1, env, l2)``, so
+    a batch of such pairs gives the same values.
     """
-    _check_class_counts(l1, l2)
-    tables = _joint_pmf_tables(env, l1, env, l2)
-    if tables is not None:
-        return _clip01(_half_l1(*tables), "expected_conditional_tv")
-    bps = tuple(l1.breakpoints()) + tuple(l2.breakpoints())
-    value = _expectation(env, _conditional_tv_vec(l1, l2), cfg, bps)
-    return _clip01(value, "expected_conditional_tv")
+    return joint_tv_many([(env, l1, env, l2)], cfg)[0]
 
 
 def sup_conditional_tv(
@@ -625,7 +595,9 @@ def sup_conditional_tv(
     if grid_n < 256:
         raise ValidationError("grid_n must be >= 256")
 
-    g = _conditional_tv_vec(l1, l2)
+    def g(x: np.ndarray) -> np.ndarray:
+        return 0.5 * np.abs(l1.prob_matrix(x) - l2.prob_matrix(x)).sum(axis=1)
+
     if isinstance(l1, Tabular) or isinstance(l2, Tabular):
         tab = l1 if isinstance(l1, Tabular) else l2
         pts = np.asarray([p for p in tab.grid if lo <= p <= hi])
@@ -648,13 +620,8 @@ def sup_conditional_tv(
     return _clip01(best, "sup_conditional_tv")
 
 
-def _gaussian_tv_closed_form(e1: Gaussian, e2: Gaussian) -> float:
-    # equal-std case only: 2*Phi(|mu1-mu2| / (2*sigma)) - 1
-    return 2.0 * float(ndtr(abs(e1.mean - e2.mean) / (2.0 * e1.std))) - 1.0
-
-
 def _gaussian_crossings(e1: Gaussian, e2: Gaussian) -> tuple[float, ...]:
-    # density crossings; used only as split hints for adaptive quadrature
+    # points where the two densities cross, i.e. where their sign changes
     if math.isclose(e1.std, e2.std, rel_tol=1e-12, abs_tol=0.0):
         if e1.mean == e2.mean:
             return ()
@@ -667,42 +634,21 @@ def _gaussian_crossings(e1: Gaussian, e2: Gaussian) -> tuple[float, ...]:
         + math.log(e2.std / e1.std)
     )
     disc = b * b - 4.0 * a * c
-    if disc < 0:
+    if disc <= 0:
         return ()
-    root = math.sqrt(disc)
-    return tuple(sorted(((-b - root) / (2.0 * a), (-b + root) / (2.0 * a))))
-
-
-def _union_grid(e1: DiscreteGrid, e2: DiscreteGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pts = np.asarray(sorted(set(e1.points) | set(e2.points)))
-
-    def lift(env: DiscreteGrid) -> np.ndarray:
-        w = np.zeros(pts.size)
-        w[np.searchsorted(pts, np.asarray(env.points))] = env.weights
-        return w
-
-    return pts, lift(e1), lift(e2)
+    # the larger root first, so near-equal stds (a -> 0) cancel no digits
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return tuple(sorted((q / a, c / q)))
 
 
 def tv_env(e1: Environment, e2: Environment, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """TV distance between two environments."""
-    if isinstance(e1, DiscreteGrid) and isinstance(e2, DiscreteGrid):
-        _, w1, w2 = _union_grid(e1, e2)
-        return _clip01(0.5 * float(np.abs(w1 - w2).sum()), "tv_env")
-    if not (isinstance(e1, Gaussian) and isinstance(e2, Gaussian)):
+    """Exact TV between two environments of one kind: their joint TV under a constant labeler.
+
+    That is the half-L1 of grid weights or of Gaussian CDF cells; ``cfg`` is unused.
+    """
+    if isinstance(e1, Gaussian) != isinstance(e2, Gaussian):
         raise SupportError("tv_env between a Gaussian and a DiscreteGrid is not defined")
-    if math.isclose(e1.std, e2.std, rel_tol=1e-12, abs_tol=0.0):
-        return _clip01(_gaussian_tv_closed_form(e1, e2), "tv_env")
-    lo, hi = gaussian_domain(e1, e2, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-    value = 0.5 * adaptive_simpson(
-        lambda x: np.abs(e1.pdf(x) - e2.pdf(x)),
-        lo,
-        hi,
-        cfg.abs_tol,
-        _gaussian_crossings(e1, e2),
-        cfg.eval_budget,
-    )
-    return _clip01(value, "tv_env")
+    return _clip01(_half_l1(*_joint_pmf_tables(e1, Threshold(math.inf), e2, Threshold(math.inf))), "tv_env")
 
 
 def joint_tv_exact(
@@ -730,9 +676,10 @@ def joint_tv_many(
     Two grid environments, or two Gaussians with deterministic labelers,
     give an exact sum over a shared finite partition (union atoms, or CDF
     cells between label boundaries and density crossings).  All other
-    Gaussian pairs share one breakpoint-split adaptive Simpson worklist,
-    whose memory grows with their number; each value is bit for bit that
-    of the pair alone.
+    Gaussian pairs share one adaptive Simpson worklist, whose memory grows
+    with their number; each value is bit for bit that of the pair alone.
+    A pair is cut at its labelers' and environments' hints, its density
+    crossings and the kinks found by :func:`_kinks`.
     """
     values = [0.0] * len(pairs)
     windows, quad = [], []
@@ -745,24 +692,91 @@ def joint_tv_many(
             values[k] = _half_l1(*tables)
             continue
         lo, hi = gaussian_domain(e1, e2, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-        windows.append((lo, hi, (*l1.breakpoints(), *l2.breakpoints(), *_gaussian_crossings(e1, e2))))
+        hints = (*_split_hints(l1), *_split_hints(l2), *_env_hints(e1), *_env_hints(e2), *_gaussian_crossings(e1, e2))
+        windows.append((lo, hi, hints))
         quad.append(k)
     if quad:
-        integrand = _joint_density_gap([pairs[k] for k in quad])
-        for k, v in zip(quad, _simpson_worklist(integrand, windows, cfg.abs_tol, cfg.eval_budget)):
+        joints = _joint_densities([pairs[k] for k in quad])
+        windows = [(lo, hi, h + k) for (lo, hi, h), k in zip(windows, _kinks(joints, windows, cfg.abs_tol))]
+        integrand = lambda x, own: 0.5 * np.abs(np.subtract(*joints(x, own))).sum(axis=1)  # noqa: E731
+        for k, v in zip(quad, _simpson_worklist(integrand, windows, cfg.abs_tol, _EVAL_BUDGET)):
             values[k] = float(v)
     return [_clip01(v, "joint_tv") for v in values]
 
 
-def _joint_density_gap(
+def _kinks(
+    joints: Callable, windows: Sequence[tuple[float, float, tuple[float, ...]]], abs_tol: float
+) -> list[tuple[float, ...]]:
+    """Per window, the kinks of ``|j1 - j2|``: where a class's two joint densities cross.
+
+    Window ``k`` is scanned at 33 even points and one ulp either side of
+    each hint, so a jump at a hint brackets no sign change.  While a
+    bracket's width times its larger ``|j1 - j2|`` exceeds ``abs_tol/1000``,
+    all such brackets are refined at once by regula falsi with the Illinois
+    step on ``log j1 - log j2``, which stays well scaled over hundreds of
+    orders of magnitude.
+    """
+
+    def log_gap(j1: np.ndarray, j2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # densities below 1e-300 count as 1e-300: two of them are equal
+        return np.log(np.maximum(j1, 1e-300)) - np.log(np.maximum(j2, 1e-300)), np.abs(j1 - j2)
+
+    scans = []
+    for lo, hi, hints in windows:
+        h = np.asarray([p for p in hints if lo < p < hi])
+        scans.append(np.sort(np.concatenate([np.linspace(lo, hi, 33), np.nextafter(h, lo), np.nextafter(h, hi)])))
+    own = np.repeat(np.arange(len(windows)), [x.size for x in scans])
+    xs = np.concatenate(scans)
+    # one sequence per (class, window): the tables flattened column by column
+    j1, j2 = (j.T.ravel() for j in joints(xs, own))
+    n, d = xs.size, j1 - j2
+    seq = np.tile(own, j1.size // n) + len(windows) * np.repeat(np.arange(j1.size // n), n)
+    nz = np.flatnonzero(d)
+    i, j = nz[:-1], nz[1:]
+    mass = np.maximum(np.abs(d[i]), np.abs(d[j])) * (xs[j % n] - xs[i % n])
+    flip = (seq[i] == seq[j]) & ((d[i] > 0) != (d[j] > 0)) & (mass > 1e-3 * abs_tol)
+    i, j = i[flip], j[flip]
+    col, win = i // n, own[i % n]
+    a, b, kept = xs[i % n], xs[j % n], np.zeros(i.size)
+    (fa, da), (fb, db) = log_gap(j1[i], j2[i]), log_gap(j1[j], j2[j])
+    for _ in range(100):
+        live = np.maximum(da, db) * (b - a) > 1e-3 * abs_tol
+        if not live.any():
+            break
+        # the ends of a live bracket have values of opposite signs
+        c = np.where(live, np.clip(b - fb * (b - a) / np.where(live, fb - fa, 1.0), a, b), a)
+        fc, dc = log_gap(*(jc[np.arange(i.size), col] for jc in joints(c, win)))
+        # c replaces the end whose value has its sign; an end kept twice in
+        # a row has its value halved (Illinois); a zero closes the bracket
+        to_b = live & ((fc > 0) == (fb > 0))
+        to_a = live & ~to_b
+        fa = np.where(to_b & (kept == -1), 0.5 * fa, fa)
+        fb = np.where(to_a & (kept == 1), 0.5 * fb, fb)
+        kept = np.where(to_b, -1, np.where(to_a, 1, kept))
+        hit = live & (fc == 0)
+        a, fa, da = np.where(to_a | hit, c, a), np.where(to_a, fc, fa), np.where(to_a, dc, da)
+        b, fb, db = np.where(to_b | hit, c, b), np.where(to_b, fc, fb), np.where(to_b, dc, db)
+    roots = 0.5 * (a + b)
+    return [tuple(roots[win == k]) for k in range(len(windows))]
+
+
+def _joint_densities(
     pairs: Sequence[tuple[Gaussian, Labeler, Gaussian, Labeler]],
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Worklist integrand ``0.5 * sum_y |phi1 p1(y|x) - phi2 p2(y|x)|`` of pair ``own`` at x.
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Joint densities ``(phi1 p1(y|x), phi2 p2(y|x))`` of pair ``own`` at x, one column per class.
 
     Both sides of all owners are stacked, so each distinct environment's
-    ``pdf`` and each distinct labeler's ``prob_matrix`` is called once per
-    pass, on the points whose owners use it.
+    ``pdf`` and labeler's ``prob_matrix`` is called once per pass, on the
+    points whose owners use it; one pair is evaluated directly.
     """
+    if len(pairs) == 1:
+        ((e1, l1, e2, l2),) = pairs
+
+        def one(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            d1 = e1.pdf(x)[:, None]
+            return l1.prob_matrix(x) * d1, l2.prob_matrix(x) * (d1 if e2 is e1 else e2.pdf(x)[:, None])
+
+        return one
     envs: dict = {}
     labs: dict = {}
     env_ids = np.asarray([[envs.setdefault(e, len(envs)) for e in (e1, e2)] for e1, _, e2, _ in pairs])
@@ -771,15 +785,15 @@ def _joint_density_gap(
     lab_fns = [l.prob_matrix for l in labs]
     classes = pairs[0][1].class_count
 
-    def integrand(x: np.ndarray, own: np.ndarray) -> np.ndarray:
+    def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.size
         xs = np.concatenate([x, x])
         dens = _by_group(env_fns, env_ids[own].T.ravel(), xs, np.empty(2 * n))
         probs = _by_group(lab_fns, lab_ids[own].T.ravel(), xs, np.empty((2 * n, classes)))
         joint = probs * dens[:, None]
-        return 0.5 * np.abs(joint[:n] - joint[n:]).sum(axis=1)
+        return joint[:n], joint[n:]
 
-    return integrand
+    return joints
 
 
 def _by_group(fns: list, ids: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -221,15 +221,11 @@ def component_diameters(
     """
     if sup_domain is None:
         sup_domain = default_sup_domain(spec, cfg.domain_halfwidth_sigmas)
-    eta_x = 0.0
-    for e1, e2 in itertools.combinations(spec.environments, 2):
-        eta_x = max(eta_x, tv_env(e1, e2, cfg))
-    eta_star = 0.0
-    eta_bar = 0.0
-    for l1, l2 in itertools.combinations(spec.labelers, 2):
-        for env in spec.environments:
-            eta_star = max(eta_star, expected_conditional_tv(env, l1, l2, cfg))
-        eta_bar = max(eta_bar, sup_conditional_tv(l1, l2, sup_domain, sup_grid_n))
+    envs = spec.environments
+    lab_pairs = list(itertools.combinations(spec.labelers, 2))
+    eta_x = max((tv_env(e1, e2, cfg) for e1, e2 in itertools.combinations(envs, 2)), default=0.0)
+    eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs for env in envs], cfg), default=0.0)
+    eta_bar = max((sup_conditional_tv(l1, l2, sup_domain, sup_grid_n) for l1, l2 in lab_pairs), default=0.0)
     return eta_x, eta_star, eta_bar
 
 

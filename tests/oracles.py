@@ -92,28 +92,53 @@ def bsc_disagreement_mc(eps1: float, eps2: float, trials: int, rng: np.random.Ge
     return float(np.mean(flips1 != flips2))
 
 
-def quadrature_joint_tv(e1, l1, e2, l2, n_grid: int = 200_001, halfwidth: float = 10.0) -> float:
-    """Dense-trapezoid joint TV oracle, independent of the adaptive engine.
+def _link_transition(lab) -> list[float]:
+    """Where a Sigmoid/Probit link argument is 0, +/-1, +/-4, +/-16, +/-64; nothing for other labelers."""
+    slope = getattr(lab, "slope", getattr(lab, "kappa", 0.0))
+    if not slope:
+        return []
+    return [(k - lab.bias) / slope for k in (0, -1, 1, -4, 4, -16, 16, -64, 64)]
 
-    Integrates segment-by-segment between labeler breakpoints (nudged just
-    inside each smooth piece) so jump discontinuities cost nothing.
+
+def quadrature_joint_tv(e1, l1, e2, l2, panels: int = 64, halfwidth: float = 10.0) -> float:
+    """Composite Gauss-Legendre joint TV oracle, independent of the adaptive engine.
+
+    The window is cut at every labeler breakpoint, across each smooth
+    labeler's transition, and at every kink of the integrand: the points
+    where, for some class y, the joint densities ``phi1 p1(y|x)`` and
+    ``phi2 p2(y|x)`` cross.  Under one environment these are the label
+    crossings.  They are found as sign changes on a dense scan, refined by
+    ``brentq``.  Each smooth piece gets ``panels`` equal panels of 20-node
+    Gauss-Legendre; the nodes are interior, so jumps at the cuts cost
+    nothing.
     """
+    from scipy.optimize import brentq
+
     lo = min(e1.mean - halfwidth * e1.std, e2.mean - halfwidth * e2.std)
     hi = max(e1.mean + halfwidth * e1.std, e2.mean + halfwidth * e2.std)
-    cuts = sorted(
-        {lo, hi}
-        | {p for p in (*l1.breakpoints(), *l2.breakpoints()) if lo < p < hi}
-    )
+    hints = (*l1.breakpoints(), *l2.breakpoints(), *_link_transition(l1), *_link_transition(l2))
+    cuts = sorted({lo, hi} | {p for p in hints if lo < p < hi})
 
-    def integrand(xs):
-        f1 = l1.prob_matrix(xs) * e1.pdf(xs)[:, None]
-        f2 = l2.prob_matrix(xs) * e2.pdf(xs)[:, None]
-        return 0.5 * np.abs(f1 - f2).sum(axis=1)
+    def gaps(xs):
+        return l1.prob_matrix(xs) * e1.pdf(xs)[:, None] - l2.prob_matrix(xs) * e2.pdf(xs)[:, None]
 
+    kinks = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        xs = np.linspace(a, b, 1025)
+        d = gaps(xs)
+        for y in range(d.shape[1]):
+            for k in np.flatnonzero(d[:-1, y] * d[1:, y] < 0):
+                kinks.append(brentq(lambda x: gaps(np.asarray([x]))[0, y], xs[k], xs[k + 1], xtol=1e-15))
+    cuts = sorted(set(cuts) | set(kinks))
+
+    nodes, weights = np.polynomial.legendre.leggauss(20)
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        xs = np.linspace(a + 1e-9, b - 1e-9, n_grid)
-        total += float(np.trapezoid(integrand(xs), xs))
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * np.diff(edges)
+        xs = ((edges[:-1] + half)[:, None] + half[:, None] * nodes).ravel()
+        vals = 0.5 * np.abs(gaps(xs)).sum(axis=1).reshape(panels, -1)
+        total += float((half[:, None] * weights * vals).sum())
     return total
 
 
@@ -121,7 +146,7 @@ def smoothed_risk(env, labeler, h, temperature: float, n_grid: int = 200_001, ha
     """Dense-trapezoid E[p1(X) (1 - s(X)) + p0(X) s(X)] with s = sigma(h.score / T).
 
     Splits at the labeler's breakpoints and at the hypothesis's decision
-    points (nudged just inside each piece), like :func:`quadrature_joint_tv`.
+    points, nudged just inside each piece.
     """
     lo, hi = env.mean - halfwidth * env.std, env.mean + halfwidth * env.std
     cuts = sorted(

@@ -122,7 +122,7 @@ class TestWorldRisks:
 class TestSmoothedRisk:
     def test_stochastic_labelers_meet_abs_tol(self):
         # sigma(score / T) steps over a width of order T at the decision
-        # point; without a split there, Gauss-Hermite missed abs_tol
+        # point, so the integral must be split there to meet abs_tol
         rng = np.random.default_rng(5)
         for _ in range(20):
             env = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.3, 2.5)))

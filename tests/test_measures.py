@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credal.dro import LinearLogistic, ThresholdClassifier
+from credal.harness import SCHEMA_VERSION, ConfigError, validate_config
 from credal.measures import (
+    DEFAULT_QUADRATURE,
     DiscreteGrid,
     Gaussian,
     Interval,
@@ -38,7 +43,7 @@ from oracles import (
     tv_subset_brute_force,
 )
 
-SIMPSON = QuadratureConfig(method="adaptive_simpson", abs_tol=1e-8)
+TOL = DEFAULT_QUADRATURE.abs_tol
 
 
 @st.composite
@@ -132,13 +137,12 @@ class TestEnvironmentTypes:
 
     def test_quadrature_config_validation(self):
         with pytest.raises(ValidationError):
-            QuadratureConfig(node_count=8)
-        with pytest.raises(ValidationError):
             QuadratureConfig(abs_tol=1e-3)
-        with pytest.raises(ValidationError):
-            QuadratureConfig(method="romberg")
-        with pytest.raises(ValidationError):
-            QuadratureConfig(method="grid")
+        # there is one integration engine: no method to pick, no node count to set
+        for key, value in (("node_count", 8), ("method", "romberg"), ("method", "grid"), ("method", "gauss_hermite")):
+            doc = {"schema_version": SCHEMA_VERSION, "experiment": "gating_curve", "quadrature": {key: value}}
+            with pytest.raises(ConfigError, match="unknown keys in quadrature"):
+                validate_config(doc)
 
 
 CRISP_LABELERS = [
@@ -194,17 +198,32 @@ class TestTvEnv:
     def test_closed_form_matches_quadrature(self):
         e1, e2 = Gaussian(0.3, 1.2), Gaussian(1.1, 1.2)
         closed = tv_env(e1, e2)
-        # force the numerical path by perturbing std below the closed-form gate
+        assert closed == pytest.approx(2.0 * NormalDist().cdf(0.8 / 2.4) - 1.0, abs=1e-15)
+        # a std 1e-9 apart has two density crossings instead of one midpoint
         e2b = Gaussian(1.1, 1.2 * (1 + 1e-9))
-        assert tv_env(e1, e2b, SIMPSON) == pytest.approx(closed, abs=1e-6)
+        assert tv_env(e1, e2b) == pytest.approx(closed, abs=1e-6)
 
     @pytest.mark.parametrize(
         "m1,s1,m2,s2",
         [(0.0, 1.0, 1.5, 0.7), (-2.0, 0.5, 1.0, 2.0), (0.0, 1.0, 0.0, 3.0)],
     )
     def test_unequal_std_matches_crossing_oracle(self, m1, s1, m2, s2):
-        got = tv_env(Gaussian(m1, s1), Gaussian(m2, s2), SIMPSON)
+        got = tv_env(Gaussian(m1, s1), Gaussian(m2, s2))
         assert got == pytest.approx(gaussian_tv_via_crossings(m1, s1, m2, s2), abs=1e-7)
+
+    def test_seeded_unequal_std_match_crossing_oracle(self):
+        rng = np.random.default_rng(0)
+        for _ in range(600):
+            m1, m2 = rng.uniform(-3, 3, size=2)
+            s1, s2 = 10.0 ** rng.uniform(-2.5, 1, size=2)
+            got = tv_env(Gaussian(m1, s1), Gaussian(m2, s2))
+            assert got == pytest.approx(gaussian_tv_via_crossings(m1, s1, m2, s2), abs=TOL)
+
+    def test_narrow_far_apart_gaussians_are_disjoint(self):
+        # the narrow density is invisible to samples spread over the wide window
+        e1, e2 = Gaussian(-1.53, 0.0575), Gaussian(2.33, 0.00789)
+        assert tv_env(e1, e2) == 1.0
+        assert joint_tv_exact(e1, Sigmoid(1.0, 0.0), e2, Sigmoid(2.0, -1.0)) == pytest.approx(1.0, abs=TOL)
 
 
 class TestConditionalTv:
@@ -253,10 +272,10 @@ class TestExpectedConditionalTv:
         got = expected_conditional_tv(env, Threshold(-0.5), Threshold(2.0))
         assert got == pytest.approx(threshold_pair_disagreement(0.7, 1.4, -0.5, 2.0), abs=1e-14)
 
-    def test_gauss_hermite_matches_simpson_on_smooth_pair(self):
-        gh = expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, -1), Sigmoid(1, 1))
-        si = expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, -1), Sigmoid(1, 1), SIMPSON)
-        assert gh == pytest.approx(si, abs=1e-7)
+    def test_steep_shifted_sigmoids_resolve_their_gap(self):
+        # two steep transitions 0.01 apart: the disagreement is the mass between them
+        got = expected_conditional_tv(Gaussian(0, 1), Sigmoid(1e4, 0.0), Sigmoid(1e4, -100.0))
+        assert got == pytest.approx(NormalDist().cdf(0.01) - 0.5, abs=TOL)
 
     def test_discrete_env_weighted_sum(self):
         env = DiscreteGrid((-1.0, 0.5), (0.25, 0.75))
@@ -313,8 +332,7 @@ class TestExpectedConditionalTv:
         a = SymmetricNoise(Threshold(-0.5), 0.1)
         b = SymmetricNoise(Threshold(0.5), 0.3)
         got = expected_conditional_tv(env, a, b)
-        si = expected_conditional_tv(env, a, b, SIMPSON)
-        assert got == pytest.approx(si, abs=1e-7)
+        assert got == pytest.approx(quadrature_joint_tv(env, a, env, b), abs=TOL)
 
 
 class TestSupConditionalTv:
@@ -359,7 +377,7 @@ class TestJointTvExact:
     def test_smooth_path_matches_dense_oracle(self):
         e1, e2 = Gaussian(0.0, 1.0), Gaussian(0.8, 1.5)
         l1, l2 = Sigmoid(2.0, -1.0), Probit(1.0, 0.5)
-        got = joint_tv_exact(e1, l1, e2, l2, SIMPSON)
+        got = joint_tv_exact(e1, l1, e2, l2)
         assert got == pytest.approx(quadrature_joint_tv(e1, l1, e2, l2), abs=1e-6)
 
     def test_prop_identities_on_random_triples(self):
@@ -374,17 +392,17 @@ class TestJointTvExact:
             env = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.4, 2.0)))
             l1 = families[rng.integers(len(families))]()
             l2 = families[rng.integers(len(families))]()
-            lhs = joint_tv_exact(env, l1, env, l2, SIMPSON)
-            rhs = expected_conditional_tv(env, l1, l2, SIMPSON)
-            assert lhs == pytest.approx(rhs, abs=2 * SIMPSON.abs_tol)
+            lhs = joint_tv_exact(env, l1, env, l2)
+            rhs = expected_conditional_tv(env, l1, l2)
+            assert lhs == pytest.approx(rhs, abs=2 * TOL)
 
         for _ in range(200):
             e1 = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.4, 2.0)))
             e2 = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.4, 2.0)))
             lab = families[rng.integers(len(families))]()
-            lhs = joint_tv_exact(e1, lab, e2, lab, SIMPSON)
-            rhs = tv_env(e1, e2, SIMPSON)
-            assert lhs == pytest.approx(rhs, abs=2 * SIMPSON.abs_tol)
+            lhs = joint_tv_exact(e1, lab, e2, lab)
+            rhs = tv_env(e1, e2)
+            assert lhs == pytest.approx(rhs, abs=2 * TOL)
 
     def test_symmetry_and_triangle_on_random_triples(self):
         rng = np.random.default_rng(13)
@@ -394,11 +412,11 @@ class TestJointTvExact:
             d = {}
             for a in range(3):
                 for b in range(3):
-                    d[(a, b)] = joint_tv_exact(envs[a], labs[a], envs[b], labs[b], SIMPSON)
+                    d[(a, b)] = joint_tv_exact(envs[a], labs[a], envs[b], labs[b])
             for a in range(3):
                 for b in range(3):
-                    assert d[(a, b)] == pytest.approx(d[(b, a)], abs=2 * SIMPSON.abs_tol)
-            assert d[(0, 2)] <= d[(0, 1)] + d[(1, 2)] + 2 * SIMPSON.abs_tol
+                    assert d[(a, b)] == pytest.approx(d[(b, a)], abs=2 * TOL)
+            assert d[(0, 2)] <= d[(0, 1)] + d[(1, 2)] + 2 * TOL
 
     def test_grid_partition_matches_joint_pmf_oracle(self):
         rng = np.random.default_rng(17)
@@ -466,6 +484,43 @@ class TestJointTvMany:
             joint_tv_many([same, slow, hard, same], cfg)
         assert batched.value.residual == alone.value.residual > 0
         assert joint_tv_many([same, same], cfg) == [0.0, 0.0]
+
+
+class TestSteepCrossingLabelers:
+    def test_seeded_pairs_match_resolving_oracle(self):
+        # steep or crossing Sigmoid/Probit pairs, centred within 2 std of the
+        # first environment: under it (an expected conditional TV) and against
+        # a second environment (a joint TV)
+        rng = np.random.default_rng(0)
+
+        def labeler(env):
+            slope = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 4)
+            centre = rng.uniform(env.mean - 2 * env.std, env.mean + 2 * env.std)
+            return (Sigmoid if rng.random() < 0.5 else Probit)(slope, -slope * centre)
+
+        for _ in range(200):
+            e1 = Gaussian(rng.uniform(-2, 2), rng.uniform(0.3, 2))
+            e2 = Gaussian(rng.uniform(-2, 2), rng.uniform(0.3, 2))
+            l1, l2 = labeler(e1), labeler(e1)
+            for env in (e1, e2):
+                assert joint_tv_exact(e1, l1, env, l2) == pytest.approx(quadrature_joint_tv(e1, l1, env, l2), abs=TOL)
+
+    def test_joint_densities_crossing_in_a_steep_transition(self):
+        # phi1 p1(y|x) and phi2 p2(y|x) cross inside the probit's transition;
+        # without a cut at that kink the integral settles 7e-8 off
+        e1, l1 = Gaussian(1.3675703294710035, 0.550965207529706), Sigmoid(1.5243809568676774, -1.4134895960302603)
+        e2, l2 = Gaussian(1.5648805906928946, 0.5036676132485229), Probit(306.5524708915743, -294.17949838981804)
+        assert joint_tv_exact(e1, l1, e2, l2) == pytest.approx(quadrature_joint_tv(e1, l1, e2, l2), abs=TOL)
+
+    def test_smooth_pair_imports_no_root_finder(self):
+        # scipy.optimize would add about 20 MiB of resident memory to every run
+        code = (
+            "import sys, credal\n"
+            "credal.expected_conditional_tv(credal.Gaussian(0, 1), credal.Sigmoid(3, 0.5), credal.Probit(-2, 0.2))\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAdaptiveSimpson:

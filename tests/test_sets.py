@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from credal.measures import (
+    DEFAULT_QUADRATURE,
     DiscreteGrid,
     Gaussian,
     Probit,
-    QuadratureConfig,
     Sigmoid,
     Tabular,
     Threshold,
@@ -26,7 +26,7 @@ from credal.sets import (
 
 from oracles import discrete_joint_pmf, discrete_spec_diameter
 
-SIMPSON = QuadratureConfig(method="adaptive_simpson", abs_tol=1e-8)
+TOL = DEFAULT_QUADRATURE.abs_tol
 
 
 def random_discrete_spec(rng, max_side=4, max_grid=16, max_classes=3):
@@ -134,6 +134,16 @@ class TestDiameterBounds:
         assert rep.eta_x == pytest.approx(1.0, abs=1e-12)
         assert rep.upper == pytest.approx(1.0, abs=1e-9)
 
+    def test_steep_pair_upper_dominates_exact(self):
+        # the labelers differ on a steep 0.001-wide band: eta_star must resolve
+        # it, or the upper bound falls below the exact diameter
+        spec = CredalSpec(
+            (Gaussian(0, 1), Gaussian(0.2, 1)), (Sigmoid(1000, -300.1), Sigmoid(1000, -301.1))
+        )
+        rep = diameter_bounds(spec, with_exact=True)
+        assert rep.eta_star > 0.0003
+        assert rep.upper >= rep.exact - 2 * TOL
+
     def test_random_discrete_specs_sandwich_brute_force(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
@@ -185,13 +195,13 @@ class TestDiameterBounds:
             ip, jp = vb
             if i != ip and j != jp:
                 continue
-            pb = pairwise_bounds(spec, va, vb, SIMPSON, with_exact=False)
+            pb = pairwise_bounds(spec, va, vb, with_exact=False)
             exact = joint_tv_exact(
                 spec.environments[i], spec.labelers[j],
-                spec.environments[ip], spec.labelers[jp], SIMPSON,
+                spec.environments[ip], spec.labelers[jp],
             )
-            assert abs(pb.lower - exact) <= 2 * SIMPSON.abs_tol
-            assert abs(pb.upper - exact) <= 2 * SIMPSON.abs_tol
+            assert abs(pb.lower - exact) <= 2 * TOL
+            assert abs(pb.upper - exact) <= 2 * TOL
 
     def test_exact_diameter_matches_pairwise_loop(self):
         # labelers 1 and 3 are equal, so the maximum is attained twice and
