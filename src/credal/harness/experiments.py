@@ -125,12 +125,15 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
         (Gaussian(float(m) - gap / 2.0, std), Gaussian(float(m) + gap / 2.0, std))
         for m in p["window_means"]
     ]
-    triples = [((e1, l_left, e2, l_right), (e1, l_left, e1, l_right), (e2, l_left, e2, l_right)) for e1, e2 in windows]
-    values = joint_tv_many([pair for triple in triples for pair in triple], quad)
+    # per window: the joint TV and the two expected conditional TVs
+    pairs = [
+        (u, l_left, v, l_right) for e1, e2 in windows for u, v in ((e1, e2), (e1, e1), (e2, e2))
+    ]
+    values = joint_tv_many(pairs, quad)
     rows = []
     for k, (m, (e1, e2)) in enumerate(zip(p["window_means"], windows)):
         joint, a1, a2 = values[3 * k : 3 * k + 3]
-        cov = tv_env(e1, e2, quad)
+        cov = tv_env(e1, e2)
         lower, upper, _ = joint_shift_bounds(cov, a1, a2)
         rows.append(
             {
@@ -175,10 +178,11 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
         labs = _sweep_labelers(regime, p["labeler_count"], *p["labeler_range"])
         n_lab = len(labs)
         cov = {
-            (i, ip): tv_env(envs[i], envs[ip], quad)
+            (i, ip): tv_env(envs[i], envs[ip])
             for i, ip in itertools.combinations(range(n_env), 2)
         }
-        ect_keys = [(i, j, jp) for i in range(n_env) for j, jp in itertools.combinations(range(n_lab), 2)]
+        lab_combos = list(itertools.combinations(range(n_lab), 2))
+        ect_keys = [(i, j, jp) for i in range(n_env) for j, jp in lab_combos]
         ect_pairs = [(envs[i], labs[j], envs[i], labs[jp]) for i, j, jp in ect_keys]
         ect = dict(zip(ect_keys, joint_tv_many(ect_pairs, quad)))
         # joint-shift pairs (i, j)-(ip, jp), i < ip and j != jp: one joint_tv_many call per (i, ip)
@@ -256,7 +260,8 @@ def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[di
         env = Gaussian(
             float(env_rng.uniform(*p["mean_range"])), float(env_rng.uniform(*p["std_range"]))
         )
-        eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in itertools.combinations(labs, 2)], quad))
+        lab_pairs = itertools.combinations(labs, 2)
+        eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs], quad))
         for run in range(int(p["runs_per_env"])):
             sub = seed.derive(1, e_idx, run)
             try:
@@ -353,7 +358,8 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
     labs = tuple(Threshold(float(t)) for t in p["thresholds"])
     if len(labs) < 2:
         raise ConfigError("sample_complexity needs at least two thresholds")
-    eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in itertools.combinations(labs, 2)], config.quadrature))
+    lab_pairs = itertools.combinations(labs, 2)
+    eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs], config.quadrature))
     rows: list[dict] = []
     tasks = []
     plan: dict[int, int] = {}

@@ -13,13 +13,11 @@ distributions share a finite partition of the covariate line (the union
 atoms of two grids, or the CDF cells between label boundaries and density
 crossings of two Gaussians with deterministic labelers), each becomes a
 (cells x classes) joint mass table and the TV is the half-L1 distance
-between the tables; the TV between environments is always one, under a
-constant labeler.  Every other pair is integrated by one adaptive Simpson
-worklist engine, cut at split hints, each integral getting the same bits as
-alone: :func:`joint_tv_many` integrates a group of pairs per pass, and the
-other integrals are batches of one.  Its memory grows with the batch, so
-callers pass natural groups (one vertex row, one environment pair, one
-spec's disagreements) rather than a whole sweep.
+between the tables; the TV between environments is the case of a constant
+labeler.  Every other pair is integrated by one adaptive Simpson worklist
+engine cut at split hints: :func:`joint_tv_many` integrates a group of
+pairs per pass, each getting the same bits as alone.  Its memory grows with
+the batch, so callers pass natural groups rather than a whole sweep.
 
 The module also provides discrete TV between probability vectors,
 pointwise conditional TV, and a grid-based supremum of the conditional
@@ -240,7 +238,7 @@ class Sigmoid(_LabelerBase):
 
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         p1 = expit(self.slope * np.asarray(x, dtype=float) + self.bias)
-        return np.array([1.0 - p1, p1]).T
+        return np.column_stack([1.0 - p1, p1])
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,7 @@ class Probit(_LabelerBase):
 
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         p1 = ndtr(self.kappa * np.asarray(x, dtype=float) + self.bias)
-        return np.array([1.0 - p1, p1]).T
+        return np.column_stack([1.0 - p1, p1])
 
 
 @dataclass(frozen=True)
@@ -427,7 +425,9 @@ def _simpson_worklist(
     # a pass stacks m1, m2, f_m1, f_m2, left, right, err / 32 under the state
     # as rows 10-16; field r of a kept segment's left and right children comes
     # from rows children[r] of that table
-    children = np.asarray([[0, 1], [10, 11], [1, 2], [3, 4], [12, 13], [4, 5], [14, 15], [7, 7], [8, 8], [16, 16]])
+    children = np.asarray(
+        [[0, 1], [10, 11], [1, 2], [3, 4], [12, 13], [4, 5], [14, 15], [7, 7], [8, 8], [16, 16]]
+    )
 
     total = np.zeros(n_int)
     evals = 3 * np.bincount(own, minlength=n_int)
@@ -473,7 +473,9 @@ def gaussian_domain(*envs: Gaussian, halfwidth_sigmas: float) -> tuple[float, fl
 def _split_hints(lab: Labeler) -> tuple[float, ...]:
     """Quadrature cuts: a smooth link's argument at 0, +/-2, +/-8, +/-30, else the breakpoints."""
     slope = lab.slope if isinstance(lab, Sigmoid) else lab.kappa if isinstance(lab, Probit) else 0.0
-    return tuple((k - lab.bias) / slope for k in (0, -2, 2, -8, 8, -30, 30)) if slope else lab.breakpoints()
+    if not slope:
+        return lab.breakpoints()
+    return tuple((k - lab.bias) / slope for k in (0, -2, 2, -8, 8, -30, 30))
 
 
 def _env_hints(env: Gaussian) -> tuple[float, ...]:
@@ -490,7 +492,8 @@ def _expectation(
     if isinstance(env, DiscreteGrid):
         return float(np.dot(env.weights, g(np.asarray(env.points))))
     lo, hi = gaussian_domain(env, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-    return adaptive_simpson(lambda x: g(x) * env.pdf(x), lo, hi, cfg.abs_tol, (*hints, *_env_hints(env)), _EVAL_BUDGET)
+    cuts = (*hints, *_env_hints(env))
+    return adaptive_simpson(lambda x: g(x) * env.pdf(x), lo, hi, cfg.abs_tol, cuts, _EVAL_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +644,10 @@ def _gaussian_crossings(e1: Gaussian, e2: Gaussian) -> tuple[float, ...]:
     return tuple(sorted((q / a, c / q)))
 
 
-def tv_env(e1: Environment, e2: Environment, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Exact TV between two environments of one kind: their joint TV under a constant labeler.
-
-    That is the half-L1 of grid weights or of Gaussian CDF cells; ``cfg`` is unused.
-    """
-    if isinstance(e1, Gaussian) != isinstance(e2, Gaussian):
-        raise SupportError("tv_env between a Gaussian and a DiscreteGrid is not defined")
-    return _clip01(_half_l1(*_joint_pmf_tables(e1, Threshold(math.inf), e2, Threshold(math.inf))), "tv_env")
+def tv_env(e1: Environment, e2: Environment) -> float:
+    """Exact TV between environments of one kind: their joint TV under a constant labeler."""
+    const = Threshold(math.inf)
+    return joint_tv_many([(e1, const, e2, const)])[0]
 
 
 def joint_tv_exact(
@@ -692,13 +691,17 @@ def joint_tv_many(
             values[k] = _half_l1(*tables)
             continue
         lo, hi = gaussian_domain(e1, e2, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-        hints = (*_split_hints(l1), *_split_hints(l2), *_env_hints(e1), *_env_hints(e2), *_gaussian_crossings(e1, e2))
-        windows.append((lo, hi, hints))
+        hints = (*_split_hints(l1), *_split_hints(l2), *_env_hints(e1), *_env_hints(e2))
+        windows.append((lo, hi, hints + _gaussian_crossings(e1, e2)))
         quad.append(k)
     if quad:
         joints = _joint_densities([pairs[k] for k in quad])
-        windows = [(lo, hi, h + k) for (lo, hi, h), k in zip(windows, _kinks(joints, windows, cfg.abs_tol))]
-        integrand = lambda x, own: 0.5 * np.abs(np.subtract(*joints(x, own))).sum(axis=1)  # noqa: E731
+        kinks = _kinks(joints, windows, cfg.abs_tol)
+        windows = [(lo, hi, h + k) for (lo, hi, h), k in zip(windows, kinks)]
+
+        def integrand(x: np.ndarray, own: np.ndarray) -> np.ndarray:
+            return 0.5 * np.abs(np.subtract(*joints(x, own))).sum(axis=1)
+
         for k, v in zip(quad, _simpson_worklist(integrand, windows, cfg.abs_tol, _EVAL_BUDGET)):
             values[k] = float(v)
     return [_clip01(v, "joint_tv") for v in values]
@@ -724,7 +727,8 @@ def _kinks(
     scans = []
     for lo, hi, hints in windows:
         h = np.asarray([p for p in hints if lo < p < hi])
-        scans.append(np.sort(np.concatenate([np.linspace(lo, hi, 33), np.nextafter(h, lo), np.nextafter(h, hi)])))
+        pts = np.concatenate([np.linspace(lo, hi, 33), np.nextafter(h, lo), np.nextafter(h, hi)])
+        scans.append(np.sort(pts))
     own = np.repeat(np.arange(len(windows)), [x.size for x in scans])
     xs = np.concatenate(scans)
     # one sequence per (class, window): the tables flattened column by column
@@ -767,42 +771,34 @@ def _joint_densities(
 
     Both sides of all owners are stacked, so each distinct environment's
     ``pdf`` and labeler's ``prob_matrix`` is called once per pass, on the
-    points whose owners use it; one pair is evaluated directly.
+    points whose owners use it.
     """
-    if len(pairs) == 1:
-        ((e1, l1, e2, l2),) = pairs
-
-        def one(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            d1 = e1.pdf(x)[:, None]
-            return l1.prob_matrix(x) * d1, l2.prob_matrix(x) * (d1 if e2 is e1 else e2.pdf(x)[:, None])
-
-        return one
     envs: dict = {}
     labs: dict = {}
-    env_ids = np.asarray([[envs.setdefault(e, len(envs)) for e in (e1, e2)] for e1, _, e2, _ in pairs])
-    lab_ids = np.asarray([[labs.setdefault(l, len(labs)) for l in (l1, l2)] for _, l1, _, l2 in pairs])
+    # one row per side, one column per pair
+    env_ids = np.asarray([[envs.setdefault(p[s], len(envs)) for p in pairs] for s in (0, 2)])
+    lab_ids = np.asarray([[labs.setdefault(p[s], len(labs)) for p in pairs] for s in (1, 3)])
     env_fns = [e.pdf for e in envs]
     lab_fns = [l.prob_matrix for l in labs]
-    classes = pairs[0][1].class_count
 
     def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.size
         xs = np.concatenate([x, x])
-        dens = _by_group(env_fns, env_ids[own].T.ravel(), xs, np.empty(2 * n))
-        probs = _by_group(lab_fns, lab_ids[own].T.ravel(), xs, np.empty((2 * n, classes)))
+        dens = _by_group(env_fns, env_ids.take(own, axis=1).ravel(), xs)
+        probs = _by_group(lab_fns, lab_ids.take(own, axis=1).ravel(), xs)
         joint = probs * dens[:, None]
         return joint[:n], joint[n:]
 
     return joints
 
 
-def _by_group(fns: list, ids: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[i] = fns[ids[i]](x[i])``, calling each function once on all its points."""
+def _by_group(fns: list, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``fns[ids[i]](x[i])`` for every i, calling each function once on all its points."""
+    # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
     order = ids.argsort(kind="stable")
-    xs = x[order]
-    start = 0
-    for fn, stop in zip(fns, np.bincount(ids, minlength=len(fns)).cumsum().tolist()):
-        if stop > start:
-            out[order[start:stop]] = fn(xs[start:stop])
-        start = stop
-    return out
+    ends = np.bincount(ids, minlength=len(fns)).cumsum().tolist()
+    xs = x.take(order)
+    vals = np.concatenate([fn(xs[a:b]) for fn, a, b in zip(fns, [0, *ends], ends) if b > a])
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size)
+    return vals.take(inv, axis=0)

@@ -177,7 +177,7 @@ def pairwise_bounds(
     env_i, env_ip = spec.environments[i], spec.environments[ip]
     lab_j, lab_jp = spec.labelers[j], spec.labelers[jp]
 
-    cov = 0.0 if i == ip else tv_env(env_i, env_ip, cfg)
+    cov = 0.0 if i == ip else tv_env(env_i, env_ip)
     if j == jp:
         a_i = a_ip = 0.0
     else:
@@ -223,10 +223,10 @@ def component_diameters(
         sup_domain = default_sup_domain(spec, cfg.domain_halfwidth_sigmas)
     envs = spec.environments
     lab_pairs = list(itertools.combinations(spec.labelers, 2))
-    eta_x = max((tv_env(e1, e2, cfg) for e1, e2 in itertools.combinations(envs, 2)), default=0.0)
-    eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs for env in envs], cfg), default=0.0)
-    eta_bar = max((sup_conditional_tv(l1, l2, sup_domain, sup_grid_n) for l1, l2 in lab_pairs), default=0.0)
-    return eta_x, eta_star, eta_bar
+    eta_x = max((tv_env(e1, e2) for e1, e2 in itertools.combinations(envs, 2)), default=0.0)
+    ects = joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs for env in envs], cfg)
+    sups = [sup_conditional_tv(l1, l2, sup_domain, sup_grid_n) for l1, l2 in lab_pairs]
+    return eta_x, max(ects, default=0.0), max(sups, default=0.0)
 
 
 def diameter_bounds(

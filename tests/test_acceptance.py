@@ -57,7 +57,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_gaussian_covariate_tv():
     t0 = time.time()
-    got = tv_env(Gaussian(0, 1), Gaussian(1, 1), QUAD)
+    got = tv_env(Gaussian(0, 1), Gaussian(1, 1))
     elapsed = time.time() - t0
     report(
         "criterion-01 covariate TV",
