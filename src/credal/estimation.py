@@ -8,6 +8,14 @@ closed-form diameter for symmetric-noise annotators, computes Hoeffding
 concentration radii with the union bound over annotator pairs, and
 assembles the pieces into a :class:`Certificate`.
 
+Annotations travel as an :class:`AnnotatedBatch`: read-only columns ``x``
+of shape (n,) and either ``hard`` (n, k) int64 class indices or ``soft``
+(n, k, C) belief vectors, validated once with vectorised checks.  The
+batch is also a sequence of :class:`AnnotatedSample` records, so code
+that indexes, iterates or compares records keeps working; sampling, the
+annotation file and the estimators pass columns and build no per-row
+objects.  A record and a batch apply the same rules (one helper).
+
 Annotation file format (shared with the experiment harness)
 ------------------------------------------------------------
 One header line ``# kind=<hard|soft> classes=<C> annotators=<k>`` followed
@@ -20,9 +28,10 @@ annotator simplex vectors for soft labels.  Floats are written with
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Optional, Sequence, get_args
+from typing import Callable, Literal, Optional, get_args
 
 import numpy as np
 
@@ -40,6 +49,70 @@ Regime = Literal[
 _HARD_REGIMES = {"exact_hard_deterministic", "conservative_stochastic_hard", "closed_form_noisy"}
 
 
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
+def _check_hard(labels, where: Callable[[int], str]) -> np.ndarray:
+    """An (n, k) array of non-negative integer class indices, as int64.
+
+    ``where(i)`` names row ``i`` in the error message.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.shape[0] < 1:
+        raise ValidationError(f"labels must be a non-empty (n, k) array, got shape {labels.shape}")
+    if labels.shape[1] < 1:
+        raise ValidationError("need at least one annotator")
+    if labels.dtype.kind not in "iu":
+        raise ValidationError(f"hard labels must be integer class indices, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
+    negative = (labels < 0).any(axis=1)
+    if negative.any():
+        i = _first(negative)
+        raise ValidationError(
+            f"{where(i)}: hard labels must be non-negative class indices, got {labels[i].tolist()}"
+        )
+    return labels
+
+
+def _check_soft(probs, where: Callable[[int], str]) -> np.ndarray:
+    """An (n, k, C) float array whose every (i, j) vector lies on the simplex."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape[1:2] == (0,):  # a record without annotators stacks to shape (1, 0)
+        raise ValidationError("need at least one annotator")
+    if probs.ndim != 3 or probs.shape[0] < 1:
+        raise ValidationError(f"soft beliefs must be a non-empty (n, k, C) array, got shape {probs.shape}")
+    # written so that a NaN entry or sum is off the simplex too
+    off = (probs < -SOFT_SIMPLEX_TOL).any(axis=2) | ~(np.abs(probs.sum(axis=2) - 1.0) <= SOFT_SIMPLEX_TOL)
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        raise ValidationError(
+            f"{where(int(i))}: soft vector off the simplex beyond {SOFT_SIMPLEX_TOL}: "
+            f"{tuple(probs[i, j].tolist())!r}"
+        )
+    return probs
+
+
+def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tuple[np.ndarray, np.ndarray]:
+    """The observation rules of records and batches, vectorised over rows.
+
+    Exactly one of ``hard``/``soft``, at least one annotator, finite
+    covariates, non-negative integer class indices, simplex vectors within
+    ``SOFT_SIMPLEX_TOL``.  Returns ``(x, observations)`` as arrays.
+    """
+    if (hard is None) == (soft is None):
+        raise ValidationError("exactly one of hard/soft must be provided")
+    obs = _check_hard(hard, where) if hard is not None else _check_soft(soft, where)
+    x = np.asarray(x, dtype=float)
+    if x.shape != obs.shape[:1]:
+        raise ValidationError(f"x must have shape ({obs.shape[0]},), got {x.shape}")
+    infinite = ~np.isfinite(x)
+    if infinite.any():
+        i = _first(infinite)
+        raise ValidationError(f"{where(i)}: x must be finite, got {float(x[i])!r}")
+    return x, obs
+
+
 @dataclass(frozen=True)
 class AnnotatedSample:
     """One covariate with the observations of every annotator.
@@ -53,28 +126,21 @@ class AnnotatedSample:
     soft: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self) -> None:
-        if (self.hard is None) == (self.soft is None):
-            raise ValidationError("exactly one of hard/soft must be provided")
-        if not math.isfinite(self.x):
-            raise ValidationError(f"x must be finite, got {self.x!r}")
+        hard = soft = None
         if self.hard is not None:
-            labels = tuple(int(v) for v in self.hard)
-            if not labels:
-                raise ValidationError("need at least one annotator")
-            if any(v < 0 for v in labels):
-                raise ValidationError("hard labels must be non-negative class indices")
-            object.__setattr__(self, "hard", labels)
-        else:
-            rows = tuple(tuple(float(p) for p in row) for row in self.soft)
-            if not rows:
-                raise ValidationError("need at least one annotator")
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValidationError("soft vectors must share one class count")
-                if any(p < -SOFT_SIMPLEX_TOL for p in row) or abs(sum(row) - 1.0) > SOFT_SIMPLEX_TOL:
-                    raise ValidationError(f"soft vector off the simplex beyond {SOFT_SIMPLEX_TOL}: {row!r}")
-            object.__setattr__(self, "soft", rows)
+            hard = tuple(int(v) for v in self.hard)
+        if self.soft is not None:
+            soft = tuple(tuple(float(p) for p in row) for row in self.soft)
+            if len({len(row) for row in soft}) > 1:
+                raise ValidationError("soft vectors must share one class count")
+        _check_columns(
+            [self.x],
+            lambda i: "sample",
+            hard=None if hard is None else np.asarray([hard], dtype=np.int64),
+            soft=None if soft is None else np.asarray([soft], dtype=float),
+        )
+        object.__setattr__(self, "hard", hard)
+        object.__setattr__(self, "soft", soft)
 
     @property
     def kind(self) -> str:
@@ -83,6 +149,88 @@ class AnnotatedSample:
     @property
     def annotators(self) -> int:
         return len(self.hard) if self.hard is not None else len(self.soft)
+
+
+def _record(x: float, kind: str, obs: list) -> AnnotatedSample:
+    # a record of checked batch columns: the rules already hold, so skip them
+    rec = object.__new__(AnnotatedSample)
+    object.__setattr__(rec, "x", x)
+    object.__setattr__(rec, "hard", tuple(obs) if kind == "hard" else None)
+    object.__setattr__(rec, "soft", tuple(map(tuple, obs)) if kind == "soft" else None)
+    return rec
+
+
+@dataclass(frozen=True, eq=False)
+class AnnotatedBatch(Sequence):
+    """Columns of n annotated samples, validated once and read-only.
+
+    ``x`` has shape (n,); exactly one of ``hard`` ((n, k) int64 class
+    indices) or ``soft`` ((n, k, C) simplex vectors) is set.  As a
+    sequence it yields :class:`AnnotatedSample` records, and it equals any
+    sequence of records element by element.
+    """
+
+    x: np.ndarray
+    hard: Optional[np.ndarray] = None
+    soft: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        x, obs = _check_columns(self.x, lambda i: f"sample {i}", self.hard, self.soft)
+        for name, arr in (("x", x), (self.kind, obs)):
+            arr = np.array(arr, order="C")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def of(cls, samples: Sequence[AnnotatedSample]) -> "AnnotatedBatch":
+        """``samples`` itself if it is a batch, else its records stacked into one."""
+        if isinstance(samples, cls):
+            return samples
+        if not samples:
+            raise ValidationError("empty sample list")
+        kind, k = samples[0].kind, samples[0].annotators
+        if any(s.kind != kind for s in samples):
+            raise ValidationError("all samples must share one observation kind")
+        if any(s.annotators != k for s in samples):
+            raise ValidationError("all samples must have the same annotator count")
+        obs = [getattr(s, kind) for s in samples]
+        if kind == "soft" and len({len(rows[0]) for rows in obs}) > 1:
+            raise ValidationError("all samples must share one class count")
+        return cls(x=[s.x for s in samples], **{kind: obs})
+
+    @property
+    def kind(self) -> str:
+        return "hard" if self.hard is not None else "soft"
+
+    @property
+    def annotators(self) -> int:
+        return self._obs.shape[1]
+
+    @property
+    def _obs(self) -> np.ndarray:
+        return self.hard if self.hard is not None else self.soft
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __getitem__(self, i: int) -> AnnotatedSample:
+        return _record(float(self.x[i]), self.kind, self._obs[i].tolist())
+
+    def __iter__(self):
+        kind = self.kind
+        for x, obs in zip(self.x.tolist(), self._obs.tolist()):
+            yield _record(x, kind, obs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AnnotatedBatch):
+            return (
+                self.kind == other.kind
+                and np.array_equal(self.x, other.x)
+                and np.array_equal(self._obs, other._obs)
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -126,27 +274,15 @@ def _build_matrix(values: np.ndarray, n: int, kind: str) -> DisagreementMatrix:
     return DisagreementMatrix(n=n, k=k, values=values, eta_hat=eta_hat, argmax=argmax, kind=kind)
 
 
-def _stack_hard(samples: Sequence[AnnotatedSample]) -> np.ndarray:
-    if not samples:
-        raise ValidationError("empty sample list")
-    if any(s.kind != "hard" for s in samples):
-        raise ValidationError("all samples must carry hard labels")
-    k = samples[0].annotators
-    if any(s.annotators != k for s in samples):
-        raise ValidationError("all samples must have the same annotator count")
-    return np.asarray([s.hard for s in samples], dtype=np.int64)
-
-
 def disagreement_hard_from_labels(labels: np.ndarray) -> DisagreementMatrix:
     """Disagreement matrix from an (n, k) integer label array.
 
     Agreement counts come from per-class indicator Grams, so the cost is
     O(C k^2 n) in BLAS rather than a Python pair loop; the experiment
-    harness feeds replication sweeps through this entry point.
+    harness feeds replication sweeps through this entry point.  Labels of
+    another dtype (float, bool) or negative labels raise ``ValidationError``.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 2 or labels.shape[0] < 1 or labels.shape[1] < 1:
-        raise ValidationError(f"labels must be a non-empty (n, k) array, got {labels.shape}")
+    labels = _check_hard(labels, where=lambda i: f"row {i}")
     n, k = labels.shape
     agree = np.zeros((k, k))
     for c in np.unique(labels):
@@ -181,20 +317,18 @@ def empirical_disagreement_hard(samples: Sequence[AnnotatedSample]) -> Disagreem
     the independent-coupling disagreement, an upper bound on the TV (the
     conservative direction).
     """
-    return disagreement_hard_from_labels(_stack_hard(samples))
+    batch = AnnotatedBatch.of(samples)
+    if batch.kind != "hard":
+        raise ValidationError("all samples must carry hard labels")
+    return disagreement_hard_from_labels(batch.hard)
 
 
 def empirical_disagreement_soft(samples: Sequence[AnnotatedSample]) -> DisagreementMatrix:
     """Mean half-L1 distance between annotator belief vectors, per pair."""
-    if not samples:
-        raise ValidationError("empty sample list")
-    if any(s.kind != "soft" for s in samples):
+    batch = AnnotatedBatch.of(samples)
+    if batch.kind != "soft":
         raise ValidationError("all samples must carry soft labels")
-    k = samples[0].annotators
-    c = len(samples[0].soft[0])
-    if any(s.annotators != k or len(s.soft[0]) != c for s in samples):
-        raise ValidationError("all samples must share annotator and class counts")
-    return disagreement_soft_from_probs(np.asarray([s.soft for s in samples], dtype=float))
+    return disagreement_soft_from_probs(batch.soft)
 
 
 def noisy_closed_form(epsilons: Sequence[float]) -> tuple[float, float]:
@@ -321,62 +455,82 @@ def certificate(
 
 
 def write_annotations(path, samples: Sequence[AnnotatedSample]) -> None:
-    """Write samples in the delimited annotation format (bit-exact floats)."""
+    """Write samples in the delimited annotation format (bit-exact floats).
+
+    ``samples`` is a batch or a list of records.  Each column is formatted
+    whole: floats with ``repr``, class indices through a string table of
+    the classes present.
+    """
     if not samples:
         raise ValidationError("refusing to write an empty annotation file")
-    kind = samples[0].kind
-    k = samples[0].annotators
-    if kind == "hard":
-        classes = max(max(s.hard) for s in samples) + 1
+    batch = AnnotatedBatch.of(samples)
+    if batch.kind == "hard":
+        present, index = np.unique(batch.hard, return_inverse=True)
+        classes = int(present[-1]) + 1
+        names = np.array([str(c) for c in present.tolist()], dtype=object)
+        columns = names[index.reshape(batch.hard.shape).T].tolist()
     else:
-        classes = len(samples[0].soft[0])
-    lines = [f"# kind={kind} classes={classes} annotators={k}"]
-    for s in samples:
-        if s.kind != kind or s.annotators != k:
-            raise ValidationError("all samples must share kind and annotator count")
-        if kind == "hard":
-            lines.append(",".join([repr(s.x), *(str(v) for v in s.hard)]))
-        else:
-            flat = [repr(p) for row in s.soft for p in row]
-            lines.append(",".join([repr(s.x), *flat]))
-    Path(path).write_text("\n".join(lines) + "\n")
+        classes = batch.soft.shape[2]
+        columns = [list(map(repr, col)) for col in batch.soft.reshape(len(batch), -1).T.tolist()]
+    header = f"# kind={batch.kind} classes={classes} annotators={batch.annotators}"
+    rows = map(",".join, zip(map(repr, batch.x.tolist()), *columns))
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
-def read_annotations(path) -> list[AnnotatedSample]:
-    """Parse an annotation file; the header declares kind, classes, annotators."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+def _bad_line(body: list[str], dtype: np.dtype, where: Callable[[int], str], exc: ValueError) -> str:
+    # only after the whole body failed to parse: re-read it one line at a time
+    width = 1 + math.prod(dtype[1].shape)
+    for row, line in enumerate(body):
+        cells = line.count(",") + 1
+        if cells != width:
+            return f"{where(row)}: expected {width} cells, got {cells}: {line!r}"
+        try:
+            np.loadtxt([line], delimiter=",", dtype=dtype, comments=None)
+        except ValueError:
+            return f"{where(row)}: malformed {dtype.names[1]} annotation row {line!r}"
+    return f"malformed annotation body: {exc}"
+
+
+def read_annotations(path) -> AnnotatedBatch:
+    """Parse an annotation file; the header declares kind, classes, annotators.
+
+    The body is parsed in one pass into the columns of a batch.  Blank
+    lines are skipped; a malformed file raises ``ValidationError`` naming
+    the first bad line (1-based, as an editor counts them).
+    """
+    lines = Path(path).read_text().splitlines()
+    numbered = [i for i, line in enumerate(lines) if line.strip()]
+    if not numbered or not lines[numbered[0]].startswith("#"):
         raise ValidationError("annotation file must start with a '# kind=... ' header")
-    fields = dict(
-        part.split("=", 1) for part in lines[0].lstrip("#").split() if "=" in part
-    )
+    header = lines[numbered[0]]
+    fields = dict(part.split("=", 1) for part in header.lstrip("#").split() if "=" in part)
     try:
         kind = fields["kind"]
         classes = int(fields["classes"])
         k = int(fields["annotators"])
     except (KeyError, ValueError) as exc:
-        raise ValidationError(f"malformed annotation header: {lines[0]!r}") from exc
+        raise ValidationError(f"malformed annotation header: {header!r}") from exc
     if kind not in ("hard", "soft"):
         raise ValidationError(f"unknown annotation kind {kind!r}")
-    samples = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if kind == "hard":
-            if len(cells) != 1 + k:
-                raise ValidationError(f"expected {1 + k} cells, got {len(cells)}: {ln!r}")
-            labels = tuple(int(c) for c in cells[1:])
-            if any(not 0 <= v < classes for v in labels):
-                raise ValidationError(f"label outside [0, {classes}): {ln!r}")
-            samples.append(AnnotatedSample(x=float(cells[0]), hard=labels))
-        else:
-            if len(cells) != 1 + k * classes:
-                raise ValidationError(f"expected {1 + k * classes} cells, got {len(cells)}: {ln!r}")
-            vals = [float(c) for c in cells[1:]]
-            rows = tuple(
-                tuple(vals[a * classes : (a + 1) * classes]) for a in range(k)
-            )
-            samples.append(AnnotatedSample(x=float(cells[0]), soft=rows))
-    if not samples:
-        raise ValidationError("annotation file contains no samples")
-    return samples
+    if classes < 1 or k < 1:
+        raise ValidationError(f"malformed annotation header: {header!r}")
+    body = [lines[i] for i in numbered[1:]]
+    if not body:
+        raise ValidationError(f"annotation file contains no samples after its header on line {numbered[0] + 1}")
+
+    def where(row: int) -> str:
+        return f"line {numbered[row + 1] + 1}"
+
+    shape = (k,) if kind == "hard" else (k, classes)
+    dtype = np.dtype([("x", float), (kind, np.int64 if kind == "hard" else float, shape)])
+    try:
+        table = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValidationError(_bad_line(body, dtype, where, exc)) from None
+    if kind == "hard":
+        outside = ((table[kind] < 0) | (table[kind] >= classes)).any(axis=1)
+        if outside.any():
+            row = _first(outside)
+            raise ValidationError(f"{where(row)}: label outside [0, {classes}): {body[row]!r}")
+    x, obs = _check_columns(table["x"], where, **{kind: table[kind]})
+    return AnnotatedBatch(x, **{kind: obs})

@@ -540,14 +540,13 @@ def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[list[dict], d
     if not path:
         raise ConfigError("certificate experiment needs params.annotations = <file path>")
     try:
-        samples = read_annotations(path)
+        batch = read_annotations(path)
     except OSError as exc:
         raise ConfigError(f"cannot read annotations file {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed annotations file {path!r}: {exc}") from exc
-    kind = samples[0].kind
     matrix = (
-        empirical_disagreement_hard(samples) if kind == "hard" else empirical_disagreement_soft(samples)
+        empirical_disagreement_hard(batch) if batch.kind == "hard" else empirical_disagreement_soft(batch)
     )
     regime = p["regime"]
     cert = certificate(matrix, delta=config.delta, regime=regime)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from credal.estimation import AnnotatedSample
+from credal.estimation import AnnotatedBatch
 from credal.measures import (
     Environment,
     Gaussian,
@@ -46,7 +46,9 @@ def _draw_hard_labels(labeler: Labeler, xs: np.ndarray, rng: np.random.Generator
     if labeler.is_deterministic:
         return labeler.labels(xs)
     probs = labeler.prob_matrix(xs)
-    cdf = np.cumsum(probs, axis=1)
+    # the last class takes every u above the other classes' cumulative mass,
+    # also on rows that sum to just under 1 (within the labelers' simplex tolerance)
+    cdf = np.cumsum(probs[:, :-1], axis=1)
     u = rng.random(xs.shape[0])
     return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
@@ -60,7 +62,7 @@ def sample_hard_arrays(
     """Array form of hard annotation sampling: (covariates (n,), labels (n, k)).
 
     The experiment harness uses this directly for bulk replication sweeps;
-    :func:`sample_annotated` wraps it in per-sample records.
+    :func:`sample_annotated` wraps the same arrays in an ``AnnotatedBatch``.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
@@ -97,7 +99,7 @@ def sample_annotated(
     n: int,
     kind: str,
     seed: GenSeed,
-) -> list[AnnotatedSample]:
+) -> AnnotatedBatch:
     """Draw n i.i.d. covariates and one observation per labeler for each.
 
     Hard labels are drawn independently per annotator given the covariate
@@ -105,23 +107,19 @@ def sample_annotated(
     observations record each labeler's belief vector exactly.  Soft mode
     rejects symmetric-noise annotators, whose belief about the latent truth
     is not what the noisy channel emits.
+
+    The draws are :func:`sample_hard_arrays` or :func:`sample_soft_arrays`
+    with the same seed, returned as the columns of one validated,
+    read-only :class:`~credal.estimation.AnnotatedBatch` (a sequence of
+    ``AnnotatedSample`` records); no per-sample objects are built.
     """
     if kind not in ("hard", "soft"):
         raise ValidationError(f"kind must be 'hard' or 'soft', got {kind!r}")
     if kind == "hard":
         xs, labels = sample_hard_arrays(env, labelers, n, seed)
-        return [
-            AnnotatedSample(x=float(xs[i]), hard=tuple(int(v) for v in labels[i]))
-            for i in range(n)
-        ]
+        return AnnotatedBatch(xs, hard=labels)
     xs, probs = sample_soft_arrays(env, labelers, n, seed)
-    return [
-        AnnotatedSample(
-            x=float(xs[i]),
-            soft=tuple(tuple(float(p) for p in row) for row in probs[i]),
-        )
-        for i in range(n)
-    ]
+    return AnnotatedBatch(xs, soft=probs)
 
 
 def sample_mixture(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from credal.estimation import (
+    AnnotatedBatch,
     AnnotatedSample,
     Certificate,
     DisagreementMatrix,
@@ -46,6 +47,79 @@ class TestAnnotatedSample:
         assert soft(0.0, [(0.5, 0.5)]).kind == "soft"
 
 
+class TestAnnotatedBatch:
+    def test_sequence_of_records(self):
+        batch = AnnotatedBatch(np.asarray([0.5, -1.0]), hard=np.asarray([[0, 1], [2, 2]]))
+        assert len(batch) == 2 and batch.kind == "hard" and batch.annotators == 2
+        assert batch[1] == hard(-1.0, [2, 2]) and batch[-2] == hard(0.5, [0, 1])
+        assert list(batch) == [hard(0.5, [0, 1]), hard(-1.0, [2, 2])]
+        assert batch == [hard(0.5, [0, 1]), hard(-1.0, [2, 2])]
+        assert batch != [hard(0.5, [0, 1])]
+        assert batch.hard.dtype == np.int64
+        with pytest.raises(IndexError):
+            batch[2]
+
+    def test_of_stacks_records_and_keeps_batches(self):
+        samples = [soft(0.1, [(0.25, 0.75), (1.0, 0.0)]), soft(0.2, [(0.5, 0.5), (0.0, 1.0)])]
+        batch = AnnotatedBatch.of(samples)
+        assert batch.soft.shape == (2, 2, 2) and batch == samples
+        assert AnnotatedBatch.of(batch) is batch
+        with pytest.raises(ValidationError):
+            AnnotatedBatch.of([hard(0, [0, 1]), soft(1, [(1, 0), (0, 1)])])
+        with pytest.raises(ValidationError):
+            AnnotatedBatch.of([hard(0, [0, 1]), hard(1, [0, 1, 1])])
+        with pytest.raises(ValidationError):
+            AnnotatedBatch.of([])
+
+    def test_arrays_are_read_only(self):
+        labels = np.asarray([[0, 1], [1, 1]])
+        batch = AnnotatedBatch(np.asarray([0.0, 1.0]), hard=labels)
+        for arr in (batch.x, batch.hard):
+            with pytest.raises(ValueError):
+                arr[0] = 3
+        labels[0, 0] = 7  # the batch holds its own copy
+        assert batch.hard[0, 0] == 0
+        probs = AnnotatedBatch(np.asarray([0.0]), soft=np.asarray([[[0.5, 0.5]]])).soft
+        with pytest.raises(ValueError):
+            probs[0, 0, 0] = 1.0
+
+    def test_record_rules_apply_and_name_the_sample(self):
+        x = np.asarray([0.0, 1.0, 2.0])
+        with pytest.raises(ValidationError, match="exactly one"):
+            AnnotatedBatch(x)
+        with pytest.raises(ValidationError, match="exactly one"):
+            AnnotatedBatch(x, hard=np.zeros((3, 1), int), soft=np.ones((3, 1, 1)))
+        with pytest.raises(ValidationError, match="sample 1: x must be finite"):
+            AnnotatedBatch(np.asarray([0.0, np.nan, 2.0]), hard=np.zeros((3, 2), int))
+        with pytest.raises(ValidationError, match="at least one annotator"):
+            AnnotatedBatch(x, hard=np.zeros((3, 0), int))
+        with pytest.raises(ValidationError, match="sample 2: hard labels must be non-negative"):
+            AnnotatedBatch(x, hard=np.asarray([[0], [1], [-1]]))
+        with pytest.raises(ValidationError, match="integer class indices"):
+            AnnotatedBatch(x, hard=np.zeros((3, 2)))
+        probs = np.full((3, 2, 2), 0.5)
+        probs[2, 1] = (0.7, 0.4)
+        with pytest.raises(ValidationError, match="sample 2: soft vector off the simplex"):
+            AnnotatedBatch(x, soft=probs)
+        probs[2, 1] = (np.nan, 0.5)
+        with pytest.raises(ValidationError, match="off the simplex"):
+            AnnotatedBatch(x, soft=probs)
+        with pytest.raises(ValidationError, match="shape"):
+            AnnotatedBatch(x[:2], hard=np.zeros((3, 2), int))
+
+    def test_records_follow_the_same_rules(self):
+        with pytest.raises(ValidationError, match="x must be finite"):
+            hard(math.inf, [0])
+        with pytest.raises(ValidationError, match="at least one annotator"):
+            hard(0.0, [])
+        with pytest.raises(ValidationError, match="at least one annotator"):
+            soft(0.0, [])
+        with pytest.raises(ValidationError, match="non-negative"):
+            hard(0.0, [0, -1])
+        with pytest.raises(ValidationError, match="one class count"):
+            soft(0.0, [(1.0, 0.0), (1.0,)])
+
+
 class TestHardDisagreement:
     def test_all_agree(self):
         m = empirical_disagreement_hard([hard(0, [1, 1, 1]), hard(1, [0, 0, 0])])
@@ -78,6 +152,23 @@ class TestHardDisagreement:
         assert np.allclose(m.values, m.values.T)
         assert np.all(np.diag(m.values) == 0)
         assert np.all((m.values >= 0) & (m.values <= 1))
+
+    def test_labels_must_be_class_indices(self):
+        for labels in (
+            np.asarray([[0.5, 1.5], [0.5, 0.5]]),
+            np.asarray([[True, False], [True, True]]),
+            np.asarray([[-1, 1], [-1, -1]]),
+        ):
+            with pytest.raises(ValidationError):
+                disagreement_hard_from_labels(labels)
+        m = disagreement_hard_from_labels(np.asarray([[0, 1], [1, 1]], dtype=np.uint8))
+        assert m.values[0, 1] == 0.5
+
+    def test_list_of_records_and_batch_agree(self):
+        samples = [hard(0.0, [0, 1, 2]), hard(1.0, [1, 1, 2]), hard(2.0, [0, 0, 0])]
+        a = empirical_disagreement_hard(samples)
+        b = empirical_disagreement_hard(AnnotatedBatch.of(samples))
+        assert np.array_equal(a.values, b.values) and a.argmax == b.argmax
 
     def test_argmax_lexicographic_tie(self):
         # pairs (0,1) and (0,2) tie; lexicographic keeps (0,1)
@@ -112,6 +203,18 @@ class TestSoftDisagreement:
     def test_single_sample_half_l1(self):
         m = empirical_disagreement_soft([soft(0, [(0.9, 0.1), (0.6, 0.4)])])
         assert m.values[0, 1] == pytest.approx(0.3)
+
+    def test_list_input_and_stacking_checks(self):
+        samples = [soft(0, [(0.9, 0.1), (0.6, 0.4)]), soft(1, [(0.5, 0.5), (0.5, 0.5)])]
+        assert empirical_disagreement_soft(samples).values[0, 1] == pytest.approx(0.15)
+        with pytest.raises(ValidationError):
+            empirical_disagreement_soft([*samples, hard(2, [0, 1])])
+        with pytest.raises(ValidationError):
+            empirical_disagreement_soft([*samples, soft(2, [(1.0, 0.0)] * 3)])
+        with pytest.raises(ValidationError):
+            empirical_disagreement_soft([*samples, soft(2, [(1.0, 0.0, 0.0)] * 2)])
+        with pytest.raises(ValidationError):
+            empirical_disagreement_soft([])
 
     def test_unbiased_against_population(self):
         # soft estimator averages the exact pointwise TV, so its expectation
@@ -320,4 +423,93 @@ class TestAnnotationIO:
         path = tmp_path / "short_row.csv"
         path.write_text("# kind=hard classes=2 annotators=2\n0.0,1\n")
         with pytest.raises(ValidationError):
+            read_annotations(path)
+
+
+def _hard_file(x, labels, classes):
+    # an independent line-by-line formatter of the hard annotation format
+    lines = [f"# kind=hard classes={classes} annotators={len(labels[0])}"]
+    lines += [",".join([repr(float(v)), *(str(int(a)) for a in row)]) for v, row in zip(x, labels)]
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnarAnnotationIO:
+    # doubles whose repr round trip is easy to get wrong
+    EDGE = [5e-324, -0.0, 0.0, 1.7976931348623157e308, -2.2250738585072014e-308, 1e-17, 0.1, -1 / 3]
+
+    def test_large_hard_batch_bytes_and_round_trip(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 100_000
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n)
+        x[: len(self.EDGE)] = self.EDGE
+        labels = rng.integers(0, 3, size=(n, 5))
+        batch = AnnotatedBatch(x, hard=labels)
+        path = tmp_path / "big.csv"
+        write_annotations(path, batch)
+        assert path.read_text() == _hard_file(x, labels, 3)
+        back = read_annotations(path)
+        assert isinstance(back, AnnotatedBatch)
+        assert back.x.tobytes() == x.tobytes()
+        assert np.array_equal(back.hard, labels) and back == batch
+
+    def test_soft_batch_round_trip(self, tmp_path):
+        rng = np.random.default_rng(9)
+        x = np.asarray(self.EDGE + rng.normal(size=200).tolist())
+        p = rng.random((x.size, 3))
+        probs = np.stack([p / p.sum(axis=1, keepdims=True), np.full((x.size, 3), 1 / 3)], axis=1)
+        batch = AnnotatedBatch(x, soft=probs)
+        path = tmp_path / "soft.csv"
+        write_annotations(path, batch)
+        want = [f"# kind=soft classes=3 annotators=2"]
+        want += [",".join(map(repr, [v, *row.ravel().tolist()])) for v, row in zip(x.tolist(), probs)]
+        assert path.read_text() == "\n".join(want) + "\n"
+        back = read_annotations(path)
+        assert back.x.tobytes() == x.tobytes() and back.soft.tobytes() == probs.tobytes()
+
+    def test_list_of_records_writes_the_same_bytes(self, tmp_path):
+        samples = [hard(0.25, [0, 1]), hard(-3.5, [1, 1])]
+        write_annotations(tmp_path / "list.csv", samples)
+        write_annotations(tmp_path / "batch.csv", AnnotatedBatch.of(samples))
+        assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
+        with pytest.raises(ValidationError):
+            write_annotations(tmp_path / "mixed.csv", [*samples, soft(0.0, [(1.0, 0.0), (0.0, 1.0)])])
+        with pytest.raises(ValidationError):
+            write_annotations(tmp_path / "ragged.csv", [*samples, hard(0.0, [0, 1, 1])])
+
+    def test_sparse_large_labels(self, tmp_path):
+        # the label strings come from the classes present, not from range(classes)
+        samples = [hard(0.5, [0, 10**12]), hard(1.5, [10**12, 3])]
+        path = tmp_path / "sparse.csv"
+        write_annotations(path, samples)
+        assert path.read_text() == _hard_file([0.5, 1.5], [[0, 10**12], [10**12, 3]], 10**12 + 1)
+        assert read_annotations(path) == samples
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0.5,0,1\n0.25,1.5,1\n", 3),  # a non-integer label
+            ("0.5,0,1\n\n0.25,1,2\n", 4),  # a label >= classes, after a blank line
+            ("0.5,0,1\n0.25,-1,0\n", 3),  # a negative label
+            ("0.5,0,1\nnan,1,0\n0.1,0,0\n", 3),  # a nan covariate
+            ("0.5,0,1\n0.25,1\n0.1,0,0\n", 3),  # a short row in the middle
+            ("0.5,0,1\n0.25,1,0,1\n", 3),  # a long row
+            ("0.5,0,1\nzero,1,0\n", 3),  # an unparsable covariate
+        ],
+    )
+    def test_malformed_body_names_the_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("# kind=hard classes=2 annotators=2\n" + body)
+        with pytest.raises(ValidationError, match=rf"line {line}\b"):
+            read_annotations(path)
+
+    def test_soft_file_off_simplex_names_the_line(self, tmp_path):
+        path = tmp_path / "bad_soft.csv"
+        path.write_text("# kind=soft classes=2 annotators=1\n0.0,0.5,0.5\n1.0,0.7,0.4\n")
+        with pytest.raises(ValidationError, match=r"line 3\b.*simplex"):
+            read_annotations(path)
+
+    def test_header_only_file_names_the_header_line(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n# kind=hard classes=2 annotators=2\n\n")
+        with pytest.raises(ValidationError, match=r"line 2\b"):
             read_annotations(path)

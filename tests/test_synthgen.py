@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 from credal.estimation import (
+    AnnotatedBatch,
+    AnnotatedSample,
     disagreement_hard_from_labels,
     empirical_disagreement_hard,
 )
@@ -14,6 +16,7 @@ from credal.measures import (
     Interval,
     Sigmoid,
     SymmetricNoise,
+    Tabular,
     Threshold,
     ValidationError,
     expected_conditional_tv,
@@ -21,12 +24,14 @@ from credal.measures import (
 from credal.sets import CredalSpec, diameter_bounds
 from credal.synthgen import (
     GenSeed,
+    _draw_hard_labels,
     block_mechanisms,
     interval_mechanisms,
     minimax_instance,
     sample_annotated,
     sample_hard_arrays,
     sample_mixture,
+    sample_soft_arrays,
 )
 from credal.dro import ThresholdClassifier, world_risks
 
@@ -102,6 +107,74 @@ class TestSampleAnnotated:
         for flips, eps in ((flip1, e1), (flip2, e2)):
             se = math.sqrt(eps * (1 - eps) / labels.shape[0])
             assert abs(float(np.mean(flips)) - eps) <= 3 * se
+
+
+class TestColumnarSampling:
+    def test_hard_batch_equals_records_of_the_arrays(self):
+        env = Gaussian(0.3, 1.7)
+        labs = [Threshold(-0.5), Sigmoid(2.0, 0.1), SymmetricNoise(Threshold(0.4), 0.2)]
+        seed = GenSeed(11).derive(2)
+        batch = sample_annotated(env, labs, 3_000, "hard", seed)
+        xs, labels = sample_hard_arrays(env, labs, 3_000, seed)
+        assert isinstance(batch, AnnotatedBatch)
+        want = [AnnotatedSample(x=float(x), hard=tuple(int(v) for v in row)) for x, row in zip(xs, labels)]
+        assert list(batch) == want
+        assert np.asarray([s.x for s in batch]).tobytes() == xs.tobytes()
+        assert batch.hard.dtype == np.int64 and np.array_equal(batch.hard, labels)
+
+    def test_soft_batch_equals_the_arrays(self):
+        env = Gaussian(0, 1)
+        labs = [Sigmoid(1.0, -0.3), Sigmoid(2.0, 0.7)]
+        batch = sample_annotated(env, labs, 500, "soft", GenSeed(12))
+        xs, probs = sample_soft_arrays(env, labs, 500, GenSeed(12))
+        assert batch.x.tobytes() == xs.tobytes() and batch.soft.tobytes() == probs.tobytes()
+        assert batch[3] == AnnotatedSample(x=float(xs[3]), soft=tuple(map(tuple, probs[3].tolist())))
+
+
+class _TopRng:
+    """A generator whose uniform draws sit just below 1; its other draws are real."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def random(self, size):
+        return np.full(size, 1.0 - 1e-13)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class _TopSeed:
+    def generator(self):
+        return _TopRng()
+
+
+class TestHardLabelRange:
+    # a row within the simplex tolerance but summing to just under 1
+    SHORT = Tabular((0.0,), ((0.4999999999996, 0.5),))
+
+    def test_draw_stays_below_class_count(self):
+        labels = _draw_hard_labels(self.SHORT, np.zeros(4), _TopRng())
+        assert labels.tolist() == [1, 1, 1, 1]
+
+    def test_samplers_stay_in_class_range(self):
+        env = DiscreteGrid((0.0,), (1.0,))
+        _, labels = sample_hard_arrays(env, [self.SHORT, self.SHORT], 50, _TopSeed())
+        assert labels.min() >= 0 and labels.max() < 2
+        pairs = sample_mixture(CredalSpec((env,), (self.SHORT,)), [1.0], 50, _TopSeed())
+        assert all(0 <= y < 2 for _, y in pairs)
+
+    def test_full_rows_draw_as_before(self):
+        # the last class's comparison only ever counted draws above a full row
+        env = Gaussian(0, 1)
+        labs = [Sigmoid(1.5, 0.2), SymmetricNoise(Threshold(0.0), 0.3)]
+        _, labels = sample_hard_arrays(env, labs, 20_000, GenSeed(14))
+        rng = GenSeed(14).generator()
+        xs = env.sample(rng, 20_000)
+        for j, lab in enumerate(labs):
+            u = rng.random(20_000)
+            cdf = np.cumsum(lab.prob_matrix(xs), axis=1)
+            assert np.array_equal(labels[:, j], (u[:, None] > cdf).sum(axis=1))
 
 
 class TestSampleMixture:
