@@ -14,7 +14,9 @@ of shape (n,) and either ``hard`` (n, k) int64 class indices or ``soft``
 batch is also a sequence of :class:`AnnotatedSample` records, so code
 that indexes, iterates or compares records keeps working; sampling, the
 annotation file and the estimators pass columns and build no per-row
-objects.  A record and a batch apply the same rules (one helper).
+objects.  A record checks its row with scalar code, and a batch checks
+its columns in numpy and hands the first bad row to that scalar code, so
+both accept the same rows and raise the same errors.
 
 Annotation file format (shared with the experiment harness)
 ------------------------------------------------------------
@@ -28,6 +30,8 @@ annotator simplex vectors for soft labels.  Floats are written with
 from __future__ import annotations
 
 import math
+import operator
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,63 +57,83 @@ def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
-def _check_hard(labels, where: Callable[[int], str]) -> np.ndarray:
-    """An (n, k) array of non-negative integer class indices, as int64.
+def _kind(hard, soft) -> str:
+    if (hard is None) == (soft is None):
+        raise ValidationError("exactly one of hard/soft must be provided")
+    return "hard" if hard is not None else "soft"
 
-    ``where(i)`` names row ``i`` in the error message.
+
+def _check_row(where: str, x, hard=None, soft=None) -> tuple:
+    """The observation rules for one sample; returns ``(hard, soft)`` as tuples.
+
+    Exactly one of ``hard``/``soft``, a finite covariate, at least one
+    annotator, non-negative integer class indices, and simplex vectors of
+    one class count within ``SOFT_SIMPLEX_TOL`` (summed left to right).
+    :func:`_check_columns` flags rows by the same rules in numpy and passes
+    the first flagged row here, so a record and a batch raise alike.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 2 or labels.shape[0] < 1:
-        raise ValidationError(f"labels must be a non-empty (n, k) array, got shape {labels.shape}")
-    if labels.shape[1] < 1:
+    kind = _kind(hard, soft)
+    if not math.isfinite(x):
+        raise ValidationError(f"{where}: x must be finite, got {x!r}")
+    obs = tuple(hard if kind == "hard" else soft)
+    if not obs:
         raise ValidationError("need at least one annotator")
-    if labels.dtype.kind not in "iu":
-        raise ValidationError(f"hard labels must be integer class indices, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64, copy=False)
-    negative = (labels < 0).any(axis=1)
-    if negative.any():
-        i = _first(negative)
-        raise ValidationError(
-            f"{where(i)}: hard labels must be non-negative class indices, got {labels[i].tolist()}"
-        )
-    return labels
-
-
-def _check_soft(probs, where: Callable[[int], str]) -> np.ndarray:
-    """An (n, k, C) float array whose every (i, j) vector lies on the simplex."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape[1:2] == (0,):  # a record without annotators stacks to shape (1, 0)
-        raise ValidationError("need at least one annotator")
-    if probs.ndim != 3 or probs.shape[0] < 1:
-        raise ValidationError(f"soft beliefs must be a non-empty (n, k, C) array, got shape {probs.shape}")
-    # written so that a NaN entry or sum is off the simplex too
-    off = (probs < -SOFT_SIMPLEX_TOL).any(axis=2) | ~(np.abs(probs.sum(axis=2) - 1.0) <= SOFT_SIMPLEX_TOL)
-    if off.any():
-        i, j = np.argwhere(off)[0]
-        raise ValidationError(
-            f"{where(int(i))}: soft vector off the simplex beyond {SOFT_SIMPLEX_TOL}: "
-            f"{tuple(probs[i, j].tolist())!r}"
-        )
-    return probs
+    if kind == "hard":
+        try:
+            labels = tuple(map(operator.index, obs))
+        except TypeError:
+            labels = None
+        if labels is None or bool in map(type, obs):
+            raise ValidationError(f"{where}: hard labels must be integer class indices, got {obs!r}")
+        if min(labels) < 0:
+            raise ValidationError(f"{where}: hard labels must be non-negative class indices, got {labels!r}")
+        return labels, None
+    rows = tuple(tuple(map(float, row)) for row in obs)
+    if len(set(map(len, rows))) > 1:
+        raise ValidationError("soft vectors must share one class count")
+    for row in rows:
+        total = 0.0
+        for p in row:
+            total += p
+        # written so that a NaN entry or sum is off the simplex too
+        if any(p < -SOFT_SIMPLEX_TOL for p in row) or not abs(total - 1.0) <= SOFT_SIMPLEX_TOL:
+            raise ValidationError(f"{where}: soft vector off the simplex beyond {SOFT_SIMPLEX_TOL}: {row!r}")
+    return None, rows
 
 
 def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tuple[np.ndarray, np.ndarray]:
-    """The observation rules of records and batches, vectorised over rows.
+    """:func:`_check_row` over whole columns; returns ``(x, observations)`` as arrays.
 
-    Exactly one of ``hard``/``soft``, at least one annotator, finite
-    covariates, non-negative integer class indices, simplex vectors within
-    ``SOFT_SIMPLEX_TOL``.  Returns ``(x, observations)`` as arrays.
+    ``hard`` must be an (n, k) integer array and ``soft`` an (n, k, C)
+    array.  The row rules are evaluated in numpy, and the first row they
+    flag goes through ``_check_row``, which raises naming it ``where(i)``.
     """
-    if (hard is None) == (soft is None):
-        raise ValidationError("exactly one of hard/soft must be provided")
-    obs = _check_hard(hard, where) if hard is not None else _check_soft(soft, where)
+    kind = _kind(hard, soft)
+    obs = np.asarray(hard) if kind == "hard" else np.asarray(soft, dtype=float)
+    ndim = 2 if kind == "hard" else 3
+    if obs.ndim != ndim or obs.shape[0] < 1:
+        raise ValidationError(f"{kind} observations must be a non-empty {ndim}-d array, got shape {obs.shape}")
+    if obs.shape[1] < 1:
+        raise ValidationError("need at least one annotator")
+    if kind == "hard":
+        if obs.dtype.kind not in "iu":
+            raise ValidationError(f"hard labels must be integer class indices, got dtype {obs.dtype}")
+        obs = obs.astype(np.int64, copy=False)
+        bad = (obs < 0).any(axis=1)
+    else:
+        total = np.zeros(obs.shape[:2])
+        for c in range(obs.shape[2]):
+            total += obs[:, :, c]  # left to right, as _check_row sums
+        off = (obs < -SOFT_SIMPLEX_TOL).any(axis=2) | ~(np.abs(total - 1.0) <= SOFT_SIMPLEX_TOL)
+        bad = off.any(axis=1)
     x = np.asarray(x, dtype=float)
     if x.shape != obs.shape[:1]:
         raise ValidationError(f"x must have shape ({obs.shape[0]},), got {x.shape}")
-    infinite = ~np.isfinite(x)
-    if infinite.any():
-        i = _first(infinite)
-        raise ValidationError(f"{where(i)}: x must be finite, got {float(x[i])!r}")
+    bad |= ~np.isfinite(x)
+    if bad.any():
+        i = _first(bad)
+        _check_row(where(i), x[i].item(), **{kind: obs[i].tolist()})
+        raise AssertionError(f"{where(i)} breaks a column rule that _check_row lacks")
     return x, obs
 
 
@@ -126,19 +150,7 @@ class AnnotatedSample:
     soft: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self) -> None:
-        hard = soft = None
-        if self.hard is not None:
-            hard = tuple(int(v) for v in self.hard)
-        if self.soft is not None:
-            soft = tuple(tuple(float(p) for p in row) for row in self.soft)
-            if len({len(row) for row in soft}) > 1:
-                raise ValidationError("soft vectors must share one class count")
-        _check_columns(
-            [self.x],
-            lambda i: "sample",
-            hard=None if hard is None else np.asarray([hard], dtype=np.int64),
-            soft=None if soft is None else np.asarray([soft], dtype=float),
-        )
+        hard, soft = _check_row("sample", self.x, self.hard, self.soft)
         object.__setattr__(self, "hard", hard)
         object.__setattr__(self, "soft", soft)
 
@@ -151,23 +163,15 @@ class AnnotatedSample:
         return len(self.hard) if self.hard is not None else len(self.soft)
 
 
-def _record(x: float, kind: str, obs: list) -> AnnotatedSample:
-    # a record of checked batch columns: the rules already hold, so skip them
-    rec = object.__new__(AnnotatedSample)
-    object.__setattr__(rec, "x", x)
-    object.__setattr__(rec, "hard", tuple(obs) if kind == "hard" else None)
-    object.__setattr__(rec, "soft", tuple(map(tuple, obs)) if kind == "soft" else None)
-    return rec
-
-
 @dataclass(frozen=True, eq=False)
 class AnnotatedBatch(Sequence):
     """Columns of n annotated samples, validated once and read-only.
 
     ``x`` has shape (n,); exactly one of ``hard`` ((n, k) int64 class
     indices) or ``soft`` ((n, k, C) simplex vectors) is set.  As a
-    sequence it yields :class:`AnnotatedSample` records, and it equals any
-    sequence of records element by element.
+    sequence it yields :class:`AnnotatedSample` records, a slice is a batch
+    of the sliced rows, and it equals any sequence of records element by
+    element.
     """
 
     x: np.ndarray
@@ -213,13 +217,17 @@ class AnnotatedBatch(Sequence):
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, i: int) -> AnnotatedSample:
-        return _record(float(self.x[i]), self.kind, self._obs[i].tolist())
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            # a batch holds at least one sample, so an empty slice is an empty list
+            rows = range(len(self))[i]
+            return AnnotatedBatch(self.x[i], **{self.kind: self._obs[i]}) if rows else []
+        return AnnotatedSample(x=float(self.x[i]), **{self.kind: self._obs[i].tolist()})
 
     def __iter__(self):
         kind = self.kind
         for x, obs in zip(self.x.tolist(), self._obs.tolist()):
-            yield _record(x, kind, obs)
+            yield AnnotatedSample(x=x, **{kind: obs})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, AnnotatedBatch):
@@ -282,7 +290,8 @@ def disagreement_hard_from_labels(labels: np.ndarray) -> DisagreementMatrix:
     harness feeds replication sweeps through this entry point.  Labels of
     another dtype (float, bool) or negative labels raise ``ValidationError``.
     """
-    labels = _check_hard(labels, where=lambda i: f"row {i}")
+    labels = np.asarray(labels)
+    _, labels = _check_columns(np.zeros(labels.shape[:1]), lambda i: f"row {i}", hard=labels)
     n, k = labels.shape
     agree = np.zeros((k, k))
     for c in np.unique(labels):
@@ -477,7 +486,7 @@ def write_annotations(path, samples: Sequence[AnnotatedSample]) -> None:
     Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
-def _bad_line(body: list[str], dtype: np.dtype, where: Callable[[int], str], exc: ValueError) -> str:
+def _bad_line(body: list[str], dtype: np.dtype, where: Callable[[int], str], exc: Exception) -> str:
     # only after the whole body failed to parse: re-read it one line at a time
     width = 1 + math.prod(dtype[1].shape)
     for row, line in enumerate(body):
@@ -486,7 +495,7 @@ def _bad_line(body: list[str], dtype: np.dtype, where: Callable[[int], str], exc
             return f"{where(row)}: expected {width} cells, got {cells}: {line!r}"
         try:
             np.loadtxt([line], delimiter=",", dtype=dtype, comments=None)
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             return f"{where(row)}: malformed {dtype.names[1]} annotation row {line!r}"
     return f"malformed annotation body: {exc}"
 
@@ -523,10 +532,13 @@ def read_annotations(path) -> AnnotatedBatch:
 
     shape = (k,) if kind == "hard" else (k, classes)
     dtype = np.dtype([("x", float), (kind, np.int64 if kind == "hard" else float, shape)])
-    try:
-        table = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=1)
-    except ValueError as exc:
-        raise ValidationError(_bad_line(body, dtype, where, exc)) from None
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 only warn when they truncate an integer cell such as "1.5"
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            table = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValidationError(_bad_line(body, dtype, where, exc)) from None
     if kind == "hard":
         outside = ((table[kind] < 0) | (table[kind] >= classes)).any(axis=1)
         if outside.any():

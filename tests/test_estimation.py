@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from credal.estimation import (
+    SOFT_SIMPLEX_TOL,
     AnnotatedBatch,
     AnnotatedSample,
     Certificate,
@@ -55,6 +57,7 @@ class TestAnnotatedBatch:
         assert list(batch) == [hard(0.5, [0, 1]), hard(-1.0, [2, 2])]
         assert batch == [hard(0.5, [0, 1]), hard(-1.0, [2, 2])]
         assert batch != [hard(0.5, [0, 1])]
+        assert isinstance(batch[1:], AnnotatedBatch) and batch[1:] == [hard(-1.0, [2, 2])] and batch[2:] == []
         assert batch.hard.dtype == np.int64
         with pytest.raises(IndexError):
             batch[2]
@@ -118,6 +121,37 @@ class TestAnnotatedBatch:
             hard(0.0, [0, -1])
         with pytest.raises(ValidationError, match="one class count"):
             soft(0.0, [(1.0, 0.0), (1.0,)])
+        for labels in ([0, 1.5], [True, 0], [np.float64(1.0)]):
+            with pytest.raises(ValidationError, match="integer class indices"):
+                hard(0.0, labels)
+        assert hard(0.0, [np.int64(2), 1]).hard == (2, 1)
+
+    @staticmethod
+    def _accepts(build) -> bool:
+        try:
+            build()
+        except ValidationError:
+            return False
+        return True
+
+    def test_records_and_batches_accept_the_same_rows(self):
+        for x, labels in [(0.0, [0, 3]), (math.nan, [0]), (-math.inf, [1]), (0.0, [2, -1])]:
+            assert self._accepts(lambda: hard(x, labels)) == self._accepts(
+                lambda: AnnotatedBatch(np.asarray([x]), hard=np.asarray([labels]))
+            )
+        # nine-class vectors one tolerance off the simplex: numpy's pairwise
+        # sum and a left-to-right sum put about one in six on different sides
+        rng = np.random.default_rng(5)
+        p = rng.random((2000, 9))
+        p /= p.sum(axis=1, keepdims=True)
+        p[:, 0] += rng.choice([-1.0, 1.0], size=2000) * SOFT_SIMPLEX_TOL * (1.0 + 1e-7 * rng.normal(size=2000))
+        p[:3, 1] = (math.nan, math.inf, -2 * SOFT_SIMPLEX_TOL)
+        verdicts = []
+        for row in p:
+            record = self._accepts(lambda: soft(0.0, [row.tolist()]))
+            assert record == self._accepts(lambda: AnnotatedBatch(np.zeros(1), soft=row[None, None]))
+            verdicts.append(record)
+        assert 100 < sum(verdicts) < 1900
 
 
 class TestHardDisagreement:
@@ -500,6 +534,21 @@ class TestColumnarAnnotationIO:
         path = tmp_path / "bad.csv"
         path.write_text("# kind=hard classes=2 annotators=2\n" + body)
         with pytest.raises(ValidationError, match=rf"line {line}\b"):
+            read_annotations(path)
+
+    def test_integer_cells_that_numpy_only_warns_about(self, tmp_path, monkeypatch):
+        # numpy 1.23-1.26 parse "1.5" into an int64 cell as 1 with a DeprecationWarning
+        loadtxt = np.loadtxt
+
+        def truncating_loadtxt(lines, **kw):
+            if any("1.5" in line for line in lines):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return loadtxt([line.replace("1.5", "1") for line in lines], **kw)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        path = tmp_path / "float_label.csv"
+        path.write_text("# kind=hard classes=2 annotators=2\n0.5,0,1\n0.25,1.5,1\n")
+        with pytest.raises(ValidationError, match=r"line 3\b"):
             read_annotations(path)
 
     def test_soft_file_off_simplex_names_the_line(self, tmp_path):
