@@ -305,10 +305,8 @@ def disagreement_hard_from_labels(labels: np.ndarray) -> DisagreementMatrix:
 
 
 def disagreement_soft_from_probs(probs: np.ndarray) -> DisagreementMatrix:
-    """Disagreement matrix from an (n, k, C) array of belief vectors."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 3 or probs.shape[0] < 1 or probs.shape[1] < 1:
-        raise ValidationError(f"probs must be a non-empty (n, k, C) array, got {probs.shape}")
+    """Disagreement matrix from an (n, k, C) array of belief vectors on the simplex."""
+    _, probs = _check_columns(np.zeros(np.shape(probs)[:1]), lambda i: f"row {i}", soft=probs)
     n, k, _ = probs.shape
     values = np.zeros((k, k))
     for j in range(k):

@@ -194,21 +194,8 @@ _PAPER_DELTA = {"mechanism_complexity": 0.05}
 
 
 def preset_config(experiment: str, preset: str = "desk", seed: int = 0) -> ExperimentConfig:
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose one of {EXPERIMENTS}")
-    if preset not in ("desk", "paper"):
-        raise ConfigError(f"preset must be 'desk' or 'paper', got {preset!r}")
-    params = _desk_params(experiment) if preset == "desk" else _paper_params(experiment)
-    delta = _DEFAULT_DELTA.get(experiment, 0.05)
-    if preset == "paper":
-        delta = _PAPER_DELTA.get(experiment, delta)
-    return ExperimentConfig(
-        experiment=experiment,
-        preset=preset,
-        seed=seed,
-        delta=delta,
-        quadrature=QuadratureConfig(),
-        params=params,
+    return validate_config(
+        {"schema_version": SCHEMA_VERSION, "experiment": experiment, "preset": preset, "seed": seed}
     )
 
 

@@ -33,7 +33,7 @@ from credal.estimation import (
     empirical_disagreement_soft,
 )
 from credal.harness.config import ConfigError, ExperimentConfig, config_hash, parse_env
-from credal.harness.summary import summarize, wilson_interval
+from credal.harness.summary import SummaryError, summarize, wilson_interval
 from credal.measures import (
     Gaussian,
     Probit,
@@ -43,7 +43,7 @@ from credal.measures import (
     joint_tv_many,
     tv_env,
 )
-from credal.sets import CredalSpec, joint_shift_bounds
+from credal.sets import CredalSpec, _pair_class, _pair_values, joint_shift_bounds
 from credal.synthgen import (
     GenSeed,
     block_mechanisms,
@@ -170,51 +170,18 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
                 float(rng.uniform(*p["random_std_range"])),
             )
         )
-    envs = tuple(envs)
-    n_env = len(envs)
     rows = []
     tol = 2.0 * quad.abs_tol
     for regime in p["regimes"]:
-        labs = _sweep_labelers(regime, p["labeler_count"], *p["labeler_range"])
-        n_lab = len(labs)
-        cov = {
-            (i, ip): tv_env(envs[i], envs[ip])
-            for i, ip in itertools.combinations(range(n_env), 2)
-        }
-        lab_combos = list(itertools.combinations(range(n_lab), 2))
-        ect_keys = [(i, j, jp) for i in range(n_env) for j, jp in lab_combos]
-        ect_pairs = [(envs[i], labs[j], envs[i], labs[jp]) for i, j, jp in ect_keys]
-        ect = dict(zip(ect_keys, joint_tv_many(ect_pairs, quad)))
-        # joint-shift pairs (i, j)-(ip, jp), i < ip and j != jp: one joint_tv_many call per (i, ip)
-        lab_pairs = [(j, jp) for j, jp in itertools.product(range(n_lab), repeat=2) if j != jp]
-        joint = {}
-        for i, ip in itertools.combinations(range(n_env), 2):
-            values = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for j, jp in lab_pairs], quad)
-            joint.update(((i, j, ip, jp), v) for (j, jp), v in zip(lab_pairs, values))
-        verts = list(itertools.product(range(n_env), range(n_lab)))
-        for (i, j), (ip, jp) in itertools.combinations(verts, 2):
-            if i == ip and j == jp:
-                continue
-            if i == ip:
-                pair_class = "fixed_covariate"
-                exact = ect[(i, min(j, jp), max(j, jp))]
-                lower = upper = upper_raw = exact
-            elif j == jp:
-                pair_class = "fixed_labeler"
-                exact = cov[(min(i, ip), max(i, ip))]
-                lower = upper = upper_raw = exact
-            else:
-                pair_class = "joint_shift"
-                c = cov[(min(i, ip), max(i, ip))]
-                a_i = ect[(i, min(j, jp), max(j, jp))]
-                a_ip = ect[(ip, min(j, jp), max(j, jp))]
-                lower, upper, upper_raw = joint_shift_bounds(c, a_i, a_ip)
-                exact = joint[(i, j, ip, jp)]
+        spec = CredalSpec(tuple(envs), _sweep_labelers(regime, p["labeler_count"], *p["labeler_range"]))
+        pairs = list(itertools.combinations(spec.vertices(), 2))
+        for ((i, j), (ip, jp)), value in zip(pairs, _pair_values(spec, pairs, quad, True)):
+            _, _, _, lower, upper, upper_raw, exact = value
             viol = 1.0 if (exact < lower - tol or exact > upper + tol) else 0.0
             rows.append(
                 {
                     "regime": regime,
-                    "pair_class": pair_class,
+                    "pair_class": _pair_class((i, j), (ip, jp)),
                     "i": i,
                     "j": j,
                     "ip": ip,
@@ -574,8 +541,10 @@ def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[config.experiment]
-    rows, summary = runner(config, jobs)
+    try:
+        rows, summary = _RUNNERS[config.experiment](config, jobs)
+    except SummaryError as exc:
+        raise ConfigError(f"the {config.experiment} config yields nothing to summarize: {exc}") from exc
     cfg_hash = config_hash(config)
     csv_path = out / f"{config.experiment}.csv"
     _write_csv(csv_path, rows, config, cfg_hash)

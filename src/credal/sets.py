@@ -2,10 +2,11 @@
 
 A :class:`CredalSpec` pairs every environment with every labeler; the
 vertices of the credal set are the resulting product distributions indexed
-by ``(i, j)``.  This module computes, for any vertex pair, exact TV
-distances in the pure regimes (shared environment or shared labeler),
-two-sided bounds in the joint-shift regime, and the component diameters
-that sandwich the TV diameter of the whole set.
+by ``(i, j)``.  :func:`_pair_values` gives any list of vertex pairs exact
+TV distances in the pure regimes (shared environment or shared labeler)
+and two-sided bounds in the joint-shift regime, computing each distinct
+integral once.  Pairwise bounds, the component diameters that sandwich
+the TV diameter of the whole set, and the exact diameter all read it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from credal.measures import (
     Gaussian,
     Labeler,
     QuadratureConfig,
+    Threshold,
     ValidationError,
-    expected_conditional_tv,
-    joint_tv_exact,
     joint_tv_many,
     sup_conditional_tv,
-    tv_env,
 )
 
 VertexIndex = tuple[int, int]
@@ -157,6 +156,67 @@ def joint_shift_bounds(cov: float, a_i: float, a_ip: float) -> tuple[float, floa
     return max(abs(a_i - cov), abs(a_ip - cov)), min(1.0, upper_raw), upper_raw
 
 
+def _pair_class(a: VertexIndex, b: VertexIndex) -> str:
+    """``fixed_covariate`` (shared environment), ``fixed_labeler``, or ``joint_shift``."""
+    if a[0] == b[0]:
+        return "fixed_covariate"
+    return "fixed_labeler" if a[1] == b[1] else "joint_shift"
+
+
+def _pair_values(
+    spec: CredalSpec,
+    pairs: list[tuple[VertexIndex, VertexIndex]],
+    cfg: QuadratureConfig,
+    with_exact: bool,
+) -> list[tuple]:
+    """``(cov, a_i, a_ip, lower, upper, upper_raw, exact)`` of every vertex pair.
+
+    ``cov`` is the environment TV (the joint TV under ``Threshold(inf)``, as
+    :func:`~credal.measures.tv_env`); ``a_i`` / ``a_ip`` are the expected
+    conditional TVs ``(env_k, labs[min], env_k, labs[max])``.  A pure-regime
+    pair's bounds and ``exact`` are its one value.  A joint-shift pair gets
+    :func:`joint_shift_bounds` and, if ``with_exact``, the joint TV ``(env_i,
+    lab_j, env_ip, lab_jp)`` in its own order (else ``None``).  Each distinct
+    value is computed once by :func:`joint_tv_many`: covariate and conditional
+    TVs in one call, joint TVs in one call per environment pair ``(i, ip)``.
+    """
+    envs, labs = spec.environments, spec.labelers
+    covs, ects, joints = {}, {}, {}
+    for (i, j), (ip, jp) in pairs:
+        lo, hi = (j, jp) if j < jp else (jp, j)
+        if i != ip:
+            covs[(i, ip) if i < ip else (ip, i)] = None
+        if j != jp:
+            ects[i, lo, hi] = ects[ip, lo, hi] = None
+            if i != ip and with_exact:
+                joints.setdefault((i, ip), {})[j, jp] = None
+    const = Threshold(math.inf)
+    values = joint_tv_many(
+        [(envs[i], const, envs[ip], const) for i, ip in covs]
+        + [(envs[k], labs[j], envs[k], labs[jp]) for k, j, jp in ects],
+        cfg,
+    )
+    covs = dict(zip(covs, values))
+    ects = dict(zip(ects, values[len(covs) :]))
+    for (i, ip), lab_pairs in joints.items():
+        tvs = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for j, jp in lab_pairs], cfg)
+        joints[i, ip] = dict(zip(lab_pairs, tvs))
+
+    out = []
+    for (i, j), (ip, jp) in pairs:
+        lo, hi = (j, jp) if j < jp else (jp, j)
+        cov = covs.get((i, ip) if i < ip else (ip, i), 0.0)
+        a_i, a_ip = ects.get((i, lo, hi), 0.0), ects.get((ip, lo, hi), 0.0)
+        pair_class = _pair_class((i, j), (ip, jp))
+        if pair_class == "joint_shift":
+            exact = joints[i, ip][j, jp] if with_exact else None
+            out.append((cov, a_i, a_ip, *joint_shift_bounds(cov, a_i, a_ip), exact))
+        else:
+            exact = a_i if pair_class == "fixed_covariate" else cov
+            out.append((cov, a_i, a_ip, exact, exact, exact, exact))
+    return out
+
+
 def pairwise_bounds(
     spec: CredalSpec,
     a: VertexIndex,
@@ -169,34 +229,13 @@ def pairwise_bounds(
     Shared-environment pairs are exactly the expected conditional
     disagreement; shared-labeler pairs are exactly the environment TV.  In
     the joint-shift regime the two-sided bounds are
-    :func:`joint_shift_bounds`; ``exact`` is computed by joint quadrature
-    only when requested.
+    :func:`joint_shift_bounds`; ``exact`` is the joint TV, computed only
+    when requested.  All values come from :func:`_pair_values`.
     """
-    i, j = spec.check_vertex(a)
-    ip, jp = spec.check_vertex(b)
-    env_i, env_ip = spec.environments[i], spec.environments[ip]
-    lab_j, lab_jp = spec.labelers[j], spec.labelers[jp]
-
-    cov = 0.0 if i == ip else tv_env(env_i, env_ip)
-    if j == jp:
-        a_i = a_ip = 0.0
-    else:
-        a_i = expected_conditional_tv(env_i, lab_j, lab_jp, cfg)
-        a_ip = a_i if i == ip else expected_conditional_tv(env_ip, lab_j, lab_jp, cfg)
-
-    if i == ip:
-        exact = a_i
-        lower = upper = exact
-    elif j == jp:
-        exact = cov
-        lower = upper = exact
-    else:
-        lower, upper, _ = joint_shift_bounds(cov, a_i, a_ip)
-        exact = (
-            joint_tv_exact(env_i, lab_j, env_ip, lab_jp, cfg) if with_exact else None
-        )
+    pair = (spec.check_vertex(a), spec.check_vertex(b))
+    cov, a_i, a_ip, lower, upper, _, exact = _pair_values(spec, [pair], cfg, with_exact)[0]
     return PairwiseBounds(
-        pair=((i, j), (ip, jp)),
+        pair=pair,
         cov_dist=cov,
         exp_dis_i=a_i,
         exp_dis_iprime=a_ip,
@@ -207,34 +246,44 @@ def pairwise_bounds(
     )
 
 
+def _components(
+    spec: CredalSpec, values: list[tuple], cfg: QuadratureConfig
+) -> tuple[float, float, float]:
+    """(eta_x, eta_star, eta_bar) from the :func:`_pair_values` of a pair list.
+
+    The list holds every pure-regime pair, so each ``cov`` and ``a_i`` is
+    also a pure-regime pair's value, and their maxima are eta_x and eta_star.
+    """
+    eta_x = max((value[0] for value in values), default=0.0)
+    eta_star = max((value[1] for value in values), default=0.0)
+    domain = default_sup_domain(spec, cfg.domain_halfwidth_sigmas)
+    lab_pairs = itertools.combinations(spec.labelers, 2)
+    sups = [sup_conditional_tv(l1, l2, domain) for l1, l2 in lab_pairs]
+    return eta_x, eta_star, max(sups, default=0.0)
+
+
+def _pure_pairs(spec: CredalSpec) -> list[tuple[VertexIndex, VertexIndex]]:
+    pairs = itertools.combinations(spec.vertices(), 2)
+    return [(a, b) for a, b in pairs if _pair_class(a, b) != "joint_shift"]
+
+
 def component_diameters(
-    spec: CredalSpec,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    sup_domain: Optional[tuple[float, float]] = None,
-    sup_grid_n: int = 512,
+    spec: CredalSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> tuple[float, float, float]:
     """(eta_x, eta_star, eta_bar) for the spec.
 
-    eta_x: max environment TV; eta_star: max over (env, labeler pair) of the
-    expected conditional TV; eta_bar: max over labeler pairs of the grid
-    supremum of the pointwise conditional TV.
+    eta_x: max environment TV (shared-labeler pairs); eta_star: max over
+    (env, labeler pair) of the expected conditional TV (shared-environment
+    pairs); eta_bar: max over labeler pairs of the grid supremum of the
+    pointwise conditional TV.
     """
-    if sup_domain is None:
-        sup_domain = default_sup_domain(spec, cfg.domain_halfwidth_sigmas)
-    envs = spec.environments
-    lab_pairs = list(itertools.combinations(spec.labelers, 2))
-    eta_x = max((tv_env(e1, e2) for e1, e2 in itertools.combinations(envs, 2)), default=0.0)
-    ects = joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs for env in envs], cfg)
-    sups = [sup_conditional_tv(l1, l2, sup_domain, sup_grid_n) for l1, l2 in lab_pairs]
-    return eta_x, max(ects, default=0.0), max(sups, default=0.0)
+    return _components(spec, _pair_values(spec, _pure_pairs(spec), cfg, False), cfg)
 
 
 def diameter_bounds(
     spec: CredalSpec,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    sup_domain: Optional[tuple[float, float]] = None,
     with_exact: bool = False,
-    sup_grid_n: int = 512,
 ) -> DiameterReport:
     """Diameter bounds (and optionally the exact diameter) of the credal set.
 
@@ -244,11 +293,15 @@ def diameter_bounds(
     push the upper bound below the (always valid) lower bound falls back to
     the eta_star branch, which is a valid upper bound unconditionally.
 
-    When ``with_exact`` is set, the exact diameter is the maximum joint TV
-    over all vertex pairs (sufficient because TV is maximized at extreme
-    points); ties break lexicographically on the pair of vertex indices.
+    When ``with_exact`` is set, the exact diameter is the largest
+    :func:`pairwise_bounds` ``exact`` over all vertex pairs (sufficient
+    because TV is maximized at extreme points); only joint-shift pairs are
+    integrated, so ``lower <= exact``.  Ties break lexicographically on the
+    pair of vertex indices.
     """
-    eta_x, eta_star, eta_bar = component_diameters(spec, cfg, sup_domain, sup_grid_n)
+    pairs = list(itertools.combinations(spec.vertices(), 2)) if with_exact else _pure_pairs(spec)
+    values = _pair_values(spec, pairs, cfg, with_exact)
+    eta_x, eta_star, eta_bar = _components(spec, values, cfg)
     eta_eff = min(eta_star, (1.0 - eta_x) * eta_bar)
     lower = min(1.0, max(eta_x, eta_star))
     upper = min(1.0, eta_x + eta_eff)
@@ -259,19 +312,10 @@ def diameter_bounds(
     argmax_pair = None
     if with_exact:
         exact = 0.0
-        verts = spec.vertices()
-        argmax_pair = (verts[0], verts[0])
-        envs, labs = spec.environments, spec.labelers
-        # one joint_tv_many call per vertex row of the pair triangle
-        for a, va in enumerate(verts):
-            row = verts[a + 1 :]
-            values = joint_tv_many(
-                [(envs[va[0]], labs[va[1]], envs[vb[0]], labs[vb[1]]) for vb in row], cfg
-            )
-            for vb, d in zip(row, values):
-                if d > exact:
-                    exact = d
-                    argmax_pair = (va, vb)
+        argmax_pair = (spec.vertices()[0],) * 2
+        for pair, value in zip(pairs, values):
+            if value[-1] > exact:
+                exact, argmax_pair = value[-1], pair
     return DiameterReport(
         eta_x=eta_x,
         eta_star=eta_star,

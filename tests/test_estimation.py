@@ -12,6 +12,7 @@ from credal.estimation import (
     DisagreementMatrix,
     certificate,
     disagreement_hard_from_labels,
+    disagreement_soft_from_probs,
     empirical_disagreement_hard,
     empirical_disagreement_soft,
     hoeffding_epsilon,
@@ -249,6 +250,13 @@ class TestSoftDisagreement:
             empirical_disagreement_soft([*samples, soft(2, [(1.0, 0.0, 0.0)] * 2)])
         with pytest.raises(ValidationError):
             empirical_disagreement_soft([])
+
+    def test_beliefs_off_the_simplex_rejected(self):
+        nan = np.full((2, 2, 2), 0.5)
+        nan[1, 0, 0] = np.nan
+        for probs, row in ((np.zeros((2, 2, 3)), 0), (np.full((2, 2, 2), 7.0), 0), (nan, 1)):
+            with pytest.raises(ValidationError, match=f"row {row}: soft vector off the simplex"):
+                disagreement_soft_from_probs(probs)
 
     def test_unbiased_against_population(self):
         # soft estimator averages the exact pointwise TV, so its expectation

@@ -222,19 +222,25 @@ class TestRunners:
             "soft": CredalSpec(tuple(envs), tuple(Sigmoid(1.0, -float(b)) for b in grid)),
         }
         rows = _csv_rows(tmp_path / "sweep" / "bounds_sweep.csv")
-        joint = [r for r in rows if r["pair_class"] == "joint_shift"]
-        assert {r["regime"] for r in joint} == {"hard", "soft"}
-        for r in joint:
+        classes = {(r["regime"], r["pair_class"]) for r in rows}
+        assert classes == {
+            (regime, c)
+            for regime in ("hard", "soft")
+            for c in ("fixed_covariate", "fixed_labeler", "joint_shift")
+        }
+        for r in rows:
             a = (int(r["i"]), int(r["j"]))
             b = (int(r["ip"]), int(r["jp"]))
             spec = specs[r["regime"]]
-            want = pairwise_bounds(spec, a, b, cfg.quadrature)
-            assert (float(r["lower"]), float(r["upper"])) == (want.lower, want.upper)
-            exact = joint_tv_exact(
-                spec.environments[a[0]], spec.labelers[a[1]],
-                spec.environments[b[0]], spec.labelers[b[1]], cfg.quadrature,
-            )
-            assert float(r["exact"]) == exact
+            want = pairwise_bounds(spec, a, b, cfg.quadrature, with_exact=True)
+            got = (float(r["lower"]), float(r["upper"]), float(r["exact"]))
+            assert got == (want.lower, want.upper, want.exact)
+            if r["pair_class"] == "joint_shift":
+                exact = joint_tv_exact(
+                    spec.environments[a[0]], spec.labelers[a[1]],
+                    spec.environments[b[0]], spec.labelers[b[1]], cfg.quadrature,
+                )
+                assert float(r["exact"]) == exact
 
         cfg = validate_config(
             {
@@ -254,8 +260,9 @@ class TestRunners:
                 (Gaussian(m - gap / 2.0, std), Gaussian(m + gap / 2.0, std)),
                 tuple(Sigmoid(slope, -slope * float(b)) for b in p["sigmoid_boundaries"]),
             )
-            want = pairwise_bounds(spec, (0, 0), (1, 1), cfg.quadrature)
-            assert (float(row["lower_bound"]), float(row["upper_bound"])) == (want.lower, want.upper)
+            want = pairwise_bounds(spec, (0, 0), (1, 1), cfg.quadrature, with_exact=True)
+            got = (float(row["lower_bound"]), float(row["upper_bound"]), float(row["joint_tv"]))
+            assert got == (want.lower, want.upper, want.exact)
             envs, labs = spec.environments, spec.labelers
             joint = joint_tv_exact(envs[0], labs[0], envs[1], labs[1], cfg.quadrature)
             assert float(row["joint_tv"]) == joint
@@ -285,6 +292,15 @@ class TestCli:
         path.write_text(json.dumps(cfg.document()))
         code = cli_main(["gating_curve", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
+
+    def test_config_without_rows_exits_2(self, tmp_path, capsys):
+        for params in ({"regimes": []}, {"regimes": ["hard"], "grid_env_count": 1, "labeler_count": 1}):
+            path = tmp_path / "cfg.json"
+            doc = {"schema_version": SCHEMA_VERSION, "experiment": "bounds_sweep", "params": params}
+            path.write_text(json.dumps(doc))
+            code = cli_main(["bounds_sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert "bounds_sweep" in capsys.readouterr().err
 
     def test_certificate_end_to_end(self, tmp_path, capsys):
         samples = sample_annotated(

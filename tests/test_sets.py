@@ -13,7 +13,9 @@ from credal.measures import (
     Threshold,
     ValidationError,
     joint_tv_exact,
+    joint_tv_many,
 )
+from credal import sets
 from credal.sets import (
     CredalSpec,
     DiameterReport,
@@ -152,6 +154,9 @@ class TestDiameterBounds:
             brute = discrete_spec_diameter(spec)
             assert rep.lower - 1e-9 <= brute <= rep.upper + 1e-9
             assert rep.exact == pytest.approx(brute, abs=1e-9)
+            # the diameter is the value pairwise_bounds reports for its own pair
+            assert rep.exact == pairwise_bounds(spec, *rep.argmax_pair, with_exact=True).exact
+            assert rep.lower <= rep.exact
 
     def test_mixtures_never_exceed_vertex_max(self):
         # convex mixtures of vertices stay within the vertex-pair diameter
@@ -223,6 +228,26 @@ class TestDiameterBounds:
         rep = diameter_bounds(spec, with_exact=True)
         assert rep.exact == best
         assert rep.argmax_pair == tied[0]
+
+    def test_exact_diameter_integrates_each_value_once(self, monkeypatch):
+        # covariate TVs, conditional TVs and joint-shift pairs, each once; a
+        # pure-regime pair is never integrated as a joint TV of its own
+        spec = CredalSpec(
+            (Gaussian(-0.4, 0.8), Gaussian(0.6, 1.4), Gaussian(0.1, 1.0)),
+            (Sigmoid(2.0, -0.5), Probit(-1.0, 0.3), Threshold(0.2)),
+        )
+        seen = []
+
+        def recording(pairs, cfg):
+            seen.extend(pairs)
+            return joint_tv_many(pairs, cfg)
+
+        monkeypatch.setattr(sets, "joint_tv_many", recording)
+        diameter_bounds(spec, with_exact=True)
+        n_env, env_pairs, lab_pairs = 3, 3, 3
+        joint = [(e1, l1, e2, l2) for e1, l1, e2, l2 in seen if e1 != e2 and l1 != l2]
+        assert len(seen) == env_pairs + n_env * lab_pairs + 2 * env_pairs * lab_pairs
+        assert len(joint) == 2 * env_pairs * lab_pairs == len(set(joint))
 
     def test_eta_eff_gating_branch(self):
         # constant conditional disagreement: the eta_star branch must bind
