@@ -177,13 +177,17 @@ def world_risks(
     h: Hypothesis, spec: CredalSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> WorldRisk:
     """Exact 0-1 risks of h in every world, with lexicographic worst-world tie-break."""
-    _check_binary(spec)
-    worlds = [(env, lab, env, h) for env in spec.environments for lab in spec.labelers]
-    risks = np.asarray(joint_tv_many(worlds, cfg)).reshape(spec.n_x, spec.n_y)
-    flat = int(np.argmax(risks))  # first maximum in row-major order = lexicographic
-    worst = (flat // spec.n_y, flat % spec.n_y)
+    values = _risks([h], spec, cfg)
+    flat = values.index(max(values))  # first maximum in row-major order = lexicographic
+    risks = np.asarray(values).reshape(spec.n_x, spec.n_y)
     risks.setflags(write=False)
-    return WorldRisk(risks=risks, worst_world=worst, worst_value=float(risks[worst]))
+    return WorldRisk(risks=risks, worst_world=divmod(flat, spec.n_y), worst_value=values[flat])
+
+
+def _risks(hs: Sequence[Hypothesis], spec: CredalSpec, cfg: QuadratureConfig) -> list[float]:
+    """Exact 0-1 risks of every hypothesis in every world, hypothesis-major, as one batch."""
+    _check_binary(spec)
+    return joint_tv_many([(env, lab, env, h) for h in hs for env in spec.environments for lab in spec.labelers], cfg)
 
 
 def lse_objective(risks: WorldRisk, tau: float) -> tuple[float, np.ndarray]:
@@ -257,13 +261,7 @@ def train(
         wr = world_risks(h, spec, quad)
         if cfg.mode == "lse":
             value, weights = lse_objective(wr, cfg.tau)
-            wr = WorldRisk(
-                risks=wr.risks,
-                worst_world=wr.worst_world,
-                worst_value=wr.worst_value,
-                lse_value=value,
-                weights=weights,
-            )
+            wr = replace(wr, lse_value=value, weights=weights)
             objective = value
         else:
             objective = wr.worst_value
@@ -319,11 +317,6 @@ def brute_force_minimax(
     grid = [float(t) for t in theta_grid]
     if not grid:
         raise ValidationError("theta_grid must be non-empty")
-    best_theta = grid[0]
-    best_value = math.inf
-    for theta in grid:
-        wr = world_risks(ThresholdClassifier(theta, 1), spec, quad)
-        if wr.worst_value < best_value:
-            best_value = wr.worst_value
-            best_theta = theta
-    return best_theta, best_value
+    worst = np.asarray(_risks([ThresholdClassifier(t, 1) for t in grid], spec, quad)).reshape(len(grid), -1).max(axis=1)
+    best = int(np.argmin(worst))  # the first minimum
+    return grid[best], float(worst[best])

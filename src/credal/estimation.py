@@ -290,8 +290,10 @@ def disagreement_hard_from_labels(labels: np.ndarray) -> DisagreementMatrix:
     harness feeds replication sweeps through this entry point.  Labels of
     another dtype (float, bool) or negative labels raise ``ValidationError``.
     """
-    labels = np.asarray(labels)
-    _, labels = _check_columns(np.zeros(labels.shape[:1]), lambda i: f"row {i}", hard=labels)
+    return _hard_gram(_check_columns(np.zeros(np.shape(labels)[:1]), lambda i: f"row {i}", hard=labels)[1])
+
+
+def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
     n, k = labels.shape
     agree = np.zeros((k, k))
     for c in np.unique(labels):
@@ -306,7 +308,10 @@ def disagreement_hard_from_labels(labels: np.ndarray) -> DisagreementMatrix:
 
 def disagreement_soft_from_probs(probs: np.ndarray) -> DisagreementMatrix:
     """Disagreement matrix from an (n, k, C) array of belief vectors on the simplex."""
-    _, probs = _check_columns(np.zeros(np.shape(probs)[:1]), lambda i: f"row {i}", soft=probs)
+    return _soft_gram(_check_columns(np.zeros(np.shape(probs)[:1]), lambda i: f"row {i}", soft=probs)[1])
+
+
+def _soft_gram(probs: np.ndarray) -> DisagreementMatrix:
     n, k, _ = probs.shape
     values = np.zeros((k, k))
     for j in range(k):
@@ -327,7 +332,7 @@ def empirical_disagreement_hard(samples: Sequence[AnnotatedSample]) -> Disagreem
     batch = AnnotatedBatch.of(samples)
     if batch.kind != "hard":
         raise ValidationError("all samples must carry hard labels")
-    return disagreement_hard_from_labels(batch.hard)
+    return _hard_gram(batch.hard)
 
 
 def empirical_disagreement_soft(samples: Sequence[AnnotatedSample]) -> DisagreementMatrix:
@@ -335,7 +340,7 @@ def empirical_disagreement_soft(samples: Sequence[AnnotatedSample]) -> Disagreem
     batch = AnnotatedBatch.of(samples)
     if batch.kind != "soft":
         raise ValidationError("all samples must carry soft labels")
-    return disagreement_soft_from_probs(batch.soft)
+    return _soft_gram(batch.soft)
 
 
 def noisy_closed_form(epsilons: Sequence[float]) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from credal.dro import ThresholdClassifier, TrainConfig, brute_force_minimax, train, world_risks
+from credal.dro import ThresholdClassifier, TrainConfig, _risks, brute_force_minimax, train, world_risks
 from credal.estimation import (
     certificate,
     disagreement_hard_from_labels,
@@ -40,8 +40,8 @@ from credal.measures import (
     Sigmoid,
     SymmetricNoise,
     Threshold,
+    _CONSTANT,
     joint_tv_many,
-    tv_env,
 )
 from credal.sets import CredalSpec, _pair_class, _pair_values, joint_shift_bounds
 from credal.synthgen import (
@@ -125,15 +125,13 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
         (Gaussian(float(m) - gap / 2.0, std), Gaussian(float(m) + gap / 2.0, std))
         for m in p["window_means"]
     ]
-    # per window: the joint TV and the two expected conditional TVs
-    pairs = [
-        (u, l_left, v, l_right) for e1, e2 in windows for u, v in ((e1, e2), (e1, e1), (e2, e2))
-    ]
+    # per window: the joint TV, both expected conditional TVs and the environment TV (as tv_env)
+    labs = ((l_left, l_right),) * 3 + ((_CONSTANT, _CONSTANT),)
+    pairs = [(u, a, v, b) for x, y in windows for (u, v), (a, b) in zip(((x, y), (x, x), (y, y), (x, y)), labs)]
     values = joint_tv_many(pairs, quad)
     rows = []
-    for k, (m, (e1, e2)) in enumerate(zip(p["window_means"], windows)):
-        joint, a1, a2 = values[3 * k : 3 * k + 3]
-        cov = tv_env(e1, e2)
+    for k, m in enumerate(p["window_means"]):
+        joint, a1, a2, cov = values[4 * k : 4 * k + 4]
         lower, upper, _ = joint_shift_bounds(cov, a1, a2)
         rows.append(
             {
@@ -442,16 +440,11 @@ def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
     rows = []
     for eta in p["etas"]:
         spec = minimax_instance(float(eta), env)
-        lo = env.mean - 4.0 * env.std
-        hi = env.mean + 4.0 * env.std
-        grid = np.linspace(lo, hi, grid_n)
-        min_sum = float("inf")
-        min_max = float("inf")
-        for theta in grid:
-            wr = world_risks(ThresholdClassifier(float(theta), 1), spec, quad)
-            risk_sum = float(wr.risks.sum())
-            min_sum = min(min_sum, risk_sum)
-            min_max = min(min_max, wr.worst_value)
+        grid = np.linspace(env.mean - 4.0 * env.std, env.mean + 4.0 * env.std, grid_n)
+        hs = [ThresholdClassifier(float(theta), 1) for theta in grid]
+        risks = np.asarray(_risks(hs, spec, quad)).reshape(grid_n, -1)
+        min_sum = float(risks.sum(axis=1).min())
+        min_max = float(risks.max(axis=1).min())
         rows.append(
             {
                 "eta": float(eta),

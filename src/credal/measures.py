@@ -8,16 +8,17 @@ environments holds the labeler fixed, the expected conditional TV holds the
 environment fixed, and a crisp hypothesis is one more labeler, so its 0-1
 risk in a world is an expected conditional TV too.
 
-Exact values come from one partition kernel.  When the two product
+Exact values come from one batched partition kernel.  When the two product
 distributions share a finite partition of the covariate line (the union
 atoms of two grids, or the CDF cells between label boundaries and density
 crossings of two Gaussians with deterministic labelers), each becomes a
 (cells x classes) joint mass table and the TV is the half-L1 distance
 between the tables; the TV between environments is the case of a constant
-labeler.  Every other pair is integrated by one adaptive Simpson worklist
-engine cut at split hints: :func:`joint_tv_many` integrates a group of
-pairs per pass, each getting the same bits as alone.  Its memory grows with
-the batch, so callers pass natural groups rather than a whole sweep.
+labeler; :func:`joint_tv_many` builds all such tables in one array pass.
+Every other pair is integrated by one adaptive Simpson worklist engine cut
+at split hints, a group of pairs per pass.  Each value has the same bits
+as alone; memory grows with a call's quadrature pairs, so callers pass
+natural groups of those rather than a whole sweep.
 
 The module also provides discrete TV between probability vectors,
 pointwise conditional TV, and a grid-based supremum of the conditional
@@ -39,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
@@ -82,10 +83,11 @@ def _require_finite(value: float, name: str) -> float:
 
 
 def _clip01(value: float, label: str) -> float:
+    if 0.0 <= value <= 1.0:
+        return float(value)
     if math.isnan(value):
         raise MeasureError(f"{label} is NaN")
-    if value < 0.0 or value > 1.0:
-        logger.debug("%s raw value %r clamped to [0, 1]", label, value)
+    logger.debug("%s raw value %r clamped to [0, 1]", label, value)
     return min(1.0, max(0.0, float(value)))
 
 
@@ -330,6 +332,7 @@ class Tabular(_LabelerBase):
 
 
 Labeler = Union[Threshold, Interval, Sigmoid, Probit, SymmetricNoise, Tabular]
+_CONSTANT = Threshold(math.inf)  # class 0 everywhere: the joint TV under it is the environment TV
 
 
 # ---------------------------------------------------------------------------
@@ -529,45 +532,55 @@ def conditional_tv(l1: Labeler, l2: Labeler, x: float) -> float:
     return _clip01(0.5 * float(diff), "conditional_tv")
 
 
-def _joint_pmf_tables(
-    e1: Environment, l1: Labeler, e2: Environment, l2: Labeler
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Joint (cell, class) mass tables of (e1, l1) and (e2, l2) on one shared partition.
+def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
+    """Joint TVs of exact pairs of one environment kind and class count, in one pass over their tables.
 
-    Returns ``(m1, m2)``, each of shape (cells, classes), so that the joint
-    TV is the half-L1 distance ``0.5 * |m1 - m2|`` summed over each cell
-    and then over the cells.  Both environments must be of one kind.  Two
-    grids share their union atoms.  Two Gaussians with deterministic
-    labelers share the cells between label boundaries and density
-    crossings: inside a cell both labels and the sign of ``phi1 - phi2``
-    are constant, so a row is the cell's CDF mass times the one-hot label
-    at an inner point.  Any other pair has no finite partition and gives
-    ``None``.
+    Each distinct labeler's ``prob_matrix`` is called once, on a point of
+    every cell of its rows.  A row is padded with cells of mass 0, or, from
+    8 cells on, where numpy's pairwise sum depends on the length, summed at
+    its own length, so each value is bit for bit the pair's alone.
     """
-    if isinstance(e1, DiscreteGrid):
-        pts = np.asarray(sorted(set(e1.points) | set(e2.points)))
-        w1, w2 = np.zeros(pts.size), np.zeros(pts.size)
-        w1[np.searchsorted(pts, e1.points)] = e1.weights
-        w2[np.searchsorted(pts, e2.points)] = e2.weights
-        return l1.prob_matrix(pts) * w1[:, None], l2.prob_matrix(pts) * w2[:, None]
-    if not (l1.is_deterministic and l2.is_deterministic):
-        return None
-    # a non-finite breakpoint (a crisp labeler whose boundary overflowed)
-    # bounds an empty cell, so only finite cuts split the line
-    cuts = sorted(
-        {*l1.breakpoints(), *l2.breakpoints(), *_gaussian_crossings(e1, e2)} - {-math.inf, math.inf}
-    )
-    inner = np.asarray(
-        [cuts[0] - 1.0, *(0.5 * (u + v) for u, v in zip(cuts, cuts[1:])), cuts[-1] + 1.0] if cuts else [0.0]
-    )
-    edges = np.asarray([-np.inf, *cuts, np.inf])
-    w1 = np.diff(e1.cdf(edges))
-    w2 = w1 if e2 is e1 else np.diff(e2.cdf(edges))
-    return l1.prob_matrix(inner) * w1[:, None], l2.prob_matrix(inner) * w2[:, None]
-
-
-def _half_l1(m1: np.ndarray, m2: np.ndarray) -> float:
-    return 0.5 * float(np.abs(m1 - m2).sum(axis=1).sum())
+    n = len(pairs)
+    e1s, l1s, e2s, l2s = zip(*pairs)
+    if gaussian:
+        crossings, edges = {}, []
+        for e1, l1, e2, l2 in pairs:
+            if (key := (id(e1), id(e2))) not in crossings:
+                crossings[key] = _gaussian_crossings(e1, e2)
+            # only finite cuts split the line: a non-finite breakpoint (an overflowed boundary) bounds an empty cell
+            edges.append(sorted({*l1.breakpoints(), *l2.breakpoints(), *crossings[key]} - {-math.inf, math.inf}))
+        points = [[c[0] - 1.0, *(0.5 * (u + v) for u, v in zip(c, c[1:])), c[-1] + 1.0] if c else [0.0] for c in edges]
+        pad = [math.inf] * max(map(len, points))
+        # a row per side of each pair: the standardized edges
+        z = [[(x - e.mean) / e.std for x in (-math.inf, *c, *pad[len(c) :])] for e, c in zip(e1s + e2s, edges * 2)]
+        cdf = ndtr(np.asarray(z))
+        w = cdf[:, 1:] - cdf[:, :-1]
+    else:
+        points = [sorted(set(e1.points) | set(e2.points)) for e1, e2 in zip(e1s, e2s)]
+        pad = [0.0] * max(map(len, points))
+        w = []
+        for e, pts in zip(e1s + e2s, points * 2):
+            # a grid with as many atoms as the union has all of them
+            mass = e.weights if len(e.points) == len(pts) else map(dict(zip(e.points, e.weights)).get, pts, pad)
+            w.append([*mass, *pad[len(pts) :]])
+        w = np.asarray(w)
+    width = w.shape[1]
+    xs = [x + x[-1:] * (width - len(x)) for x in points] * 2
+    # row r is side r // n of pair r % n
+    groups: dict = {}
+    for r, lab in enumerate(l1s + l2s):
+        groups.setdefault(id(lab), (lab, []))[1].append(r)
+    order = [r for _, rows in groups.values() for r in rows]
+    probs = [lab.prob_matrix(np.asarray([*map(xs.__getitem__, rows)]).ravel()) for lab, rows in groups.values()]
+    probs = (np.concatenate(probs) if len(probs) > 1 else probs[0]).reshape(2 * n, width, -1)
+    joint = (probs if order == sorted(order) else probs.take(np.argsort(order), axis=0)) * w[:, :, None]
+    diffs = np.add.reduce(np.abs(joint[:n] - joint[n:]), axis=2)
+    tvs = np.add.reduce(diffs[:, :7], axis=1)
+    if width > 7:
+        for count in {len(x) for x in points} - set(range(8)):
+            rows = [k for k, x in enumerate(points) if len(x) == count]
+            tvs[rows] = np.add.reduce(diffs[rows, :count], axis=1)
+    return [0.5 * v for v in tvs.tolist()]
 
 
 def expected_conditional_tv(
@@ -625,17 +638,13 @@ def sup_conditional_tv(
 
 def _gaussian_crossings(e1: Gaussian, e2: Gaussian) -> tuple[float, ...]:
     # points where the two densities cross, i.e. where their sign changes
-    if math.isclose(e1.std, e2.std, rel_tol=1e-12, abs_tol=0.0):
-        if e1.mean == e2.mean:
-            return ()
-        return (0.5 * (e1.mean + e2.mean),)
-    a = 0.5 / e2.std**2 - 0.5 / e1.std**2
-    b = e1.mean / e1.std**2 - e2.mean / e2.std**2
-    c = (
-        0.5 * e2.mean**2 / e2.std**2
-        - 0.5 * e1.mean**2 / e1.std**2
-        + math.log(e2.std / e1.std)
-    )
+    m1, s1, m2, s2 = e1.mean, e1.std, e2.mean, e2.std
+    if math.isclose(s1, s2, rel_tol=1e-12, abs_tol=0.0):
+        return () if m1 == m2 else (0.5 * (m1 + m2),)
+    v1, v2 = s1**2, s2**2
+    a = 0.5 / v2 - 0.5 / v1
+    b = m1 / v1 - m2 / v2
+    c = 0.5 * m2**2 / v2 - 0.5 * m1**2 / v1 + math.log(s2 / s1)
     disc = b * b - 4.0 * a * c
     if disc <= 0:
         return ()
@@ -646,8 +655,7 @@ def _gaussian_crossings(e1: Gaussian, e2: Gaussian) -> tuple[float, ...]:
 
 def tv_env(e1: Environment, e2: Environment) -> float:
     """Exact TV between environments of one kind: their joint TV under a constant labeler."""
-    const = Threshold(math.inf)
-    return joint_tv_many([(e1, const, e2, const)])[0]
+    return joint_tv_many([(e1, _CONSTANT, e2, _CONSTANT)])[0]
 
 
 def joint_tv_exact(
@@ -674,26 +682,28 @@ def joint_tv_many(
 
     Two grid environments, or two Gaussians with deterministic labelers,
     give an exact sum over a shared finite partition (union atoms, or CDF
-    cells between label boundaries and density crossings).  All other
-    Gaussian pairs share one adaptive Simpson worklist, whose memory grows
-    with their number; each value is bit for bit that of the pair alone.
-    A pair is cut at its labelers' and environments' hints, its density
-    crossings and the kinks found by :func:`_kinks`.
+    cells between label boundaries and density crossings), all in one pass
+    per kind.  All other Gaussian pairs share one adaptive Simpson worklist,
+    whose memory grows with their number, cut at their labelers' and
+    environments' hints, density crossings and the kinks found by
+    :func:`_kinks`.  Each value is bit for bit that of the pair alone.
     """
     values = [0.0] * len(pairs)
-    windows, quad = [], []
+    exact, windows, quad = {}, [], []
     for k, (e1, l1, e2, l2) in enumerate(pairs):
-        _check_class_counts(l1, l2)
-        if isinstance(e1, Gaussian) != isinstance(e2, Gaussian):
+        classes, gaussian = _check_class_counts(l1, l2), isinstance(e1, Gaussian)
+        if gaussian != isinstance(e2, Gaussian):
             raise SupportError("joint TV requires both environments Gaussian or both DiscreteGrid")
-        tables = _joint_pmf_tables(e1, l1, e2, l2)
-        if tables is not None:
-            values[k] = _half_l1(*tables)
+        if not gaussian or (l1.is_deterministic and l2.is_deterministic):
+            exact.setdefault((gaussian, classes), []).append(k)
             continue
         lo, hi = gaussian_domain(e1, e2, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
         hints = (*_split_hints(l1), *_split_hints(l2), *_env_hints(e1), *_env_hints(e2))
         windows.append((lo, hi, hints + _gaussian_crossings(e1, e2)))
         quad.append(k)
+    for (gaussian, _), ks in exact.items():
+        for k, v in zip(ks, _partition_tvs([pairs[k] for k in ks], gaussian)):
+            values[k] = v
     if quad:
         joints = _joint_densities([pairs[k] for k in quad])
         kinks = _kinks(joints, windows, cfg.abs_tol)

@@ -23,8 +23,8 @@ from credal.measures import (
     Gaussian,
     Labeler,
     QuadratureConfig,
-    Threshold,
     ValidationError,
+    _CONSTANT,
     joint_tv_many,
     sup_conditional_tv,
 )
@@ -190,9 +190,8 @@ def _pair_values(
             ects[i, lo, hi] = ects[ip, lo, hi] = None
             if i != ip and with_exact:
                 joints.setdefault((i, ip), {})[j, jp] = None
-    const = Threshold(math.inf)
     values = joint_tv_many(
-        [(envs[i], const, envs[ip], const) for i, ip in covs]
+        [(envs[i], _CONSTANT, envs[ip], _CONSTANT) for i, ip in covs]
         + [(envs[k], labs[j], envs[k], labs[jp]) for k, j, jp in ects],
         cfg,
     )

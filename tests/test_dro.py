@@ -20,6 +20,7 @@ from credal.measures import (
     DEFAULT_QUADRATURE,
     DiscreteGrid,
     Gaussian,
+    Interval,
     Probit,
     QuadratureConfig,
     Sigmoid,
@@ -329,6 +330,32 @@ class TestBruteForceMinimax:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             brute_force_minimax(TWO_WORLD, [])
+
+    @staticmethod
+    def _per_theta_loop(spec, grid):
+        best_theta, best_value = grid[0], math.inf
+        for theta in grid:
+            wr = world_risks(ThresholdClassifier(float(theta), 1), spec)
+            if wr.worst_value < best_value:
+                best_theta, best_value = float(theta), wr.worst_value
+        return best_theta, best_value
+
+    def test_matches_per_theta_world_risks_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            envs = tuple(Gaussian(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2))) for _ in range(2))
+            labs = tuple(Threshold(float(t)) for t in rng.uniform(-1.5, 1.5, 3))
+            spec = CredalSpec(envs, labs + (Interval(-0.5, 0.8), Threshold(math.inf)))
+            grid = np.linspace(-2.5, 2.5, int(rng.integers(5, 60)))
+            assert brute_force_minimax(spec, grid) == self._per_theta_loop(spec, grid)
+
+    def test_exact_ties_keep_the_first_theta(self):
+        # every theta in (0, 1) labels the two atoms alike, so their worst
+        # risks tie exactly at 0.5, as does theta = -0.5; theta = 1.5 is worse
+        env = DiscreteGrid((0.0, 1.0), (0.5, 0.5))
+        spec = CredalSpec((env,), (Threshold(0.5), Threshold(-math.inf)))
+        grid = [1.5, 0.6, 0.2, 0.4, -0.5]
+        assert brute_force_minimax(spec, grid) == (0.6, 0.5) == self._per_theta_loop(spec, grid)
 
 
 class TestVertexSufficiency:

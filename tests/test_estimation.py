@@ -205,6 +205,24 @@ class TestHardDisagreement:
         b = empirical_disagreement_hard(AnnotatedBatch.of(samples))
         assert np.array_equal(a.values, b.values) and a.argmax == b.argmax
 
+    def test_batches_are_validated_once(self, monkeypatch):
+        # a batch checks its columns when built; the estimators reuse them
+        import credal.estimation as est
+
+        checks = []
+        check = est._check_columns
+        monkeypatch.setattr(est, "_check_columns", lambda *a, **k: checks.append(1) or check(*a, **k))
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=300)
+        hard_batch = AnnotatedBatch(x, hard=rng.integers(0, 3, size=(300, 4)))
+        soft_batch = AnnotatedBatch(x, soft=rng.dirichlet(np.ones(3), size=(300, 4)))
+        assert len(checks) == 2
+        a, b = empirical_disagreement_hard(hard_batch), empirical_disagreement_soft(soft_batch)
+        assert len(checks) == 2
+        assert np.array_equal(a.values, disagreement_hard_from_labels(hard_batch.hard).values)
+        assert np.array_equal(b.values, disagreement_soft_from_probs(soft_batch.soft).values)
+        assert len(checks) == 4
+
     def test_argmax_lexicographic_tie(self):
         # pairs (0,1) and (0,2) tie; lexicographic keeps (0,1)
         samples = [hard(0, [0, 1, 1]), hard(1, [0, 0, 0])]

@@ -186,6 +186,44 @@ class TestRunners:
             tmp_path / "parallel" / "sample_complexity.csv"
         )
 
+    def test_minimax_demo_labels_each_crisp_labeler_once_per_grid(self, tmp_path, monkeypatch):
+        # every (theta, world) pair of one eta's grid goes in one exact
+        # batch, which calls each distinct crisp labeler's `labels` once
+        import credal.dro as dro
+
+        batches = []
+        batched = dro.joint_tv_many
+
+        def batch(pairs, cfg):
+            batches.append(({id(lab) for pair in pairs for lab in pair[1::2]}, {}))
+            return batched(pairs, cfg)
+
+        def spy(cls):
+            labels = cls.labels
+
+            def counted(self, x):
+                calls = batches[-1][1]
+                calls[id(self)] = calls.get(id(self), 0) + 1
+                return labels(self, x)
+
+            monkeypatch.setattr(cls, "labels", counted)
+
+        monkeypatch.setattr(dro, "joint_tv_many", batch)
+        spy(Threshold)
+        spy(dro.ThresholdClassifier)
+        cfg = validate_config(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "experiment": "minimax_demo",
+                "params": {"etas": [0.2, 0.6], "grid_n": 40},
+            }
+        )
+        run(cfg, tmp_path)
+        assert len(batches) == 2
+        for labelers, calls in batches:
+            assert len(labelers) == 40 + 2
+            assert calls == dict.fromkeys(labelers, 1)
+
     def test_summary_carries_config_provenance(self, tmp_path):
         cfg = preset_config("minimax_demo", "desk", seed=4)
         manifest = run(cfg, tmp_path)

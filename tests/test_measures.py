@@ -469,6 +469,62 @@ class TestJointTvMany:
         assert joint_tv_many(pairs[::-1]) == single[::-1]
         assert joint_tv_many([]) == []
 
+    def test_exact_partition_batch_equals_batch_of_one(self):
+        # one seeded batch of every exact kind: Gaussian pairs with crisp
+        # labelers (thresholds at +/-inf, intervals, classifiers of both
+        # orientations; equal and unequal stds with 0, 1 and 2 density
+        # crossings, and one environment object on both sides) and grid pairs
+        # whose union has 2 to 32 atoms, some under 3-class tabulars, so that
+        # rows of under and over 8 cells share the batch
+        rng = np.random.default_rng(17)
+        crisp = [
+            Threshold(math.inf),
+            Threshold(-math.inf),
+            Interval(-0.7, 0.4),
+            ThresholdClassifier(0.3, 1),
+            ThresholdClassifier(-0.2, -1),
+            *(Threshold(float(t)) for t in rng.uniform(-2, 2, 3)),
+        ]
+        envs = [Gaussian(0.0, 1.0), Gaussian(0.8, 1.0), Gaussian(0.0, 1.0), Gaussian(0.5, 1.7), Gaussian(-1.0, 0.4)]
+        pairs, oracle = [], []
+        for _ in range(120):
+            e1 = envs[rng.integers(len(envs))]
+            e2 = e1 if rng.random() < 0.3 else envs[rng.integers(len(envs))]
+            l1, l2 = crisp[rng.integers(len(crisp))], crisp[rng.integers(len(crisp))]
+            pairs.append((e1, l1, e2, l2))
+            oracle.append(None)
+        for e1 in envs:
+            for e2 in envs:
+                pairs.append((e1, crisp[0], e2, crisp[0]))
+                oracle.append(gaussian_tv_via_crossings(e1.mean, e1.std, e2.mean, e2.std))
+            t1, t2 = crisp[5:7]
+            pairs.append((e1, t1, e1, t2))
+            oracle.append(threshold_pair_disagreement(e1.mean, e1.std, t1.theta, t2.theta))
+        atoms = np.round(np.sort(rng.uniform(-3, 3, 40)), 6)
+        for _ in range(60):
+            union = np.sort(rng.choice(atoms, int(rng.integers(2, 33)), replace=False))
+            own = [np.sort(rng.choice(union, int(rng.integers(1, union.size + 1)), replace=False)) for _ in range(2)]
+            # the union of the two supports is the whole of `union`
+            own[1] = np.union1d(own[1], np.setdiff1d(union, own[0]))
+            g1, g2 = (DiscreteGrid(tuple(p), tuple(rng.dirichlet(np.ones(p.size)))) for p in own)
+            if rng.random() < 0.5:
+                l1, l2 = (Tabular(tuple(union), tuple(map(tuple, rng.dirichlet(np.ones(3), union.size)))) for _ in range(2))
+            else:
+                l1, l2 = crisp[rng.integers(len(crisp))], crisp[rng.integers(len(crisp))]
+            pairs.append((g1, l1, g2, l2))
+            tables = [
+                {x: row for x, row in zip(g.points, discrete_joint_pmf(g, lab))} for g, lab in ((g1, l1), (g2, l2))
+            ]
+            zero = np.zeros(l1.class_count)
+            oracle.append(0.5 * sum(float(np.abs(tables[0].get(x, zero) - tables[1].get(x, zero)).sum()) for x in union))
+        single = [joint_tv_exact(*pair) for pair in pairs]
+        assert joint_tv_many(pairs) == single
+        assert joint_tv_many(pairs[::-1]) == single[::-1]
+        checked = [(value, want) for value, want in zip(single, oracle) if want is not None]
+        assert len(checked) == 90
+        for value, want in checked:
+            assert value == pytest.approx(want, abs=1e-12)
+
     def test_budget_exhaustion_names_its_integral(self):
         # at an unreachable tolerance every nonzero integral refines until
         # its budget runs out: `hard` starts from 3 segments (two density
