@@ -552,8 +552,8 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
         points = [[c[0] - 1.0, *(0.5 * (u + v) for u, v in zip(c, c[1:])), c[-1] + 1.0] if c else [0.0] for c in edges]
         pad = [math.inf] * max(map(len, points))
         # a row per side of each pair: the standardized edges
-        z = [[(x - e.mean) / e.std for x in (-math.inf, *c, *pad[len(c) :])] for e, c in zip(e1s + e2s, edges * 2)]
-        cdf = ndtr(np.asarray(z))
+        z = ((x - e.mean) / e.std for e, c in zip(e1s + e2s, edges * 2) for x in (-math.inf, *c, *pad[len(c) :]))
+        cdf = ndtr(np.fromiter(z, float).reshape(2 * n, -1))
         w = cdf[:, 1:] - cdf[:, :-1]
     else:
         points = [sorted(set(e1.points) | set(e2.points)) for e1, e2 in zip(e1s, e2s)]
@@ -565,13 +565,13 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
             w.append([*mass, *pad[len(pts) :]])
         w = np.asarray(w)
     width = w.shape[1]
-    xs = [x + x[-1:] * (width - len(x)) for x in points] * 2
+    xs = np.asarray([x + x[-1:] * (width - len(x)) for x in points])
     # row r is side r // n of pair r % n
     groups: dict = {}
     for r, lab in enumerate(l1s + l2s):
         groups.setdefault(id(lab), (lab, []))[1].append(r)
     order = [r for _, rows in groups.values() for r in rows]
-    probs = [lab.prob_matrix(np.asarray([*map(xs.__getitem__, rows)]).ravel()) for lab, rows in groups.values()]
+    probs = [lab.prob_matrix(xs.take([r % n for r in rows], axis=0).ravel()) for lab, rows in groups.values()]
     probs = (np.concatenate(probs) if len(probs) > 1 else probs[0]).reshape(2 * n, width, -1)
     joint = (probs if order == sorted(order) else probs.take(np.argsort(order), axis=0)) * w[:, :, None]
     diffs = np.add.reduce(np.abs(joint[:n] - joint[n:]), axis=2)
