@@ -535,10 +535,11 @@ def conditional_tv(l1: Labeler, l2: Labeler, x: float) -> float:
 def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
     """Joint TVs of exact pairs of one environment kind and class count, in one pass over their tables.
 
-    Each distinct labeler's ``prob_matrix`` is called once, on a point of
-    every cell of its rows.  A row is padded with cells of mass 0, or, from
-    8 cells on, where numpy's pairwise sum depends on the length, summed at
-    its own length, so each value is bit for bit the pair's alone.
+    Labels and the sign of ``phi1 - phi2`` are constant inside a CDF cell,
+    so each distinct labeler's ``prob_matrix`` is called once, on one point
+    of every cell of its rows.  Rows are padded with cells of mass 0; a row
+    of 8 or more cells, where numpy's pairwise sum depends on the length, is
+    summed at its own length, so each value is bit for bit the pair's alone.
     """
     n = len(pairs)
     e1s, l1s, e2s, l2s = zip(*pairs)
@@ -551,7 +552,6 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
             edges.append(sorted({*l1.breakpoints(), *l2.breakpoints(), *crossings[key]} - {-math.inf, math.inf}))
         points = [[c[0] - 1.0, *(0.5 * (u + v) for u, v in zip(c, c[1:])), c[-1] + 1.0] if c else [0.0] for c in edges]
         pad = [math.inf] * max(map(len, points))
-        # a row per side of each pair: the standardized edges
         z = ((x - e.mean) / e.std for e, c in zip(e1s + e2s, edges * 2) for x in (-math.inf, *c, *pad[len(c) :]))
         cdf = ndtr(np.fromiter(z, float).reshape(2 * n, -1))
         w = cdf[:, 1:] - cdf[:, :-1]
@@ -566,7 +566,7 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
         w = np.asarray(w)
     width = w.shape[1]
     xs = np.asarray([x + x[-1:] * (width - len(x)) for x in points])
-    # row r is side r // n of pair r % n
+    # row r of z, w and the labeler outputs is side r // n of pair r % n
     groups: dict = {}
     for r, lab in enumerate(l1s + l2s):
         groups.setdefault(id(lab), (lab, []))[1].append(r)
