@@ -59,9 +59,13 @@ class ThresholdClassifier(CrispLabeler):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.theta,)
 
-    def labels(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (self.orientation * (x - self.theta) > 0).astype(np.int64)
+    @property
+    def row(self) -> tuple[float, int]:
+        return (self.theta, self.orientation)
+
+    @staticmethod
+    def label_kernel(x: np.ndarray, theta, orientation) -> np.ndarray:
+        return (orientation * (x - theta) > 0).astype(np.int64)
 
     def score(self, x: np.ndarray) -> np.ndarray:
         return self.orientation * (np.asarray(x, dtype=float) - self.theta)
@@ -90,9 +94,13 @@ class LinearLogistic(CrispLabeler):
             return ()
         return (-self.bias / self.weight,)
 
-    def labels(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (self.weight * x + self.bias > 0).astype(np.int64)
+    @property
+    def row(self) -> tuple[float, float]:
+        return (self.weight, self.bias)
+
+    @staticmethod
+    def label_kernel(x: np.ndarray, weight, bias) -> np.ndarray:
+        return (weight * x + bias > 0).astype(np.int64)
 
     def score(self, x: np.ndarray) -> np.ndarray:
         return self.weight * np.asarray(x, dtype=float) + self.bias

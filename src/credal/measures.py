@@ -108,9 +108,18 @@ class Gaussian:
         if not (math.isfinite(self.std) and self.std > 0):
             raise ValidationError(f"std must be finite and > 0, got {self.std!r}")
 
+    @property
+    def row(self) -> tuple[float, float]:
+        return (self.mean, self.std)
+
+    @staticmethod
+    def kernel(x: np.ndarray, mean, std) -> np.ndarray:
+        """Normal densities at x; ``mean`` and ``std`` are scalars or one value per point."""
+        z = (x - mean) / std
+        return np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
+
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x, dtype=float) - self.mean) / self.std
-        return np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
+        return self.kernel(np.asarray(x, dtype=float), self.mean, self.std)
 
     def cdf(self, x) -> np.ndarray:
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
@@ -159,7 +168,13 @@ Environment = Union[Gaussian, DiscreteGrid]
 
 
 class _LabelerBase:
-    """Defaults of the labeler families: binary, stochastic, no hard breakpoints."""
+    """Defaults of the labeler families: binary, stochastic, no hard breakpoints.
+
+    A family is one vectorised ``kernel(x, *row)``: the (points x classes)
+    label probabilities, where each parameter of ``row`` is a scalar or one
+    value per point.  An instance's ``row`` holds its own scalars, and its
+    ``prob_matrix`` is the kernel on that row.
+    """
 
     class_count = 2
     is_deterministic = False
@@ -167,22 +182,37 @@ class _LabelerBase:
     def breakpoints(self) -> tuple[float, ...]:
         return ()
 
+    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
+        return self.kernel(np.asarray(x, dtype=float), *self.row)
+
 
 _ONE_HOT = np.eye(2)
 _ONE_HOT.setflags(write=False)
 
 
+def _binary(p1: np.ndarray) -> np.ndarray:
+    """Label probabilities ``(1 - p1, p1)`` along a new last axis."""
+    probs = np.empty((*p1.shape, 2))
+    np.subtract(1.0, p1, out=probs[..., 0])
+    probs[..., 1] = p1
+    return probs
+
+
 class CrispLabeler(_LabelerBase):
     """Deterministic binary labeler: ``prob_matrix`` is the one-hot of ``labels``.
 
-    Subclasses supply ``labels(x)`` (class 0 or 1 per point) and the
-    ``breakpoints`` where the label can change.
+    Subclasses supply ``label_kernel(x, *row)`` (class 0 or 1 per point),
+    their ``row`` and the ``breakpoints`` where the label can change.
     """
 
     is_deterministic = True
 
-    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        return _ONE_HOT.take(self.labels(x), axis=0)
+    @classmethod
+    def kernel(cls, x: np.ndarray, *row) -> np.ndarray:
+        return _ONE_HOT.take(cls.label_kernel(x, *row), axis=0)
+
+    def labels(self, x: np.ndarray) -> np.ndarray:
+        return self.label_kernel(np.asarray(x, dtype=float), *self.row)
 
 
 @dataclass(frozen=True)
@@ -202,8 +232,13 @@ class Threshold(CrispLabeler):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.theta,) if math.isfinite(self.theta) else ()
 
-    def labels(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) > self.theta).astype(np.int64)
+    @property
+    def row(self) -> tuple[float]:
+        return (self.theta,)
+
+    @staticmethod
+    def label_kernel(x: np.ndarray, theta) -> np.ndarray:
+        return (x > theta).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -222,9 +257,13 @@ class Interval(CrispLabeler):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.a, self.b)
 
-    def labels(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return ((x > self.a) & (x <= self.b)).astype(np.int64)
+    @property
+    def row(self) -> tuple[float, float]:
+        return (self.a, self.b)
+
+    @staticmethod
+    def label_kernel(x: np.ndarray, a, b) -> np.ndarray:
+        return ((x > a) & (x <= b)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -238,9 +277,13 @@ class Sigmoid(_LabelerBase):
         _require_finite(self.slope, "slope")
         _require_finite(self.bias, "bias")
 
-    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        p1 = expit(self.slope * np.asarray(x, dtype=float) + self.bias)
-        return np.column_stack([1.0 - p1, p1])
+    @property
+    def row(self) -> tuple[float, float]:
+        return (self.slope, self.bias)
+
+    @staticmethod
+    def kernel(x: np.ndarray, slope, bias) -> np.ndarray:
+        return _binary(expit(slope * x + bias))
 
 
 @dataclass(frozen=True)
@@ -254,9 +297,13 @@ class Probit(_LabelerBase):
         _require_finite(self.kappa, "kappa")
         _require_finite(self.bias, "bias")
 
-    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        p1 = ndtr(self.kappa * np.asarray(x, dtype=float) + self.bias)
-        return np.column_stack([1.0 - p1, p1])
+    @property
+    def row(self) -> tuple[float, float]:
+        return (self.kappa, self.bias)
+
+    @staticmethod
+    def kernel(x: np.ndarray, kappa, bias) -> np.ndarray:
+        return _binary(ndtr(kappa * x + bias))
 
 
 @dataclass(frozen=True)
@@ -278,9 +325,17 @@ class SymmetricNoise(_LabelerBase):
     def breakpoints(self) -> tuple[float, ...]:
         return self.base.breakpoints()
 
-    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        base = self.base.prob_matrix(x)
-        return base * (1.0 - self.epsilon) + (1.0 - base) * self.epsilon
+    @property
+    def row(self) -> tuple[float, float, float]:
+        # a threshold base is the interval (theta, inf]: the same label at every x
+        base = self.base.row if isinstance(self.base, Interval) else (self.base.theta, math.inf)
+        return (*base, self.epsilon)
+
+    @staticmethod
+    def kernel(x: np.ndarray, a, b, epsilon) -> np.ndarray:
+        base = Interval.kernel(x, a, b)
+        epsilon = np.asarray(epsilon)[..., None]
+        return base * (1.0 - epsilon) + (1.0 - base) * epsilon
 
 
 @dataclass(frozen=True)
@@ -312,9 +367,17 @@ class Tabular(_LabelerBase):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "probs", probs)
 
+    # a table has no parameter row: its kernel is its own method, so each
+    # table is a family of its own
+    row = ()
+
     @property
     def class_count(self) -> int:
         return len(self.probs[0])
+
+    @property
+    def kernel(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.prob_matrix
 
     def breakpoints(self) -> tuple[float, ...]:
         return self.grid
@@ -552,8 +615,8 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
             edges.append(sorted({*l1.breakpoints(), *l2.breakpoints(), *crossings[key]} - {-math.inf, math.inf}))
         points = [[c[0] - 1.0, *(0.5 * (u + v) for u, v in zip(c, c[1:])), c[-1] + 1.0] if c else [0.0] for c in edges]
         pad = [math.inf] * max(map(len, points))
-        z = ((x - e.mean) / e.std for e, c in zip(e1s + e2s, edges * 2) for x in (-math.inf, *c, *pad[len(c) :]))
-        cdf = ndtr(np.fromiter(z, float).reshape(2 * n, -1))
+        z = [(x - m) / s for e, c in zip(e1s + e2s, edges * 2) for m, s in [e.row] for x in (-math.inf, *c, *pad[len(c) :])]
+        cdf = ndtr(np.array(z).reshape(2 * n, -1))
         w = cdf[:, 1:] - cdf[:, :-1]
     else:
         points = [sorted(set(e1.points) | set(e2.points)) for e1, e2 in zip(e1s, e2s)]
@@ -566,13 +629,12 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
         w = np.asarray(w)
     width = w.shape[1]
     xs = np.asarray([x + x[-1:] * (width - len(x)) for x in points])
-    # row r of z, w and the labeler outputs is side r // n of pair r % n
-    groups: dict = {}
-    for r, lab in enumerate(l1s + l2s):
-        groups.setdefault(id(lab), (lab, []))[1].append(r)
-    order = [r for _, rows in groups.values() for r in rows]
-    probs = [lab.prob_matrix(xs.take([r % n for r in rows], axis=0).ravel()) for lab, rows in groups.values()]
-    probs = (np.concatenate(probs) if len(probs) > 1 else probs[0]).reshape(2 * n, width, -1)
+    # row r of w and the labeler outputs is side r // n of pair r % n
+    families = _families(l1s + l2s)
+    # one kernel call per family on the points of all its rows
+    probs = [kern(xs.take([s % n for s in slots], axis=0), *params) for kern, slots, params in families]
+    order = [s for _, slots, _ in families for s in slots]
+    probs = np.concatenate(probs) if len(probs) > 1 else probs[0]
     joint = (probs if order == sorted(order) else probs.take(np.argsort(order), axis=0)) * w[:, :, None]
     diffs = np.add.reduce(np.abs(joint[:n] - joint[n:]), axis=2)
     tvs = np.add.reduce(diffs[:, :7], axis=1)
@@ -779,36 +841,71 @@ def _joint_densities(
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Joint densities ``(phi1 p1(y|x), phi2 p2(y|x))`` of pair ``own`` at x, one column per class.
 
-    Both sides of all owners are stacked, so each distinct environment's
-    ``pdf`` and labeler's ``prob_matrix`` is called once per pass, on the
-    points whose owners use it.
+    Both sides of all owners are stacked, and each point's ``(mean, std)``
+    and labeler row are gathered by owner with ``take``: one
+    ``Gaussian.kernel`` call and one kernel call per labeler family serve
+    every point of a pass.  With several families the points are grouped
+    by family and put back in order; with one there is nothing to group.
     """
-    envs: dict = {}
-    labs: dict = {}
-    # one row per side, one column per pair
-    env_ids = np.asarray([[envs.setdefault(p[s], len(envs)) for p in pairs] for s in (0, 2)])
-    lab_ids = np.asarray([[labs.setdefault(p[s], len(labs)) for p in pairs] for s in (1, 3)])
-    env_fns = [e.pdf for e in envs]
-    lab_fns = [l.prob_matrix for l in labs]
+    m = len(pairs)
+    # slot s * m + k is side s of pair k
+    moments = np.array([p[s].row for s in (0, 2) for p in pairs], dtype=float).T.copy()
+    families = _families([p[s] for s in (1, 3) for p in pairs])
+    # a slot's family, in small codes that numpy's stable sort orders by
+    # radix, and its position among that family's members
+    codes = np.empty(2 * m, np.min_scalar_type(len(families)))
+    column = np.empty(2 * m, np.intp)
+    for f, (_, slots, _) in enumerate(families):
+        codes[slots] = f
+        column[slots] = range(len(slots))
+
+    def probs(x: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        if len(families) == 1:
+            kernel, _, params = families[0]
+            return kernel(x, *_gather(params, slot))
+        f = codes.take(slot)
+        order = f.argsort(kind="stable")
+        ends = np.bincount(f, minlength=len(families)).cumsum().tolist()
+        xs, at = x.take(order), column.take(slot.take(order))
+        vals = np.concatenate(
+            [kern(xs[a:b], *_gather(params, at[a:b])) for (kern, _, params), a, b in zip(families, [0, *ends], ends) if b > a]
+        )
+        inv = np.empty_like(order)
+        inv[order] = np.arange(order.size)
+        # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
+        return vals.take(inv, axis=0)
 
     def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.size
         xs = np.concatenate([x, x])
-        dens = _by_group(env_fns, env_ids.take(own, axis=1).ravel(), xs)
-        probs = _by_group(lab_fns, lab_ids.take(own, axis=1).ravel(), xs)
-        joint = probs * dens[:, None]
+        slot = np.concatenate([own, own + m])
+        joint = probs(xs, slot) * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
         return joint[:n], joint[n:]
 
     return joints
 
 
-def _by_group(fns: list, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``fns[ids[i]](x[i])`` for every i, calling each function once on all its points."""
-    # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
-    order = ids.argsort(kind="stable")
-    ends = np.bincount(ids, minlength=len(fns)).cumsum().tolist()
-    xs = x.take(order)
-    vals = np.concatenate([fn(xs[a:b]) for fn, a, b in zip(fns, [0, *ends], ends) if b > a])
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
-    return vals.take(inv, axis=0)
+def _families(labs: Sequence[Labeler]) -> list[tuple[Callable, list[int], Union[tuple, list[np.ndarray]]]]:
+    """The labeler families of ``labs``: the labelers that share a ``kernel``.
+
+    Per family: its kernel, the slots (indices into ``labs``) of its members
+    and their parameters.  When the members share one row, these are that
+    row, whose scalars broadcast over any points; otherwise one column
+    per parameter holds the members' values, which broadcast over a row of
+    points per member, and :func:`_gather` takes each point's value by its
+    member's position.
+    """
+    groups: dict = {}
+    for s, lab in enumerate(labs):
+        groups.setdefault(lab.kernel, []).append(s)
+    families = []
+    for kernel, slots in groups.items():
+        rows = [labs[s].row for s in slots]
+        shared = rows.count(rows[0]) == len(rows)
+        families.append((kernel, slots, rows[0] if shared else [np.array(c, dtype=float)[:, None] for c in zip(*rows)]))
+    return families
+
+
+def _gather(params: Union[tuple, list[np.ndarray]], at: np.ndarray) -> Sequence:
+    """A family's parameters at the members in positions ``at``; one labeler's row as it is."""
+    return params if isinstance(params, tuple) else [c.take(at) for c in params]

@@ -186,9 +186,10 @@ class TestRunners:
             tmp_path / "parallel" / "sample_complexity.csv"
         )
 
-    def test_minimax_demo_labels_each_crisp_labeler_once_per_grid(self, tmp_path, monkeypatch):
+    def test_minimax_demo_labels_each_crisp_family_once_per_grid(self, tmp_path, monkeypatch):
         # every (theta, world) pair of one eta's grid goes in one exact
-        # batch, which calls each distinct crisp labeler's `labels` once
+        # batch, which calls each crisp family's label kernel once, on the
+        # points of all its labelers
         import credal.dro as dro
 
         batches = []
@@ -199,14 +200,14 @@ class TestRunners:
             return batched(pairs, cfg)
 
         def spy(cls):
-            labels = cls.labels
+            label_kernel = cls.label_kernel
 
-            def counted(self, x):
+            def counted(x, *row):
                 calls = batches[-1][1]
-                calls[id(self)] = calls.get(id(self), 0) + 1
-                return labels(self, x)
+                calls[cls] = calls.get(cls, 0) + 1
+                return label_kernel(x, *row)
 
-            monkeypatch.setattr(cls, "labels", counted)
+            monkeypatch.setattr(cls, "label_kernel", staticmethod(counted))
 
         monkeypatch.setattr(dro, "joint_tv_many", batch)
         spy(Threshold)
@@ -222,7 +223,7 @@ class TestRunners:
         assert len(batches) == 2
         for labelers, calls in batches:
             assert len(labelers) == 40 + 2
-            assert calls == dict.fromkeys(labelers, 1)
+            assert calls == {Threshold: 1, dro.ThresholdClassifier: 1}
 
     def test_summary_carries_config_provenance(self, tmp_path):
         cfg = preset_config("minimax_demo", "desk", seed=4)
