@@ -163,3 +163,43 @@ def smoothed_risk(env, labeler, h, temperature: float, n_grid: int = 200_001, ha
         xs = np.linspace(a + 1e-9, b - 1e-9, n_grid)
         total += float(np.trapezoid(integrand(xs), xs))
     return total
+
+
+def prob_matrix_by_hand(lab, x) -> np.ndarray:
+    """(points x 2) label probabilities of a binary labeler family, written out per family."""
+    x = np.asarray(x, dtype=float)
+    name = type(lab).__name__
+    if name in ("Sigmoid", "Probit"):
+        slope = lab.slope if name == "Sigmoid" else lab.kappa
+        p1 = (expit if name == "Sigmoid" else ndtr)(slope * x + lab.bias)
+        return np.column_stack([1.0 - p1, p1])
+    if name == "SymmetricNoise":
+        label = prob_matrix_by_hand(lab.base, x)[:, 1] == 1.0
+        eps = lab.epsilon
+        return np.column_stack([np.where(label, eps, 1.0 - eps), np.where(label, 1.0 - eps, eps)])
+    if name == "Threshold":
+        label = x > lab.theta
+    elif name == "Interval":
+        label = (lab.a < x) & (x <= lab.b)
+    elif name == "ThresholdClassifier":
+        label = x > lab.theta if lab.orientation == 1 else x < lab.theta
+    elif name == "LinearLogistic":
+        label = lab.weight * x + lab.bias > 0
+    else:
+        raise TypeError(f"no hand formula for {name}")
+    return np.column_stack([~label, label]).astype(float)
+
+
+def hard_gram_by_class(labels) -> np.ndarray:
+    """Hard-label disagreement matrix from one indicator Gram per distinct label value."""
+    labels = np.asarray(labels)
+    n, k = labels.shape
+    agree = np.zeros((k, k))
+    for c in np.unique(labels):
+        ind = (labels == c).astype(float)
+        agree += ind.T @ ind
+    values = 1.0 - agree / n
+    np.fill_diagonal(values, 0.0)
+    values = np.clip(0.5 * (values + values.T), 0.0, 1.0)
+    np.fill_diagonal(values, 0.0)
+    return values

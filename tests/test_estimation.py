@@ -23,7 +23,7 @@ from credal.estimation import (
 )
 from credal.measures import ValidationError
 
-from oracles import bsc_disagreement_mc
+from oracles import bsc_disagreement_mc, hard_gram_by_class
 
 
 def hard(x, labels):
@@ -187,6 +187,18 @@ class TestHardDisagreement:
         assert np.allclose(m.values, m.values.T)
         assert np.all(np.diag(m.values) == 0)
         assert np.all((m.values >= 0) & (m.values <= 1))
+
+    def test_gram_matches_per_class_indicator_grams(self):
+        # agreement counts are exact integers in float64, so the counting
+        # Gram has the bits of one indicator Gram per distinct label value,
+        # also for labels far apart (no memory follows the largest label)
+        rng = np.random.default_rng(11)
+        for labels in (
+            rng.integers(0, 3, size=(5000, 5)),
+            rng.integers(0, 3, size=(2000, 40)),
+            np.where(rng.random((3000, 6)) < 0.4, 0, 10**12),
+        ):
+            assert (disagreement_hard_from_labels(labels).values == hard_gram_by_class(labels)).all()
 
     def test_labels_must_be_class_indices(self):
         for labels in (

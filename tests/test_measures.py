@@ -33,11 +33,13 @@ from credal.measures import (
     sup_conditional_tv,
     tv_discrete,
     tv_env,
+    _joint_densities,
 )
 
 from oracles import (
     discrete_joint_pmf,
     gaussian_tv_via_crossings,
+    prob_matrix_by_hand,
     quadrature_joint_tv,
     threshold_pair_disagreement,
     tv_subset_brute_force,
@@ -540,6 +542,89 @@ class TestJointTvMany:
             joint_tv_many([same, slow, hard, same], cfg)
         assert batched.value.residual == alone.value.residual > 0
         assert joint_tv_many([same, same], cfg) == [0.0, 0.0]
+
+
+def _every_family(rng) -> list:
+    """Labelers of all seven binary families, with their edge cases."""
+    return [
+        Threshold(math.inf),
+        Threshold(-math.inf),
+        *(Threshold(float(t)) for t in rng.uniform(-2, 2, 2)),
+        Interval(*sorted(rng.uniform(-2, 2, 2))),
+        Interval(-0.5, 0.25),
+        *(Sigmoid(float(a), float(b)) for a, b in rng.uniform(-5, 5, (3, 2))),
+        Sigmoid(0.0, 0.7),
+        *(Probit(float(a), float(b)) for a, b in rng.uniform(-5, 5, (3, 2))),
+        Probit(0.0, -0.3),
+        SymmetricNoise(Threshold(float(rng.uniform(-1, 1))), 0.1),
+        SymmetricNoise(Interval(-0.7, 0.9), 0.35),
+        SymmetricNoise(Threshold(0.2), 0.0),
+        ThresholdClassifier(float(rng.uniform(-1, 1)), 1),
+        ThresholdClassifier(float(rng.uniform(-1, 1)), -1),
+        LinearLogistic(float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1))),
+        LinearLogistic(0.0, 0.4),
+        LinearLogistic(0.0, -0.4),
+    ]
+
+
+class TestFamilyKernels:
+    def test_prob_matrix_matches_hand_formula(self):
+        rng = np.random.default_rng(41)
+        x = np.concatenate([rng.normal(0, 3, 400), [-0.5, 0.0, 0.25, 0.9, 0.2]])
+        for lab in _every_family(rng):
+            # a zero slope times an infinite x has no value: a smooth link has
+            # none, and a zero-weight LinearLogistic labels it class 0
+            at = np.concatenate([x, [-math.inf, math.inf]]) if lab.is_deterministic else x
+            with np.errstate(invalid="ignore"):
+                assert (lab.prob_matrix(at) == prob_matrix_by_hand(lab, at)).all(), lab
+
+    def test_joint_densities_equal_per_owner_products(self):
+        # points of many owners over every family and stds from 0.003 to
+        # 10: gathering each point's parameters by owner gives the bits of
+        # each owner's own pdf and prob_matrix
+        rng = np.random.default_rng(43)
+        labs = _every_family(rng)
+        envs = [Gaussian(float(m), float(s)) for m, s in zip(rng.uniform(-2, 2, 8), 10.0 ** rng.uniform(-2.5, 1, 8))]
+        envs += [Gaussian(0.3, 0.003), Gaussian(-1.0, 10.0)]
+        pairs = [
+            (envs[i], labs[j], envs[ip], labs[jp])
+            for i, j, ip, jp in zip(*(rng.integers(len(v), size=60) for v in (envs, labs, envs, labs)))
+        ]
+        own = rng.integers(len(pairs), size=3000)
+        x = np.asarray([pairs[k][0].mean for k in own]) + rng.normal(0, 2, own.size)
+        j1, j2 = _joint_densities(pairs)(x, own)
+        for k, (e1, l1, e2, l2) in enumerate(pairs):
+            at = own == k
+            assert (j1[at] == e1.pdf(x[at])[:, None] * l1.prob_matrix(x[at])).all()
+            assert (j2[at] == e2.pdf(x[at])[:, None] * l2.prob_matrix(x[at])).all()
+        # one family and one labeler: the same values
+        one = [(e1, labs[8], e2, labs[8]) for e1, _, e2, _ in pairs]
+        j1, j2 = _joint_densities(one)(x, own)
+        assert (j1 == np.concatenate([[one[k][0].pdf(x[i : i + 1])[0]] for i, k in enumerate(own)])[:, None] * labs[8].prob_matrix(x)).all()
+
+    def test_mixed_hypothesis_batches_equal_batch_of_one(self):
+        rng = np.random.default_rng(47)
+        labs = _every_family(rng)
+        envs = [Gaussian(-0.4, 0.7), Gaussian(0.5, 1.8), Gaussian(0.1, 0.05)]
+        smooth = [lab for lab in labs if isinstance(lab, (Sigmoid, Probit))]
+        pairs = []
+        for _ in range(40):
+            e1, e2 = (envs[i] for i in rng.integers(len(envs), size=2))
+            s = smooth[rng.integers(len(smooth))]
+            other = labs[rng.integers(len(labs))]
+            pairs.append((e1, s, e2, other) if rng.random() < 0.5 else (e1, other, e1, s))
+        single = [joint_tv_exact(*pair) for pair in pairs]
+        assert joint_tv_many(pairs) == single
+        assert joint_tv_many(pairs[::-1]) == single[::-1]
+
+    def test_tabular_under_gaussian_in_mixed_batch_raises(self):
+        g = Gaussian(0.0, 1.0)
+        tab = Tabular((-1.0, 0.0, 1.0), ((0.9, 0.1), (0.5, 0.5), (0.2, 0.8)))
+        pairs = [(g, Sigmoid(2.0, 0.1), g, Probit(-1.0, 0.2)), (g, tab, g, Sigmoid(1.0, 0.0)), (g, ThresholdClassifier(0.2, -1), g, Sigmoid(3.0, 0.0))]
+        with pytest.raises(SupportError):
+            joint_tv_many(pairs)
+        with pytest.raises(SupportError):
+            joint_tv_many(pairs[1:2])
 
 
 class TestSteepCrossingLabelers:
