@@ -59,10 +59,6 @@ class ThresholdClassifier(CrispLabeler):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.theta,)
 
-    @property
-    def row(self) -> tuple[float, int]:
-        return (self.theta, self.orientation)
-
     @staticmethod
     def label_kernel(x: np.ndarray, theta, orientation) -> np.ndarray:
         return (orientation * (x - theta) > 0).astype(np.int64)
@@ -93,10 +89,6 @@ class LinearLogistic(CrispLabeler):
         if self.weight == 0.0:
             return ()
         return (-self.bias / self.weight,)
-
-    @property
-    def row(self) -> tuple[float, float]:
-        return (self.weight, self.bias)
 
     @staticmethod
     def label_kernel(x: np.ndarray, weight, bias) -> np.ndarray:

@@ -8,6 +8,13 @@ environments holds the labeler fixed, the expected conditional TV holds the
 environment fixed, and a crisp hypothesis is one more labeler, so its 0-1
 risk in a world is an expected conditional TV too.
 
+Each family (``Gaussian``, ``Threshold``, ``Interval``, ``Sigmoid``,
+``Probit``, ``SymmetricNoise``, and the hypotheses of :mod:`credal.dro`) is
+one vectorised kernel over parameter rows; an instance's ``pdf`` or
+``prob_matrix`` is that kernel on its own row.  Batched code gathers each
+point's row by owner and makes one kernel call per family, not one call per
+instance; a ``Tabular`` is a family of its own.
+
 Exact values come from one batched partition kernel.  When the two product
 distributions share a finite partition of the covariate line (the union
 atoms of two grids, or the CDF cells between label boundaries and density
@@ -17,8 +24,9 @@ between the tables; the TV between environments is the case of a constant
 labeler; :func:`joint_tv_many` builds all such tables in one array pass.
 Every other pair is integrated by one adaptive Simpson worklist engine cut
 at split hints, a group of pairs per pass.  Each value has the same bits
-as alone; memory grows with a call's quadrature pairs, so callers pass
-natural groups of those rather than a whole sweep.
+as alone, because elementwise kernels give the same bits on whichever
+points they run; memory grows with a call's quadrature pairs, so callers
+pass natural groups of those rather than a whole sweep.
 
 The module also provides discrete TV between probability vectors,
 pointwise conditional TV, and a grid-based supremum of the conditional
@@ -39,7 +47,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -172,7 +181,7 @@ class _LabelerBase:
 
     A family is one vectorised ``kernel(x, *row)``: the (points x classes)
     label probabilities, where each parameter of ``row`` is a scalar or one
-    value per point.  An instance's ``row`` holds its own scalars, and its
+    value per point.  An instance's ``row`` is its own fields, and its
     ``prob_matrix`` is the kernel on that row.
     """
 
@@ -182,6 +191,10 @@ class _LabelerBase:
     def breakpoints(self) -> tuple[float, ...]:
         return ()
 
+    @cached_property
+    def row(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         return self.kernel(np.asarray(x, dtype=float), *self.row)
 
@@ -190,12 +203,16 @@ _ONE_HOT = np.eye(2)
 _ONE_HOT.setflags(write=False)
 
 
-def _binary(p1: np.ndarray) -> np.ndarray:
-    """Label probabilities ``(1 - p1, p1)`` along a new last axis."""
-    probs = np.empty((*p1.shape, 2))
-    np.subtract(1.0, p1, out=probs[..., 0])
-    probs[..., 1] = p1
-    return probs
+class _Link(_LabelerBase):
+    """Stochastic binary labeler: P(1|x) = link(slope*x + bias)."""
+
+    @classmethod
+    def kernel(cls, x: np.ndarray, slope, bias) -> np.ndarray:
+        p1 = cls.link(slope * x + bias)
+        probs = np.empty((*p1.shape, 2))
+        np.subtract(1.0, p1, out=probs[..., 0])
+        probs[..., 1] = p1
+        return probs
 
 
 class CrispLabeler(_LabelerBase):
@@ -232,10 +249,6 @@ class Threshold(CrispLabeler):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.theta,) if math.isfinite(self.theta) else ()
 
-    @property
-    def row(self) -> tuple[float]:
-        return (self.theta,)
-
     @staticmethod
     def label_kernel(x: np.ndarray, theta) -> np.ndarray:
         return (x > theta).astype(np.int64)
@@ -257,17 +270,13 @@ class Interval(CrispLabeler):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.a, self.b)
 
-    @property
-    def row(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
     @staticmethod
     def label_kernel(x: np.ndarray, a, b) -> np.ndarray:
         return ((x > a) & (x <= b)).astype(np.int64)
 
 
 @dataclass(frozen=True)
-class Sigmoid(_LabelerBase):
+class Sigmoid(_Link):
     """Stochastic binary labeler with logistic link: P(1|x) = sigma(slope*x + bias)."""
 
     slope: float
@@ -277,17 +286,11 @@ class Sigmoid(_LabelerBase):
         _require_finite(self.slope, "slope")
         _require_finite(self.bias, "bias")
 
-    @property
-    def row(self) -> tuple[float, float]:
-        return (self.slope, self.bias)
-
-    @staticmethod
-    def kernel(x: np.ndarray, slope, bias) -> np.ndarray:
-        return _binary(expit(slope * x + bias))
+    link = staticmethod(expit)
 
 
 @dataclass(frozen=True)
-class Probit(_LabelerBase):
+class Probit(_Link):
     """Stochastic binary labeler with probit link: P(1|x) = Phi(kappa*x + bias)."""
 
     kappa: float
@@ -297,13 +300,7 @@ class Probit(_LabelerBase):
         _require_finite(self.kappa, "kappa")
         _require_finite(self.bias, "bias")
 
-    @property
-    def row(self) -> tuple[float, float]:
-        return (self.kappa, self.bias)
-
-    @staticmethod
-    def kernel(x: np.ndarray, kappa, bias) -> np.ndarray:
-        return _binary(ndtr(kappa * x + bias))
+    link = staticmethod(ndtr)
 
 
 @dataclass(frozen=True)
@@ -325,11 +322,10 @@ class SymmetricNoise(_LabelerBase):
     def breakpoints(self) -> tuple[float, ...]:
         return self.base.breakpoints()
 
-    @property
+    @cached_property
     def row(self) -> tuple[float, float, float]:
         # a threshold base is the interval (theta, inf]: the same label at every x
-        base = self.base.row if isinstance(self.base, Interval) else (self.base.theta, math.inf)
-        return (*base, self.epsilon)
+        return (*self.base.row, math.inf)[:2] + (self.epsilon,)
 
     @staticmethod
     def kernel(x: np.ndarray, a, b, epsilon) -> np.ndarray:
@@ -599,8 +595,8 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
     """Joint TVs of exact pairs of one environment kind and class count, in one pass over their tables.
 
     Labels and the sign of ``phi1 - phi2`` are constant inside a CDF cell,
-    so each distinct labeler's ``prob_matrix`` is called once, on one point
-    of every cell of its rows.  Rows are padded with cells of mass 0; a row
+    so each labeler family's kernel is called once, on one point of every
+    cell of its members' rows.  Rows are padded with cells of mass 0; a row
     of 8 or more cells, where numpy's pairwise sum depends on the length, is
     summed at its own length, so each value is bit for bit the pair's alone.
     """
@@ -748,7 +744,8 @@ def joint_tv_many(
     per kind.  All other Gaussian pairs share one adaptive Simpson worklist,
     whose memory grows with their number, cut at their labelers' and
     environments' hints, density crossings and the kinks found by
-    :func:`_kinks`.  Each value is bit for bit that of the pair alone.
+    :func:`_kinks`; its integrand is one kernel per family, parameters
+    gathered by owner.  Each value is bit for bit that of the pair alone.
     """
     values = [0.0] * len(pairs)
     exact, windows, quad = {}, [], []
@@ -842,58 +839,47 @@ def _joint_densities(
     """Joint densities ``(phi1 p1(y|x), phi2 p2(y|x))`` of pair ``own`` at x, one column per class.
 
     Both sides of all owners are stacked, and each point's ``(mean, std)``
-    and labeler row are gathered by owner with ``take``: one
-    ``Gaussian.kernel`` call and one kernel call per labeler family serve
-    every point of a pass.  With several families the points are grouped
-    by family and put back in order; with one there is nothing to group.
+    and labeler parameters are gathered by owner: one ``Gaussian.kernel``
+    call and one kernel call per labeler family serve a whole pass.  Points
+    of several families are grouped by family and put back in order.
     """
     m = len(pairs)
     # slot s * m + k is side s of pair k
     moments = np.array([p[s].row for s in (0, 2) for p in pairs], dtype=float).T.copy()
     families = _families([p[s] for s in (1, 3) for p in pairs])
     # a slot's family, in small codes that numpy's stable sort orders by
-    # radix, and its position among that family's members
-    codes = np.empty(2 * m, np.min_scalar_type(len(families)))
-    column = np.empty(2 * m, np.intp)
+    # radix, and its place among the family's members
+    codes, place = np.empty(2 * m, np.min_scalar_type(len(families))), np.empty(2 * m, np.intp)
     for f, (_, slots, _) in enumerate(families):
-        codes[slots] = f
-        column[slots] = range(len(slots))
-
-    def probs(x: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        if len(families) == 1:
-            kernel, _, params = families[0]
-            return kernel(x, *_gather(params, slot))
-        f = codes.take(slot)
-        order = f.argsort(kind="stable")
-        ends = np.bincount(f, minlength=len(families)).cumsum().tolist()
-        xs, at = x.take(order), column.take(slot.take(order))
-        vals = np.concatenate(
-            [kern(xs[a:b], *_gather(params, at[a:b])) for (kern, _, params), a, b in zip(families, [0, *ends], ends) if b > a]
-        )
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
-        return vals.take(inv, axis=0)
+        codes[slots], place[slots] = f, range(len(slots))
 
     def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.size
-        xs = np.concatenate([x, x])
-        slot = np.concatenate([own, own + m])
-        joint = probs(xs, slot) * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
+        xs, slot = np.concatenate([x, x]), np.concatenate([own, own + m])
+        if len(families) == 1:
+            kernel, _, params = families[0]
+            probs = kernel(xs, *_gather(params, slot))
+        else:
+            f = codes.take(slot)
+            order = f.argsort(kind="stable")
+            ends = np.bincount(f, minlength=len(families)).cumsum().tolist()
+            xo, at = xs.take(order), place.take(slot.take(order))
+            parts = [k(xo[a:b], *_gather(params, at[a:b])) for (k, _, params), a, b in zip(families, [0, *ends], ends) if b > a]
+            inv = np.empty_like(order)
+            inv[order] = np.arange(order.size)
+            # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
+            probs = np.concatenate(parts).take(inv, axis=0)
+        joint = probs * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
         return joint[:n], joint[n:]
 
     return joints
 
 
 def _families(labs: Sequence[Labeler]) -> list[tuple[Callable, list[int], Union[tuple, list[np.ndarray]]]]:
-    """The labeler families of ``labs``: the labelers that share a ``kernel``.
+    """The families of ``labs`` (labelers that share a ``kernel``): kernel, member slots, parameters.
 
-    Per family: its kernel, the slots (indices into ``labs``) of its members
-    and their parameters.  When the members share one row, these are that
-    row, whose scalars broadcast over any points; otherwise one column
-    per parameter holds the members' values, which broadcast over a row of
-    points per member, and :func:`_gather` takes each point's value by its
-    member's position.
+    Members that share one row pass its scalars, which broadcast over any
+    points; otherwise each parameter is a column of the members' values.
     """
     groups: dict = {}
     for s, lab in enumerate(labs):
@@ -907,5 +893,5 @@ def _families(labs: Sequence[Labeler]) -> list[tuple[Callable, list[int], Union[
 
 
 def _gather(params: Union[tuple, list[np.ndarray]], at: np.ndarray) -> Sequence:
-    """A family's parameters at the members in positions ``at``; one labeler's row as it is."""
+    """A family's parameters at the members in places ``at``; a shared row as it is."""
     return params if isinstance(params, tuple) else [c.take(at) for c in params]
