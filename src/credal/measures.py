@@ -179,10 +179,9 @@ Environment = Union[Gaussian, DiscreteGrid]
 class _LabelerBase:
     """Defaults of the labeler families: binary, stochastic, no hard breakpoints.
 
-    A family is one vectorised ``kernel(x, *row)``: the (points x classes)
-    label probabilities, where each parameter of ``row`` is a scalar or one
-    value per point.  An instance's ``row`` is its own fields, and its
-    ``prob_matrix`` is the kernel on that row.
+    A family is one ``kernel(x, *row)`` giving (points x classes) label
+    probabilities, each parameter a scalar or one value per point; an
+    instance's ``row`` is its fields and ``prob_matrix`` the kernel on it.
     """
 
     class_count = 2
