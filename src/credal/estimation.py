@@ -285,23 +285,29 @@ def _build_matrix(values: np.ndarray, n: int, kind: str) -> DisagreementMatrix:
 def disagreement_hard_from_labels(labels: np.ndarray) -> DisagreementMatrix:
     """Disagreement matrix from an (n, k) integer label array.
 
-    Agreement counts compare each annotator's column with the columns
-    after it, one array pass per annotator: O(k^2 n) comparisons, no sort
-    and no memory that grows with the label values; the experiment harness
-    feeds replication sweeps through this entry point.  Labels of another
-    dtype (float, bool) or negative labels raise ``ValidationError``.
+    Agreement counts come from per-class indicator Grams, so the cost is
+    O(C k^2 n) in BLAS rather than a Python pair loop; the classes are found
+    without sorting the n*k labels, and no memory grows with the label
+    values.  The experiment harness feeds replication sweeps through this
+    entry point.  Labels of another dtype (float, bool) or negative labels
+    raise ``ValidationError``.
     """
     return _hard_gram(_check_columns(np.zeros(np.shape(labels)[:1]), lambda i: f"row {i}", hard=labels)[1])
 
 
 def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
     n, k = labels.shape
-    columns = labels.T.copy()
-    # counts are exact integers in float64, so the matrix is exactly symmetric and in [0, 1]
-    agree = np.zeros((k, k))
-    for j in range(k):
-        agree[j, j + 1 :] = agree[j + 1 :, j] = np.count_nonzero(columns[j + 1 :] == columns[j], axis=1)
+    agree, ind = np.zeros((k, k)), np.empty((n, k))
+    # the classes in ascending order, each the least label above the last one
+    rest = labels.ravel()
+    while rest.size:
+        c = rest.min()
+        np.equal(labels, c, out=ind)
+        agree += ind.T @ ind
+        rest = rest[rest > c]
     values = 1.0 - agree / n
+    np.fill_diagonal(values, 0.0)
+    values = np.clip(0.5 * (values + values.T), 0.0, 1.0)
     np.fill_diagonal(values, 0.0)
     return _build_matrix(values, n, "hard")
 
