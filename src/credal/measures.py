@@ -203,11 +203,25 @@ _ONE_HOT.setflags(write=False)
 
 
 class _Link(_LabelerBase):
-    """Stochastic binary labeler: P(1|x) = link(slope*x + bias)."""
+    """Stochastic binary labeler P(1|x) = link(slope*x + bias), with a logistic or a probit link.
 
-    @classmethod
-    def kernel(cls, x: np.ndarray, slope, bias) -> np.ndarray:
-        p1 = cls.link(slope * x + bias)
+    Both links are one family, whose row ends with ``probit`` (0 or 1): a
+    batch of both applies each link to its own points.
+    """
+
+    @cached_property
+    def row(self) -> tuple[float, float, float]:
+        slope, bias = (getattr(self, f.name) for f in fields(self))
+        return (slope, bias, self.probit)
+
+    @staticmethod
+    def kernel(x: np.ndarray, slope, bias, probit) -> np.ndarray:
+        z = slope * x + bias
+        if np.ndim(probit):
+            p1, at = np.empty_like(z), np.broadcast_to(probit, z.shape) != 0
+            p1[~at], p1[at] = expit(z[~at]), ndtr(z[at])
+        else:
+            p1 = ndtr(z) if probit else expit(z)
         probs = np.empty((*p1.shape, 2))
         np.subtract(1.0, p1, out=probs[..., 0])
         probs[..., 1] = p1
@@ -285,7 +299,7 @@ class Sigmoid(_Link):
         _require_finite(self.slope, "slope")
         _require_finite(self.bias, "bias")
 
-    link = staticmethod(expit)
+    probit = 0.0
 
 
 @dataclass(frozen=True)
@@ -299,7 +313,7 @@ class Probit(_Link):
         _require_finite(self.kappa, "kappa")
         _require_finite(self.bias, "bias")
 
-    link = staticmethod(ndtr)
+    probit = 1.0
 
 
 @dataclass(frozen=True)
@@ -875,23 +889,22 @@ def _joint_densities(
     return joints
 
 
-def _families(labs: Sequence[Labeler]) -> list[tuple[Callable, list[int], Union[tuple, list[np.ndarray]]]]:
+def _families(labs: Sequence[Labeler]) -> list[tuple[Callable, list[int], list]]:
     """The families of ``labs`` (labelers that share a ``kernel``): kernel, member slots, parameters.
 
-    Members that share one row pass its scalars, which broadcast over any
-    points; otherwise each parameter is a column of the members' values.
+    A parameter that all members share is a scalar, which broadcasts over
+    any points; any other is a column of the members' values.
     """
     groups: dict = {}
     for s, lab in enumerate(labs):
         groups.setdefault(lab.kernel, []).append(s)
     families = []
     for kernel, slots in groups.items():
-        rows = [labs[s].row for s in slots]
-        shared = rows.count(rows[0]) == len(rows)
-        families.append((kernel, slots, rows[0] if shared else [np.array(c, dtype=float)[:, None] for c in zip(*rows)]))
+        columns = zip(*[labs[s].row for s in slots])
+        families.append((kernel, slots, [c[0] if c.count(c[0]) == len(c) else np.array(c, dtype=float)[:, None] for c in columns]))
     return families
 
 
-def _gather(params: Union[tuple, list[np.ndarray]], at: np.ndarray) -> Sequence:
-    """A family's parameters at the members in places ``at``; a shared row as it is."""
-    return params if isinstance(params, tuple) else [c.take(at) for c in params]
+def _gather(params: list, at: np.ndarray) -> list:
+    """A family's parameters at the members in places ``at``; a shared one stays a scalar."""
+    return [c.take(at) if isinstance(c, np.ndarray) else c for c in params]
