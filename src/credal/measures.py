@@ -8,12 +8,12 @@ environments holds the labeler fixed, the expected conditional TV holds the
 environment fixed, and a crisp hypothesis is one more labeler, so its 0-1
 risk in a world is an expected conditional TV too.
 
-Each family (``Gaussian``, ``Threshold``, ``Interval``, ``Sigmoid``,
-``Probit``, ``SymmetricNoise``, and the hypotheses of :mod:`credal.dro`) is
-one vectorised kernel over parameter rows; an instance's ``pdf`` or
-``prob_matrix`` is that kernel on its own row.  Batched code gathers each
-point's row by owner and makes one kernel call per family, not one call per
-instance; a ``Tabular`` is a family of its own.
+Each family (``Gaussian``, ``Threshold``, ``Interval``, the links of
+``Sigmoid`` and ``Probit``, ``SymmetricNoise``, and the hypotheses of
+:mod:`credal.dro`) is one vectorised kernel over parameter rows, and an
+instance's ``pdf`` or ``prob_matrix`` is that kernel on its own row.  Batched
+code gathers each point's parameters by owner and calls one kernel per
+family, never one per instance; a ``Tabular`` is a family of its own.
 
 Exact values come from one batched partition kernel.  When the two product
 distributions share a finite partition of the covariate line (the union
