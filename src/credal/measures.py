@@ -217,7 +217,7 @@ class _Link(_LabelerBase):
     @staticmethod
     def kernel(x: np.ndarray, slope, bias, probit) -> np.ndarray:
         z = slope * x + bias
-        if np.ndim(probit):
+        if isinstance(probit, np.ndarray):
             p1, at = np.empty_like(z), np.broadcast_to(probit, z.shape) != 0
             p1[~at], p1[at] = expit(z[~at]), ndtr(z[at])
         else:
@@ -243,6 +243,10 @@ class CrispLabeler(_LabelerBase):
 
     def labels(self, x: np.ndarray) -> np.ndarray:
         return self.label_kernel(np.asarray(x, dtype=float), *self.row)
+
+    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
+        # the kernel on the instance's row, one call shorter
+        return _ONE_HOT.take(self.labels(x), axis=0)
 
 
 @dataclass(frozen=True)
