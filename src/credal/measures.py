@@ -646,10 +646,14 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
     families = _families(l1s + l2s)
     # one kernel call per family on the points of all its rows
     probs = [kern(xs.take([s % n for s in slots], axis=0), *params) for kern, slots, params in families]
-    if len(probs) > 1:
+    if len(probs) == 1:
+        probs = probs[0]
+    else:
         order = [s for _, slots, _ in families for s in slots]
-        probs = [np.concatenate(probs) if order == sorted(order) else np.concatenate(probs).take(np.argsort(order), axis=0)]
-    joint = probs[0] * w[:, :, None]
+        probs = np.concatenate(probs)
+        if order != sorted(order):
+            probs = probs.take(np.argsort(order), axis=0)
+    joint = probs * w[:, :, None]
     diffs = np.add.reduce(np.abs(joint[:n] - joint[n:]), axis=2)
     tvs = np.add.reduce(diffs[:, :7], axis=1)
     if width > 7:
