@@ -23,7 +23,9 @@ crossings of two Gaussians with deterministic labelers), each becomes a
 between the tables; the TV between environments is the case of a constant
 labeler; :func:`joint_tv_many` builds all such tables in one array pass.
 Every other pair is integrated by one adaptive Simpson worklist engine cut
-at split hints, a group of pairs per pass.  Each value has the same bits
+at split hints, a group of pairs per pass; the smoothed risks and
+gradients of :mod:`credal.dro` use the same engine and the same gather of
+labeler parameters (:func:`_label_probs`).  Each value has the same bits
 as alone, because elementwise kernels give the same bits on whichever
 points they run; memory grows with a call's quadrature pairs, so callers
 pass natural groups of those rather than a whole sweep.
@@ -561,20 +563,6 @@ def _env_hints(env: Gaussian) -> tuple[float, ...]:
     return tuple(env.mean + k * env.std for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
 
 
-def _expectation(
-    env: Environment,
-    g: Callable[[np.ndarray], np.ndarray],
-    cfg: QuadratureConfig,
-    hints: tuple[float, ...] = (),
-) -> float:
-    """E[g(X)] for bounded vectorized g; a Gaussian integral is split at ``hints`` and env's own."""
-    if isinstance(env, DiscreteGrid):
-        return float(np.dot(env.weights, g(np.asarray(env.points))))
-    lo, hi = gaussian_domain(env, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-    cuts = (*hints, *_env_hints(env))
-    return adaptive_simpson(lambda x: g(x) * env.pdf(x), lo, hi, cfg.abs_tol, cuts, _EVAL_BUDGET)
-
-
 # ---------------------------------------------------------------------------
 # Total-variation operations
 # ---------------------------------------------------------------------------
@@ -862,39 +850,51 @@ def _joint_densities(
 
     Both sides of all owners are stacked, and each point's ``(mean, std)``
     and labeler parameters are gathered by owner: one ``Gaussian.kernel``
-    call and one kernel call per labeler family serve a whole pass.  Points
-    of several families are grouped by family and put back in order.
+    call and one kernel call per labeler family serve a whole pass.
     """
     m = len(pairs)
     # slot s * m + k is side s of pair k
     moments = np.array([p[s].row for s in (0, 2) for p in pairs], dtype=float).T.copy()
-    families = _families([p[s] for s in (1, 3) for p in pairs])
-    # a slot's family, in small codes that numpy's stable sort orders by
-    # radix, and its place among the family's members
-    codes, place = np.empty(2 * m, np.min_scalar_type(len(families))), np.empty(2 * m, np.intp)
-    for f, (_, slots, _) in enumerate(families):
-        codes[slots], place[slots] = f, range(len(slots))
+    label_probs = _label_probs([p[s] for s in (1, 3) for p in pairs])
 
     def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.size
         xs, slot = np.concatenate([x, x]), np.concatenate([own, own + m])
-        if len(families) == 1:
-            kernel, _, params = families[0]
-            probs = kernel(xs, *_gather(params, slot))
-        else:
-            f = codes.take(slot)
-            order = f.argsort(kind="stable")
-            ends = np.bincount(f, minlength=len(families)).cumsum().tolist()
-            xo, at = xs.take(order), place.take(slot.take(order))
-            parts = [k(xo[a:b], *_gather(params, at[a:b])) for (k, _, params), a, b in zip(families, [0, *ends], ends) if b > a]
-            inv = np.empty_like(order)
-            inv[order] = np.arange(order.size)
-            # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
-            probs = np.concatenate(parts).take(inv, axis=0)
-        joint = probs * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
+        joint = label_probs(xs, slot) * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
         return joint[:n], joint[n:]
 
     return joints
+
+
+def _label_probs(labs: Sequence[Labeler]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Label probabilities ``p(y|x)`` of labeler ``slot`` at x, one column per class.
+
+    Each point's parameters are gathered by owner, one kernel call per
+    family; points of several families are grouped by family and put back
+    in order.
+    """
+    families = _families(labs)
+    # a slot's family, in small codes that numpy's stable sort orders by
+    # radix, and its place among the family's members
+    codes, place = np.empty(len(labs), np.min_scalar_type(len(families))), np.empty(len(labs), np.intp)
+    for f, (_, slots, _) in enumerate(families):
+        codes[slots], place[slots] = f, range(len(slots))
+
+    def label_probs(xs: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        if len(families) == 1:
+            kernel, _, params = families[0]
+            return kernel(xs, *_gather(params, slot))
+        f = codes.take(slot)
+        order = f.argsort(kind="stable")
+        ends = np.bincount(f, minlength=len(families)).cumsum().tolist()
+        xo, at = xs.take(order), place.take(slot.take(order))
+        parts = [k(xo[a:b], *_gather(params, at[a:b])) for (k, _, params), a, b in zip(families, [0, *ends], ends) if b > a]
+        inv = np.empty_like(order)
+        inv[order] = np.arange(order.size)
+        # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
+        return np.concatenate(parts).take(inv, axis=0)
+
+    return label_probs
 
 
 def _families(labs: Sequence[Labeler]) -> list[tuple[Callable, list[int], list]]:

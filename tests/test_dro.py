@@ -14,6 +14,7 @@ from credal.dro import (
     lse_objective,
     train,
     world_risks,
+    _smoothed_gradient,
     _smoothed_risk,
 )
 from credal.measures import (
@@ -24,6 +25,7 @@ from credal.measures import (
     Probit,
     QuadratureConfig,
     Sigmoid,
+    SymmetricNoise,
     Tabular,
     Threshold,
     ValidationError,
@@ -35,6 +37,7 @@ from oracles import (
     discrete_joint_pmf,
     quadrature_joint_tv,
     smoothed_risk,
+    smoothed_risk_gradient,
     threshold_pair_disagreement,
 )
 
@@ -120,24 +123,106 @@ class TestWorldRisks:
         assert world_risks(flat, spec).risks[0, 0] == world_risks(LinearLogistic(0.0, -1.0), spec).risks[0, 0]
 
 
+def _smoothed_risk_cases():
+    """Seeded Gaussian worlds with Sigmoid/Probit labelers, each with a threshold or linear hypothesis."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(20):
+        env = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.3, 2.5)))
+        if rng.random() < 0.5:
+            lab = Sigmoid(float(rng.uniform(-4, 4)), float(rng.uniform(-2, 2)))
+        else:
+            lab = Probit(float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
+        if rng.random() < 0.5:
+            h = ThresholdClassifier(float(rng.uniform(-2.5, 2.5)), int(rng.choice([-1, 1])))
+        else:
+            h = LinearLogistic(float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
+        cases.append((env, lab, h))
+    return cases
+
+
 class TestSmoothedRisk:
     def test_stochastic_labelers_meet_abs_tol(self):
         # sigma(score / T) steps over a width of order T at the decision
         # point, so the integral must be split there to meet abs_tol
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            env = Gaussian(float(rng.uniform(-2, 2)), float(rng.uniform(0.3, 2.5)))
-            if rng.random() < 0.5:
-                lab = Sigmoid(float(rng.uniform(-4, 4)), float(rng.uniform(-2, 2)))
-            else:
-                lab = Probit(float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
-            if rng.random() < 0.5:
-                h = ThresholdClassifier(float(rng.uniform(-2.5, 2.5)), int(rng.choice([-1, 1])))
-            else:
-                h = LinearLogistic(float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
+        for env, lab, h in _smoothed_risk_cases():
             got = _smoothed_risk(h, env, lab, DEFAULT_QUADRATURE)
             want = smoothed_risk(env, lab, h, SMOOTHING_TEMPERATURE)
             assert got == pytest.approx(want, abs=DEFAULT_QUADRATURE.abs_tol)
+
+    def test_values_are_pinned(self):
+        # the values of these cases when the risk was integrated on its own,
+        # before the gradient shared its integration path
+        pinned = [
+            0.08981206900622828, 0.9278607429876814, 0.3177720021554406, 0.06168642565645946,
+            0.13303242912598334, 0.5942622646377786, 0.9976061270062264, 0.8831411774266621,
+            0.5760349470449533, 0.06751524349318319, 0.2334665285579773, 0.7104138155829425,
+            0.5965281828346645, 0.5757165910705416, 0.3254348265037296, 0.8484419709591032,
+            0.5453752919247628, 0.1697856062120415, 0.8275295288437445, 0.0962110632255862,
+        ]
+        got = [_smoothed_risk(h, env, lab, DEFAULT_QUADRATURE) for env, lab, h in _smoothed_risk_cases()]
+        assert got == pinned
+
+
+def _gradient_cases():
+    """Seeded worlds over every hypothesis and labeler family: stds 0.3-2.5, and one grid."""
+    rng = np.random.default_rng(12)
+    labelers = [
+        lambda: Threshold(float(rng.uniform(-2, 2))),
+        lambda: Interval(float(rng.uniform(-2, 0)), float(rng.uniform(0.1, 2))),
+        lambda: Sigmoid(float(rng.uniform(-4, 4)), float(rng.uniform(-2, 2))),
+        lambda: Probit(float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5))),
+        lambda: SymmetricNoise(Threshold(float(rng.uniform(-1, 1))), float(rng.uniform(0, 0.5))),
+    ]
+    hypotheses = [
+        lambda: ThresholdClassifier(float(rng.uniform(-2.5, 2.5)), 1),
+        lambda: ThresholdClassifier(float(rng.uniform(-2.5, 2.5)), -1),
+        lambda: LinearLogistic(float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
+        lambda: LinearLogistic(0.0, float(rng.uniform(-1, 1))),
+    ]
+    stds = iter(np.linspace(0.3, 2.5, len(labelers) * len(hypotheses)))
+    grid = DiscreteGrid(tuple(np.linspace(-2, 2, 9).tolist()), tuple(rng.dirichlet(np.ones(9)).tolist()))
+    cases = []
+    for make_h in hypotheses:
+        for make_lab in labelers:
+            env = Gaussian(float(rng.uniform(-1.5, 1.5)), float(next(stds)))
+            cases.append((env, make_lab(), make_h()))
+        cases.append((grid, labelers[len(cases) % len(labelers)](), make_h()))
+    return cases
+
+
+class TestSmoothedGradient:
+    def test_matches_dense_oracle(self):
+        for env, lab, h in _gradient_cases():
+            got = _smoothed_gradient(h, [(env, lab)], [1.0], DEFAULT_QUADRATURE)
+            want = smoothed_risk_gradient(env, lab, h, SMOOTHING_TEMPERATURE)
+            assert got.shape == h.params.shape
+            assert got == pytest.approx(want, abs=DEFAULT_QUADRATURE.abs_tol)
+
+    def test_matches_central_differences_of_the_risk(self):
+        eps = 1e-5
+        for env, lab, h in _gradient_cases():
+            got = _smoothed_gradient(h, [(env, lab)], [1.0], DEFAULT_QUADRATURE)
+            for k, step in enumerate(np.eye(h.params.size) * eps):
+                up = _smoothed_risk(h.with_params(h.params + step), env, lab, DEFAULT_QUADRATURE)
+                dn = _smoothed_risk(h.with_params(h.params - step), env, lab, DEFAULT_QUADRATURE)
+                assert got[k] == pytest.approx((up - dn) / (2 * eps), rel=1e-4, abs=1e-10)
+
+    def test_batch_equals_weighted_batches_of_one(self):
+        rng = np.random.default_rng(13)
+        envs = (Gaussian(-0.4, 0.7), Gaussian(0.6, 1.8), DiscreteGrid((-1.0, 0.0, 1.5), (0.3, 0.3, 0.4)))
+        labs = (Sigmoid(2.0, -0.5), Probit(-1.5, 0.3), Threshold(0.4), SymmetricNoise(Interval(-1.0, 0.5), 0.2))
+        worlds = [(env, lab) for env in envs for lab in labs]
+        h = LinearLogistic(1.3, -0.2)
+        alone = [_smoothed_gradient(h, [world], [1.0], DEFAULT_QUADRATURE) for world in worlds]
+        weights = rng.dirichlet(np.ones(len(worlds)))
+        want = np.zeros(2)
+        for w, value in zip(weights, alone):
+            want += w * value
+        assert _smoothed_gradient(h, worlds, weights, DEFAULT_QUADRATURE).tolist() == want.tolist()
+        # a unit weight reads one owner pair of the batch: the same bits as alone
+        for k, unit in enumerate(np.eye(len(worlds))):
+            assert _smoothed_gradient(h, worlds, unit, DEFAULT_QUADRATURE).tolist() == alone[k].tolist()
 
 
 class TestLseObjective:
@@ -262,6 +347,18 @@ class TestTrain:
         for wr in trace:
             assert wr.lse_value >= wr.worst_value - 1e-12
             assert wr.lse_value <= wr.worst_value + 0.02 * math.log(2) + 1e-12
+
+    @pytest.mark.parametrize("mode, tau", [("greedy", None), ("lse", 0.02)])
+    def test_reaches_minimax_on_grid_spec(self, mode, tau):
+        rng = np.random.default_rng(0)
+        pts = np.linspace(-3, 3, 61)
+        mass = np.exp(-0.5 * (pts - rng.uniform(-0.5, 0.5)) ** 2) * rng.uniform(0.5, 1.5, pts.size)
+        env = DiscreteGrid(tuple(pts.tolist()), tuple((mass / mass.sum()).tolist()))
+        spec = CredalSpec((env,), (Threshold(float(rng.uniform(-1.5, -0.5))), Threshold(float(rng.uniform(0.5, 1.5)))))
+        _, oracle = brute_force_minimax(spec, np.linspace(-3, 3, 6001))
+        h, _ = train(spec, TrainConfig(mode=mode, tau=tau, steps=300, seed=1))
+        # the criterion-09 gate
+        assert abs(world_risks(h, spec).worst_value - oracle) <= 0.01
 
     def test_deterministic_given_seed(self):
         h1, t1 = train(TWO_WORLD, TrainConfig(mode="greedy", steps=40, seed=9))
