@@ -3,11 +3,13 @@
 Every runner is deterministic given the config seed: replication r of
 experiment e draws from an independent Philox substream, rows carry the
 replication coordinates, and the CSV body is sorted before writing so the
-output is schedule-independent.  Runners return ``(rows, summary)``; the
-CSV columns are the keys of the first row, in order.  :func:`run`
-prefixes every CSV line with the ``experiment,config_hash,seed``
-provenance columns.  The CSV gets one timestamped comment line; everything
-below it is byte-reproducible for a given config hash.
+output is schedule-independent.  Runners return ``(table, summary)``: the
+table maps each CSV column, in order, to an equal-length column, a numpy
+array or a list of cells (see :mod:`credal.harness.summary`).  :func:`run`
+writes the table in blocks of rows, prefixing every CSV line with the
+``experiment,config_hash,seed`` provenance columns.  The CSV gets one
+timestamped comment line; everything below it is byte-reproducible for a
+given config hash.
 """
 
 from __future__ import annotations
@@ -33,17 +35,18 @@ from credal.estimation import (
     empirical_disagreement_soft,
 )
 from credal.harness.config import ConfigError, ExperimentConfig, config_hash, parse_env
-from credal.harness.summary import SummaryError, summarize, wilson_interval
+from credal.harness.summary import SummaryError, summarize_columns
 from credal.measures import (
     Gaussian,
     Probit,
     Sigmoid,
     SymmetricNoise,
     Threshold,
+    ValidationError,
     _CONSTANT,
     joint_tv_many,
 )
-from credal.sets import CredalSpec, _pair_class, _pair_values, joint_shift_bounds
+from credal.sets import PAIR_CLASSES, CredalSpec, _pair_classes, _pair_values, _vertex_pairs, joint_shift_bounds
 from credal.synthgen import (
     GenSeed,
     block_mechanisms,
@@ -65,22 +68,48 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_csv(path: Path, rows: list[dict], config: ExperimentConfig, cfg_hash: str) -> None:
-    columns = list(rows[0])
+# rows formatted and written at a time: the text of one block is in memory
+_BLOCK_ROWS = 4096
+
+
+def _cells(column) -> list[str]:
+    """CSV text of a column: ``repr`` for floats, ``str`` for ints and strings, ``""`` for None."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in column]
+
+
+def _write_csv(path: Path, table: dict, config: ExperimentConfig, cfg_hash: str) -> int:
+    """Write the table under the stamped and header lines, one block of rows at a time; return its row count."""
+    columns = list(table)
+    rows = len(table[columns[0]])
     stamped = f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()} config_hash={cfg_hash}"
     prefix = f"{config.experiment},{cfg_hash},{config.seed},"
-    lines = [stamped, "experiment,config_hash,seed," + ",".join(columns)]
-    for row in rows:
-        lines.append(prefix + ",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write(f"{stamped}\nexperiment,config_hash,seed,{','.join(columns)}\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            cells = [_cells(table[c][start : start + _BLOCK_ROWS]) for c in columns]
+            out.write(prefix + f"\n{prefix}".join(map(",".join, zip(*cells))) + "\n")
+    return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _table(names: Sequence[str], rows: Sequence[tuple]) -> dict:
+    """The table of row tuples, columns named in order: an array each, or a list where a cell is None."""
+    columns = {name: [row[k] for row in rows] for k, name in enumerate(names)}
+    return {name: column if None in column else np.array(column) for name, column in columns.items()}
+
+
+def _stack(tables: list[dict]) -> dict:
+    """One table of the rows of ``tables`` (which share their columns), in order."""
+    return {key: np.concatenate([t[key] for t in tables]) for key in (tables[0] if tables else ())}
+
+
+def _sort_rows(table: dict, *keys: str) -> dict:
+    """The table's rows ordered by the ``keys`` columns, stably, as ``list.sort`` on them."""
+    if not table:
+        return table
+    order = np.lexsort([table[k] for k in reversed(keys)])
+    return {name: column[order] for name, column in table.items()}
 
 
 def _rep_chunks(total: int, jobs: int) -> list[list[int]]:
@@ -89,21 +118,13 @@ def _rep_chunks(total: int, jobs: int) -> list[list[int]]:
     return [list(range(s, min(s + chunk, total))) for s in range(0, total, chunk)]
 
 
-def _concentration_summary(rows: list[dict], eps: float) -> dict:
-    """Error quantiles and Hoeffding-violation rate of one replication group."""
-    errs = np.sort([r["err"] for r in rows])
-    q95 = float(np.quantile(errs, 0.95))
-    viols = int(sum(r["viol"] for r in rows))
-    lo, hi = wilson_interval(viols, len(rows))
+def _concentration_summary(metrics: dict, eps: float) -> dict:
+    """Error quantiles and Hoeffding-violation rate of one replication group, from its summary metrics."""
+    err, viol = metrics["err"], metrics["viol"]
     return {
-        "replications": len(rows),
-        "q50_err": float(np.quantile(errs, 0.5)),
-        "q95_err": q95,
-        "eps_hoeff": eps,
-        "p_viol": viols / len(rows),
-        "wilson_low": lo,
-        "wilson_high": hi,
-        "tightness_ratio": eps / q95 if q95 > 0 else float("inf"),
+        "replications": err["count"], "q50_err": err["median"], "q95_err": err["q95"], "eps_hoeff": eps,
+        "p_viol": viol["mean"], "wilson_low": viol["wilson_low"], "wilson_high": viol["wilson_high"],
+        "tightness_ratio": eps / err["q95"] if err["q95"] > 0 else float("inf"),
     }
 
 
@@ -112,7 +133,7 @@ def _concentration_summary(rows: list[dict], eps: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     quad = config.quadrature
     slope = float(p["sigmoid_slope"])
@@ -128,22 +149,12 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
     # per window: the joint TV, both expected conditional TVs and the environment TV (as tv_env)
     labs = ((l_left, l_right),) * 3 + ((_CONSTANT, _CONSTANT),)
     pairs = [(u, a, v, b) for x, y in windows for (u, v), (a, b) in zip(((x, y), (x, x), (y, y), (x, y)), labs)]
-    values = joint_tv_many(pairs, quad)
-    rows = []
-    for k, m in enumerate(p["window_means"]):
-        joint, a1, a2, cov = values[4 * k : 4 * k + 4]
-        lower, upper, _ = joint_shift_bounds(cov, a1, a2)
-        rows.append(
-            {
-                "window_center": float(m),
-                "cov_tv": cov,
-                "joint_tv": joint,
-                "lower_bound": lower,
-                "upper_bound": upper,
-            }
-        )
-    rows.sort(key=lambda r: r["window_center"])
-    return rows, summarize(rows)
+    joint, a1, a2, cov = np.array(joint_tv_many(pairs, quad)).reshape(-1, 4).T
+    lower, upper, _ = joint_shift_bounds(cov, a1, a2)
+    names = ("window_center", "cov_tv", "joint_tv", "lower_bound", "upper_bound")
+    table = dict(zip(names, (np.array(p["window_means"], dtype=float), cov, joint, lower, upper)))
+    table = _sort_rows(table, "window_center")
+    return table, summarize_columns(table)
 
 
 def _sweep_labelers(regime: str, count: int, lo: float, hi: float):
@@ -155,7 +166,7 @@ def _sweep_labelers(regime: str, count: int, lo: float, hi: float):
     raise ConfigError(f"unknown labeler regime {regime!r}")
 
 
-def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     quad = config.quadrature
     rng = GenSeed(config.seed).derive(0).generator()
@@ -168,46 +179,47 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
                 float(rng.uniform(*p["random_std_range"])),
             )
         )
-    rows = []
+    regimes = sorted(set(p["regimes"]))
+    if not regimes:
+        raise ConfigError("bounds_sweep needs at least one labeler regime")
+    tables = []
     tol = 2.0 * quad.abs_tol
     for regime in p["regimes"]:
         spec = CredalSpec(tuple(envs), _sweep_labelers(regime, p["labeler_count"], *p["labeler_range"]))
-        pairs = list(itertools.combinations(spec.vertices(), 2))
-        for ((i, j), (ip, jp)), value in zip(pairs, _pair_values(spec, pairs, quad, True)):
-            _, _, _, lower, upper, upper_raw, exact = value
-            viol = 1.0 if (exact < lower - tol or exact > upper + tol) else 0.0
-            rows.append(
-                {
-                    "regime": regime,
-                    "pair_class": _pair_class((i, j), (ip, jp)),
-                    "i": i,
-                    "j": j,
-                    "ip": ip,
-                    "jp": jp,
-                    "exact": exact,
-                    "lower": lower,
-                    "upper": upper,
-                    "gap_low": exact - lower,
-                    "gap_up": upper_raw - exact,
-                    "viol": viol,
-                }
-            )
-    rows.sort(key=lambda r: (r["regime"], r["pair_class"], r["i"], r["j"], r["ip"], r["jp"]))
-    summary = summarize(rows, group_by="pair_class")
+        pairs = _vertex_pairs(spec)
+        _, _, _, lower, upper, upper_raw, exact = _pair_values(spec, pairs, quad, True)
+        tables.append(
+            {
+                "regime": np.full(len(pairs), regimes.index(regime)),
+                "pair_class": _pair_classes(pairs),
+                **dict(zip(("i", "j", "ip", "jp"), pairs.T)),
+                "exact": exact,
+                "lower": lower,
+                "upper": upper,
+                "gap_low": exact - lower,
+                "gap_up": upper_raw - exact,
+                "viol": ((exact < lower - tol) | (exact > upper + tol)).astype(float),
+            }
+        )
+    # the regime and class codes sort as their names
+    table = _sort_rows(_stack(tables), "regime", "pair_class", "i", "j", "ip", "jp")
+    table["regime"] = np.array(regimes)[table["regime"]]
+    table["pair_class"] = np.array(PAIR_CLASSES)[table["pair_class"]]
+    summary = summarize_columns(table, group_by="pair_class")
     # headline Table-1-style aggregates: mean gaps over joint-shift pairs per regime
     for regime in p["regimes"]:
-        joint = [r for r in rows if r["regime"] == regime and r["pair_class"] == "joint_shift"]
-        if joint:
+        joint = (table["regime"] == regime) & (table["pair_class"] == "joint_shift")
+        if joint.any():
             summary[f"joint_shift_{regime}"] = {
-                "pairs": len(joint),
-                "delta_low": float(np.mean([r["gap_low"] for r in joint])),
-                "delta_up": float(np.mean([r["gap_up"] for r in joint])),
-                "violations": int(sum(r["viol"] for r in joint)),
+                "pairs": int(joint.sum()),
+                "delta_low": float(np.mean(table["gap_low"][joint])),
+                "delta_up": float(np.mean(table["gap_up"][joint])),
+                "violations": int(table["viol"][joint].sum()),
             }
-    return rows, summary
+    return table, summary
 
 
-def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     quad = config.quadrature
     regime = p["regime"]
@@ -240,23 +252,14 @@ def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[di
                 raise ExperimentError(
                     f"diameter_ablation failed at env={e_idx} run={run}: {exc}"
                 ) from exc
-            rows.append(
-                {
-                    "env_index": e_idx,
-                    "rep": run,
-                    "env_mean": env.mean,
-                    "env_std": env.std,
-                    "eta_star": eta_star,
-                    "eta_hat": eta_hat,
-                    "gap": eta_hat - eta_star,
-                    "abs_gap": abs(eta_hat - eta_star),
-                }
-            )
-    rows.sort(key=lambda r: (r["env_index"], r["rep"]))
-    return rows, summarize(rows)
+            rows.append((e_idx, run, env.mean, env.std, eta_star, eta_hat))
+    table = _table(("env_index", "rep", "env_mean", "env_std", "eta_star", "eta_hat"), rows)
+    table["gap"] = table["eta_hat"] - table["eta_star"]
+    table["abs_gap"] = np.abs(table["gap"])
+    return table, summarize_columns(table)
 
 
-def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
     base = Threshold(float(p["base_threshold"]))
@@ -278,46 +281,31 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[list[dict]
                 raise ExperimentError(
                     f"noise_ablation failed at eps_max={eps_max} rep={rep}: {exc}"
                 ) from exc
-            rows.append(
-                {
-                    "eps_max": float(eps_max),
-                    "rep": rep,
-                    "eta_true": eta_true,
-                    "bound": bound,
-                    "eta_hat": eta_hat,
-                    "gap": eta_hat - eta_true,
-                    "abs_gap": abs(eta_hat - eta_true),
-                    "hat_exceeds_bound": 1.0 if eta_hat > bound else 0.0,
-                }
-            )
-    rows.sort(key=lambda r: (r["eps_max"], r["rep"]))
-    return rows, summarize(rows, group_by="eps_max")
+            rows.append((float(eps_max), rep, eta_true, bound, eta_hat))
+    table = _table(("eps_max", "rep", "eta_true", "bound", "eta_hat"), rows)
+    table["gap"] = table["eta_hat"] - table["eta_true"]
+    table["abs_gap"] = np.abs(table["gap"])
+    table["hat_exceeds_bound"] = (table["eta_hat"] > table["bound"]).astype(float)
+    table = _sort_rows(table, "eps_max", "rep")
+    return table, summarize_columns(table, group_by="eps_max")
 
 
-def _concentration_reps(args) -> list[dict]:
+def _concentration_reps(args) -> dict:
     env_doc, thresholds, n, reps, master, stream, eta_star, eps = args
     env = parse_env(env_doc)
     labs = tuple(Threshold(float(t)) for t in thresholds)
     seed = GenSeed(master)
-    out = []
+    rows = []
     for rep in reps:
-        sub = seed.derive(stream, n, rep)
-        _, labels = sample_hard_arrays(env, labs, n, sub)
-        eta_hat = disagreement_hard_from_labels(labels).eta_hat
-        err = abs(eta_hat - eta_star)
-        out.append(
-            {
-                "n": n,
-                "rep": rep,
-                "eta_hat": eta_hat,
-                "err": err,
-                "viol": 1.0 if err > eps else 0.0,
-            }
-        )
-    return out
+        _, labels = sample_hard_arrays(env, labs, n, seed.derive(stream, n, rep))
+        rows.append((n, rep, disagreement_hard_from_labels(labels).eta_hat))
+    table = _table(("n", "rep", "eta_hat"), rows)
+    table["err"] = np.abs(table["eta_hat"] - eta_star)
+    table["viol"] = (table["err"] > eps).astype(float)
+    return table
 
 
-def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
     labs = tuple(Threshold(float(t)) for t in p["thresholds"])
@@ -325,7 +313,6 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
         raise ConfigError("sample_complexity needs at least two thresholds")
     lab_pairs = itertools.combinations(labs, 2)
     eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs], config.quadrature))
-    rows: list[dict] = []
     tasks = []
     plan: dict[int, int] = {}
     for n in p["n_list"]:
@@ -339,21 +326,18 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
             for reps in _rep_chunks(total, jobs)
         )
     try:
-        for chunk_rows in _parallel_map(_concentration_reps, tasks, jobs):
-            rows.extend(chunk_rows)
+        chunks = _parallel_map(_concentration_reps, tasks, jobs)
     except ExperimentError:
         raise
     except Exception as exc:
         raise ExperimentError(f"sample_complexity replication failed: {exc}") from exc
-    rows.sort(key=lambda r: (r["n"], r["rep"]))
-    summary = summarize(rows, group_by="n")
+    table = _sort_rows(_stack(chunks), "n", "rep")
+    summary = summarize_columns(table, group_by="n")
     summary["population_diameter"] = eta_star
     summary["per_n"] = {}
     medians = {}
     for n in sorted(plan):
-        group = _concentration_summary(
-            [r for r in rows if r["n"] == n], hoeffding_epsilon(n, len(labs), config.delta)
-        )
+        group = _concentration_summary(summary["groups"][str(n)], hoeffding_epsilon(n, len(labs), config.delta))
         medians[n] = group["q50_err"]
         summary["per_n"][str(n)] = group
     slope_ns = [int(n) for n in p["n_list"]]
@@ -361,10 +345,10 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[di
         xs = np.log([n for n in slope_ns])
         ys = np.log([max(medians[n], 1e-12) for n in slope_ns])
         summary["log_log_slope"] = float(np.polyfit(xs, ys, 1)[0])
-    return rows, summary
+    return table, summary
 
 
-def _mechanism_reps(args) -> list[dict]:
+def _mechanism_reps(args) -> dict:
     env_doc, method, pinned, step, n_y, n, reps, master, eta_star, eps = args
     env = parse_env(env_doc)
     if method == "interval":
@@ -372,26 +356,17 @@ def _mechanism_reps(args) -> list[dict]:
     else:
         labs, _ = block_mechanisms(n_y, env, step)
     seed = GenSeed(master)
-    out = []
+    rows = []
     for rep in reps:
-        sub = seed.derive(3, n_y, rep)
-        _, labels = sample_hard_arrays(env, labs, n, sub)
-        eta_hat = disagreement_hard_from_labels(labels).eta_hat
-        err = abs(eta_hat - eta_star)
-        out.append(
-            {
-                "n_y": n_y,
-                "rep": rep,
-                "eta_star": eta_star,
-                "eta_hat": eta_hat,
-                "err": err,
-                "viol": 1.0 if err > eps else 0.0,
-            }
-        )
-    return out
+        _, labels = sample_hard_arrays(env, labs, n, seed.derive(3, n_y, rep))
+        rows.append((n_y, rep, eta_star, disagreement_hard_from_labels(labels).eta_hat))
+    table = _table(("n_y", "rep", "eta_star", "eta_hat"), rows)
+    table["err"] = np.abs(table["eta_hat"] - eta_star)
+    table["viol"] = (table["err"] > eps).astype(float)
+    return table
 
 
-def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
     method = p["method"]
@@ -415,24 +390,20 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[list
             )
             for reps in _rep_chunks(int(p["replications"]), jobs)
         )
-    rows: list[dict] = []
     try:
-        for chunk_rows in _parallel_map(_mechanism_reps, tasks, jobs):
-            rows.extend(chunk_rows)
+        chunks = _parallel_map(_mechanism_reps, tasks, jobs)
     except Exception as exc:
         raise ExperimentError(f"mechanism_complexity replication failed: {exc}") from exc
-    rows.sort(key=lambda r: (r["n_y"], r["rep"]))
-    summary = summarize(rows, group_by="n_y")
+    table = _sort_rows(_stack(chunks), "n_y", "rep")
+    summary = summarize_columns(table, group_by="n_y")
     summary["per_n_y"] = {}
     for n_y in sorted(implied):
-        group = _concentration_summary(
-            [r for r in rows if r["n_y"] == n_y], hoeffding_epsilon(n, n_y, config.delta)
-        )
+        group = _concentration_summary(summary["groups"][str(n_y)], hoeffding_epsilon(n, n_y, config.delta))
         summary["per_n_y"][str(n_y)] = {**group, "implied_eta_star": implied[n_y]}
-    return rows, summary
+    return table, summary
 
 
-def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
     quad = config.quadrature
@@ -445,20 +416,13 @@ def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[list[dict], 
         risks = np.asarray(_risks(hs, spec, quad)).reshape(grid_n, -1)
         min_sum = float(risks.sum(axis=1).min())
         min_max = float(risks.max(axis=1).min())
-        rows.append(
-            {
-                "eta": float(eta),
-                "min_risk_sum": min_sum,
-                "min_max_risk": min_max,
-                "sum_floor_ok": 1.0 if min_sum >= float(eta) - 1e-9 else 0.0,
-                "minimax_floor_ok": 1.0 if min_max >= float(eta) / 2.0 - 1e-3 else 0.0,
-            }
-        )
-    rows.sort(key=lambda r: r["eta"])
-    return rows, summarize(rows)
+        sum_ok, minimax_ok = min_sum >= float(eta) - 1e-9, min_max >= float(eta) / 2.0 - 1e-3
+        rows.append((float(eta), min_sum, min_max, float(sum_ok), float(minimax_ok)))
+    table = _sort_rows(_table(("eta", "min_risk_sum", "min_max_risk", "sum_floor_ok", "minimax_floor_ok"), rows), "eta")
+    return table, summarize_columns(table)
 
 
-def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
     spec = CredalSpec((env,), tuple(Threshold(float(t)) for t in p["thresholds"]))
@@ -471,19 +435,10 @@ def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dic
     h, trace = train(spec, cfg, quad)
     lo, hi, count = p["oracle_grid"]
     theta_star, oracle_value = brute_force_minimax(spec, np.linspace(float(lo), float(hi), int(count)), quad)
-    rows = []
-    for step, wr in enumerate(trace):
-        rows.append(
-            {
-                "step": step,
-                "worst_value": wr.worst_value,
-                "worst_i": wr.worst_world[0],
-                "worst_j": wr.worst_world[1],
-                "lse_value": wr.lse_value,
-            }
-        )
+    rows = [(step, wr.worst_value, *wr.worst_world, wr.lse_value) for step, wr in enumerate(trace)]
     final = world_risks(h, spec, quad)
-    summary = summarize(rows)
+    table = _table(("step", "worst_value", "worst_i", "worst_j", "lse_value"), rows)
+    summary = summarize_columns(table)
     summary["trained"] = {
         "hypothesis": repr(h),
         "worst_value": final.worst_value,
@@ -491,10 +446,10 @@ def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dic
         "oracle_value": oracle_value,
         "gap_to_oracle": final.worst_value - oracle_value,
     }
-    return rows, summary
+    return table, summary
 
 
-def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[list[dict], dict]:
+def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     path = p["annotations"]
     if not path:
@@ -511,7 +466,7 @@ def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[list[dict], d
     regime = p["regime"]
     cert = certificate(matrix, delta=config.delta, regime=regime)
     row = cert.to_dict()
-    return [row], {"certificate": row}
+    return _table(list(row), [tuple(row.values())]), {"certificate": row}
 
 
 _RUNNERS = {
@@ -535,12 +490,12 @@ def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        rows, summary = _RUNNERS[config.experiment](config, jobs)
-    except SummaryError as exc:
-        raise ConfigError(f"the {config.experiment} config yields nothing to summarize: {exc}") from exc
+        table, summary = _RUNNERS[config.experiment](config, jobs)
+    except (SummaryError, ValidationError) as exc:
+        raise ConfigError(f"the {config.experiment} config yields no valid result: {exc}") from exc
     cfg_hash = config_hash(config)
     csv_path = out / f"{config.experiment}.csv"
-    _write_csv(csv_path, rows, config, cfg_hash)
+    rows = _write_csv(csv_path, table, config, cfg_hash)
     summary = {
         **summary,
         "experiment": config.experiment,
@@ -553,6 +508,6 @@ def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     return {
         "csv": str(csv_path),
         "summary": str(summary_path),
-        "rows": len(rows),
+        "rows": rows,
         "config_hash": cfg_hash,
     }

@@ -1,15 +1,27 @@
-"""Order-insensitive aggregation of result rows into a JSON-ready summary."""
+"""Order-insensitive aggregation of result columns into a JSON-ready summary.
+
+A table maps each column name to an equal-length column: a numpy array
+(numbers or strings) or a list of cells of any type.  Int, float and bool
+cells are metrics; other cells and missing ones are skipped.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 _Z95 = 1.959963984540054
 
 _META_KEYS = {"experiment", "config_hash", "seed"}
+
+_QUANTILES = np.array([0.5, 0.90, 0.95, 0.99])
+
+# the cell of a list-of-dicts row that lacks the column's key
+_MISSING = object()
+
+Column = Union[np.ndarray, list]
 
 
 class SummaryError(ValueError):
@@ -27,63 +39,94 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _quantile(sorted_vals: np.ndarray, q: float) -> float:
-    return float(np.quantile(sorted_vals, q))
+def _metric(values: np.ndarray) -> dict:
+    """count, mean and quantiles of one metric's values, plus a Wilson 95% CI if all are 0 or 1."""
+    arr = np.sort(values)
+    median, q90, q95, q99 = np.quantile(arr, _QUANTILES).tolist()
+    entry = {"count": arr.size, "mean": float(arr.mean()), "median": median, "q90": q90, "q95": q95, "q99": q99}
+    if np.all((arr == 0.0) | (arr == 1.0)):
+        entry["wilson_low"], entry["wilson_high"] = wilson_interval(int(arr.sum()), arr.size)
+    return entry
 
 
-def _aggregate(rows: Sequence[Mapping[str, Any]]) -> dict:
-    metrics: dict[str, dict] = {}
-    keys = sorted({k for row in rows for k in row} - _META_KEYS)
-    for key in keys:
-        vals = [row[key] for row in rows if key in row and isinstance(row[key], (int, float))]
-        if not vals:
-            continue
-        arr = np.sort(np.asarray(vals, dtype=float))
-        entry = {
-            "count": int(arr.size),
-            "mean": float(arr.mean()),
-            "median": _quantile(arr, 0.5),
-            "q90": _quantile(arr, 0.90),
-            "q95": _quantile(arr, 0.95),
-            "q99": _quantile(arr, 0.99),
-        }
-        if set(np.unique(arr)) <= {0.0, 1.0}:
-            lo, hi = wilson_interval(int(arr.sum()), int(arr.size))
-            entry["wilson_low"] = lo
-            entry["wilson_high"] = hi
-        metrics[key] = entry
+def _numeric(column: Column) -> tuple[np.ndarray, Any]:
+    """The metric cells of a column as floats, and the rows they come from."""
+    if isinstance(column, np.ndarray):
+        rows = slice(None) if column.dtype.kind in "biuf" else slice(0)
+        return column[rows].astype(float), rows
+    rows = [k for k, v in enumerate(column) if isinstance(v, (int, float))]
+    return np.array([column[k] for k in rows], dtype=float), rows
+
+
+def _aggregate(columns: Mapping[str, Column], codes: np.ndarray, count: int) -> list[dict]:
+    """The metrics of each of ``count`` row groups; row ``r`` is in group ``codes[r]``."""
+    metrics = [{} for _ in range(count)]
+    for key in sorted(columns.keys() - _META_KEYS):
+        values, rows = _numeric(columns[key])
+        member = codes[rows]
+        for g, out in enumerate(metrics):
+            group = values[member == g] if count > 1 else values
+            if group.size:
+                out[key] = _metric(group)
     return metrics
+
+
+def _groups(column: Column, name: str) -> tuple[list, np.ndarray]:
+    """The distinct values of a ``group_by`` column in sorted order, and each row's index among them.
+
+    Equal values form one group, named by the value's first occurrence.
+    """
+    keys = column
+    if not isinstance(column, np.ndarray):
+        if any(v is _MISSING for v in column):
+            raise KeyError(name)
+        keys = np.array(column, dtype=None if all(isinstance(v, str) for v in column) else float)
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    return [column[k] for k in first.tolist()], codes
+
+
+def summarize_columns(
+    columns: Mapping[str, Column],
+    group_by: Optional[str] = None,
+    rows: Optional[int] = None,
+) -> dict:
+    """Per-metric mean/median/q90/q95/q99 (plus Wilson 95% CI for 0/1 metrics) of a table.
+
+    Each metric column is sorted once.  ``rows`` is the row count, needed
+    only when there are no columns.  An ``experiment`` column must hold one
+    value.  With ``group_by`` the same aggregation is additionally computed
+    per value of that column.  The result is independent of row order.
+    """
+    n = len(next(iter(columns.values()), ())) if rows is None else rows
+    if not n:
+        raise SummaryError("cannot summarize zero rows")
+    experiments = {None if v is _MISSING else v for v in columns.get("experiment", [None])}
+    if len(experiments) != 1:
+        raise SummaryError(f"rows mix experiments: {sorted(map(str, experiments))}")
+    out = {
+        "experiment": next(iter(experiments)),
+        "rows": n,
+        "metrics": _aggregate(columns, np.zeros(n, dtype=np.intp), 1)[0],
+    }
+    hashes = {v for v in columns.get("config_hash", ()) if v is not _MISSING}
+    if len(hashes) == 1:
+        out["config_hash"] = next(iter(hashes))
+    if group_by is not None:
+        values, codes = _groups(columns[group_by], group_by)
+        metrics = _aggregate(columns, codes, len(values))
+        out["groups"] = {str(value): group for value, group in zip(values, metrics)}
+        out["group_by"] = group_by
+    return out
 
 
 def summarize(
     rows: Sequence[Mapping[str, Any]],
     group_by: Optional[str] = None,
 ) -> dict:
-    """Per-metric mean/median/q90/q95/q99 (plus Wilson 95% CI for 0/1 metrics).
+    """:func:`summarize_columns` of list-of-dicts rows, which must all belong to one experiment.
 
-    Rows must all belong to one experiment.  With ``group_by`` the same
-    aggregation is additionally computed per value of that column.  The
-    result is independent of row order.
+    A row may lack keys that others have; its missing cells are skipped.
     """
-    if not rows:
-        raise SummaryError("cannot summarize zero rows")
-    experiments = {row.get("experiment") for row in rows}
-    if len(experiments) != 1:
-        raise SummaryError(f"rows mix experiments: {sorted(map(str, experiments))}")
-    out = {
-        "experiment": next(iter(experiments)),
-        "rows": len(rows),
-        "metrics": _aggregate(rows),
-    }
-    hashes = {row.get("config_hash") for row in rows if "config_hash" in row}
-    if len(hashes) == 1:
-        out["config_hash"] = next(iter(hashes))
-    if group_by is not None:
-        groups: dict = {}
-        for row in rows:
-            groups.setdefault(row[group_by], []).append(row)
-        out["groups"] = {
-            str(value): _aggregate(members) for value, members in sorted(groups.items())
-        }
-        out["group_by"] = group_by
-    return out
+    keys = dict.fromkeys(k for row in rows for k in row)
+    columns = {k: [row.get(k, _MISSING) for row in rows] for k in keys}
+    return summarize_columns(columns, group_by, rows=len(rows))

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from credal.measures import (
     DEFAULT_QUADRATURE,
     DiscreteGrid,
@@ -144,76 +146,76 @@ def default_sup_domain(spec: CredalSpec, halfwidth_sigmas: float = 8.0) -> tuple
     return lo, hi
 
 
-def joint_shift_bounds(cov: float, a_i: float, a_ip: float) -> tuple[float, float, float]:
+def joint_shift_bounds(cov, a_i, a_ip):
     """Joint-shift sandwich ``max_k |A_k - C| <= d <= C + min_k A_k``.
 
     ``cov`` is the environment TV ``C`` and ``a_i`` / ``a_ip`` the expected
     conditional disagreements ``A_k`` under each endpoint's environment, all
-    in [0, 1].  Returns ``(lower, upper, upper_raw)``: ``upper`` is clamped
-    to 1, ``upper_raw`` is not.
+    in [0, 1], as floats or arrays.  Returns ``(lower, upper, upper_raw)``:
+    ``upper`` is clamped to 1, ``upper_raw`` is not.
     """
-    upper_raw = cov + min(a_i, a_ip)
-    return max(abs(a_i - cov), abs(a_ip - cov)), min(1.0, upper_raw), upper_raw
+    upper_raw = cov + np.minimum(a_i, a_ip)
+    return np.maximum(abs(a_i - cov), abs(a_ip - cov)), np.minimum(1.0, upper_raw), upper_raw
 
 
-def _pair_class(a: VertexIndex, b: VertexIndex) -> str:
-    """``fixed_covariate`` (shared environment), ``fixed_labeler``, or ``joint_shift``."""
-    if a[0] == b[0]:
-        return "fixed_covariate"
-    return "fixed_labeler" if a[1] == b[1] else "joint_shift"
+# pair classes in name order; ``_pair_classes`` gives each pair's index here
+PAIR_CLASSES = ("fixed_covariate", "fixed_labeler", "joint_shift")
+
+
+def _pair_classes(pairs: np.ndarray) -> np.ndarray:
+    """Class code of every ``(i, j, ip, jp)`` row: shared environment 0, shared labeler 1, else 2."""
+    i, j, ip, jp = pairs.T
+    return np.where(i == ip, 0, np.where(j == jp, 1, 2))
+
+
+def _vertex_pairs(spec: CredalSpec) -> np.ndarray:
+    """Every vertex pair as a row ``(i, j, ip, jp)`` with ``(i, j) < (ip, jp)``, in lexicographic order."""
+    a, b = np.triu_indices(spec.n_x * spec.n_y, 1)
+    return np.stack([*np.divmod(a, spec.n_y), *np.divmod(b, spec.n_y)], axis=1)
 
 
 def _pair_values(
-    spec: CredalSpec,
-    pairs: list[tuple[VertexIndex, VertexIndex]],
-    cfg: QuadratureConfig,
-    with_exact: bool,
-) -> list[tuple]:
-    """``(cov, a_i, a_ip, lower, upper, upper_raw, exact)`` of every vertex pair.
+    spec: CredalSpec, pairs: np.ndarray, cfg: QuadratureConfig, with_exact: bool
+) -> tuple[np.ndarray, ...]:
+    """Columns ``(cov, a_i, a_ip, lower, upper, upper_raw, exact)`` over vertex pairs.
 
-    ``cov`` is the environment TV (the joint TV under ``Threshold(inf)``, as
+    ``pairs`` holds one int row ``(i, j, ip, jp)`` per vertex pair.  ``cov``
+    is the environment TV (the joint TV under ``Threshold(inf)``, as
     :func:`~credal.measures.tv_env`); ``a_i`` / ``a_ip`` are the expected
-    conditional TVs ``(env_k, labs[min], env_k, labs[max])``.  A pure-regime
-    pair's bounds and ``exact`` are its one value.  A joint-shift pair gets
-    :func:`joint_shift_bounds` and, if ``with_exact``, the joint TV ``(env_i,
-    lab_j, env_ip, lab_jp)`` in its own order (else ``None``).  Each distinct
-    value is computed once by :func:`joint_tv_many`: covariate and conditional
-    TVs in one call, joint TVs in one call per environment pair ``(i, ip)``.
+    conditional TVs ``(env_k, labs[min], env_k, labs[max])``, or 0 where the
+    regime makes them so.  Every pair's bounds are :func:`joint_shift_bounds`,
+    which in a pure regime (one of ``C`` and the ``A_k`` is 0, the other two
+    equal) close on the pair's one value, its ``exact``.  A joint-shift
+    pair's ``exact`` is the joint TV ``(env_i, lab_j, env_ip, lab_jp)`` if
+    ``with_exact``, else NaN.  Each distinct value is computed once by
+    :func:`joint_tv_many`: in one call per environment pair ``(i, ip)`` of
+    joint TVs, with the other values the first such pair needs, and one call
+    for the rest.
     """
-    envs, labs = spec.environments, spec.labelers
-    covs, ects, joints = {}, {}, {}
-    for (i, j), (ip, jp) in pairs:
+    envs, labs = spec.environments, (*spec.labelers, _CONSTANT)
+    # value (env, lab, env', lab') by index, lab -1 the constant labeler ->
+    # (slot, call); slot -1 holds 0.0 and -2 NaN
+    slots, at = {}, []
+    for i, j, ip, jp in pairs.tolist():
+        call = (i, ip) if with_exact and i != ip and j != jp else None
         lo, hi = (j, jp) if j < jp else (jp, j)
-        if i != ip:
-            covs[(i, ip) if i < ip else (ip, i)] = None
-        if j != jp:
-            ects[i, lo, hi] = ects[ip, lo, hi] = None
-            if i != ip and with_exact:
-                joints.setdefault((i, ip), {})[j, jp] = None
-    values = joint_tv_many(
-        [(envs[i], _CONSTANT, envs[ip], _CONSTANT) for i, ip in covs]
-        + [(envs[k], labs[j], envs[k], labs[jp]) for k, j, jp in ects],
-        cfg,
-    )
-    covs = dict(zip(covs, values))
-    ects = dict(zip(ects, values[len(covs) :]))
-    for (i, ip), lab_pairs in joints.items():
-        tvs = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for j, jp in lab_pairs], cfg)
-        joints[i, ip] = dict(zip(lab_pairs, tvs))
-
-    out = []
-    for (i, j), (ip, jp) in pairs:
-        lo, hi = (j, jp) if j < jp else (jp, j)
-        cov = covs.get((i, ip) if i < ip else (ip, i), 0.0)
-        a_i, a_ip = ects.get((i, lo, hi), 0.0), ects.get((ip, lo, hi), 0.0)
-        pair_class = _pair_class((i, j), (ip, jp))
-        if pair_class == "joint_shift":
-            exact = joints[i, ip][j, jp] if with_exact else None
-            out.append((cov, a_i, a_ip, *joint_shift_bounds(cov, a_i, a_ip), exact))
+        cov = slots.setdefault((i, -1, ip, -1) if i < ip else (ip, -1, i, -1), (len(slots), call))[0] if i != ip else -1
+        a_i = slots.setdefault((i, lo, i, hi), (len(slots), call))[0] if j != jp else -1
+        a_ip = slots.setdefault((ip, lo, ip, hi), (len(slots), call))[0] if j != jp else -1
+        if i == ip or j == jp:
+            exact = a_i if i == ip else cov
         else:
-            exact = a_i if pair_class == "fixed_covariate" else cov
-            out.append((cov, a_i, a_ip, exact, exact, exact, exact))
-    return out
+            exact = slots.setdefault((i, j, ip, jp), (len(slots), call))[0] if with_exact else -2
+        at.append((cov, a_i, a_ip, exact))
+    calls = {}
+    for (e1, l1, e2, l2), (k, call) in slots.items():
+        calls.setdefault(call, {})[k] = (envs[e1], labs[l1], envs[e2], labs[l2])
+    values = [0.0] * len(slots) + [math.nan, 0.0]
+    for members in calls.values():
+        for k, tv in zip(members, joint_tv_many(list(members.values()), cfg)):
+            values[k] = tv
+    cov, a_i, a_ip, exact = np.array(values)[np.array(at, dtype=np.intp).reshape(-1, 4).T]
+    return cov, a_i, a_ip, *joint_shift_bounds(cov, a_i, a_ip), exact
 
 
 def pairwise_bounds(
@@ -232,7 +234,8 @@ def pairwise_bounds(
     when requested.  All values come from :func:`_pair_values`.
     """
     pair = (spec.check_vertex(a), spec.check_vertex(b))
-    cov, a_i, a_ip, lower, upper, _, exact = _pair_values(spec, [pair], cfg, with_exact)[0]
+    values = _pair_values(spec, np.array([[*pair[0], *pair[1]]]), cfg, with_exact)
+    cov, a_i, a_ip, lower, upper, _, exact = np.concatenate(values).tolist()
     return PairwiseBounds(
         pair=pair,
         cov_dist=cov,
@@ -240,30 +243,30 @@ def pairwise_bounds(
         exp_dis_iprime=a_ip,
         lower=lower,
         upper=upper,
-        exact=exact,
+        exact=None if math.isnan(exact) else exact,
         tol=2.0 * cfg.abs_tol,
     )
 
 
 def _components(
-    spec: CredalSpec, values: list[tuple], cfg: QuadratureConfig
+    spec: CredalSpec, values: tuple[np.ndarray, ...], cfg: QuadratureConfig
 ) -> tuple[float, float, float]:
-    """(eta_x, eta_star, eta_bar) from the :func:`_pair_values` of a pair list.
+    """(eta_x, eta_star, eta_bar) from the :func:`_pair_values` columns of a pair list.
 
     The list holds every pure-regime pair, so each ``cov`` and ``a_i`` is
     also a pure-regime pair's value, and their maxima are eta_x and eta_star.
     """
-    eta_x = max((value[0] for value in values), default=0.0)
-    eta_star = max((value[1] for value in values), default=0.0)
+    eta_x = float(values[0].max(initial=0.0))
+    eta_star = float(values[1].max(initial=0.0))
     domain = default_sup_domain(spec, cfg.domain_halfwidth_sigmas)
     lab_pairs = itertools.combinations(spec.labelers, 2)
     sups = [sup_conditional_tv(l1, l2, domain) for l1, l2 in lab_pairs]
     return eta_x, eta_star, max(sups, default=0.0)
 
 
-def _pure_pairs(spec: CredalSpec) -> list[tuple[VertexIndex, VertexIndex]]:
-    pairs = itertools.combinations(spec.vertices(), 2)
-    return [(a, b) for a, b in pairs if _pair_class(a, b) != "joint_shift"]
+def _pure_pairs(spec: CredalSpec) -> np.ndarray:
+    pairs = _vertex_pairs(spec)
+    return pairs[_pair_classes(pairs) < 2]
 
 
 def component_diameters(
@@ -298,7 +301,7 @@ def diameter_bounds(
     integrated, so ``lower <= exact``.  Ties break lexicographically on the
     pair of vertex indices.
     """
-    pairs = list(itertools.combinations(spec.vertices(), 2)) if with_exact else _pure_pairs(spec)
+    pairs = _vertex_pairs(spec) if with_exact else _pure_pairs(spec)
     values = _pair_values(spec, pairs, cfg, with_exact)
     eta_x, eta_star, eta_bar = _components(spec, values, cfg)
     eta_eff = min(eta_star, (1.0 - eta_x) * eta_bar)
@@ -307,14 +310,12 @@ def diameter_bounds(
     if upper < lower:
         eta_eff = eta_star
         upper = min(1.0, eta_x + eta_eff)
-    exact = None
-    argmax_pair = None
+    exact = argmax_pair = None
     if with_exact:
-        exact = 0.0
-        argmax_pair = (spec.vertices()[0],) * 2
-        for pair, value in zip(pairs, values):
-            if value[-1] > exact:
-                exact, argmax_pair = value[-1], pair
+        k = int(np.argmax(np.append(0.0, values[-1])))  # the first largest value above a leading 0
+        exact = float(values[-1][k - 1]) if k else 0.0
+        i, j, ip, jp = pairs[k - 1].tolist() if k else (0, 0, 0, 0)
+        argmax_pair = ((i, j), (ip, jp))
     return DiameterReport(
         eta_x=eta_x,
         eta_star=eta_star,

@@ -240,3 +240,49 @@ def hard_gram_by_class(labels) -> np.ndarray:
     values = np.clip(0.5 * (values + values.T), 0.0, 1.0)
     np.fill_diagonal(values, 0.0)
     return values
+
+
+def summarize_by_row_scan(rows, group_by=None) -> dict:
+    """Row summary by scanning every row once per key, groups as dicts of row lists.
+
+    Per key, the int/float/bool cells of the rows that have it are sorted;
+    the entry holds count, mean, median, q90, q95, q99, and a Wilson 95%
+    interval when every value is 0 or 1.  ``experiment``, ``config_hash``
+    and ``seed`` are not metrics.
+    """
+    z = 1.959963984540054
+
+    def wilson(successes, trials):
+        p = successes / trials
+        denom = 1.0 + z * z / trials
+        center = (p + z * z / (2 * trials)) / denom
+        half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+        return max(0.0, center - half), min(1.0, center + half)
+
+    def aggregate(members):
+        metrics = {}
+        for key in sorted({k for row in members for k in row} - {"experiment", "config_hash", "seed"}):
+            vals = [row[key] for row in members if key in row and isinstance(row[key], (int, float))]
+            if not vals:
+                continue
+            arr = np.sort(np.asarray(vals, dtype=float))
+            entry = {"count": int(arr.size), "mean": float(arr.mean())}
+            for name, q in (("median", 0.5), ("q90", 0.90), ("q95", 0.95), ("q99", 0.99)):
+                entry[name] = float(np.quantile(arr, q))
+            if set(np.unique(arr)) <= {0.0, 1.0}:
+                entry["wilson_low"], entry["wilson_high"] = wilson(int(arr.sum()), int(arr.size))
+            metrics[key] = entry
+        return metrics
+
+    experiments = {row.get("experiment") for row in rows}
+    out = {"experiment": next(iter(experiments)), "rows": len(rows), "metrics": aggregate(rows)}
+    hashes = {row.get("config_hash") for row in rows if "config_hash" in row}
+    if len(hashes) == 1:
+        out["config_hash"] = next(iter(hashes))
+    if group_by is not None:
+        groups = {}
+        for row in rows:
+            groups.setdefault(row[group_by], []).append(row)
+        out["groups"] = {str(value): aggregate(members) for value, members in sorted(groups.items())}
+        out["group_by"] = group_by
+    return out

@@ -1,7 +1,11 @@
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
+
+from oracles import summarize_by_row_scan
 
 from credal.harness.config import (
     EXPERIMENTS,
@@ -13,8 +17,9 @@ from credal.harness.config import (
     validate_config,
 )
 from credal.harness.cli import main as cli_main
+from credal.harness import experiments
 from credal.harness.experiments import run
-from credal.harness.summary import SummaryError, summarize, wilson_interval
+from credal.harness.summary import SummaryError, summarize, summarize_columns, wilson_interval
 from credal.estimation import write_annotations
 from credal.measures import Gaussian, Sigmoid, Threshold, joint_tv_exact
 from credal.sets import CredalSpec, pairwise_bounds
@@ -140,6 +145,160 @@ class TestSummarize:
         assert hi == pytest.approx(0.0019, abs=2e-4)
         lo, hi = wilson_interval(10, 20)
         assert 0.29 < lo < 0.5 < hi < 0.71
+
+
+def _mixed_rows(count=240, seed=7):
+    """Rows with meta keys, missing keys, None, string and bool cells, ints and 0/1 metrics."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(count):
+        row = {
+            "experiment": "x",
+            "config_hash": "abc",
+            "seed": 3,
+            "cls": ("b", "a", "c")[k % 3],
+            "n": (30, 10)[k % 2],
+            "eps": (0.25, 0.1, 0.5, 1e-3)[k % 4],
+            "value": float(rng.normal()),
+            "flag": float(rng.random() < 0.3),
+            "ok": bool(rng.random() < 0.5),
+            "count": int(rng.integers(0, 5)),
+            "note": "text",
+            "maybe": None if k % 4 == 0 else float(rng.random()),
+            "mixed": "n/a" if k % 5 == 0 else int(rng.integers(0, 2)),
+        }
+        if k % 7 == 0:
+            del row["value"]
+        if row["cls"] == "a":
+            row["only_a"] = float(rng.random())
+        rows.append(row)
+    return rows
+
+
+class TestSummarizeRowsAndColumns:
+    @pytest.mark.parametrize("group_by", [None, "cls", "n", "eps", "ok", "count"])
+    def test_matches_the_row_scan(self, group_by):
+        rows = _mixed_rows()
+        assert summarize(rows, group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
+
+    @pytest.mark.parametrize("group_by", [None, "cls", "n", "eps"])
+    def test_permutation_invariant(self, group_by):
+        rows = _mixed_rows()
+        shuffled = list(rows)
+        random.Random(3).shuffle(shuffled)
+        assert summarize(shuffled, group_by=group_by) == summarize(rows, group_by=group_by)
+
+    def test_edge_rows_match_the_row_scan(self):
+        cases = [
+            [{}],
+            [{"a": None}, {"b": "s"}],
+            [{"experiment": "x", "v": True}, {"experiment": "x", "v": False}],
+            [{"v": 0}, {"v": 1}, {"v": 1.0}],
+            [{"g": 1, "v": 0.5}, {"g": 2.5, "v": 1.0}, {"g": 1.0, "v": 2.0}],
+            [{"g": "b", "v": 1}, {"g": "a"}, {"g": "b", "v": 3}],
+        ]
+        for rows in cases:
+            group_by = "g" if "g" in rows[0] else None
+            assert summarize(rows, group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
+
+    def test_array_columns_equal_dict_rows(self):
+        rng = np.random.default_rng(11)
+        table = {
+            "cls": np.array(["joint", "fixed", "joint", "fixed", "joint"] * 40),
+            "i": rng.integers(0, 6, 200),
+            "x": rng.normal(size=200),
+            "viol": (rng.random(200) < 0.1).astype(float),
+        }
+        rows = [dict(zip(table, cells)) for cells in zip(*(c.tolist() for c in table.values()))]
+        for group_by in (None, "cls", "i"):
+            got = summarize_columns(table, group_by=group_by)
+            assert got == summarize(rows, group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
+
+    def test_missing_group_key_raises(self):
+        with pytest.raises(KeyError):
+            summarize([{"g": 1, "v": 1.0}, {"v": 2.0}], group_by="g")
+
+    def test_no_columns_and_no_rows_rejected(self):
+        with pytest.raises(SummaryError):
+            summarize_columns({})
+        with pytest.raises(SummaryError):
+            summarize_columns({"v": np.zeros(0)})
+
+
+def _cell_text(value) -> str:
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", [1, experiments._BLOCK_ROWS, experiments._BLOCK_ROWS + 1])
+    def test_blocks_match_per_cell_formatting(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        tricky = [0.1, 1e-300, 1e16, 123456789.125, 5e-324, 1.0, -2.5]
+        table = {
+            "f": np.array([tricky[k % len(tricky)] * rng.random() if k % 3 else tricky[k % len(tricky)] for k in range(rows)]),
+            "i": np.arange(rows) - 3,
+            "s": np.array(["fixed_labeler", "joint_shift"])[np.arange(rows) % 2],
+            "b": np.arange(rows) % 3 == 0,
+            "cell": [None if k % 3 == 0 else k if k % 3 == 1 else k / 7 for k in range(rows)],
+        }
+        cfg = preset_config("minimax_demo", "desk", seed=6)
+        path = tmp_path / "out.csv"
+        assert experiments._write_csv(path, table, cfg, "0123abcd") == rows
+        lines = path.read_text().split("\n")
+        assert lines[0].startswith("# generated_at=") and lines[0].endswith(" config_hash=0123abcd")
+        assert lines[1] == "experiment,config_hash,seed,f,i,s,b,cell"
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+        want = ["minimax_demo,0123abcd,6," + ",".join(map(_cell_text, row)) for row in zip(*cells)]
+        assert lines[2:] == want + [""]
+
+
+# SHA-256 of the CSV body (below the timestamped line) and of summary.json of
+# every desk experiment at seed 3 and of the paper hard sweep at seed 104;
+# replication experiments run smaller overlays
+_PINNED = {
+    "gating_curve": ({}, "8f90bbc0dd86021c6e623a63091a5675ba8d115c379e9ace58c127babf311aef", "6a6db6070108bc5a191c0c8e0a0dfd56ac17cf2015c8cde94e66ee1a4d011545"),
+    "bounds_sweep": ({}, "d94acfb8973898da965b485e2a008d03d8dc6963efabefa34888b4e436cfe723", "7a0b0025e3ca4073cc2d96e6d94a2304f374e0039b73501d739079b6a1d2b364"),
+    "diameter_ablation": ({}, "3551d475a9f0b375f82f819d08e0b04cc2569eab28de418a5e5cc82d35e49717", "3ba5d5b28bcd247397a7a03a2ab46b2299348fd2baa05a3bc925281182bea748"),
+    "noise_ablation": ({"replications": 20}, "7ff8a982c79decc4e05f3bc3157d399531f4db69436d1ad917e69c6f5a0c604e", "bb57de9b6376954b8b00b50786fe355da3aaea53917b147d4b254b13af3f1575"),
+    "sample_complexity": (
+        {"replications": 40, "violation_replications": 60},
+        "3490ccce98f907e24eddf830255a2c0e5d9bbaa6e1859199350071f7c10da230",
+        "e977b47f328bc8e56fecc03cd0420cc313dac42e8b9391815efbf3e9af83c101",
+    ),
+    "mechanism_complexity": ({"replications": 20}, "1541ecc2b7ae65c757ae643409f729204a8c8d4c29f90c3919e514cfcaa2281d", "75c527747906946918143e06841207856ba9474dcf73c2a5713b289b1771f3cc"),
+    "minimax_demo": ({}, "32e606d594e1b317ab891175a406059410927d6e4d7344b337060850ac1c7567", "2833f6b9076f037911c2c6eaa1d4b6095296f025d3457e299dcf8b9eda0a7843"),
+    "dro_train": ({}, "eb75ab9b1888b5b8c31d4cb1a820b625909451f59cb4b046bb0848572193e987", "af2525e75d8229d1c0e45ff5ad5ef7b63a74c138954c83cbf7cdbed73095c7a4"),
+    "certificate": (
+        {"annotations": "ann.csv", "regime": "conservative_stochastic_hard"},
+        "5c303e0c52ada7eded50e781a44823faba9c9093b9e46fcb168d351d977c2045",
+        "7ac521fccf0b864bec8aedd0b8d5b8df4a5b700f52a8141558912c9189947a60",
+    ),
+}
+
+
+class TestByteIdentity:
+    def _digests(self, doc, out):
+        run(validate_config({"schema_version": SCHEMA_VERSION, **doc}), out)
+        body = (out / f"{doc['experiment']}.csv").read_bytes().split(b"\n", 1)[1]
+        return hashlib.sha256(body).hexdigest(), hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("experiment", sorted(_PINNED))
+    def test_desk_outputs_are_pinned(self, experiment, tmp_path, monkeypatch):
+        params, body, summary = _PINNED[experiment]
+        if experiment == "certificate":
+            # a relative path, so the config (and its hash) is the same in every directory
+            monkeypatch.chdir(tmp_path)
+            labs = [Threshold(-1.0), Threshold(0.5), Sigmoid(2.0, -0.3)]
+            write_annotations("ann.csv", sample_annotated(Gaussian(0.0, 1.0), labs, 300, "hard", GenSeed(7)))
+        doc = {"experiment": experiment, "seed": 3, "params": params}
+        assert self._digests(doc, tmp_path / "out") == (body, summary)
+
+    def test_paper_hard_sweep_is_pinned(self, tmp_path):
+        doc = {"experiment": "bounds_sweep", "preset": "paper", "seed": 104, "params": {"regimes": ["hard"]}}
+        assert self._digests(doc, tmp_path) == (
+            "72dc8838ffbeca8f50357aac2ce5939d06f3bec36b8967d8e4f45f12380990d8",
+            "ef0dd6855ac177b71ae54f5cea28807f3bf66709b0a6c53fe3729e4eeb8615e3",
+        )
 
 
 class TestRunners:
@@ -340,6 +499,23 @@ class TestCli:
             code = cli_main(["bounds_sweep", "--config", str(path), "--out", str(tmp_path / "out")])
             assert code == 2
             assert "bounds_sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, params",
+        [
+            ("mechanism_complexity", {"n_y_list": [1]}),
+            ("noise_ablation", {"annotators": 1}),
+            ("bounds_sweep", {"labeler_count": 0}),
+            ("gating_curve", {"window_std": -1}),
+        ],
+    )
+    def test_invalid_library_input_exits_2(self, tmp_path, capsys, experiment, params):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": experiment, "params": params}))
+        code = cli_main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and experiment in err
 
     def test_certificate_end_to_end(self, tmp_path, capsys):
         samples = sample_annotated(
