@@ -64,8 +64,9 @@ def _aggregate(columns: Mapping[str, Column], codes: np.ndarray, count: int) -> 
     for key in sorted(columns.keys() - _META_KEYS):
         values, rows = _numeric(columns[key])
         member = codes[rows]
-        for g, out in enumerate(metrics):
-            group = values[member == g] if count > 1 else values
+        # a stable order keeps each group's values in row order
+        ends = np.cumsum(np.bincount(member, minlength=count))[:-1]
+        for out, group in zip(metrics, np.split(values[np.argsort(member, kind="stable")], ends)):
             if group.size:
                 out[key] = _metric(group)
     return metrics
@@ -88,16 +89,16 @@ def _groups(column: Column, name: str) -> tuple[list, np.ndarray]:
 def summarize_columns(
     columns: Mapping[str, Column],
     group_by: Optional[str] = None,
-    rows: Optional[int] = None,
+    row_count: Optional[int] = None,
 ) -> dict:
     """Per-metric mean/median/q90/q95/q99 (plus Wilson 95% CI for 0/1 metrics) of a table.
 
-    Each metric column is sorted once.  ``rows`` is the row count, needed
-    only when there are no columns.  An ``experiment`` column must hold one
-    value.  With ``group_by`` the same aggregation is additionally computed
-    per value of that column.  The result is independent of row order.
+    ``row_count`` is needed only when there are no columns.  An
+    ``experiment`` column must hold one value.  With ``group_by`` the same
+    aggregation is also computed per value of that column; each metric is
+    sorted once per group.  The result is independent of row order.
     """
-    n = len(next(iter(columns.values()), ())) if rows is None else rows
+    n = len(next(iter(columns.values()), ())) if row_count is None else row_count
     if not n:
         raise SummaryError("cannot summarize zero rows")
     experiments = {None if v is _MISSING else v for v in columns.get("experiment", [None])}
@@ -129,4 +130,4 @@ def summarize(
     """
     keys = dict.fromkeys(k for row in rows for k in row)
     columns = {k: [row.get(k, _MISSING) for row in rows] for k in keys}
-    return summarize_columns(columns, group_by, rows=len(rows))
+    return summarize_columns(columns, group_by, row_count=len(rows))

@@ -2,11 +2,11 @@
 
 A :class:`CredalSpec` pairs every environment with every labeler; the
 vertices of the credal set are the resulting product distributions indexed
-by ``(i, j)``.  :func:`_pair_values` gives any list of vertex pairs exact
-TV distances in the pure regimes (shared environment or shared labeler)
-and two-sided bounds in the joint-shift regime, computing each distinct
-integral once.  Pairwise bounds, the component diameters that sandwich
-the TV diameter of the whole set, and the exact diameter all read it.
+by ``(i, j)``.  For an array of vertex pairs, :func:`_pair_values` gives
+float columns of exact TV distances in the pure regimes (shared environment
+or shared labeler) and two-sided bounds in the joint-shift regime, computing
+each distinct integral once.  Pairwise bounds, the component diameters
+that sandwich the TV diameter of the set, and the exact diameter read it.
 """
 
 from __future__ import annotations
