@@ -381,6 +381,10 @@ class Tabular(_LabelerBase):
                 raise ValidationError(f"probs row off the simplex beyond {WEIGHT_TOL}: {row!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "probs", probs)
+        # prob_matrix's arrays, built once; not fields, so ==, hash and repr read the tuples
+        object.__setattr__(self, "_grid", np.asarray(grid))
+        object.__setattr__(self, "_mids", 0.5 * self._grid[:-1] + 0.5 * self._grid[1:])
+        object.__setattr__(self, "_probs", np.asarray(probs))
 
     # a table has no parameter row: its kernel is its own method, so each
     # table is a family of its own
@@ -399,14 +403,12 @@ class Tabular(_LabelerBase):
 
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        grid = np.asarray(self.grid)
-        # nearest grid point: the first midpoint between neighbours at or
-        # above x (halving before adding keeps the midpoints finite)
-        idx = np.searchsorted(0.5 * grid[:-1] + 0.5 * grid[1:], x)
-        hit = np.abs(grid[idx] - x) <= 1e-12
+        # nearest grid point: the first midpoint at or above x (halved before adding: finite)
+        idx = np.searchsorted(self._mids, x)
+        hit = np.abs(self._grid[idx] - x) <= 1e-12
         if not np.all(hit):
             raise SupportError(f"tabular labeler evaluated off-grid at x={x[~hit][0]!r}")
-        return np.asarray(self.probs, dtype=float)[idx]
+        return self._probs.take(idx, axis=0)
 
 
 Labeler = Union[Threshold, Interval, Sigmoid, Probit, SymmetricNoise, Tabular]

@@ -6,7 +6,9 @@ by ``(i, j)``.  For an array of vertex pairs, :func:`_pair_values` gives
 float columns of exact TV distances in the pure regimes (shared environment
 or shared labeler) and two-sided bounds in the joint-shift regime, computing
 each distinct integral once.  Pairwise bounds, the component diameters
-that sandwich the TV diameter of the set, and the exact diameter read it.
+that sandwich the TV diameter of the set, and the exact diameter read it;
+the exact diameter then integrates only the joint-shift pairs whose upper
+bound reaches the largest lower bound, the only ones that can attain it.
 """
 
 from __future__ import annotations
@@ -297,12 +299,15 @@ def diameter_bounds(
 
     When ``with_exact`` is set, the exact diameter is the largest
     :func:`pairwise_bounds` ``exact`` over all vertex pairs (sufficient
-    because TV is maximized at extreme points); only joint-shift pairs are
-    integrated, so ``lower <= exact``.  Ties break lexicographically on the
+    because TV is maximized at extreme points).  Only joint-shift pairs with
+    ``upper + 8 abs_tol >= max(lower)`` are integrated: bounds and exact
+    values are each within ``2 abs_tol``, so a skipped pair cannot beat the
+    pair attaining ``max(lower)``, and ``exact`` and ``argmax_pair`` are the
+    full loop's; ``lower <= exact``.  Ties break lexicographically on the
     pair of vertex indices.
     """
     pairs = _vertex_pairs(spec) if with_exact else _pure_pairs(spec)
-    values = _pair_values(spec, pairs, cfg, with_exact)
+    values = _pair_values(spec, pairs, cfg, False)
     eta_x, eta_star, eta_bar = _components(spec, values, cfg)
     eta_eff = min(eta_star, (1.0 - eta_x) * eta_bar)
     lower = min(1.0, max(eta_x, eta_star))
@@ -312,7 +317,14 @@ def diameter_bounds(
         upper = min(1.0, eta_x + eta_eff)
     exact = argmax_pair = None
     if with_exact:
-        k = int(np.argmax(np.append(0.0, values[-1])))  # the first largest value above a leading 0
+        envs, labs, groups = spec.environments, spec.labelers, {}
+        win = values[4] + 8.0 * cfg.abs_tol >= values[3].max(initial=0.0)
+        for k in np.flatnonzero(np.isnan(values[-1]) & win).tolist():  # joint-shift pairs that can win
+            i, j, ip, jp = pairs[k].tolist()
+            groups.setdefault((i, ip), {})[k] = (envs[i], labs[j], envs[ip], labs[jp])
+        for members in groups.values():  # one call per environment pair
+            values[-1][list(members)] = joint_tv_many(list(members.values()), cfg)
+        k = int(np.argmax(np.append(0.0, np.nan_to_num(values[-1]))))  # first largest above a leading 0, NaN as 0
         exact = float(values[-1][k - 1]) if k else 0.0
         i, j, ip, jp = pairs[k - 1].tolist() if k else (0, 0, 0, 0)
         argmax_pair = ((i, j), (ip, jp))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import subprocess
 import sys
 from statistics import NormalDist
@@ -178,6 +180,27 @@ class TestLabelerProtocol:
         for off in (-1.0 - 1e-9, 1.25, 2.5 + 1e-9, math.inf, math.nan):
             with pytest.raises(SupportError):
                 tab.prob_matrix(np.asarray([0.0, off]))
+
+    def test_tabular_arrays_are_not_fields(self):
+        # prob_matrix's arrays are built at construction; equality, hash,
+        # repr and pickling still see only the two tuples
+        tab = Tabular((-1.0, 0.0, 2.5), ((0.9, 0.1), (0.3, 0.7), (0.6, 0.4)))
+        same = Tabular([-1, 0, 2.5], [[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]])
+        assert [f.name for f in dataclasses.fields(tab)] == ["grid", "probs"]
+        assert tab == same and hash(tab) == hash(same)
+        assert tab != Tabular((-1.0, 0.0, 2.5), ((0.9, 0.1), (0.3, 0.7), (0.5, 0.5)))
+        assert repr(tab) == "Tabular(grid=(-1.0, 0.0, 2.5), probs=((0.9, 0.1), (0.3, 0.7), (0.6, 0.4)))"
+        back = pickle.loads(pickle.dumps(tab))
+        assert back == tab and hash(back) == hash(tab) and repr(back) == repr(tab)
+        x = np.asarray([2.5, -1.0, 0.0, 0.0])
+        assert np.array_equal(back.prob_matrix(x), tab.prob_matrix(x))
+        # every result is a fresh array, a scalar point's row included
+        row = tab.prob_matrix(np.asarray(0.0))
+        row[:] = 7.0
+        assert np.array_equal(tab.prob_matrix(np.asarray(0.0)), [0.3, 0.7])
+        for t in (tab, back):
+            with pytest.raises(SupportError):
+                t.prob_matrix(np.asarray([0.0, 1.25]))
 
 
 class TestTvEnv:

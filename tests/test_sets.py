@@ -9,6 +9,7 @@ from credal.measures import (
     Gaussian,
     Probit,
     Sigmoid,
+    SymmetricNoise,
     Tabular,
     Threshold,
     ValidationError,
@@ -45,6 +46,51 @@ def random_discrete_spec(rng, max_side=4, max_grid=16, max_classes=3):
         for _ in range(n_y)
     )
     return CredalSpec(envs, labs)
+
+
+def crossing_spec():
+    # the benchmark's 6x5 soft-set spec (bench/inputs.py, seed 0, stream 1):
+    # unequal-std Gaussians x mixed-slope labelers that all cross in the bulk
+    r = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=0, spawn_key=(1,))))
+    envs = tuple(Gaussian(float(r.uniform(-2.0, 2.0)), float(r.uniform(0.5, 2.0))) for _ in range(6))
+    labs = []
+    for j in range(5):
+        slope = float(r.uniform(0.5, 3.0)) * (1.0 if j % 2 == 0 else -1.0)
+        boundary = float(r.uniform(-1.5, 1.5))
+        labs.append((Sigmoid if j % 2 == 0 else Probit)(slope, -slope * boundary))
+    return CredalSpec(envs, tuple(labs))
+
+
+def adversarial_gaussian_spec(rng, n_x, n_y):
+    # stds 0.05 to 20; crossing, steep (|slope| up to 1000), crisp and noisy
+    # labelers, with the last one equal to the first so that values tie
+    envs = tuple(
+        Gaussian(float(rng.uniform(-2, 2)), float(np.exp(rng.uniform(np.log(0.05), np.log(20)))))
+        for _ in range(n_x)
+    )
+    labs = []
+    for j in range(n_y):
+        kind = j % 4
+        if j and j == n_y - 1:
+            labs.append(labs[0])
+        elif kind < 2:
+            slope = float(np.exp(rng.uniform(np.log(0.5), np.log(1000))) * rng.choice((-1.0, 1.0)))
+            labs.append((Sigmoid, Probit)[kind](slope, -slope * float(rng.uniform(-1.5, 1.5))))
+        elif kind == 2:
+            labs.append(Threshold(float(rng.uniform(-1.5, 1.5))))
+        else:
+            labs.append(SymmetricNoise(Threshold(float(rng.uniform(-1.5, 1.5))), float(rng.uniform(0, 0.5))))
+    return CredalSpec(envs, tuple(labs))
+
+
+def full_loop_diameter(spec):
+    """Largest pairwise exact value over every vertex pair; the first largest wins, 0 at (0,0),(0,0)."""
+    best, arg = 0.0, ((0, 0), (0, 0))
+    for va, vb in itertools.combinations(spec.vertices(), 2):
+        d = pairwise_bounds(spec, va, vb, with_exact=True).exact
+        if d > best:
+            best, arg = d, (va, vb)
+    return best, arg
 
 
 class TestCredalSpec:
@@ -230,9 +276,11 @@ class TestDiameterBounds:
         assert rep.argmax_pair == tied[0]
 
     def test_exact_diameter_integrates_each_value_once(self, monkeypatch):
-        # covariate TVs, conditional TVs and joint-shift pairs, each once; a
-        # pure-regime pair is never integrated as a joint TV of its own
-        spec = CredalSpec(
+        # covariate TVs, conditional TVs and the joint-shift pairs that can
+        # win, each once; a pure-regime pair is never integrated as a joint TV
+        # of its own, and a joint-shift pair is skipped only when its upper
+        # bound is below the largest lower bound by more than 8 abs_tol
+        small = CredalSpec(
             (Gaussian(-0.4, 0.8), Gaussian(0.6, 1.4), Gaussian(0.1, 1.0)),
             (Sigmoid(2.0, -0.5), Probit(-1.0, 0.3), Threshold(0.2)),
         )
@@ -243,11 +291,43 @@ class TestDiameterBounds:
             return joint_tv_many(pairs, cfg)
 
         monkeypatch.setattr(sets, "joint_tv_many", recording)
-        diameter_bounds(spec, with_exact=True)
-        n_env, env_pairs, lab_pairs = 3, 3, 3
-        joint = [(e1, l1, e2, l2) for e1, l1, e2, l2 in seen if e1 != e2 and l1 != l2]
-        assert len(seen) == env_pairs + n_env * lab_pairs + 2 * env_pairs * lab_pairs
-        assert len(joint) == 2 * env_pairs * lab_pairs == len(set(joint))
+        for spec in (small, crossing_spec()):
+            seen.clear()
+            diameter_bounds(spec, with_exact=True)
+            assert len(seen) == len(set(seen))
+            envs, labs = spec.environments, spec.labelers
+            assert not [v for v in seen if v[0] != v[2] and v[1] == v[3] and v[1] in labs]
+            joint = {v for v in seen if v[0] != v[2] and v[1] != v[3] and v[1] in labs}
+            bounds = [pairwise_bounds(spec, va, vb) for va, vb in itertools.combinations(spec.vertices(), 2)]
+            best_lower = max(pb.lower for pb in bounds)
+            skipped = 0
+            for pb in bounds:
+                (i, j), (ip, jp) = pb.pair
+                if i != ip and j != jp and (envs[i], labs[j], envs[ip], labs[jp]) not in joint:
+                    assert pb.upper + 8 * TOL < best_lower
+                    skipped += 1
+            assert len(joint) + skipped == spec.n_x * (spec.n_x - 1) // 2 * spec.n_y * (spec.n_y - 1)
+        # the last spec is the 6x5 one, with 300 joint-shift pairs
+        assert len(joint) <= 114 and skipped >= 186
+
+    def test_pruned_exact_diameter_equals_full_loop(self):
+        # skipping the joint-shift pairs that cannot win leaves the value and
+        # the first largest pair of the loop over every pair, bit for bit
+        rng = np.random.default_rng(2026)
+        specs = [adversarial_gaussian_spec(rng, n_x, n_y) for n_x, n_y in ((3, 4), (4, 3), (3, 5), (2, 4))]
+        specs += [adversarial_gaussian_spec(rng, n_x, n_y) for n_x, n_y in ((1, 1), (1, 4), (4, 1))]
+        specs += [random_discrete_spec(rng) for _ in range(12)]
+        pts = (-1.0, 0.5, 2.0)
+        grid, tab = DiscreteGrid(pts, (0.2, 0.5, 0.3)), Tabular(pts, ((0.9, 0.1), (0.4, 0.6), (0.5, 0.5)))
+        grid2 = DiscreteGrid(pts, (0.6, 0.1, 0.3))
+        specs += [CredalSpec((grid,), (tab,)), CredalSpec((grid,), (tab, Threshold(0.0))), CredalSpec((grid, grid2), (tab,))]
+        for spec in specs:
+            rep = diameter_bounds(spec, with_exact=True)
+            assert (rep.exact, rep.argmax_pair) == full_loop_diameter(spec)
+        rep = diameter_bounds(crossing_spec(), with_exact=True)
+        assert rep.exact == 0.698493888201456
+        assert rep.argmax_pair == ((2, 3), (4, 4))
+        assert (rep.exact, rep.argmax_pair) == full_loop_diameter(crossing_spec())
 
     def test_eta_eff_gating_branch(self):
         # constant conditional disagreement: the eta_star branch must bind
