@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
@@ -194,7 +194,8 @@ class _LabelerBase:
 
     @cached_property
     def row(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        # the class's field table: ``dataclasses.fields`` rebuilds a filtered tuple on every call
+        return tuple(getattr(self, name) for name in type(self).__dataclass_fields__)
 
     def prob_matrix(self, x: np.ndarray) -> np.ndarray:
         return self.kernel(np.asarray(x, dtype=float), *self.row)
@@ -213,7 +214,7 @@ class _Link(_LabelerBase):
 
     @cached_property
     def row(self) -> tuple[float, float, float]:
-        slope, bias = (getattr(self, f.name) for f in fields(self))
+        slope, bias = (getattr(self, name) for name in type(self).__dataclass_fields__)
         return (slope, bias, self.probit)
 
     @staticmethod
@@ -601,56 +602,93 @@ def conditional_tv(l1: Labeler, l2: Labeler, x: float) -> float:
 def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
     """Joint TVs of exact pairs of one environment kind and class count, in one pass over their tables.
 
-    Labels and the sign of ``phi1 - phi2`` are constant inside a CDF cell,
-    so each labeler family's kernel is called once, on one point of every
-    cell of its members' rows.  Rows are padded with cells of mass 0; a row
-    of 8 or more cells, where numpy's pairwise sum depends on the length, is
-    summed at its own length, so each value is bit for bit the pair's alone.
+    Labels and the sign of ``phi1 - phi2`` are constant inside a cell, so
+    each labeler family's kernel runs once, on one point of every cell of
+    its members' rows, parameters gathered by distinct labeler.
+
+    Gaussian cuts are arrays over distinct objects, with no Python work per
+    pair: a table holds each distinct labeler's finite breakpoints and each
+    distinct environment pair's -inf and density crossings, padded with
+    +inf.  A pair's row gathers its three table rows and is sorted; a
+    repeated cut becomes +inf and the row is sorted again, so its cuts are
+    a set.  The cell points are ``c0 - 1``, the midpoints and ``c_last + 1``
+    (0 with no cut), and a pair whose environments are one object has one
+    CDF row.  Grid rows are the union atoms.  Rows are padded with empty
+    cells at their last point.  A Gaussian row has at most 7 cells (2 + 2
+    breakpoints and 2 crossings); a row of 8 or more, where numpy's pairwise
+    sum depends on the length, is summed at its own length, so each value
+    is bit for bit the pair's alone.
     """
     n = len(pairs)
     e1s, l1s, e2s, l2s = zip(*pairs)
     if gaussian:
-        crossings, edges = {}, []
-        for e1, l1, e2, l2 in pairs:
-            if (key := (id(e1), id(e2))) not in crossings:
-                crossings[key] = _gaussian_crossings(e1, e2)
-            # only finite cuts split the line: a non-finite breakpoint (an overflowed boundary) bounds an empty cell
-            edges.append(sorted({*l1.breakpoints(), *l2.breakpoints(), *crossings[key]} - {-math.inf, math.inf}))
-        points = [[c[0] - 1.0, *(0.5 * (u + v) for u, v in zip(c, c[1:])), c[-1] + 1.0] if c else [0.0] for c in edges]
-        pad = [math.inf] * max(map(len, points))
-        z = [(x - m) / s for e, c in zip(e1s + e2s, edges * 2) for m, s in [e.row] for x in (-math.inf, *c, *pad[len(c) :])]
-        cdf = ndtr(np.array(z).reshape(2 * n, -1))
-        w = cdf[:, 1:] - cdf[:, :-1]
+        # the distinct labelers, then the distinct environment pairs, by identity
+        objs, at = _distinct([*l1s, *l2s, *zip(e1s, e2s)], [*map(id, l1s + l2s), *zip(map(id, e1s), map(id, e2s))])
+        labs = [o for o in objs if not isinstance(o, tuple)]
+        envs, at = objs[len(labs) :], at.reshape(3, n).T
+        # a table row per labeler (its breakpoints) and per environment pair
+        # (-inf, then its density crossings), padded with +inf; an
+        # environment pair's row ends with both sides' (mean, std)
+        rows = [lab.breakpoints() for lab in labs] + [(-math.inf, *_gaussian_crossings(*e)) for e in envs]
+        size = max(map(len, rows)) + 1
+        moments = [(0.0,) * 4] * len(labs) + [(*e1.row, *e2.row) for e1, e2 in envs]
+        table = np.array([(*row, *(math.inf,) * (size - len(row)), *m) for row, m in zip(rows, moments)])
+        cuts = table[:, :size].take(at, axis=0).reshape(n, -1)
+        cuts.sort(axis=1)
+        # a repeated cut is one cut, as in a set; only finite cuts split the
+        # line, and a non-finite one (an overflowed breakpoint) repeats the
+        # -inf or joins the +inf pads
+        cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = math.inf
+        cuts.sort(axis=1)
+        # -inf, the cuts, then +inf: a row has as many finite cuts as the
+        # index of its first +inf after the -inf
+        k = cuts[:, 1:].argmax(axis=1)
+        edges, counts = cuts[:, : max(k.tolist()) + 2], k + 1
+        # cell points: c0 - 1, the midpoints, then c_last + 1 (0 with no
+        # cut) in the last cell and the pad cells, where the others are +inf
+        last = edges[np.arange(n), k] + 1.0
+        last[k == 0] = 0.0
+        xs = edges[:, 1:] - 1.0
+        xs[:, 1:] = 0.5 * (edges[:, 1:-1] + edges[:, 2:])
+        xs = np.fmin(xs, last[:, None])
+        # each side's CDF row; a pair whose environments are one object has
+        # one, which both sides read
+        sides = table[:, size:].take(at[:, 2], axis=0).T[:, :, None]
+        z = (edges - sides[0::2]) / sides[1::2]
+        two = [e1 is not e2 for e1, e2 in envs]
+        if all(two):
+            cdf = ndtr(z)
+        elif not any(two):
+            cdf = ndtr(z[:1])
+        else:
+            own = np.array(two).take(at[:, 2] - len(labs))
+            cdf = ndtr(z[:1]).repeat(2, axis=0)
+            cdf[1, own] = ndtr(z[1, own])
+        w, lab_at = cdf[..., 1:] - cdf[..., :-1], at.T[:2, :, None]
     else:
+        labs, lab_at = _distinct(l1s + l2s)
+        lab_at = lab_at.reshape(2, n, 1)
         points = [sorted(set(e1.points) | set(e2.points)) for e1, e2 in zip(e1s, e2s)]
-        pad = [0.0] * max(map(len, points))
+        counts = [len(x) for x in points]
+        pad = [0.0] * max(counts)
         w = []
         for e, pts in zip(e1s + e2s, points * 2):
             # a grid with as many atoms as the union has all of them
             mass = e.weights if len(e.points) == len(pts) else map(dict(zip(e.points, e.weights)).get, pts, pad)
             w.append([*mass, *pad[len(pts) :]])
-        w = np.asarray(w)
-    width = w.shape[1]
-    xs = np.asarray([x + x[-1:] * (width - len(x)) for x in points])
-    # row r of w and the labeler outputs is side r // n of pair r % n
-    families = _families(l1s + l2s)
-    # one kernel call per family on the points of all its rows
-    probs = [kern(xs.take([s % n for s in slots], axis=0), *params) for kern, slots, params in families]
-    if len(probs) == 1:
-        probs = probs[0]
-    else:
-        order = [s for _, slots, _ in families for s in slots]
-        probs = np.concatenate(probs)
-        if order != sorted(order):
-            probs = probs.take(np.argsort(order), axis=0)
-    joint = probs * w[:, :, None]
-    diffs = np.add.reduce(np.abs(joint[:n] - joint[n:]), axis=2)
+        w = np.asarray(w).reshape(2, n, -1)
+        xs = np.asarray([x + x[-1:] * (len(pad) - len(x)) for x in points])
+    width = xs.shape[1]
+    # (side, pair, cell, class)
+    joint = _label_probs(labs)(xs[None].repeat(2, axis=0), lab_at) * w[..., None]
+    diffs = np.add.reduce(np.abs(joint[0] - joint[1]), axis=2)
     tvs = np.add.reduce(diffs[:, :7], axis=1)
     if width > 7:
-        for count in {len(x) for x in points} - set(range(8)):
-            rows = [k for k, x in enumerate(points) if len(x) == count]
+        counts = np.asarray(counts)
+        for count in set(counts.tolist()) - set(range(8)):
+            rows = np.flatnonzero(counts == count)
             tvs[rows] = np.add.reduce(diffs[rows, :count], axis=1)
-    return [0.5 * v for v in tvs.tolist()]
+    return (0.5 * tvs).tolist()
 
 
 def expected_conditional_tv(
@@ -871,30 +909,34 @@ def _joint_densities(
 def _label_probs(labs: Sequence[Labeler]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Label probabilities ``p(y|x)`` of labeler ``slot`` at x, one column per class.
 
-    Each point's parameters are gathered by owner, one kernel call per
-    family; points of several families are grouped by family and put back
-    in order.
+    ``slot`` holds the labeler of each point (the shape of ``xs``) or of
+    each row of points (a last axis of 1).  Parameters are gathered by
+    owner, one kernel call per family; rows of several families are
+    grouped by family and put back in order.
     """
     families = _families(labs)
+    if len(families) == 1:
+        kernel, _, params = families[0]
+        return lambda xs, slot: kernel(xs, *_gather(params, slot))
     # a slot's family, in small codes that numpy's stable sort orders by
     # radix, and its place among the family's members
-    codes, place = np.empty(len(labs), np.min_scalar_type(len(families))), np.empty(len(labs), np.intp)
+    codes, place = [0] * len(labs), [0] * len(labs)
     for f, (_, slots, _) in enumerate(families):
-        codes[slots], place[slots] = f, range(len(slots))
+        for p, s in enumerate(slots):
+            codes[s], place[s] = f, p
+    codes, place = np.array(codes, np.min_scalar_type(len(families))), np.array(place, np.intp)
 
     def label_probs(xs: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        if len(families) == 1:
-            kernel, _, params = families[0]
-            return kernel(xs, *_gather(params, slot))
-        f = codes.take(slot)
+        rows = slot.reshape(-1)
+        f = codes.take(rows)
         order = f.argsort(kind="stable")
         ends = np.bincount(f, minlength=len(families)).cumsum().tolist()
-        xo, at = xs.take(order), place.take(slot.take(order))
+        xo, at = xs.reshape(rows.size, -1).take(order, axis=0), place.take(rows.take(order))[:, None]
         parts = [k(xo[a:b], *_gather(params, at[a:b])) for (k, _, params), a, b in zip(families, [0, *ends], ends) if b > a]
         inv = np.empty_like(order)
         inv[order] = np.arange(order.size)
         # ``take`` gathers: fancy indexing of (points, classes) rows is several times slower
-        return np.concatenate(parts).take(inv, axis=0)
+        return np.concatenate(parts).take(inv, axis=0).reshape(*xs.shape, -1)
 
     return label_probs
 
@@ -911,10 +953,18 @@ def _families(labs: Sequence[Labeler]) -> list[tuple[Callable, list[int], list]]
     families = []
     for kernel, slots in groups.items():
         columns = zip(*[labs[s].row for s in slots])
-        families.append((kernel, slots, [c[0] if c.count(c[0]) == len(c) else np.array(c, dtype=float)[:, None] for c in columns]))
+        families.append((kernel, slots, [c[0] if c.count(c[0]) == len(c) else np.array(c, dtype=float) for c in columns]))
     return families
 
 
 def _gather(params: list, at: np.ndarray) -> list:
     """A family's parameters at the members in places ``at``; a shared one stays a scalar."""
     return [c.take(at) if isinstance(c, np.ndarray) else c for c in params]
+
+
+def _distinct(objs: Sequence, keys: Sequence = None) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``objs`` by ``keys`` (their ids by default), first seen first, and each one's index."""
+    keys = list(map(id, objs)) if keys is None else keys
+    first = dict(zip(keys, objs))
+    at = dict(zip(first, range(len(first))))
+    return list(first.values()), np.fromiter(map(at.__getitem__, keys), np.intp, len(keys))

@@ -566,6 +566,69 @@ class TestJointTvMany:
         assert batched.value.residual == alone.value.residual > 0
         assert joint_tv_many([same, same], cfg) == [0.0, 0.0]
 
+    def test_exact_edge_cases_keep_their_pinned_bits(self):
+        # values of the per-pair cut lists that the array-built partition
+        # replaced, as float.hex
+        pinned = [
+            "0x1.307788dc1a51ap-1", "0x1.881d788cab1dcp-2", "0x1.14322f971e9acp-2", "0x1.0000000000000p+0",
+            "0x1.7e079c28ccd14p-1", "0x1.b847fde16404ep-2", "0x1.50c82a388a7dap-1", "0x1.18d5cf2e401b1p-2",
+            "0x1.5d0134f76de27p-1", "0x1.e4cbdc1b280bfp-2", "0x1.0000000000000p+0", "0x1.d0220056b3a4ep-3",
+            "0x1.881d788cab1dcp-2", "0x1.fe513523aff64p-2", "0x1.fe513523aff64p-2",
+        ]
+        pairs = _edge_case_pairs()
+        assert LinearLogistic(1e-310, 1e10).breakpoints() == (-math.inf,)
+        assert LinearLogistic(-1e-310, 1e10).breakpoints() == (math.inf,)
+        assert [joint_tv_exact(*pair).hex() for pair in pairs] == pinned
+        assert [v.hex() for v in joint_tv_many(pairs)] == pinned
+
+    def test_hard_spec_batch_equals_its_environment_pair_calls(self):
+        # every vertex pair of a 20 x 10 threshold spec: one batch, one call
+        # per environment pair (as the bounds sweep groups them) and one
+        # call per pair give the same values
+        rng = np.random.default_rng(53)
+        envs = [Gaussian(float(m), float(s)) for m, s in zip(rng.uniform(-1, 1, 20), rng.uniform(0.5, 2, 20))]
+        labs = [Threshold(float(t)) for t in rng.uniform(-1.5, 1.5, 10)]
+        vertices = [(i, j) for i in range(len(envs)) for j in range(len(labs))]
+        pairs = [(a, b) for k, a in enumerate(vertices) for b in vertices[k + 1 :]]
+        batch = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for (i, j), (ip, jp) in pairs])
+        grouped = {}
+        for k, ((i, j), (ip, jp)) in enumerate(pairs):
+            grouped.setdefault((i, ip), []).append((k, (envs[i], labs[j], envs[ip], labs[jp])))
+        per_env_pair = [0.0] * len(pairs)
+        for members in grouped.values():
+            for (k, _), v in zip(members, joint_tv_many([pair for _, pair in members])):
+                per_env_pair[k] = v
+        assert len(batch) == 19_900
+        assert batch == per_env_pair
+        assert batch == [joint_tv_exact(envs[i], labs[j], envs[ip], labs[jp]) for (i, j), (ip, jp) in pairs]
+
+
+def _edge_case_pairs() -> list:
+    """Exact Gaussian pairs whose cuts coincide, vanish or overflow."""
+    g, shift, wide = Gaussian(0.0, 1.0), Gaussian(1.0, 1.0), Gaussian(0.4, 1.7)
+    return [
+        # a threshold exactly on the equal-std density crossing at 0.5
+        (g, Threshold(0.5), shift, Threshold(-0.3)),
+        (g, Threshold(0.5), shift, Threshold(0.5)),
+        # two labelers sharing a breakpoint
+        (g, Threshold(0.3), wide, ThresholdClassifier(0.3, 1)),
+        (g, Threshold(0.3), wide, ThresholdClassifier(0.3, -1)),
+        (wide, Interval(-0.4, 0.7), g, Threshold(0.7)),
+        (wide, Interval(-0.4, 0.7), wide, Threshold(-0.4)),
+        # no breakpoint, and a breakpoint that overflows to -inf / +inf
+        (g, LinearLogistic(0.0, 1.0), wide, Threshold(0.2)),
+        (g, LinearLogistic(0.0, -1.0), g, ThresholdClassifier(-0.6, -1)),
+        (wide, LinearLogistic(1e-310, 1e10), g, Interval(-1.0, 0.5)),
+        (wide, LinearLogistic(-1e-310, 1e10), shift, Threshold(0.1)),
+        # constant thresholds
+        (g, Threshold(math.inf), wide, Threshold(-math.inf)),
+        (shift, Threshold(-math.inf), shift, Threshold(0.25)),
+        (g, Threshold(math.inf), shift, Threshold(math.inf)),
+        # one environment object on both sides, and an equal copy of it
+        (wide, Interval(-0.2, 1.1), wide, ThresholdClassifier(0.5, -1)),
+        (wide, Interval(-0.2, 1.1), Gaussian(0.4, 1.7), ThresholdClassifier(0.5, -1)),
+    ]
+
 
 def _every_family(rng) -> list:
     """Labelers of all seven binary families, with their edge cases."""
