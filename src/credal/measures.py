@@ -607,7 +607,7 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> list[float]:
     its members' rows, parameters gathered by distinct labeler.
 
     Gaussian cuts are arrays over distinct objects, with no Python work per
-    pair: a table holds each distinct labeler's finite breakpoints and each
+    pair: a table holds each distinct labeler's breakpoints and each
     distinct environment pair's -inf and density crossings, padded with
     +inf.  A pair's row gathers its three table rows and is sorted; a
     repeated cut becomes +inf and the row is sorted again, so its cuts are

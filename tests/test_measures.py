@@ -567,8 +567,8 @@ class TestJointTvMany:
         assert joint_tv_many([same, same], cfg) == [0.0, 0.0]
 
     def test_exact_edge_cases_keep_their_pinned_bits(self):
-        # values of the per-pair cut lists that the array-built partition
-        # replaced, as float.hex
+        # each value's float.hex: coinciding, missing and overflowed cuts
+        # must give these bits in a batch and alone
         pinned = [
             "0x1.307788dc1a51ap-1", "0x1.881d788cab1dcp-2", "0x1.14322f971e9acp-2", "0x1.0000000000000p+0",
             "0x1.7e079c28ccd14p-1", "0x1.b847fde16404ep-2", "0x1.50c82a388a7dap-1", "0x1.18d5cf2e401b1p-2",
