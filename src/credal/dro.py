@@ -29,11 +29,9 @@ from credal.measures import (
     QuadratureConfig,
     ValidationError,
     _EVAL_BUDGET,
-    _env_hints,
     _label_probs,
     _simpson_worklist,
-    _split_hints,
-    gaussian_domain,
+    _window,
     joint_tv_many,
 )
 from credal.sets import CredalSpec
@@ -200,11 +198,7 @@ def _world_integrals(
             world, par = np.divmod(own, n_par)
             return g(x, label_probs(x, world), par) * Gaussian.kernel(x, *moments.take(world, axis=1))
 
-        windows = [
-            (*gaussian_domain(env, halfwidth_sigmas=cfg.domain_halfwidth_sigmas), (*_split_hints(lab), *_split_hints(h), *_env_hints(env)))
-            for env, lab in zip(envs, labs)
-            for _ in range(n_par)
-        ]
+        windows = [_window((env,), (lab, h), cfg) for env, lab in zip(envs, labs) for _ in range(n_par)]
         values[gauss] = _simpson_worklist(integrand, windows, cfg.abs_tol, _EVAL_BUDGET).reshape(-1, n_par)
     return values
 

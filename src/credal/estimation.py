@@ -33,7 +33,7 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Literal, Optional, get_args
 
@@ -272,13 +272,12 @@ class DisagreementMatrix:
 
 def _build_matrix(values: np.ndarray, n: int, kind: str) -> DisagreementMatrix:
     k = values.shape[0]
-    eta_hat = 0.0
-    argmax = (0, min(1, k - 1))
-    for j in range(k):
-        for jp in range(j + 1, k):
-            if values[j, jp] > eta_hat:
-                eta_hat = float(values[j, jp])
-                argmax = (j, jp)
+    # the first maximum in row-major order over the pairs j < jp: (0, 1)
+    # when every entry is 0, and the diagonal (0, 0) with one annotator
+    rows, cols = np.triu_indices(k, min(1, k - 1))
+    upper = values[rows, cols]
+    best = int(np.argmax(upper))
+    eta_hat, argmax = float(upper[best]), (int(rows[best]), int(cols[best]))
     return DisagreementMatrix(n=n, k=k, values=values, eta_hat=eta_hat, argmax=argmax, kind=kind)
 
 
@@ -426,16 +425,7 @@ class Certificate:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "eta_hat": self.eta_hat,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "n": self.n,
-            "k": self.k,
-            "regime": self.regime,
-            "penalty_upper": self.penalty_upper,
-            "eps_star_input": self.eps_star_input,
-        }
+        return asdict(self)
 
 
 def certificate(

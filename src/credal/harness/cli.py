@@ -61,15 +61,12 @@ def _assemble_config(args: argparse.Namespace):
             raise ConfigError("--preset conflicts with the preset recorded in the config file")
     else:
         config = preset_config(args.experiment, args.preset or "desk", seed=args.seed or 0)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.delta is not None:
         doc = config.document()
         doc["delta"] = args.delta
         config = validate_config(doc)
-    if updates:
-        config = dataclasses.replace(config, **updates)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     if args.experiment == "certificate":
         params = dict(config.params)
         if getattr(args, "annotations", None):

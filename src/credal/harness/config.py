@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -32,7 +32,7 @@ EXPERIMENTS = (
 )
 
 _TOP_KEYS = {"schema_version", "experiment", "preset", "seed", "delta", "quadrature", "params"}
-_QUAD_KEYS = {"abs_tol", "domain_halfwidth_sigmas"}
+_QUAD_KEYS = {f.name for f in fields(QuadratureConfig)}
 
 
 class ConfigError(ValueError):
@@ -50,18 +50,8 @@ class ExperimentConfig:
 
     def document(self) -> dict:
         """Canonical JSON-ready form (the thing that gets hashed)."""
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "preset": self.preset,
-            "seed": self.seed,
-            "delta": self.delta,
-            "quadrature": {
-                "abs_tol": self.quadrature.abs_tol,
-                "domain_halfwidth_sigmas": self.quadrature.domain_halfwidth_sigmas,
-            },
-            "params": dict(sorted(self.params.items())),
-        }
+        params = dict(sorted(self.params.items()))
+        return {"schema_version": SCHEMA_VERSION, **asdict(self), "params": params}
 
 
 def config_hash(config: ExperimentConfig) -> str:

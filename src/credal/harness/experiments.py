@@ -37,6 +37,7 @@ from credal.estimation import (
 from credal.harness.config import ConfigError, ExperimentConfig, config_hash, parse_env
 from credal.harness.summary import SummaryError, summarize_columns
 from credal.measures import (
+    Environment,
     Gaussian,
     Probit,
     Sigmoid,
@@ -184,7 +185,7 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
         raise ConfigError("bounds_sweep needs at least one labeler regime")
     tables = []
     tol = 2.0 * quad.abs_tol
-    for regime in p["regimes"]:
+    for regime in regimes:
         spec = CredalSpec(tuple(envs), _sweep_labelers(regime, p["labeler_count"], *p["labeler_range"]))
         pairs = _vertex_pairs(spec)
         _, _, _, lower, upper, upper_raw, exact = _pair_values(spec, pairs, quad, True)
@@ -207,7 +208,7 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     table["pair_class"] = np.array(PAIR_CLASSES)[table["pair_class"]]
     summary = summarize_columns(table, group_by="pair_class")
     # headline Table-1-style aggregates: mean gaps over joint-shift pairs per regime
-    for regime in p["regimes"]:
+    for regime in regimes:
         joint = (table["regime"] == regime) & (table["pair_class"] == "joint_shift")
         if joint.any():
             summary[f"joint_shift_{regime}"] = {
@@ -291,18 +292,43 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict
 
 
 def _concentration_reps(args) -> dict:
-    env_doc, thresholds, n, reps, master, stream, eta_star, eps = args
-    env = parse_env(env_doc)
-    labs = tuple(Threshold(float(t)) for t in thresholds)
+    key, value, n, env, labs, stream, reps, master, constants, eta_star, eps = args
     seed = GenSeed(master)
     rows = []
     for rep in reps:
-        _, labels = sample_hard_arrays(env, labs, n, seed.derive(stream, n, rep))
-        rows.append((n, rep, disagreement_hard_from_labels(labels).eta_hat))
-    table = _table(("n", "rep", "eta_hat"), rows)
+        _, labels = sample_hard_arrays(env, labs, n, seed.derive(stream, value, rep))
+        rows.append((value, rep, *constants.values(), disagreement_hard_from_labels(labels).eta_hat))
+    table = _table((key, "rep", *constants, "eta_hat"), rows)
     table["err"] = np.abs(table["eta_hat"] - eta_star)
     table["viol"] = (table["err"] > eps).astype(float)
     return table
+
+
+def _run_concentration(
+    config: ExperimentConfig, jobs: int, env: Environment, key: str, stream: int, groups: list
+) -> tuple[dict, dict]:
+    """Hard-label replications of ``eta_hat`` against ``eta_star`` and its Hoeffding radius, per group.
+
+    A group is ``(value, n, labelers, replications, constants, eta_star, eps)``: its ``key`` column
+    holds ``value``, the columns ``constants`` go before ``eta_hat``, and replication ``rep`` draws
+    ``n`` labels under ``env`` from substream ``(stream, value, rep)``.  The summary has one
+    :func:`_concentration_summary` per group under ``per_<key>``.
+    """
+    tasks = [
+        (key, value, n, env, labs, stream, reps, config.seed, constants, eta_star, eps)
+        for value, n, labs, total, constants, eta_star, eps in groups
+        for reps in _rep_chunks(total, jobs)
+    ]
+    try:
+        chunks = _parallel_map(_concentration_reps, tasks, jobs)
+    except Exception as exc:
+        raise ExperimentError(f"{config.experiment} replication failed: {exc}") from exc
+    table = _sort_rows(_stack(chunks), key, "rep")
+    summary = summarize_columns(table, group_by=key)
+    summary[f"per_{key}"] = {
+        str(value): _concentration_summary(summary["groups"][str(value)], eps) for value, *_, eps in groups
+    }
+    return table, summary
 
 
 def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
@@ -313,57 +339,23 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, d
         raise ConfigError("sample_complexity needs at least two thresholds")
     lab_pairs = itertools.combinations(labs, 2)
     eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs], config.quadrature))
-    tasks = []
     plan: dict[int, int] = {}
     for n in p["n_list"]:
         plan[int(n)] = max(plan.get(int(n), 0), int(p["replications"]))
     for n in p["violation_n_list"]:
         plan[int(n)] = max(plan.get(int(n), 0), int(p["violation_replications"]))
-    for n, total in sorted(plan.items()):
-        eps = hoeffding_epsilon(n, len(labs), config.delta)
-        tasks.extend(
-            (dict(p["env"]), tuple(p["thresholds"]), n, reps, config.seed, 2, eta_star, eps)
-            for reps in _rep_chunks(total, jobs)
-        )
-    try:
-        chunks = _parallel_map(_concentration_reps, tasks, jobs)
-    except ExperimentError:
-        raise
-    except Exception as exc:
-        raise ExperimentError(f"sample_complexity replication failed: {exc}") from exc
-    table = _sort_rows(_stack(chunks), "n", "rep")
-    summary = summarize_columns(table, group_by="n")
+    groups = [
+        (n, n, labs, total, {}, eta_star, hoeffding_epsilon(n, len(labs), config.delta))
+        for n, total in sorted(plan.items())
+    ]
+    table, summary = _run_concentration(config, jobs, env, "n", 2, groups)
     summary["population_diameter"] = eta_star
-    summary["per_n"] = {}
-    medians = {}
-    for n in sorted(plan):
-        group = _concentration_summary(summary["groups"][str(n)], hoeffding_epsilon(n, len(labs), config.delta))
-        medians[n] = group["q50_err"]
-        summary["per_n"][str(n)] = group
     slope_ns = [int(n) for n in p["n_list"]]
     if len(slope_ns) >= 3:
         xs = np.log([n for n in slope_ns])
-        ys = np.log([max(medians[n], 1e-12) for n in slope_ns])
+        ys = np.log([max(summary["per_n"][str(n)]["q50_err"], 1e-12) for n in slope_ns])
         summary["log_log_slope"] = float(np.polyfit(xs, ys, 1)[0])
     return table, summary
-
-
-def _mechanism_reps(args) -> dict:
-    env_doc, method, pinned, step, n_y, n, reps, master, eta_star, eps = args
-    env = parse_env(env_doc)
-    if method == "interval":
-        labs, _ = interval_mechanisms(n_y, env, pinned)
-    else:
-        labs, _ = block_mechanisms(n_y, env, step)
-    seed = GenSeed(master)
-    rows = []
-    for rep in reps:
-        _, labels = sample_hard_arrays(env, labs, n, seed.derive(3, n_y, rep))
-        rows.append((n_y, rep, eta_star, disagreement_hard_from_labels(labels).eta_hat))
-    table = _table(("n_y", "rep", "eta_star", "eta_hat"), rows)
-    table["err"] = np.abs(table["eta_hat"] - eta_star)
-    table["viol"] = (table["err"] > eps).astype(float)
-    return table
 
 
 def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
@@ -373,33 +365,17 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict
     if method not in ("interval", "block"):
         raise ConfigError(f"method must be 'interval' or 'block', got {method!r}")
     n = int(p["n"])
-    tasks = []
-    implied: dict[int, float] = {}
-    for n_y in p["n_y_list"]:
-        n_y = int(n_y)
+    groups = []
+    for n_y in map(int, p["n_y_list"]):
         if method == "interval":
-            _, eta_star = interval_mechanisms(n_y, env, float(p["pinned_mass"]))
+            labs, eta_star = interval_mechanisms(n_y, env, float(p["pinned_mass"]))
         else:
-            _, eta_star = block_mechanisms(n_y, env, float(p["block_step"]))
-        implied[n_y] = eta_star
+            labs, eta_star = block_mechanisms(n_y, env, float(p["block_step"]))
         eps = hoeffding_epsilon(n, n_y, config.delta)
-        tasks.extend(
-            (
-                dict(p["env"]), method, float(p["pinned_mass"]), float(p["block_step"]),
-                n_y, n, reps, config.seed, eta_star, eps,
-            )
-            for reps in _rep_chunks(int(p["replications"]), jobs)
-        )
-    try:
-        chunks = _parallel_map(_mechanism_reps, tasks, jobs)
-    except Exception as exc:
-        raise ExperimentError(f"mechanism_complexity replication failed: {exc}") from exc
-    table = _sort_rows(_stack(chunks), "n_y", "rep")
-    summary = summarize_columns(table, group_by="n_y")
-    summary["per_n_y"] = {}
-    for n_y in sorted(implied):
-        group = _concentration_summary(summary["groups"][str(n_y)], hoeffding_epsilon(n, n_y, config.delta))
-        summary["per_n_y"][str(n_y)] = {**group, "implied_eta_star": implied[n_y]}
+        groups.append((n_y, n, labs, int(p["replications"]), {"eta_star": eta_star}, eta_star, eps))
+    table, summary = _run_concentration(config, jobs, env, "n_y", 3, groups)
+    for n_y, *_, eta_star, _ in groups:
+        summary["per_n_y"][str(n_y)]["implied_eta_star"] = eta_star
     return table, summary
 
 

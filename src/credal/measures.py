@@ -445,24 +445,6 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 _EVAL_BUDGET = 256_000
 
 
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float,
-    breakpoints: tuple[float, ...] = (),
-    eval_budget: int = 200_000,
-) -> float:
-    """Integrate a vectorized scalar integrand over [a, b].
-
-    The interval is pre-split at ``breakpoints`` so kinks and jumps sit at
-    segment edges, and refined by :func:`_simpson_worklist` as a batch of
-    one integral.  Raises :class:`QuadratureError` carrying the remaining
-    error estimate if the evaluation budget is exhausted.
-    """
-    return float(_simpson_worklist(lambda x, own: f(x), [(a, b, breakpoints)], abs_tol, eval_budget)[0])
-
-
 def _simpson_worklist(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     windows: Sequence[tuple[float, float, tuple[float, ...]]],
@@ -548,12 +530,6 @@ def _simpson_worklist(
     return total
 
 
-def gaussian_domain(*envs: Gaussian, halfwidth_sigmas: float) -> tuple[float, float]:
-    lo = min(e.mean - halfwidth_sigmas * e.std for e in envs)
-    hi = max(e.mean + halfwidth_sigmas * e.std for e in envs)
-    return lo, hi
-
-
 def _split_hints(lab: Labeler) -> tuple[float, ...]:
     """Quadrature cuts: a smooth link's argument at 0, +/-2, +/-8, +/-30, else the breakpoints."""
     slope = lab.slope if isinstance(lab, Sigmoid) else lab.kappa if isinstance(lab, Probit) else 0.0
@@ -562,8 +538,19 @@ def _split_hints(lab: Labeler) -> tuple[float, ...]:
     return tuple((k - lab.bias) / slope for k in (0, -2, 2, -8, 8, -30, 30))
 
 
-def _env_hints(env: Gaussian) -> tuple[float, ...]:
-    return tuple(env.mean + k * env.std for k in (-8.0, -2.0, 0.0, 2.0, 8.0))
+def _window(
+    envs: Sequence[Gaussian], labs: Sequence[Labeler], cfg: QuadratureConfig
+) -> tuple[float, float, tuple[float, ...]]:
+    """An integral's domain, the union of ``mean +/- domain_halfwidth_sigmas * std``, and its hints.
+
+    The hints are each labeler's :func:`_split_hints`, then each
+    environment's ``mean + {-8, -2, 0, 2, 8} * std``.
+    """
+    lo = min(e.mean - cfg.domain_halfwidth_sigmas * e.std for e in envs)
+    hi = max(e.mean + cfg.domain_halfwidth_sigmas * e.std for e in envs)
+    hints = [h for lab in labs for h in _split_hints(lab)]
+    hints += [e.mean + k * e.std for e in envs for k in (-8.0, -2.0, 0.0, 2.0, 8.0)]
+    return lo, hi, tuple(hints)
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +793,7 @@ def joint_tv_many(
         if not gaussian or (l1.is_deterministic and l2.is_deterministic):
             exact.setdefault((gaussian, classes), []).append(k)
             continue
-        lo, hi = gaussian_domain(e1, e2, halfwidth_sigmas=cfg.domain_halfwidth_sigmas)
-        hints = (*_split_hints(l1), *_split_hints(l2), *_env_hints(e1), *_env_hints(e2))
+        lo, hi, hints = _window((e1, e2), (l1, l2), cfg)
         windows.append((lo, hi, hints + _gaussian_crossings(e1, e2)))
         quad.append(k)
     for (gaussian, _), ks in exact.items():

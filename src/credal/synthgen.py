@@ -153,10 +153,12 @@ def sample_mixture(
     return out
 
 
-def _quantile_cells(env: Environment, edges: Sequence[float]) -> list[Interval]:
+def _quantile_cells(env: Environment, masses: Sequence[float]) -> list[Interval]:
+    """Adjacent quantile cells of the given masses, centred on the median."""
     if not isinstance(env, Gaussian):
         raise ValidationError("mechanism families need an environment with a quantile function")
-    xs = env.ppf(np.asarray(edges))
+    start = (1.0 - sum(masses)) / 2.0
+    xs = env.ppf(np.concatenate([[start], start + np.cumsum(masses)]))
     cells = []
     for a, b in zip(xs[:-1], xs[1:]):
         if not a < b:
@@ -191,11 +193,7 @@ def interval_mechanisms(
         raise ValidationError(
             f"pinned_mass {pinned_mass!r} infeasible for {n_y} blocks: filler cells degenerate"
         )
-    masses = [half, half] + [filler] * (n_y - 2)
-    covered = sum(masses)
-    start = (1.0 - covered) / 2.0
-    edges = np.concatenate([[start], start + np.cumsum(masses)])
-    return _quantile_cells(env, edges), pinned_mass
+    return _quantile_cells(env, [half, half] + [filler] * (n_y - 2)), pinned_mass
 
 
 def block_mechanisms(
@@ -220,10 +218,7 @@ def block_mechanisms(
         raise ValidationError(
             f"step {step!r} infeasible for {n_y} blocks: total mass {total:.3f} must stay below 1"
         )
-    masses = [step * j for j in range(1, n_y + 1)]
-    start = (1.0 - sum(masses)) / 2.0
-    edges = np.concatenate([[start], start + np.cumsum(masses)])
-    return _quantile_cells(env, edges), (2 * n_y - 1) * step
+    return _quantile_cells(env, [step * j for j in range(1, n_y + 1)]), (2 * n_y - 1) * step
 
 
 def minimax_instance(eta: float, env: Environment) -> CredalSpec:

@@ -240,6 +240,15 @@ class TestHardDisagreement:
         samples = [hard(0, [0, 1, 1]), hard(1, [0, 0, 0])]
         m = empirical_disagreement_hard(samples)
         assert m.argmax == (0, 1)
+        # (0,3) ties (1,2): the first in row-major order, where a
+        # column-major scan would meet (1,2) first
+        m = disagreement_hard_from_labels(np.array([[0, 0, 1, 1], [0, 1, 0, 1]]))
+        assert (m.argmax, m.eta_hat) == ((0, 3), 1.0)
+        # no disagreement keeps the default pair, one annotator its diagonal
+        m = disagreement_hard_from_labels(np.array([[1, 1, 1]]))
+        assert (m.argmax, m.eta_hat) == ((0, 1), 0.0)
+        m = disagreement_hard_from_labels(np.array([[0], [1]]))
+        assert (m.argmax, m.eta_hat) == ((0, 0), 0.0)
 
     def test_max_vs_estimate_of_max_inequality(self):
         rng = np.random.default_rng(5)

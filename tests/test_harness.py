@@ -325,25 +325,46 @@ class TestRunners:
             tmp_path / "b" / "minimax_demo.csv"
         )
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = validate_config(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "experiment": "sample_complexity",
-                "seed": 11,
-                "params": {
-                    "n_list": [10, 30, 100],
-                    "replications": 40,
-                    "violation_n_list": [10],
-                    "violation_replications": 60,
-                },
-            }
-        )
+    @pytest.mark.parametrize(
+        "experiment, params",
+        [
+            pytest.param(
+                "sample_complexity",
+                {"n_list": [10, 30, 100], "replications": 40, "violation_n_list": [10], "violation_replications": 60},
+                id="sample_complexity",
+            ),
+            pytest.param("mechanism_complexity", {"n_y_list": [2, 12], "replications": 30}, id="mechanism_interval"),
+            pytest.param(
+                "mechanism_complexity",
+                {"method": "block", "n_y_list": [2, 5, 12], "replications": 30},
+                id="mechanism_block",
+            ),
+        ],
+    )
+    def test_jobs_do_not_change_output(self, experiment, params, tmp_path):
+        cfg = validate_config({"schema_version": SCHEMA_VERSION, "experiment": experiment, "seed": 11, "params": params})
         run(cfg, tmp_path / "serial", jobs=1)
         run(cfg, tmp_path / "parallel", jobs=3)
-        assert _csv_body(tmp_path / "serial" / "sample_complexity.csv") == _csv_body(
-            tmp_path / "parallel" / "sample_complexity.csv"
-        )
+        for out in (f"{experiment}.csv", "summary.json"):
+            serial, parallel = (tmp_path / d / out for d in ("serial", "parallel"))
+            if out == "summary.json":
+                assert serial.read_text() == parallel.read_text()
+            else:
+                assert _csv_body(serial) == _csv_body(parallel)
+
+    def test_repeated_regime_is_swept_once(self, tmp_path):
+        # a regime listed twice gives the table of the regime listed once
+        tables = []
+        for regimes in (["hard", "hard"], ["hard"]):
+            cfg = validate_config(
+                {"schema_version": SCHEMA_VERSION, "experiment": "bounds_sweep", "params": {"regimes": regimes}}
+            )
+            table, summary = experiments._run_bounds_sweep(cfg, 1)
+            tables.append(table)
+            assert summary["joint_shift_hard"]["pairs"] == 180
+        assert list(tables[0]) == list(tables[1])
+        for column in tables[1]:
+            assert np.array_equal(tables[0][column], tables[1][column])
 
     def test_minimax_demo_labels_each_crisp_family_once_per_grid(self, tmp_path, monkeypatch):
         # every (theta, world) pair of one eta's grid goes in one exact

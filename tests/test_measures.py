@@ -27,7 +27,6 @@ from credal.measures import (
     Tabular,
     Threshold,
     ValidationError,
-    adaptive_simpson,
     conditional_tv,
     expected_conditional_tv,
     joint_tv_exact,
@@ -36,6 +35,7 @@ from credal.measures import (
     tv_discrete,
     tv_env,
     _joint_densities,
+    _simpson_worklist,
 )
 
 from oracles import (
@@ -751,11 +751,17 @@ class TestSteepCrossingLabelers:
 
 
 class TestAdaptiveSimpson:
+    """The worklist engine on one integral: ``f`` over ``[a, b]`` cut at ``cuts``."""
+
+    @staticmethod
+    def _integral(f, a, b, tol, cuts=(), budget=200_000):
+        return _simpson_worklist(lambda x, own: f(x), [(a, b, cuts)], tol, budget)[0]
+
     def test_budget_exhaustion_carries_residual(self):
         # highly oscillatory integrand with a tiny budget
         f = lambda x: np.sin(1000.0 * x) ** 2
         with pytest.raises(QuadratureError) as err:
-            adaptive_simpson(f, 0.0, 10.0, 1e-12, (), eval_budget=50)
+            self._integral(f, 0.0, 10.0, 1e-12, (), budget=50)
         assert err.value.residual > 0
 
     def test_jump_at_cut_takes_one_pass(self):
@@ -765,10 +771,10 @@ class TestAdaptiveSimpson:
             calls.append(x.size)
             return (x > 0.3).astype(float)
 
-        assert adaptive_simpson(step, -1.0, 2.0, 1e-10, (0.3,)) == 1.7
+        assert self._integral(step, -1.0, 2.0, 1e-10, (0.3,)) == 1.7
         assert sum(calls) <= 10
 
     def test_polynomial_exact(self):
         # integral of x^3 - x + 2 over [-1, 2] is 33/4; Simpson is exact on cubics
-        got = adaptive_simpson(lambda x: x**3 - x + 2.0, -1.0, 2.0, 1e-10)
+        got = self._integral(lambda x: x**3 - x + 2.0, -1.0, 2.0, 1e-10)
         assert got == pytest.approx(8.25, abs=1e-9)
