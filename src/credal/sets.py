@@ -189,34 +189,25 @@ def _pair_values(
     which in a pure regime (one of ``C`` and the ``A_k`` is 0, the other two
     equal) close on the pair's one value, its ``exact``.  A joint-shift
     pair's ``exact`` is the joint TV ``(env_i, lab_j, env_ip, lab_jp)`` if
-    ``with_exact``, else NaN.  Each distinct value is computed once by
-    :func:`joint_tv_many`: in one call per environment pair ``(i, ip)`` of
-    joint TVs, with the other values the first such pair needs, and one call
-    for the rest.
+    ``with_exact``, else NaN.  Each distinct value is computed once, all in
+    one :func:`joint_tv_many` call, which bounds its memory by blocks.
     """
     envs, labs = spec.environments, (*spec.labelers, _CONSTANT)
-    # value (env, lab, env', lab') by index, lab -1 the constant labeler ->
-    # (slot, call); slot -1 holds 0.0 and -2 NaN
+    # value (env, lab, env', lab') by index, lab -1 the constant labeler -> slot; slot -1 holds 0.0, -2 NaN
     slots, at = {}, []
     for i, j, ip, jp in pairs.tolist():
-        call = (i, ip) if with_exact and i != ip and j != jp else None
         lo, hi = (j, jp) if j < jp else (jp, j)
-        cov = slots.setdefault((i, -1, ip, -1) if i < ip else (ip, -1, i, -1), (len(slots), call))[0] if i != ip else -1
-        a_i = slots.setdefault((i, lo, i, hi), (len(slots), call))[0] if j != jp else -1
-        a_ip = slots.setdefault((ip, lo, ip, hi), (len(slots), call))[0] if j != jp else -1
+        cov = slots.setdefault((i, -1, ip, -1) if i < ip else (ip, -1, i, -1), len(slots)) if i != ip else -1
+        a_i = slots.setdefault((i, lo, i, hi), len(slots)) if j != jp else -1
+        a_ip = slots.setdefault((ip, lo, ip, hi), len(slots)) if j != jp else -1
         if i == ip or j == jp:
             exact = a_i if i == ip else cov
         else:
-            exact = slots.setdefault((i, j, ip, jp), (len(slots), call))[0] if with_exact else -2
+            exact = slots.setdefault((i, j, ip, jp), len(slots)) if with_exact else -2
         at.append((cov, a_i, a_ip, exact))
-    calls = {}
-    for (e1, l1, e2, l2), (k, call) in slots.items():
-        calls.setdefault(call, {})[k] = (envs[e1], labs[l1], envs[e2], labs[l2])
-    values = [0.0] * len(slots) + [math.nan, 0.0]
-    for members in calls.values():
-        for k, tv in zip(members, joint_tv_many(list(members.values()), cfg)):
-            values[k] = tv
-    cov, a_i, a_ip, exact = np.array(values)[np.array(at, dtype=np.intp).reshape(-1, 4).T]
+    members = [(envs[e1], labs[l1], envs[e2], labs[l2]) for e1, l1, e2, l2 in slots]
+    values = np.array([*joint_tv_many(members, cfg), math.nan, 0.0])
+    cov, a_i, a_ip, exact = values[np.array(at, dtype=np.intp).reshape(-1, 4).T]
     return cov, a_i, a_ip, *joint_shift_bounds(cov, a_i, a_ip), exact
 
 
@@ -303,8 +294,9 @@ def diameter_bounds(
     ``upper + 8 abs_tol >= max(lower)`` are integrated: bounds and exact
     values are each within ``2 abs_tol``, so a skipped pair cannot beat the
     pair attaining ``max(lower)``, and ``exact`` and ``argmax_pair`` are the
-    full loop's; ``lower <= exact``.  Ties break lexicographically on the
-    pair of vertex indices.
+    full loop's; ``lower <= exact``.  The pairs that can win are integrated
+    in one :func:`~credal.measures.joint_tv_many` call.  Ties break
+    lexicographically on the pair of vertex indices.
     """
     pairs = _vertex_pairs(spec) if with_exact else _pure_pairs(spec)
     values = _pair_values(spec, pairs, cfg, False)
@@ -317,13 +309,10 @@ def diameter_bounds(
         upper = min(1.0, eta_x + eta_eff)
     exact = argmax_pair = None
     if with_exact:
-        envs, labs, groups = spec.environments, spec.labelers, {}
+        envs, labs = spec.environments, spec.labelers
         win = values[4] + 8.0 * cfg.abs_tol >= values[3].max(initial=0.0)
-        for k in np.flatnonzero(np.isnan(values[-1]) & win).tolist():  # joint-shift pairs that can win
-            i, j, ip, jp = pairs[k].tolist()
-            groups.setdefault((i, ip), {})[k] = (envs[i], labs[j], envs[ip], labs[jp])
-        for members in groups.values():  # one call per environment pair
-            values[-1][list(members)] = joint_tv_many(list(members.values()), cfg)
+        ks = np.flatnonzero(np.isnan(values[-1]) & win)  # joint-shift pairs that can win
+        values[-1][ks] = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for i, j, ip, jp in pairs[ks].tolist()], cfg)
         k = int(np.argmax(np.append(0.0, np.nan_to_num(values[-1]))))  # first largest above a leading 0, NaN as 0
         exact = float(values[-1][k - 1]) if k else 0.0
         i, j, ip, jp = pairs[k - 1].tolist() if k else (0, 0, 0, 0)

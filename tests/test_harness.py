@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -233,10 +234,14 @@ class TestCsvWriter:
     @pytest.mark.parametrize("rows", [1, experiments._BLOCK_ROWS, experiments._BLOCK_ROWS + 1])
     def test_blocks_match_per_cell_formatting(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
-        tricky = [0.1, 1e-300, 1e16, 123456789.125, 5e-324, 1.0, -2.5]
+        # numeric columns are formatted once per distinct bit pattern: -0.0
+        # and 0.0, and every nan, must keep their own per-cell text
+        tricky = [0.1, 1e-300, 1e16, 123456789.125, 5e-324, 1.0, -2.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-05]
+        big = [2**62, -(2**63), 2**63 - 1, 0, -1]
         table = {
             "f": np.array([tricky[k % len(tricky)] * rng.random() if k % 3 else tricky[k % len(tricky)] for k in range(rows)]),
             "i": np.arange(rows) - 3,
+            "big": np.array([big[k % len(big)] for k in range(rows)]),
             "s": np.array(["fixed_labeler", "joint_shift"])[np.arange(rows) % 2],
             "b": np.arange(rows) % 3 == 0,
             "cell": [None if k % 3 == 0 else k if k % 3 == 1 else k / 7 for k in range(rows)],
@@ -246,7 +251,7 @@ class TestCsvWriter:
         assert experiments._write_csv(path, table, cfg, "0123abcd") == rows
         lines = path.read_text().split("\n")
         assert lines[0].startswith("# generated_at=") and lines[0].endswith(" config_hash=0123abcd")
-        assert lines[1] == "experiment,config_hash,seed,f,i,s,b,cell"
+        assert lines[1] == "experiment,config_hash,seed,f,i,big,s,b,cell"
         cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
         want = ["minimax_demo,0123abcd,6," + ",".join(map(_cell_text, row)) for row in zip(*cells)]
         assert lines[2:] == want + [""]
@@ -351,6 +356,34 @@ class TestRunners:
                 assert serial.read_text() == parallel.read_text()
             else:
                 assert _csv_body(serial) == _csv_body(parallel)
+
+    @pytest.mark.parametrize(
+        "experiment, key, repeated, once, params",
+        [
+            (
+                "sample_complexity", "n_list", [10, 30, 30, 100], [10, 30, 100],
+                {"violation_n_list": [10], "violation_replications": 20},
+            ),
+            ("mechanism_complexity", "n_y_list", [2, 12, 12], [2, 12], {}),
+        ],
+        ids=["sample_complexity", "mechanism_complexity"],
+    )
+    def test_repeated_size_is_run_once(self, experiment, key, repeated, once, params):
+        # a size listed twice gives the table and summary of the size listed
+        # once: no group's replications run twice, and the log-log slope is
+        # fitted over distinct n
+        runner = getattr(experiments, f"_run_{experiment}")
+        results = []
+        for sizes in (repeated, once):
+            doc = {"schema_version": SCHEMA_VERSION, "experiment": experiment, "seed": 5}
+            cfg = validate_config({**doc, "params": {**params, key: sizes, "replications": 20}})
+            results.append(runner(cfg, 1))
+        (table, summary), (want, want_summary) = results
+        assert len(table["rep"]) == len(want["rep"])
+        assert list(table) == list(want)
+        for column in want:
+            assert np.array_equal(table[column], want[column])
+        assert summary == want_summary
 
     def test_repeated_regime_is_swept_once(self, tmp_path):
         # a regime listed twice gives the table of the regime listed once

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credal import measures
 from credal.dro import LinearLogistic, ThresholdClassifier
 from credal.harness import SCHEMA_VERSION, ConfigError, validate_config
 from credal.measures import (
@@ -582,9 +583,9 @@ class TestJointTvMany:
         assert [v.hex() for v in joint_tv_many(pairs)] == pinned
 
     def test_hard_spec_batch_equals_its_environment_pair_calls(self):
-        # every vertex pair of a 20 x 10 threshold spec: one batch, one call
-        # per environment pair (as the bounds sweep groups them) and one
-        # call per pair give the same values
+        # every vertex pair of a 20 x 10 threshold spec: one batch of several
+        # exact blocks, one call per environment pair and one call per pair
+        # give the same values
         rng = np.random.default_rng(53)
         envs = [Gaussian(float(m), float(s)) for m, s in zip(rng.uniform(-1, 1, 20), rng.uniform(0.5, 2, 20))]
         labs = [Threshold(float(t)) for t in rng.uniform(-1.5, 1.5, 10)]
@@ -601,6 +602,33 @@ class TestJointTvMany:
         assert len(batch) == 19_900
         assert batch == per_env_pair
         assert batch == [joint_tv_exact(envs[i], labs[j], envs[ip], labs[jp]) for (i, j), (ip, jp) in pairs]
+
+    def test_blocks_equal_batch_of_one(self):
+        # more than one exact block of one (kind, class count) group, more
+        # than two quadrature blocks, and exact Gaussian, 2-class grid and
+        # 3-class grid pairs interleaved with the quadrature pairs
+        rng = np.random.default_rng(61)
+        envs = [Gaussian(float(m), float(s)) for m, s in zip(rng.uniform(-1, 1, 6), rng.uniform(0.5, 2, 6))]
+        crisp = [Threshold(float(t)) for t in rng.uniform(-1.5, 1.5, 7)] + [Interval(-0.5, 0.8)]
+        smooth = [Sigmoid(float(a), float(b)) for a, b in rng.uniform(-3, 3, (3, 2))]
+        smooth += [Probit(1.5, -0.2), SymmetricNoise(Threshold(0.3), 0.2)]
+        pts = (-1.0, 0.0, 1.5)
+        grids = [DiscreteGrid(pts, tuple(rng.dirichlet(np.ones(3)))) for _ in range(3)]
+        tabs = [Tabular(pts, tuple(map(tuple, rng.dirichlet(np.ones(3), 3)))) for _ in range(2)]
+        gaussian = [(e1, l1, e2, l2) for e1 in envs for e2 in envs for l1 in crisp for l2 in crisp]
+        quad = [
+            (envs[k % 6], smooth[k % 5], envs[(k // 6) % 6], crisp[k % 8] if k % 4 else smooth[(k + 2) % 5])
+            for k in range(70)
+        ]
+        two = [(g1, Threshold(0.5), g2, Threshold(-0.5)) for g1 in grids for g2 in grids]
+        three = [(g1, t1, g2, t2) for g1 in grids for g2 in grids for t1 in tabs for t2 in tabs]
+        assert len(gaussian) > measures._EXACT_BLOCK and len(quad) > 2 * measures._QUAD_BLOCK
+        pairs = gaussian + quad + two + three
+        order = rng.permutation(len(pairs))
+        pairs = [pairs[k] for k in order]
+        single = [joint_tv_many([pair])[0] for pair in pairs]
+        assert joint_tv_many(pairs) == single
+        assert joint_tv_many(pairs[::-1]) == single[::-1]
 
 
 def _edge_case_pairs() -> list:

@@ -310,6 +310,31 @@ class TestDiameterBounds:
         # the last spec is the 6x5 one, with 300 joint-shift pairs
         assert len(joint) <= 114 and skipped >= 186
 
+    def test_each_consumer_makes_one_joint_tv_many_call(self, monkeypatch):
+        # joint_tv_many splits its pairs into blocks itself, so a pair's
+        # bounds, a sweep's columns and the exact diameter's prune each pass
+        # all their pairs in one call, whatever the environment pairs
+        calls = []
+
+        def counting(pairs, cfg):
+            calls.append(len(pairs))
+            return joint_tv_many(pairs, cfg)
+
+        monkeypatch.setattr(sets, "joint_tv_many", counting)
+        spec = crossing_spec()
+        for a, b in (((0, 0), (1, 1)), ((0, 0), (0, 1)), ((0, 0), (1, 0)), ((2, 3), (4, 4))):
+            for with_exact in (False, True):
+                calls.clear()
+                pairwise_bounds(spec, a, b, with_exact=with_exact)
+                assert len(calls) == 1
+        calls.clear()
+        sets._pair_values(spec, sets._vertex_pairs(spec), DEFAULT_QUADRATURE, True)
+        assert calls == [15 + 6 * 10 + 15 * 20]
+        calls.clear()
+        diameter_bounds(spec, with_exact=True)
+        # the pure values, then every joint-shift pair that can win
+        assert calls == [75, 114]
+
     def test_pruned_exact_diameter_equals_full_loop(self):
         # skipping the joint-shift pairs that cannot win leaves the value and
         # the first largest pair of the loop over every pair, bit for bit
