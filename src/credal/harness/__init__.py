@@ -11,7 +11,7 @@ from credal.harness.config import (
     validate_config,
 )
 from credal.harness.experiments import run
-from credal.harness.summary import summarize, wilson_interval
+from credal.harness.summary import wilson_interval
 
 __all__ = [
     "EXPERIMENTS",
@@ -22,7 +22,6 @@ __all__ = [
     "load_config",
     "preset_config",
     "run",
-    "summarize",
     "validate_config",
     "wilson_interval",
 ]

@@ -2,30 +2,25 @@
 
 A table maps each column name to an equal-length column: a numpy array
 (numbers or strings) or a list of cells of any type.  Int, float and bool
-cells are metrics; other cells and missing ones are skipped.
+cells are metrics; other cells (``None``, strings) are skipped.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
 _Z95 = 1.959963984540054
 
-_META_KEYS = {"experiment", "config_hash", "seed"}
-
 _QUANTILES = np.array([0.5, 0.90, 0.95, 0.99])
-
-# the cell of a list-of-dicts row that lacks the column's key
-_MISSING = object()
 
 Column = Union[np.ndarray, list]
 
 
 class SummaryError(ValueError):
-    """Rows cannot be aggregated (empty input, mixed experiments, ...)."""
+    """Rows cannot be aggregated (no rows, invalid counts)."""
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -61,7 +56,7 @@ def _numeric(column: Column) -> tuple[np.ndarray, Any]:
 def _aggregate(columns: Mapping[str, Column], codes: np.ndarray, count: int) -> list[dict]:
     """The metrics of each of ``count`` row groups; row ``r`` is in group ``codes[r]``."""
     metrics = [{} for _ in range(count)]
-    for key in sorted(columns.keys() - _META_KEYS):
+    for key in sorted(columns):
         values, rows = _numeric(columns[key])
         member = codes[rows]
         # a stable order keeps each group's values in row order
@@ -72,62 +67,32 @@ def _aggregate(columns: Mapping[str, Column], codes: np.ndarray, count: int) -> 
     return metrics
 
 
-def _groups(column: Column, name: str) -> tuple[list, np.ndarray]:
+def _groups(column: Column) -> tuple[list, np.ndarray]:
     """The distinct values of a ``group_by`` column in sorted order, and each row's index among them.
 
     Equal values form one group, named by the value's first occurrence.
     """
     keys = column
     if not isinstance(column, np.ndarray):
-        if any(v is _MISSING for v in column):
-            raise KeyError(name)
         keys = np.array(column, dtype=None if all(isinstance(v, str) for v in column) else float)
     _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
     return [column[k] for k in first.tolist()], codes
 
 
-def summarize_columns(
-    columns: Mapping[str, Column],
-    group_by: Optional[str] = None,
-    row_count: Optional[int] = None,
-) -> dict:
+def summarize_columns(columns: Mapping[str, Column], group_by: Optional[str] = None) -> dict:
     """Per-metric mean/median/q90/q95/q99 (plus Wilson 95% CI for 0/1 metrics) of a table.
 
-    ``row_count`` is needed only when there are no columns.  An
-    ``experiment`` column must hold one value.  With ``group_by`` the same
-    aggregation is also computed per value of that column; each metric is
-    sorted once per group.  The result is independent of row order.
+    With ``group_by`` the same aggregation is also computed per value of
+    that column; each metric is sorted once per group.  The result is
+    independent of row order.
     """
-    n = len(next(iter(columns.values()), ())) if row_count is None else row_count
+    n = len(next(iter(columns.values()), ()))
     if not n:
         raise SummaryError("cannot summarize zero rows")
-    experiments = {None if v is _MISSING else v for v in columns.get("experiment", [None])}
-    if len(experiments) != 1:
-        raise SummaryError(f"rows mix experiments: {sorted(map(str, experiments))}")
-    out = {
-        "experiment": next(iter(experiments)),
-        "rows": n,
-        "metrics": _aggregate(columns, np.zeros(n, dtype=np.intp), 1)[0],
-    }
-    hashes = {v for v in columns.get("config_hash", ()) if v is not _MISSING}
-    if len(hashes) == 1:
-        out["config_hash"] = next(iter(hashes))
+    out = {"rows": n, "metrics": _aggregate(columns, np.zeros(n, dtype=np.intp), 1)[0]}
     if group_by is not None:
-        values, codes = _groups(columns[group_by], group_by)
+        values, codes = _groups(columns[group_by])
         metrics = _aggregate(columns, codes, len(values))
         out["groups"] = {str(value): group for value, group in zip(values, metrics)}
         out["group_by"] = group_by
     return out
-
-
-def summarize(
-    rows: Sequence[Mapping[str, Any]],
-    group_by: Optional[str] = None,
-) -> dict:
-    """:func:`summarize_columns` of list-of-dicts rows, which must all belong to one experiment.
-
-    A row may lack keys that others have; its missing cells are skipped.
-    """
-    keys = dict.fromkeys(k for row in rows for k in row)
-    columns = {k: [row.get(k, _MISSING) for row in rows] for k in keys}
-    return summarize_columns(columns, group_by, row_count=len(rows))

@@ -24,13 +24,12 @@ from credal.measures import (
     DEFAULT_QUADRATURE,
     DiscreteGrid,
     Environment,
-    Gaussian,
     Labeler,
     QuadratureConfig,
     ValidationError,
     _CONSTANT,
+    _sup_tvs,
     joint_tv_many,
-    sup_conditional_tv,
 )
 
 VertexIndex = tuple[int, int]
@@ -128,26 +127,6 @@ class DiameterReport:
             raise ValidationError("upper bound must dominate max(eta_x, eta_star)")
 
 
-def default_sup_domain(spec: CredalSpec, halfwidth_sigmas: float = 8.0) -> tuple[float, float]:
-    """Union of [mean +/- 8 sigma] over Gaussian environments (grid hull otherwise).
-
-    Mass outside is below 1e-15 per environment, so the grid supremum cannot
-    move materially; heavy-tailed extensions would need a wider window.
-    """
-    los, his = [], []
-    for env in spec.environments:
-        if isinstance(env, Gaussian):
-            los.append(env.mean - halfwidth_sigmas * env.std)
-            his.append(env.mean + halfwidth_sigmas * env.std)
-        elif isinstance(env, DiscreteGrid):
-            los.append(env.points[0])
-            his.append(env.points[-1])
-    lo, hi = min(los), max(his)
-    if not lo < hi:  # single-atom grids: widen to a usable window
-        lo, hi = lo - 1.0, hi + 1.0
-    return lo, hi
-
-
 def joint_shift_bounds(cov, a_i, a_ip):
     """Joint-shift sandwich ``max_k |A_k - C| <= d <= C + min_k A_k``.
 
@@ -241,20 +220,19 @@ def pairwise_bounds(
     )
 
 
-def _components(
-    spec: CredalSpec, values: tuple[np.ndarray, ...], cfg: QuadratureConfig
-) -> tuple[float, float, float]:
+def _components(spec: CredalSpec, values: tuple[np.ndarray, ...]) -> tuple[float, float, float]:
     """(eta_x, eta_star, eta_bar) from the :func:`_pair_values` columns of a pair list.
 
     The list holds every pure-regime pair, so each ``cov`` and ``a_i`` is
     also a pure-regime pair's value, and their maxima are eta_x and eta_star.
+    eta_bar is clamped to at least eta_star, to absorb its quadrature tolerance.
     """
     eta_x = float(values[0].max(initial=0.0))
     eta_star = float(values[1].max(initial=0.0))
-    domain = default_sup_domain(spec, cfg.domain_halfwidth_sigmas)
-    lab_pairs = itertools.combinations(spec.labelers, 2)
-    sups = [sup_conditional_tv(l1, l2, domain) for l1, l2 in lab_pairs]
-    return eta_x, eta_star, max(sups, default=0.0)
+    envs = spec.environments
+    atoms = np.unique(np.concatenate([e.points for e in envs])) if all(isinstance(e, DiscreteGrid) for e in envs) else None
+    sups = _sup_tvs(list(itertools.combinations(spec.labelers, 2)), atoms)
+    return eta_x, eta_star, min(1.0, float(sups.max(initial=eta_star)))
 
 
 def _pure_pairs(spec: CredalSpec) -> np.ndarray:
@@ -269,10 +247,11 @@ def component_diameters(
 
     eta_x: max environment TV (shared-labeler pairs); eta_star: max over
     (env, labeler pair) of the expected conditional TV (shared-environment
-    pairs); eta_bar: max over labeler pairs of the grid supremum of the
-    pointwise conditional TV.
+    pairs); eta_bar: max over labeler pairs of :func:`~credal.measures.sup_conditional_tv`
+    and eta_star: exact on the atoms when every environment is a grid, else
+    certified over the line to 1e-6.
     """
-    return _components(spec, _pair_values(spec, _pure_pairs(spec), cfg, False), cfg)
+    return _components(spec, _pair_values(spec, _pure_pairs(spec), cfg, False))
 
 
 def diameter_bounds(
@@ -283,10 +262,10 @@ def diameter_bounds(
     """Diameter bounds (and optionally the exact diameter) of the credal set.
 
     ``lower = max(eta_x, eta_star)`` and ``upper = eta_x + eta_eff`` with
-    ``eta_eff = min(eta_star, (1 - eta_x) * eta_bar)``.  Because eta_bar is
-    a grid estimate that can only be too small, a gated eta_eff that would
-    push the upper bound below the (always valid) lower bound falls back to
-    the eta_star branch, which is a valid upper bound unconditionally.
+    ``eta_eff = min(eta_star, (1 - eta_x) * eta_bar)``, both clamped to 1.
+    eta_bar is :func:`component_diameters`' certified supremum, at least
+    eta_star, so ``eta_x + (1 - eta_x) * eta_bar >= max(eta_x, eta_star)``
+    and ``upper >= lower`` with no fallback.
 
     When ``with_exact`` is set, the exact diameter is the largest
     :func:`pairwise_bounds` ``exact`` over all vertex pairs (sufficient
@@ -300,13 +279,10 @@ def diameter_bounds(
     """
     pairs = _vertex_pairs(spec) if with_exact else _pure_pairs(spec)
     values = _pair_values(spec, pairs, cfg, False)
-    eta_x, eta_star, eta_bar = _components(spec, values, cfg)
+    eta_x, eta_star, eta_bar = _components(spec, values)
     eta_eff = min(eta_star, (1.0 - eta_x) * eta_bar)
     lower = min(1.0, max(eta_x, eta_star))
     upper = min(1.0, eta_x + eta_eff)
-    if upper < lower:
-        eta_eff = eta_star
-        upper = min(1.0, eta_x + eta_eff)
     exact = argmax_pair = None
     if with_exact:
         envs, labs = spec.environments, spec.labelers

@@ -142,6 +142,32 @@ def quadrature_joint_tv(e1, l1, e2, l2, panels: int = 64, halfwidth: float = 10.
     return total
 
 
+def sup_link_tv_scan(l1, l2, n: int = 100_001) -> tuple[float, float]:
+    """Largest ``|P1(1|x) - P2(1|x)|`` of two Sigmoid/Probit links on a scan, and its certified slack.
+
+    Each link is scanned at ``n`` evenly spaced x across its transition,
+    where its argument ``z = slope*x + bias`` runs over [-40, 40], and the
+    TV is also taken at the links' limits at +/-inf.  Outside a link's
+    transition it is flat to 1e-17.  Inside, the scan of the steeper link
+    whose transition holds x leaves at most ``h/2`` to the nearest point,
+    with ``|slope|*h = 80 / (n - 1)``, so the supremum exceeds the value by
+    at most ``sum_k |slope_k| max L'_k h/2 = (L'_1 + L'_2) 40 / (n - 1)``,
+    plus 1e-12 for the flat tails.
+    """
+    def link(lab):
+        # slope, link function and its largest derivative
+        if type(lab).__name__ == "Sigmoid":
+            return lab.slope, expit, 0.25
+        return lab.kappa, ndtr, 1.0 / math.sqrt(2.0 * math.pi)
+
+    (s1, f1, d1), (s2, f2, d2) = link(l1), link(l2)
+    xs = np.concatenate([np.linspace((-40.0 - lab.bias) / s, (40.0 - lab.bias) / s, n) for s, lab in ((s1, l1), (s2, l2))])
+    scan = float(np.abs(f1(s1 * xs + l1.bias) - f2(s2 * xs + l2.bias)).max())
+    # at x -> +/-inf a link with slope s tends to 1 where s*x > 0, else to 0
+    limits = [abs(float(s1 * sign > 0) - float(s2 * sign > 0)) for sign in (-1.0, 1.0)]
+    return max(scan, *limits), (d1 + d2) * 40.0 / (n - 1) + 1e-12
+
+
 def smoothed_risk(env, labeler, h, temperature: float, n_grid: int = 200_001, halfwidth: float = 10.0) -> float:
     """Dense-trapezoid E[p1(X) (1 - s(X)) + p0(X) s(X)] with s = sigma(h.score / T).
 
@@ -247,8 +273,7 @@ def summarize_by_row_scan(rows, group_by=None) -> dict:
 
     Per key, the int/float/bool cells of the rows that have it are sorted;
     the entry holds count, mean, median, q90, q95, q99, and a Wilson 95%
-    interval when every value is 0 or 1.  ``experiment``, ``config_hash``
-    and ``seed`` are not metrics.
+    interval when every value is 0 or 1.
     """
     z = 1.959963984540054
 
@@ -261,7 +286,7 @@ def summarize_by_row_scan(rows, group_by=None) -> dict:
 
     def aggregate(members):
         metrics = {}
-        for key in sorted({k for row in members for k in row} - {"experiment", "config_hash", "seed"}):
+        for key in sorted({k for row in members for k in row}):
             vals = [row[key] for row in members if key in row and isinstance(row[key], (int, float))]
             if not vals:
                 continue
@@ -274,11 +299,7 @@ def summarize_by_row_scan(rows, group_by=None) -> dict:
             metrics[key] = entry
         return metrics
 
-    experiments = {row.get("experiment") for row in rows}
-    out = {"experiment": next(iter(experiments)), "rows": len(rows), "metrics": aggregate(rows)}
-    hashes = {row.get("config_hash") for row in rows if "config_hash" in row}
-    if len(hashes) == 1:
-        out["config_hash"] = next(iter(hashes))
+    out = {"rows": len(rows), "metrics": aggregate(rows)}
     if group_by is not None:
         groups = {}
         for row in rows:

@@ -20,7 +20,7 @@ from credal.harness.config import (
 from credal.harness.cli import main as cli_main
 from credal.harness import experiments
 from credal.harness.experiments import run
-from credal.harness.summary import SummaryError, summarize, summarize_columns, wilson_interval
+from credal.harness.summary import SummaryError, summarize_columns, wilson_interval
 from credal.estimation import write_annotations
 from credal.measures import Gaussian, Sigmoid, Threshold, joint_tv_exact
 from credal.sets import CredalSpec, pairwise_bounds
@@ -103,19 +103,22 @@ class TestConfig:
             load_config(path)
 
 
-class TestSummarize:
-    def _rows(self, values, experiment="x"):
-        return [{"experiment": experiment, "metric": v} for v in values]
+def _columns(rows):
+    """The list columns of dict rows, ``None`` where a row lacks a key."""
+    keys = dict.fromkeys(k for row in rows for k in row)
+    return {k: [row.get(k) for row in rows] for k in keys}
 
+
+class TestSummarize:
     def test_single_row_equals_itself(self):
-        out = summarize(self._rows([0.5]))
+        out = summarize_columns({"metric": [0.5]})
         assert out["metrics"]["metric"]["mean"] == 0.5
         assert out["metrics"]["metric"]["median"] == 0.5
 
     def test_known_quantiles_sort_oracle(self):
         rng = np.random.default_rng(0)
         vals = rng.random(501).tolist()
-        out = summarize(self._rows(vals))
+        out = summarize_columns({"metric": vals})
         arr = np.sort(vals)
         for q, key in ((0.5, "median"), (0.9, "q90"), (0.95, "q95"), (0.99, "q99")):
             assert out["metrics"]["metric"][key] == pytest.approx(float(np.quantile(arr, q)))
@@ -123,21 +126,16 @@ class TestSummarize:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         vals = rng.random(100).tolist()
-        a = summarize(self._rows(vals))
-        b = summarize(self._rows(list(reversed(vals))))
+        a = summarize_columns({"metric": vals})
+        b = summarize_columns({"metric": list(reversed(vals))})
         assert a == b
-
-    def test_mixed_experiments_rejected(self):
-        with pytest.raises(SummaryError):
-            summarize(self._rows([1.0]) + self._rows([2.0], experiment="y"))
 
     def test_empty_rejected(self):
         with pytest.raises(SummaryError):
-            summarize([])
+            summarize_columns({"metric": []})
 
     def test_binary_metric_gets_wilson(self):
-        rows = self._rows([0.0] * 2000)
-        out = summarize(rows)
+        out = summarize_columns({"metric": [0.0] * 2000})
         assert out["metrics"]["metric"]["wilson_high"] == pytest.approx(0.002, abs=2e-4)
 
     def test_wilson_interval_values(self):
@@ -149,14 +147,11 @@ class TestSummarize:
 
 
 def _mixed_rows(count=240, seed=7):
-    """Rows with meta keys, missing keys, None, string and bool cells, ints and 0/1 metrics."""
+    """Rows with missing keys, None, string and bool cells, ints and 0/1 metrics."""
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(count):
         row = {
-            "experiment": "x",
-            "config_hash": "abc",
-            "seed": 3,
             "cls": ("b", "a", "c")[k % 3],
             "n": (30, 10)[k % 2],
             "eps": (0.25, 0.1, 0.5, 1e-3)[k % 4],
@@ -180,27 +175,26 @@ class TestSummarizeRowsAndColumns:
     @pytest.mark.parametrize("group_by", [None, "cls", "n", "eps", "ok", "count"])
     def test_matches_the_row_scan(self, group_by):
         rows = _mixed_rows()
-        assert summarize(rows, group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
+        assert summarize_columns(_columns(rows), group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
 
     @pytest.mark.parametrize("group_by", [None, "cls", "n", "eps"])
     def test_permutation_invariant(self, group_by):
         rows = _mixed_rows()
         shuffled = list(rows)
         random.Random(3).shuffle(shuffled)
-        assert summarize(shuffled, group_by=group_by) == summarize(rows, group_by=group_by)
+        assert summarize_columns(_columns(shuffled), group_by=group_by) == summarize_columns(_columns(rows), group_by=group_by)
 
     def test_edge_rows_match_the_row_scan(self):
         cases = [
-            [{}],
             [{"a": None}, {"b": "s"}],
-            [{"experiment": "x", "v": True}, {"experiment": "x", "v": False}],
+            [{"tag": "x", "v": True}, {"tag": "x", "v": False}],
             [{"v": 0}, {"v": 1}, {"v": 1.0}],
             [{"g": 1, "v": 0.5}, {"g": 2.5, "v": 1.0}, {"g": 1.0, "v": 2.0}],
             [{"g": "b", "v": 1}, {"g": "a"}, {"g": "b", "v": 3}],
         ]
         for rows in cases:
             group_by = "g" if "g" in rows[0] else None
-            assert summarize(rows, group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
+            assert summarize_columns(_columns(rows), group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
 
     def test_array_columns_equal_dict_rows(self):
         rng = np.random.default_rng(11)
@@ -213,11 +207,7 @@ class TestSummarizeRowsAndColumns:
         rows = [dict(zip(table, cells)) for cells in zip(*(c.tolist() for c in table.values()))]
         for group_by in (None, "cls", "i"):
             got = summarize_columns(table, group_by=group_by)
-            assert got == summarize(rows, group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
-
-    def test_missing_group_key_raises(self):
-        with pytest.raises(KeyError):
-            summarize([{"g": 1, "v": 1.0}, {"v": 2.0}], group_by="g")
+            assert got == summarize_columns(_columns(rows), group_by=group_by) == summarize_by_row_scan(rows, group_by=group_by)
 
     def test_no_columns_and_no_rows_rejected(self):
         with pytest.raises(SummaryError):

@@ -3,12 +3,14 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from credal import measures
 from credal.dro import LinearLogistic, ThresholdClassifier
@@ -44,6 +46,7 @@ from oracles import (
     gaussian_tv_via_crossings,
     prob_matrix_by_hand,
     quadrature_joint_tv,
+    sup_link_tv_scan,
     threshold_pair_disagreement,
     tv_subset_brute_force,
 )
@@ -361,24 +364,97 @@ class TestExpectedConditionalTv:
         assert got == pytest.approx(quadrature_joint_tv(env, a, env, b), abs=TOL)
 
 
+def steep_link_pairs(count=300, seed=11):
+    """Seeded Sigmoid/Probit pairs with |slope| 10^U(-1, 2.5) of either sign and bias U(-3, 3)*|slope|."""
+    rng = np.random.default_rng(seed)
+
+    def link():
+        slope = float(10.0 ** rng.uniform(-1.0, 2.5) * rng.choice((-1.0, 1.0)))
+        return (Sigmoid, Probit)[int(rng.integers(2))](slope, float(rng.uniform(-3.0, 3.0) * abs(slope)))
+
+    return [(link(), link()) for _ in range(count)]
+
+
 class TestSupConditionalTv:
     def test_threshold_pair_saturates(self):
-        assert sup_conditional_tv(Threshold(-1), Threshold(1), (-4, 4)) == 1.0
+        assert sup_conditional_tv(Threshold(-1), Threshold(1)) == 1.0
 
     def test_identical_labelers(self):
-        assert sup_conditional_tv(Sigmoid(1, 0), Sigmoid(1, 0), (-5, 5)) == 0.0
+        assert sup_conditional_tv(Sigmoid(1, 0), Sigmoid(1, 0)) == 0.0
+        assert sup_conditional_tv(Probit(-3, 2), Probit(-3, 2)) == 0.0
 
     def test_sigmoid_pair_maximizer_at_zero(self):
-        got = sup_conditional_tv(Sigmoid(1, -1), Sigmoid(1, 1), (-6, 6))
-        assert got == pytest.approx(0.4621, abs=1e-4)
+        want = float(expit(1.0) - expit(-1.0))
+        assert want <= sup_conditional_tv(Sigmoid(1, -1), Sigmoid(1, 1)) <= want + measures._SUP_TOL
 
-    def test_degenerate_domain(self):
-        with pytest.raises(ValidationError):
-            sup_conditional_tv(Threshold(0), Threshold(1), (2.0, 2.0))
+    def test_opposite_slopes_reach_their_limit(self):
+        # the TV tends to 1 at +/-inf, beyond any window around the bulk
+        assert sup_conditional_tv(Sigmoid(1, 0), Sigmoid(-1, 0)) == 1.0
+        assert sup_conditional_tv(Probit(0.2, 3), Sigmoid(-5, 1)) == 1.0
 
-    def test_grid_floor(self):
+    def test_near_identical_links(self):
+        got = sup_conditional_tv(Sigmoid(1, 0), Sigmoid(1, 1e-6))
+        assert 2.5e-7 - 1e-12 <= got <= 2.5e-7 + measures._SUP_TOL
+
+    def test_steep_pair_dominates_a_dense_scan(self):
+        l1, l2 = Sigmoid(1000, -300.1), Sigmoid(1000, -301.1)
+        xs = np.linspace(0.25, 0.35, 4_000_001)
+        scan = float(np.abs(expit(1000 * xs - 300.1) - expit(1000 * xs - 301.1)).max())
+        got = sup_conditional_tv(l1, l2)
+        assert got >= max(scan, 0.2449)
+        assert got <= scan + measures._SUP_TOL + 1000 * 0.5 * 2.5e-8
+
+    @pytest.mark.parametrize(
+        "l1, l2, want",
+        [
+            (SymmetricNoise(Threshold(0), 0.1), SymmetricNoise(Threshold(0.5), 0.3), 0.9 - 0.3),
+            (SymmetricNoise(Threshold(0), 0.2), Sigmoid(1, 0), 0.5 - 0.2),
+            (Threshold(0), Probit(2, 0), 0.5),
+            (Interval(-1, 1), Sigmoid(2, 0), 1.0),
+            (Interval(-1, 1), Threshold(0), 1.0),
+        ],
+    )
+    def test_crisp_noise_and_interval_pairs_are_exact(self, l1, l2, want):
+        assert sup_conditional_tv(l1, l2) == pytest.approx(want, rel=0.0, abs=1e-15)
+
+    def test_ulp_steep_link_against_its_threshold(self):
+        # one float step moves the link by 3e-5: the value at the cut itself
+        # (label 0 against P = 0.5) is the supremum
+        assert sup_conditional_tv(Sigmoid(1e12, -1e12), Threshold(1.0)) == 0.5
+
+    def test_seeded_steep_pairs_are_certified_against_the_scan(self):
+        pairs = steep_link_pairs()
+        got = measures._sup_tvs(pairs)
+        for (l1, l2), value in zip(pairs, got.tolist()):
+            scan, slack = sup_link_tv_scan(l1, l2)
+            assert scan <= value <= scan + measures._SUP_TOL + slack, (l1, l2)
+
+    def test_batch_equals_batches_of_one(self):
+        pairs = steep_link_pairs(60, seed=5) + [
+            (Sigmoid(1000, -300.1), Sigmoid(1000, -301.1)),
+            (Sigmoid(1, 0), Sigmoid(1, 0)),
+            (Threshold(0), Interval(-1, 1)),
+            (SymmetricNoise(Interval(-1, 2), 0.3), Probit(-2, 1)),
+        ]
+        batch = measures._sup_tvs(pairs)
+        assert batch.tolist() == [measures._sup_tvs([pair])[0] for pair in pairs]
+
+    def test_points_give_the_maximum_over_them(self):
+        pts = (-1.0, 0.0, 0.5, 2.0)
+        l1, l2 = Tabular(pts, ((1, 0), (0.5, 0.5), (0.2, 0.8), (0, 1))), SymmetricNoise(Threshold(0.25), 0.1)
+        want = max(0.5 * np.abs(prob_matrix_by_hand(l2, [x]) - l1.prob_matrix([x])).sum() for x in pts)
+        assert sup_conditional_tv(l1, l2, pts) == want
+        assert sup_conditional_tv(l1, l2, (0.0,)) == conditional_tv(l1, l2, 0.0) == 0.4
+
+    def test_class_counts_must_agree(self):
+        three = Tabular((0.0,), ((0.2, 0.3, 0.5),))
         with pytest.raises(ValidationError):
-            sup_conditional_tv(Threshold(0), Threshold(1), (-4, 4), grid_n=100)
+            sup_conditional_tv(three, Threshold(0), (0.0,))
+
+    def test_no_overflow_warning_escapes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sup_conditional_tv(Sigmoid(1e300, 0), Probit(-1e300, 1)) == 1.0
 
 
 class TestJointTvExact:

@@ -21,7 +21,6 @@ from credal.sets import (
     CredalSpec,
     DiameterReport,
     component_diameters,
-    default_sup_domain,
     diameter_bounds,
     pairwise_bounds,
     robust_penalty,
@@ -191,6 +190,24 @@ class TestDiameterBounds:
         rep = diameter_bounds(spec, with_exact=True)
         assert rep.eta_star > 0.0003
         assert rep.upper >= rep.exact - 2 * TOL
+
+    def test_adversarial_specs_upper_dominates_exact(self):
+        rng = np.random.default_rng(18)
+        for n_x, n_y in ((2, 3), (3, 4), (2, 5), (3, 3)) * 4:
+            rep = diameter_bounds(adversarial_gaussian_spec(rng, n_x, n_y), with_exact=True)
+            assert rep.eta_bar >= rep.eta_star
+            assert rep.upper >= rep.exact - 2 * TOL
+
+    def test_grid_eta_bar_reads_every_atom_in_either_labeler_order(self):
+        # the tabular labelers share the atoms {0, 2}; the first also has a
+        # point at 1, where no environment puts mass
+        envs = (DiscreteGrid((0.0, 2.0), (0.5, 0.5)),)
+        on_three = Tabular((0.0, 1.0, 2.0), ((0.9, 0.1), (0.0, 1.0), (0.5, 0.5)))
+        on_two = Tabular((0.0, 2.0), ((0.2, 0.8), (0.4, 0.6)))
+        for labs in ((on_three, on_two), (on_two, on_three)):
+            rep = diameter_bounds(CredalSpec(envs, labs))
+            assert rep.eta_bar == pytest.approx(0.7, abs=1e-15)
+            assert rep.eta_star == pytest.approx(0.5 * 0.7 + 0.5 * 0.1, abs=1e-15)
 
     def test_random_discrete_specs_sandwich_brute_force(self):
         rng = np.random.default_rng(42)
@@ -409,8 +426,3 @@ class TestDiameterReportInvariants:
                 eta_x=0.6, eta_star=0.5, eta_bar=1.0, eta_eff=0.4,
                 lower=0.6, upper=0.55,
             )
-
-    def test_default_sup_domain_covers_envs(self):
-        spec = CredalSpec((Gaussian(0, 1), Gaussian(5, 2)), (Threshold(0),))
-        lo, hi = default_sup_domain(spec)
-        assert lo <= -8 and hi >= 21
