@@ -14,9 +14,9 @@ of shape (n,) and either ``hard`` (n, k) int64 class indices or ``soft``
 batch is also a sequence of :class:`AnnotatedSample` records, so code
 that indexes, iterates or compares records keeps working; sampling, the
 annotation file and the estimators pass columns and build no per-row
-objects.  A record checks its row with scalar code, and a batch checks
-its columns in numpy and hands the first bad row to that scalar code, so
-both accept the same rows and raise the same errors.
+objects.  The annotation rules are written once, over columns: a record
+checks its row as a one-row batch, so records, batches, label arrays
+and annotation files accept the same rows and raise the same errors.
 
 Annotation file format (shared with the experiment harness)
 ------------------------------------------------------------
@@ -30,7 +30,6 @@ annotator simplex vectors for soft labels.  Floats are written with
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -63,50 +62,12 @@ def _kind(hard, soft) -> str:
     return "hard" if hard is not None else "soft"
 
 
-def _check_row(where: str, x, hard=None, soft=None) -> tuple:
-    """The observation rules for one sample; returns ``(hard, soft)`` as tuples.
-
-    Exactly one of ``hard``/``soft``, a finite covariate, at least one
-    annotator, non-negative integer class indices, and simplex vectors of
-    one class count within ``SOFT_SIMPLEX_TOL`` (summed left to right).
-    :func:`_check_columns` flags rows by the same rules in numpy and passes
-    the first flagged row here, so a record and a batch raise alike.
-    """
-    kind = _kind(hard, soft)
-    if not math.isfinite(x):
-        raise ValidationError(f"{where}: x must be finite, got {x!r}")
-    obs = tuple(hard if kind == "hard" else soft)
-    if not obs:
-        raise ValidationError("need at least one annotator")
-    if kind == "hard":
-        try:
-            labels = tuple(map(operator.index, obs))
-        except TypeError:
-            labels = None
-        if labels is None or bool in map(type, obs):
-            raise ValidationError(f"{where}: hard labels must be integer class indices, got {obs!r}")
-        if min(labels) < 0:
-            raise ValidationError(f"{where}: hard labels must be non-negative class indices, got {labels!r}")
-        return labels, None
-    rows = tuple(tuple(map(float, row)) for row in obs)
-    if len(set(map(len, rows))) > 1:
-        raise ValidationError("soft vectors must share one class count")
-    for row in rows:
-        total = 0.0
-        for p in row:
-            total += p
-        # written so that a NaN entry or sum is off the simplex too
-        if any(p < -SOFT_SIMPLEX_TOL for p in row) or not abs(total - 1.0) <= SOFT_SIMPLEX_TOL:
-            raise ValidationError(f"{where}: soft vector off the simplex beyond {SOFT_SIMPLEX_TOL}: {row!r}")
-    return None, rows
-
-
 def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_check_row` over whole columns; returns ``(x, observations)`` as arrays.
+    """The annotation rules, over whole columns; returns ``(x, observations)`` as arrays.
 
-    ``hard`` must be an (n, k) integer array and ``soft`` an (n, k, C)
-    array.  The row rules are evaluated in numpy, and the first row they
-    flag goes through ``_check_row``, which raises naming it ``where(i)``.
+    ``x`` is finite, ``hard`` an (n, k) array of non-negative integer class
+    indices and ``soft`` an (n, k, C) array of vectors on the simplex within
+    ``SOFT_SIMPLEX_TOL``.  The first bad row raises, named ``where(i)``.
     """
     kind = _kind(hard, soft)
     obs = np.asarray(hard) if kind == "hard" else np.asarray(soft, dtype=float)
@@ -119,21 +80,25 @@ def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tupl
         if obs.dtype.kind not in "iu":
             raise ValidationError(f"hard labels must be integer class indices, got dtype {obs.dtype}")
         obs = obs.astype(np.int64, copy=False)
-        bad = (obs < 0).any(axis=1)
+        off = obs < 0
     else:
         total = np.zeros(obs.shape[:2])
         for c in range(obs.shape[2]):
-            total += obs[:, :, c]  # left to right, as _check_row sums
+            total += obs[:, :, c]  # left to right: the verdicts at the tolerance edge files and records always had
+        # written so that a NaN entry or sum is off the simplex too
         off = (obs < -SOFT_SIMPLEX_TOL).any(axis=2) | ~(np.abs(total - 1.0) <= SOFT_SIMPLEX_TOL)
-        bad = off.any(axis=1)
     x = np.asarray(x, dtype=float)
     if x.shape != obs.shape[:1]:
         raise ValidationError(f"x must have shape ({obs.shape[0]},), got {x.shape}")
-    bad |= ~np.isfinite(x)
+    bad_x = ~np.isfinite(x)
+    bad = bad_x | off.any(axis=1)
     if bad.any():
         i = _first(bad)
-        _check_row(where(i), x[i].item(), **{kind: obs[i].tolist()})
-        raise AssertionError(f"{where(i)} breaks a column rule that _check_row lacks")
+        if bad_x[i]:
+            raise ValidationError(f"{where(i)}: x must be finite, got {x[i].item()!r}")
+        soft_rule = f"soft vector off the simplex beyond {SOFT_SIMPLEX_TOL}"
+        rule = "hard labels must be non-negative class indices" if kind == "hard" else soft_rule
+        raise ValidationError(f"{where(i)}: {rule}, got {obs[i, _first(off[i])].tolist()!r}")
     return x, obs
 
 
@@ -150,9 +115,18 @@ class AnnotatedSample:
     soft: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self) -> None:
-        hard, soft = _check_row("sample", self.x, self.hard, self.soft)
-        object.__setattr__(self, "hard", hard)
-        object.__setattr__(self, "soft", soft)
+        # what the array conversion would lose or refuse; the rest is checked as a one-row batch
+        kind = _kind(self.hard, self.soft)
+        obs = tuple(getattr(self, kind))
+        if not obs:
+            raise ValidationError("need at least one annotator")
+        if kind == "hard" and not {bool, np.bool_}.isdisjoint(map(type, obs)):
+            raise ValidationError(f"sample: hard labels must be integer class indices, got {obs!r}")
+        if kind == "soft" and len(set(map(len, obs))) > 1:
+            raise ValidationError("soft vectors must share one class count")
+        x, rows = _check_columns([self.x], lambda i: "sample", **{kind: [obs]})
+        object.__setattr__(self, "x", x.item())
+        object.__setattr__(self, kind, tuple(map(tuple, rows[0].tolist())) if kind == "soft" else tuple(rows[0].tolist()))
 
     @property
     def kind(self) -> str:
@@ -305,8 +279,6 @@ def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
         agree += ind.T @ ind
         rest = rest[rest > c]
     values = 1.0 - agree / n
-    np.fill_diagonal(values, 0.0)
-    values = np.clip(0.5 * (values + values.T), 0.0, 1.0)
     np.fill_diagonal(values, 0.0)
     return _build_matrix(values, n, "hard")
 

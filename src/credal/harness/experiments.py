@@ -278,11 +278,11 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict
     n = int(p["n"])
     seed = GenSeed(config.seed)
     rows = []
-    for eps_idx, eps_max in enumerate(p["eps_max_list"]):
+    for eps_idx, eps_max in enumerate(dict.fromkeys(map(float, p["eps_max_list"]))):
         for rep in range(int(p["replications"])):
             sub = seed.derive(eps_idx, rep)
             rng = sub.generator()
-            eps = rng.uniform(0.0, float(eps_max), size=k)
+            eps = rng.uniform(0.0, eps_max, size=k)
             eta_true, bound = noisy_closed_form(eps.tolist())
             labs = tuple(SymmetricNoise(base, float(e)) for e in eps)
             try:
@@ -292,7 +292,7 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict
                 raise ExperimentError(
                     f"noise_ablation failed at eps_max={eps_max} rep={rep}: {exc}"
                 ) from exc
-            rows.append((float(eps_max), rep, eta_true, bound, eta_hat))
+            rows.append((eps_max, rep, eta_true, bound, eta_hat))
     table = _table(("eps_max", "rep", "eta_true", "bound", "eta_hat"), rows)
     table["gap"] = table["eta_hat"] - table["eta_true"]
     table["abs_gap"] = np.abs(table["gap"])

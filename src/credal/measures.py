@@ -705,6 +705,8 @@ def sup_conditional_tv(l1: Labeler, l2: Labeler, points=None) -> float:
     ``_SUP_TOL`` are halved; the value is the largest end value or bound left.
     """
     _check_class_counts(l1, l2)
+    if points is not None and np.size(points) == 0:
+        raise ValidationError("sup_conditional_tv: points is empty; pass at least one point, or None for the whole line")
     return _clip01(float(_sup_tvs([(l1, l2)], points)[0]), "sup_conditional_tv")
 
 

@@ -295,6 +295,14 @@ class TestByteIdentity:
             "ef0dd6855ac177b71ae54f5cea28807f3bf66709b0a6c53fe3729e4eeb8615e3",
         )
 
+    def test_soft_diameter_ablation_is_pinned(self, tmp_path):
+        # the Probit labelers, soft sampling and the soft disagreement Gram
+        doc = {"experiment": "diameter_ablation", "seed": 3, "params": {"regime": "soft", "env_count": 8, "runs_per_env": 4}}
+        assert self._digests(doc, tmp_path) == (
+            "8750f83c96a0607252ee02b54cf497766345eb4a80662ef7bfe875bff2ed2f7e",
+            "c89d0680821b8120b1685a7203a1561434b422843ad5bc6b1f12e8c18a7e97c8",
+        )
+
 
 class TestRunners:
     def test_gating_curve_columns_and_gating_shape(self, tmp_path):
@@ -355,13 +363,14 @@ class TestRunners:
                 {"violation_n_list": [10], "violation_replications": 20},
             ),
             ("mechanism_complexity", "n_y_list", [2, 12, 12], [2, 12], {}),
+            ("noise_ablation", "eps_max_list", [0.1, 0.1, 0.25], [0.1, 0.25], {}),
         ],
-        ids=["sample_complexity", "mechanism_complexity"],
+        ids=["sample_complexity", "mechanism_complexity", "noise_ablation"],
     )
     def test_repeated_size_is_run_once(self, experiment, key, repeated, once, params):
-        # a size listed twice gives the table and summary of the size listed
-        # once: no group's replications run twice, and the log-log slope is
-        # fitted over distinct n
+        # a size (or noise level) listed twice gives the table and summary of
+        # the one listed once: no group's replications run twice, and the
+        # log-log slope is fitted over distinct n
         runner = getattr(experiments, f"_run_{experiment}")
         results = []
         for sizes in (repeated, once):
@@ -374,6 +383,14 @@ class TestRunners:
         for column in want:
             assert np.array_equal(table[column], want[column])
         assert summary == want_summary
+
+    def test_grid_environment_is_parsed(self):
+        # Threshold(-1) and Threshold(1) disagree only on the atom at 0
+        env = {"type": "grid", "points": [-1, 0, 2], "weights": [0.25, 0.5, 0.25]}
+        doc = {"schema_version": SCHEMA_VERSION, "experiment": "sample_complexity", "seed": 5}
+        params = {"env": env, "n_list": [10], "replications": 5, "violation_n_list": [10], "violation_replications": 5}
+        _, summary = experiments._run_sample_complexity(validate_config({**doc, "params": params}), 1)
+        assert summary["population_diameter"] == 0.5
 
     def test_repeated_regime_is_swept_once(self, tmp_path):
         # a regime listed twice gives the table of the regime listed once

@@ -446,6 +446,11 @@ class TestSupConditionalTv:
         assert sup_conditional_tv(l1, l2, pts) == want
         assert sup_conditional_tv(l1, l2, (0.0,)) == conditional_tv(l1, l2, 0.0) == 0.4
 
+    def test_empty_points_rejected(self):
+        for points in ((), np.zeros(0)):
+            with pytest.raises(ValidationError, match="points is empty"):
+                sup_conditional_tv(Threshold(0.0), Threshold(1.0), points)
+
     def test_class_counts_must_agree(self):
         three = Tabular((0.0,), ((0.2, 0.3, 0.5),))
         with pytest.raises(ValidationError):
