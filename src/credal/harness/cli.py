@@ -13,7 +13,6 @@ diagnostics), 1 on numerical failure (with the offending coordinates).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import get_args
@@ -21,9 +20,9 @@ from typing import get_args
 from credal.estimation import Regime
 from credal.harness.config import (
     EXPERIMENTS,
+    SCHEMA_VERSION,
     ConfigError,
     load_config,
-    preset_config,
     validate_config,
 )
 from credal.harness.experiments import ExperimentError, run
@@ -51,30 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args: argparse.Namespace):
+    """The preset or the config file's document, with the flags laid over it, validated once."""
     if args.config:
-        config = load_config(args.config)
-        if config.experiment != args.experiment:
+        doc = load_config(args.config).document()
+        if doc["experiment"] != args.experiment:
             raise ConfigError(
-                f"config file is for {config.experiment!r} but the CLI asked for {args.experiment!r}"
+                f"config file is for {doc['experiment']!r} but the CLI asked for {args.experiment!r}"
             )
-        if args.preset and args.preset != config.preset:
+        if args.preset and args.preset != doc["preset"]:
             raise ConfigError("--preset conflicts with the preset recorded in the config file")
     else:
-        config = preset_config(args.experiment, args.preset or "desk", seed=args.seed or 0)
-    if args.delta is not None:
-        doc = config.document()
-        doc["delta"] = args.delta
-        config = validate_config(doc)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.experiment == "certificate":
-        params = dict(config.params)
-        if getattr(args, "annotations", None):
-            params["annotations"] = args.annotations
-        if getattr(args, "regime", None):
-            params["regime"] = args.regime
-        config = dataclasses.replace(config, params=params)
-    return config
+        doc = {"schema_version": SCHEMA_VERSION, "experiment": args.experiment, "preset": args.preset or "desk"}
+    flags = {"seed": args.seed, "delta": args.delta}
+    doc.update({key: value for key, value in flags.items() if value is not None})
+    params = {key: getattr(args, key, None) for key in ("annotations", "regime")}
+    doc["params"] = {**doc.get("params", {}), **{key: value for key, value in params.items() if value}}
+    return validate_config(doc)
 
 
 def main(argv=None) -> int:

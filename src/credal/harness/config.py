@@ -2,13 +2,14 @@
 
 Configs are JSON documents with a required ``schema_version``.  Every
 experiment ships a ``desk`` preset (minutes on one core) and a ``paper``
-preset (full table scale); a config file or CLI flags overlay the preset.
-Unknown keys are rejected everywhere so a typo cannot silently change an
-experiment.
+preset (full table scale); a config file overlays the preset, and CLI
+flags overlay either and are validated like its keys.  Unknown keys are
+rejected everywhere so a typo cannot silently change an experiment.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
@@ -18,18 +19,6 @@ from typing import Any, Mapping
 from credal.measures import QuadratureConfig
 
 SCHEMA_VERSION = 2
-
-EXPERIMENTS = (
-    "gating_curve",
-    "bounds_sweep",
-    "diameter_ablation",
-    "noise_ablation",
-    "sample_complexity",
-    "mechanism_complexity",
-    "minimax_demo",
-    "dro_train",
-    "certificate",
-)
 
 _TOP_KEYS = {"schema_version", "experiment", "preset", "seed", "delta", "quadrature", "params"}
 _QUAD_KEYS = {f.name for f in fields(QuadratureConfig)}
@@ -64,20 +53,21 @@ def config_hash(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 _ENV_N01 = {"type": "gaussian", "mean": 0.0, "std": 1.0}
-_ENV_N21 = {"type": "gaussian", "mean": 2.0, "std": 1.0}
 
-
-def _desk_params(experiment: str) -> dict:
-    if experiment == "gating_curve":
-        return {
+# experiment -> (desk params, the paper preset's overrides of them)
+_PRESETS = {
+    "gating_curve": (
+        {
             "window_means": [round(-6.0 + 0.25 * i, 4) for i in range(49)],
             "window_std": 1.0,
             "env_gap": 1.0,
             "sigmoid_slope": 1.0,
             "sigmoid_boundaries": [-1.0, 1.0],
-        }
-    if experiment == "bounds_sweep":
-        return {
+        },
+        {"window_means": [round(-6.0 + 0.125 * i, 4) for i in range(97)]},
+    ),
+    "bounds_sweep": (
+        {
             "grid_env_count": 6,
             "env_mean_range": [-3.0, 3.0],
             "env_std": 1.0,
@@ -87,9 +77,11 @@ def _desk_params(experiment: str) -> dict:
             "labeler_count": 4,
             "labeler_range": [-4.0, 4.0],
             "regimes": ["hard", "soft"],
-        }
-    if experiment == "diameter_ablation":
-        return {
+        },
+        {"grid_env_count": 15, "random_env_count": 5, "labeler_count": 10},
+    ),
+    "diameter_ablation": (
+        {
             "regime": "hard",
             "env_count": 60,
             "mean_range": [-2.0, 2.0],
@@ -99,88 +91,75 @@ def _desk_params(experiment: str) -> dict:
             "probit_biases": [-2.0, -1.0, 0.0, 1.0, 2.0],
             "n": 1000,
             "runs_per_env": 8,
-        }
-    if experiment == "noise_ablation":
-        return {
+        },
+        {"env_count": 500, "runs_per_env": 100},
+    ),
+    "noise_ablation": (
+        {
             "eps_max_list": [0.1, 0.25, 0.5],
             "annotators": 40,
             "n": 1000,
             "replications": 200,
             "base_threshold": 0.0,
-            "env": dict(_ENV_N01),
-        }
-    if experiment == "sample_complexity":
-        return {
-            "env": dict(_ENV_N01),
+            "env": _ENV_N01,
+        },
+        {"replications": 2000},
+    ),
+    "sample_complexity": (
+        {
+            "env": _ENV_N01,
             "thresholds": [-1.0, 1.0],
             "n_list": [10, 30, 100, 500, 1000, 5000],
             "replications": 500,
             "violation_n_list": [10, 100, 1000],
             "violation_replications": 2000,
-        }
-    if experiment == "mechanism_complexity":
-        return {
+        },
+        {
+            "n_list": [10, 30, 100, 500, 1000, 2000, 5000, 10000, 20000, 100000],
+            "replications": 2000,
+            "violation_replications": 2000,
+        },
+    ),
+    "mechanism_complexity": (
+        {
             "method": "interval",
-            "env": dict(_ENV_N21),
+            "env": {"type": "gaussian", "mean": 2.0, "std": 1.0},
             "pinned_mass": 0.2,
             "block_step": 0.012,
             "n": 1000,
             "n_y_list": [2, 12, 100],
             "replications": 500,
-        }
-    if experiment == "minimax_demo":
-        return {"etas": [0.1, 0.5, 0.9], "env": dict(_ENV_N01), "grid_n": 1000}
-    if experiment == "dro_train":
-        return {
-            "env": dict(_ENV_N01),
+        },
+        {
+            "n_y_list": [2, 5, 12, 20, 30, 50, 80, 100, 200, 500, 1000],
+            "replications": 2000,
+            "pinned_mass": 0.023,
+        },
+    ),
+    "minimax_demo": ({"etas": [0.1, 0.5, 0.9], "env": _ENV_N01, "grid_n": 1000}, {}),
+    "dro_train": (
+        {
+            "env": _ENV_N01,
             "thresholds": [-1.0, 1.0],
             "mode": "greedy",
             "tau": 0.05,
             "steps": 300,
             "step_size": 0.1,
             "oracle_grid": [-3.0, 3.0, 601],
-        }
-    if experiment == "certificate":
-        return {"annotations": "", "regime": "exact_hard_deterministic"}
-    raise ConfigError(f"unknown experiment {experiment!r}")
-
-
-def _paper_params(experiment: str) -> dict:
-    params = _desk_params(experiment)
-    if experiment == "bounds_sweep":
-        params.update(grid_env_count=15, random_env_count=5, labeler_count=10)
-    elif experiment == "diameter_ablation":
-        params.update(env_count=500, runs_per_env=100)
-    elif experiment == "noise_ablation":
-        params.update(replications=2000)
-    elif experiment == "sample_complexity":
-        params.update(
-            n_list=[10, 30, 100, 500, 1000, 2000, 5000, 10000, 20000, 100000],
-            replications=2000,
-            violation_replications=2000,
-        )
-    elif experiment == "mechanism_complexity":
-        params.update(
-            n_y_list=[2, 5, 12, 20, 30, 50, 80, 100, 200, 500, 1000],
-            replications=2000,
-            pinned_mass=0.023,
-        )
-    elif experiment == "gating_curve":
-        params.update(window_means=[round(-6.0 + 0.125 * i, 4) for i in range(97)])
-    return params
-
-
-_DEFAULT_DELTA = {
-    # sample-complexity sweeps default to delta = 0.005; user-facing
-    # certificates default to 0.05.  The desk mechanism sweep also uses
-    # 0.005 so its zero-violation gate sits ~4.5 sigma beyond the estimator
-    # spread, while the full-scale mechanism preset keeps 0.05 (a 0.043
-    # radius at n=1000, N_Y=2).
-    "sample_complexity": 0.005,
-    "mechanism_complexity": 0.005,
+        },
+        {},
+    ),
+    "certificate": ({"annotations": "", "regime": "exact_hard_deterministic"}, {}),
 }
 
-_PAPER_DELTA = {"mechanism_complexity": 0.05}
+EXPERIMENTS = tuple(_PRESETS)
+
+# (desk, paper) deltas other than 0.05: sample-complexity sweeps default to
+# delta = 0.005; user-facing certificates default to 0.05.  The desk
+# mechanism sweep also uses 0.005 so its zero-violation gate sits ~4.5 sigma
+# beyond the estimator spread, while the full-scale mechanism preset keeps
+# 0.05 (a 0.043 radius at n=1000, N_Y=2).
+_DELTAS = {"sample_complexity": (0.005, 0.005), "mechanism_complexity": (0.005, 0.05)}
 
 
 def preset_config(experiment: str, preset: str = "desk", seed: int = 0) -> ExperimentConfig:
@@ -220,12 +199,9 @@ def validate_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     if preset not in ("desk", "paper"):
         raise ConfigError(f"preset must be 'desk' or 'paper', got {preset!r}")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    delta_default = _DEFAULT_DELTA.get(experiment, 0.05)
-    if preset == "paper":
-        delta_default = _PAPER_DELTA.get(experiment, delta_default)
-    delta = doc.get("delta", delta_default)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    delta = doc.get("delta", _DELTAS.get(experiment, (0.05, 0.05))[preset == "paper"])
     if not isinstance(delta, (int, float)) or not 0.0 < float(delta) < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta!r}")
 
@@ -238,7 +214,9 @@ def validate_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     except Exception as exc:
         raise ConfigError(f"invalid quadrature settings: {exc}") from exc
 
-    base = _desk_params(experiment) if preset == "desk" else _paper_params(experiment)
+    desk, paper = _PRESETS[experiment]
+    # deep: no config aliases the table's lists
+    base = copy.deepcopy({**desk, **paper} if preset == "paper" else desk)
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, Mapping):
         raise ConfigError("params must be a mapping")

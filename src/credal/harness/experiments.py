@@ -44,10 +44,9 @@ from credal.measures import (
     SymmetricNoise,
     Threshold,
     ValidationError,
-    _CONSTANT,
     joint_tv_many,
 )
-from credal.sets import PAIR_CLASSES, CredalSpec, _pair_classes, _pair_values, _vertex_pairs, joint_shift_bounds
+from credal.sets import PAIR_CLASSES, CredalSpec, _pair_classes, _pair_values, _vertex_pairs
 from credal.synthgen import (
     GenSeed,
     block_mechanisms,
@@ -153,15 +152,10 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     l_right = Sigmoid(slope, -slope * b_right)
     gap = float(p["env_gap"])
     std = float(p["window_std"])
-    windows = [
-        (Gaussian(float(m) - gap / 2.0, std), Gaussian(float(m) + gap / 2.0, std))
-        for m in p["window_means"]
-    ]
-    # per window: the joint TV, both expected conditional TVs and the environment TV (as tv_env)
-    labs = ((l_left, l_right),) * 3 + ((_CONSTANT, _CONSTANT),)
-    pairs = [(u, a, v, b) for x, y in windows for (u, v), (a, b) in zip(((x, y), (x, x), (y, y), (x, y)), labs)]
-    joint, a1, a2, cov = np.array(joint_tv_many(pairs, quad)).reshape(-1, 4).T
-    lower, upper, _ = joint_shift_bounds(cov, a1, a2)
+    envs = [Gaussian(float(m) + side * gap / 2.0, std) for m in p["window_means"] for side in (-1.0, 1.0)]
+    # window k is the joint-shift vertex pair (2k, l_left) -- (2k + 1, l_right)
+    pairs = np.arange(len(p["window_means"]))[:, None] * [2, 0, 2, 0] + [0, 0, 1, 1]
+    cov, _, _, lower, upper, _, joint = _pair_values(CredalSpec(tuple(envs), (l_left, l_right)), pairs, quad, True)
     names = ("window_center", "cov_tv", "joint_tv", "lower_bound", "upper_bound")
     table = dict(zip(names, (np.array(p["window_means"], dtype=float), cov, joint, lower, upper)))
     table = _sort_rows(table, "window_center")

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
@@ -211,11 +211,6 @@ class _Link(_LabelerBase):
     batch of both applies each link to its own points.
     """
 
-    @cached_property
-    def row(self) -> tuple[float, float, float]:
-        slope, bias = (getattr(self, name) for name in type(self).__dataclass_fields__)
-        return (slope, bias, self.probit)
-
     @staticmethod
     def kernel(x: np.ndarray, slope, bias, probit) -> np.ndarray:
         z = slope * x + bias
@@ -245,10 +240,6 @@ class CrispLabeler(_LabelerBase):
 
     def labels(self, x: np.ndarray) -> np.ndarray:
         return self.label_kernel(np.asarray(x, dtype=float), *self.row)
-
-    def prob_matrix(self, x: np.ndarray) -> np.ndarray:
-        # ``kernel`` on the instance's row, inlined: latency-bound callers make thousands of these calls
-        return _ONE_HOT.take(self.labels(x), axis=0)
 
 
 @dataclass(frozen=True)
@@ -300,12 +291,11 @@ class Sigmoid(_Link):
 
     slope: float
     bias: float
+    probit: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_finite(self.slope, "slope")
         _require_finite(self.bias, "bias")
-
-    probit = 0.0
 
 
 @dataclass(frozen=True)
@@ -314,12 +304,11 @@ class Probit(_Link):
 
     kappa: float
     bias: float
+    probit: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_finite(self.kappa, "kappa")
         _require_finite(self.bias, "bias")
-
-    probit = 1.0
 
 
 @dataclass(frozen=True)
@@ -425,7 +414,8 @@ class QuadratureConfig:
     """Settings for 1-D numerical integration against a Gaussian environment.
 
     Adaptive Simpson on a [mean +/- domain_halfwidth_sigmas * std] window,
-    split at hints, to ``abs_tol``.
+    split at hints, to ``abs_tol``.  The window is at least +/-8 std, where
+    the hints of :func:`_window` cut.
     """
 
     abs_tol: float = 1e-8
@@ -434,8 +424,8 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (0 < self.abs_tol <= 1e-4):
             raise ValidationError("abs_tol must be in (0, 1e-4]")
-        if self.domain_halfwidth_sigmas <= 0:
-            raise ValidationError("domain_halfwidth_sigmas must be > 0")
+        if not (math.isfinite(self.domain_halfwidth_sigmas) and self.domain_halfwidth_sigmas >= 8.0):
+            raise ValidationError(f"domain_halfwidth_sigmas must be finite and >= 8, got {self.domain_halfwidth_sigmas!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -598,12 +588,11 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> np.ndarray:
     +inf.  A pair's row gathers its three table rows and is sorted; a
     repeated cut becomes +inf and the row is sorted again, so its cuts are
     a set.  The cell points are ``c0 - 1``, the midpoints and ``c_last + 1``
-    (0 with no cut), and a pair whose environments are one object has one
-    CDF row.  Grid rows are the union atoms.  Rows are padded with empty
-    cells at their last point.  A Gaussian row has at most 7 cells (2 + 2
-    breakpoints and 2 crossings); a row of 8 or more, where numpy's pairwise
-    sum depends on the length, is summed at its own length, so each value
-    is bit for bit the pair's alone.
+    (0 with no cut), and each side has its own CDF row.  Grid rows are the
+    union atoms.  Rows are padded with empty cells at their last point.  A
+    Gaussian row has at most 7 cells (2 + 2 breakpoints and 2 crossings); a
+    row of 8 or more, where numpy's pairwise sum depends on the length, is
+    summed at its own length, so each value is bit for bit the pair's alone.
     """
     n = len(pairs)
     e1s, l1s, e2s, l2s = zip(*pairs)
@@ -637,19 +626,10 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> np.ndarray:
         xs = edges[:, 1:] - 1.0
         xs[:, 1:] = 0.5 * (edges[:, 1:-1] + edges[:, 2:])
         xs = np.fmin(xs, last[:, None])
-        # each side's CDF row; a pair whose environments are one object has
-        # one, which both sides read
+        # each side's CDF at the edges
         sides = table[:, size:].take(at[:, 2], axis=0).T[:, :, None]
         z = (edges - sides[0::2]) / sides[1::2]
-        two = [e1 is not e2 for e1, e2 in envs]
-        if all(two):
-            cdf = ndtr(z)
-        elif not any(two):
-            cdf = ndtr(z[:1])
-        else:
-            own = np.array(two).take(at[:, 2] - len(labs))
-            cdf = ndtr(z[:1]).repeat(2, axis=0)
-            cdf[1, own] = ndtr(z[1, own])
+        cdf = ndtr(z)
         w, lab_at = cdf[..., 1:] - cdf[..., :-1], at.T[:2, :, None]
     else:
         labs, lab_at = _distinct(l1s + l2s)

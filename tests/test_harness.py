@@ -14,6 +14,7 @@ from credal.harness.config import (
     ConfigError,
     config_hash,
     load_config,
+    parse_env,
     preset_config,
     validate_config,
 )
@@ -41,11 +42,57 @@ def _csv_rows(path):
 
 class TestConfig:
     def test_presets_exist_for_every_experiment(self):
+        hashes = []
         for name in EXPERIMENTS:
             for preset in ("desk", "paper"):
                 cfg = preset_config(name, preset)
                 assert cfg.experiment == name
                 assert cfg.preset == preset
+                hashes.append(config_hash(cfg))
+        # every preset's params, delta and quadrature, pinned
+        assert " ".join(hashes) == (
+            "5624efaad42a 8145403259c1 6db8d27563e1 f1a2f1633870 301d1eed6817 7f5e6629f10c "
+            "2d889b224001 e62ffdfef131 4e58a7460aeb ba6937a914ec 3a4feecc9f4d 762e434a548b "
+            "b1c2596bb9cc 540d37a2bbdf a6e6f1943322 1e715ca2ef28 e6b8277dbd9a d9f6a8bb6abd"
+        )
+        # a config owns its params: changing one leaves the presets as they were
+        preset_config("noise_ablation").params["env"]["mean"] = 5.0
+        assert config_hash(preset_config("noise_ablation")) == hashes[6]
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([("experiment", "gating_curve")], "must be a mapping"),
+            ({"preset": "laptop"}, "preset must be"),
+            ({"seed": 1.5}, "seed must be"),
+            ({"seed": True}, "seed must be"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"delta": 1.0}, "delta must lie"),
+            ({"delta": "0.1"}, "delta must lie"),
+            ({"quadrature": [1e-8]}, "quadrature must be a mapping"),
+            ({"quadrature": {"abs_tol": 0.5}}, "invalid quadrature"),
+            ({"quadrature": {"domain_halfwidth_sigmas": 4.0}}, "invalid quadrature"),
+            ({"params": ["n"]}, "params must be a mapping"),
+        ],
+    )
+    def test_malformed_document_rejected(self, doc, match):
+        if isinstance(doc, dict):
+            doc = {"schema_version": SCHEMA_VERSION, "experiment": "noise_ablation", **doc}
+        with pytest.raises(ConfigError, match=match):
+            validate_config(doc)
+
+    @pytest.mark.parametrize(
+        "env, match",
+        [
+            ("gaussian", "must be a mapping with a 'type'"),
+            ({"mean": 0.0, "std": 1.0}, "must be a mapping with a 'type'"),
+            ({"type": "laplace", "mean": 0.0}, "unknown environment type"),
+            ({"type": "gaussian", "mean": 0.0, "sd": 1.0}, "unknown keys in gaussian environment"),
+        ],
+    )
+    def test_malformed_environment_rejected(self, env, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_env(env)
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -551,6 +598,51 @@ class TestCli:
         path.write_text(json.dumps(cfg.document()))
         code = cli_main(["gating_curve", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["noise_ablation", "--seed", "-1"], "seed must be a non-negative integer"),
+            (["minimax_demo", "--config", "{cfg}", "--seed", "-1"], "seed must be a non-negative integer"),
+            (["minimax_demo", "--config", "{cfg}", "--preset", "paper"], "--preset conflicts"),
+            (["certificate"], "needs params.annotations"),
+        ],
+    )
+    def test_flag_errors_exit_2(self, tmp_path, capsys, flags, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(preset_config("minimax_demo", "desk", seed=5).document()))
+        code = cli_main([f.format(cfg=path) for f in flags] + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and match in err
+
+    def test_flags_overlay_a_config_file(self, tmp_path, capsys):
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "experiment": "sample_complexity",
+            "seed": 2,
+            "params": {"n_list": [10, 100], "replications": 5, "violation_n_list": [10], "violation_replications": 5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = cli_main(["sample_complexity", "--config", str(path), "--delta", "0.1", "--seed", "4", "--out", str(tmp_path / "out")])
+        assert code == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["config_hash"] == config_hash(validate_config({**doc, "delta": 0.1, "seed": 4}))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["config"]["delta"], summary["config"]["seed"]) == (0.1, 4)
+        assert summary["config"]["params"]["replications"] == 5
+
+    def test_certificate_regime_overlays_a_config_file(self, tmp_path, capsys):
+        ann = tmp_path / "ann.csv"
+        write_annotations(ann, sample_annotated(Gaussian(0, 1), [Threshold(-1), Threshold(1)], 200, "hard", GenSeed(3)))
+        doc = {"schema_version": SCHEMA_VERSION, "experiment": "certificate", "delta": 0.2, "params": {"annotations": str(ann)}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = cli_main(["certificate", "--config", str(path), "--regime", "conservative_stochastic_hard", "--out", str(tmp_path / "out")])
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert (cert["regime"], cert["delta"], cert["n"]) == ("conservative_stochastic_hard", 0.2, 200)
 
     def test_config_without_rows_exits_2(self, tmp_path, capsys):
         for params in ({"regimes": []}, {"regimes": ["hard"], "grid_env_count": 1, "labeler_count": 1}):

@@ -146,6 +146,13 @@ class TestEnvironmentTypes:
     def test_quadrature_config_validation(self):
         with pytest.raises(ValidationError):
             QuadratureConfig(abs_tol=1e-3)
+        # the window's hints cut at +/-8 std: a narrower window would drop
+        # the mass beyond it (0.0464 of 0.3497 here), an infinite one has no scale
+        for width in (0.5, 7.999, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="domain_halfwidth_sigmas"):
+                QuadratureConfig(domain_halfwidth_sigmas=width)
+        wide = QuadratureConfig(domain_halfwidth_sigmas=12.0)
+        assert expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, 0), Sigmoid(-1, 0), wide) == pytest.approx(0.3497137, abs=1e-7)
         # there is one integration engine: no method to pick, no node count to set
         for key, value in (("node_count", 8), ("method", "romberg"), ("method", "grid"), ("method", "gauss_hermite")):
             doc = {"schema_version": SCHEMA_VERSION, "experiment": "gating_curve", "quadrature": {key: value}}
