@@ -4,19 +4,20 @@ Configs are JSON documents with a required ``schema_version``.  Every
 experiment ships a ``desk`` preset (minutes on one core) and a ``paper``
 preset (full table scale); a config file overlays the preset, and CLI
 flags overlay either and are validated like its keys.  Unknown keys are
-rejected everywhere so a typo cannot silently change an experiment.
+rejected everywhere so a typo cannot silently change an experiment, and
+the preset table is the params schema: each given param must have the JSON
+shape of its preset value.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from credal.measures import QuadratureConfig
+from credal.measures import DiscreteGrid, Gaussian, QuadratureConfig, ValidationError
 
 SCHEMA_VERSION = 2
 
@@ -54,7 +55,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 _ENV_N01 = {"type": "gaussian", "mean": 0.0, "std": 1.0}
 
-# experiment -> (desk params, the paper preset's overrides of them)
+# experiment -> (desk params, the paper preset's overrides of them); a
+# tuple is a list of fixed length, a mapping an environment (see _check_shape)
 _PRESETS = {
     "gating_curve": (
         {
@@ -62,20 +64,20 @@ _PRESETS = {
             "window_std": 1.0,
             "env_gap": 1.0,
             "sigmoid_slope": 1.0,
-            "sigmoid_boundaries": [-1.0, 1.0],
+            "sigmoid_boundaries": (-1.0, 1.0),
         },
         {"window_means": [round(-6.0 + 0.125 * i, 4) for i in range(97)]},
     ),
     "bounds_sweep": (
         {
             "grid_env_count": 6,
-            "env_mean_range": [-3.0, 3.0],
+            "env_mean_range": (-3.0, 3.0),
             "env_std": 1.0,
             "random_env_count": 0,
-            "random_mean_range": [-3.0, 3.0],
-            "random_std_range": [0.5, 2.0],
+            "random_mean_range": (-3.0, 3.0),
+            "random_std_range": (0.5, 2.0),
             "labeler_count": 4,
-            "labeler_range": [-4.0, 4.0],
+            "labeler_range": (-4.0, 4.0),
             "regimes": ["hard", "soft"],
         },
         {"grid_env_count": 15, "random_env_count": 5, "labeler_count": 10},
@@ -84,8 +86,8 @@ _PRESETS = {
         {
             "regime": "hard",
             "env_count": 60,
-            "mean_range": [-2.0, 2.0],
-            "std_range": [0.5, 2.0],
+            "mean_range": (-2.0, 2.0),
+            "std_range": (0.5, 2.0),
             "thresholds": [-2.0, -1.0, 0.0, 1.0, 2.0],
             "probit_kappa": 1.0,
             "probit_biases": [-2.0, -1.0, 0.0, 1.0, 2.0],
@@ -122,10 +124,8 @@ _PRESETS = {
     ),
     "mechanism_complexity": (
         {
-            "method": "interval",
             "env": {"type": "gaussian", "mean": 2.0, "std": 1.0},
             "pinned_mass": 0.2,
-            "block_step": 0.012,
             "n": 1000,
             "n_y_list": [2, 12, 100],
             "replications": 500,
@@ -145,7 +145,7 @@ _PRESETS = {
             "tau": 0.05,
             "steps": 300,
             "step_size": 0.1,
-            "oracle_grid": [-3.0, 3.0, 601],
+            "oracle_grid": (-3.0, 3.0, 601),
         },
         {},
     ),
@@ -189,9 +189,7 @@ def validate_config(doc: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"config must be a mapping, got {type(doc).__name__}")
     _require_keys(doc, _TOP_KEYS, "config")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
-        )
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose one of {EXPERIMENTS}")
@@ -215,21 +213,16 @@ def validate_config(doc: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"invalid quadrature settings: {exc}") from exc
 
     desk, paper = _PRESETS[experiment]
-    # deep: no config aliases the table's lists
-    base = copy.deepcopy({**desk, **paper} if preset == "paper" else desk)
+    base = {**desk, **paper} if preset == "paper" else desk
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, Mapping):
         raise ConfigError("params must be a mapping")
     _require_keys(params_doc, set(base), f"params for {experiment}")
-    params = {**base, **params_doc}
-    return ExperimentConfig(
-        experiment=experiment,
-        preset=preset,
-        seed=seed,
-        delta=float(delta),
-        quadrature=quadrature,
-        params=params,
-    )
+    for key, value in params_doc.items():
+        _check_shape(value, base[key], f"{experiment} params.{key}")
+    # the JSON form: lists for tuples, and no config aliases the table's lists
+    params = json.loads(json.dumps({**base, **params_doc}))
+    return ExperimentConfig(experiment, preset, seed, float(delta), quadrature, params)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -240,17 +233,52 @@ def load_config(path) -> ExperimentConfig:
     return validate_config(doc)
 
 
+# the type of a scalar preset value -> (what it takes, as words and as types)
+_SCALARS = {str: ("a string", str), int: ("an integer", int), float: ("a number", (int, float))}
+
+
+def _check_shape(value, preset, where: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` has the JSON shape of the preset value ``preset``.
+
+    A float takes a number and an int an int, never a bool; a list takes a list of items shaped as its first
+    item, and a tuple a list of its length, item by item (a tuple for a list too); a mapping is an environment.
+    """
+    if isinstance(preset, Mapping):
+        try:
+            parse_env(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        return
+    if isinstance(preset, (list, tuple)):
+        fixed = isinstance(preset, tuple)
+        if not isinstance(value, (list, tuple)) or fixed and len(value) != len(preset):
+            raise ConfigError(f"{where} must be a list{f' of {len(preset)} items' if fixed else ''}, got {value!r}")
+        for k, item in enumerate(value):
+            _check_shape(item, preset[k] if fixed else preset[0], f"{where}[{k}]")
+        return
+    kind, types = _SCALARS[type(preset)]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+
+# environment type -> the preset shapes of its fields
+_ENV_FIELDS = {"gaussian": {"mean": 0.0, "std": 1.0}, "grid": {"points": [0.0], "weights": [1.0]}}
+
+
 def parse_env(doc: Mapping[str, Any]):
     """Parse an environment description: {"type": "gaussian"|"grid", ...}."""
-    from credal.measures import DiscreteGrid, Gaussian
-
     if not isinstance(doc, Mapping) or "type" not in doc:
         raise ConfigError(f"environment must be a mapping with a 'type', got {doc!r}")
     kind = doc["type"]
-    if kind == "gaussian":
-        _require_keys(doc, {"type", "mean", "std"}, "gaussian environment")
-        return Gaussian(float(doc["mean"]), float(doc["std"]))
-    if kind == "grid":
-        _require_keys(doc, {"type", "points", "weights"}, "grid environment")
+    if not isinstance(kind, str) or kind not in _ENV_FIELDS:
+        raise ConfigError(f"unknown environment type {kind!r}")
+    shape = _ENV_FIELDS[kind]
+    _require_keys(doc, {"type", *shape}, f"{kind} environment")
+    for key, preset in shape.items():
+        _check_shape(doc.get(key), preset, f"{kind} environment {key}")
+    try:
+        if kind == "gaussian":
+            return Gaussian(float(doc["mean"]), float(doc["std"]))
         return DiscreteGrid(tuple(doc["points"]), tuple(doc["weights"]))
-    raise ConfigError(f"unknown environment type {kind!r}")
+    except ValidationError as exc:
+        raise ConfigError(f"invalid {kind} environment: {exc}") from exc

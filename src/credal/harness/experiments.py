@@ -49,7 +49,6 @@ from credal.measures import (
 from credal.sets import PAIR_CLASSES, CredalSpec, _pair_classes, _pair_values, _vertex_pairs
 from credal.synthgen import (
     GenSeed,
-    block_mechanisms,
     interval_mechanisms,
     minimax_instance,
     sample_hard_arrays,
@@ -364,16 +363,10 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, d
 def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
-    method = p["method"]
-    if method not in ("interval", "block"):
-        raise ConfigError(f"method must be 'interval' or 'block', got {method!r}")
     n = int(p["n"])
     groups = []
     for n_y in dict.fromkeys(map(int, p["n_y_list"])):
-        if method == "interval":
-            labs, eta_star = interval_mechanisms(n_y, env, float(p["pinned_mass"]))
-        else:
-            labs, eta_star = block_mechanisms(n_y, env, float(p["block_step"]))
+        labs, eta_star = interval_mechanisms(n_y, env, float(p["pinned_mass"]))
         eps = hoeffding_epsilon(n, n_y, config.delta)
         groups.append((n_y, n, labs, int(p["replications"]), {"eta_star": eta_star}, eta_star, eps))
     table, summary = _run_concentration(config, jobs, env, "n_y", 3, groups)

@@ -1,4 +1,4 @@
-"""Seeded generators for annotated samples, mixtures, and mechanism families.
+"""Seeded generators for annotated samples, mechanism families, and minimax instances.
 
 All generators are pure functions of (configuration, seed).  Seeds are
 derived through counter-based Philox substreams, so replication r of an
@@ -122,51 +122,6 @@ def sample_annotated(
     return AnnotatedBatch(xs, soft=probs)
 
 
-def sample_mixture(
-    spec: CredalSpec,
-    pi: Sequence[float],
-    n: int,
-    seed: GenSeed,
-) -> list[tuple[float, int]]:
-    """Draw (x, y) pairs from the mixture sum_ij pi_ij * P_ij.
-
-    ``pi`` is a simplex vector over the vertex list in row-major (i, j)
-    order: per sample a vertex is drawn from pi, then x from its environment
-    and y from its labeler at x.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    weights = np.asarray(pi, dtype=float)
-    verts = spec.vertices()
-    if weights.shape != (len(verts),):
-        raise ValidationError(f"pi must have length {len(verts)}, got {weights.shape}")
-    if np.any(weights < -1e-12) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValidationError("pi must lie on the simplex over the vertices")
-    rng = seed.generator()
-    choice = rng.choice(len(verts), size=n, p=np.clip(weights, 0.0, None) / weights.clip(0).sum())
-    out: list[tuple[float, int]] = []
-    for v_idx in choice:
-        i, j = verts[v_idx]
-        x = float(spec.environments[i].sample(rng, 1)[0])
-        y = int(_draw_hard_labels(spec.labelers[j], np.asarray([x]), rng)[0])
-        out.append((x, y))
-    return out
-
-
-def _quantile_cells(env: Environment, masses: Sequence[float]) -> list[Interval]:
-    """Adjacent quantile cells of the given masses, centred on the median."""
-    if not isinstance(env, Gaussian):
-        raise ValidationError("mechanism families need an environment with a quantile function")
-    start = (1.0 - sum(masses)) / 2.0
-    xs = env.ppf(np.concatenate([[start], start + np.cumsum(masses)]))
-    cells = []
-    for a, b in zip(xs[:-1], xs[1:]):
-        if not a < b:
-            raise ValidationError("degenerate quantile cell; mass too small to resolve")
-        cells.append(Interval(float(a), float(b)))
-    return cells
-
-
 def interval_mechanisms(
     n_y: int,
     env: Environment,
@@ -193,32 +148,15 @@ def interval_mechanisms(
         raise ValidationError(
             f"pinned_mass {pinned_mass!r} infeasible for {n_y} blocks: filler cells degenerate"
         )
-    return _quantile_cells(env, [half, half] + [filler] * (n_y - 2)), pinned_mass
-
-
-def block_mechanisms(
-    n_y: int,
-    env: Environment,
-    step: float = 0.012,
-) -> tuple[list[Interval], float]:
-    """Disjoint quantile-cell labelers with linearly growing cell masses.
-
-    Cell j carries mass ``j * step``, so each added mechanism is a larger
-    "outlier" block and the implied diameter
-    ``eta_star = (2 n_y - 1) * step`` grows with n_y.  Total covered mass
-    ``step * n_y (n_y + 1) / 2`` must stay <= 1 or the configuration is
-    infeasible.  Returns ``(labelers, implied_eta_star)``.
-    """
-    if n_y < 2:
-        raise ValidationError(f"need n_y >= 2 labelers, got {n_y!r}")
-    if step <= 0:
-        raise ValidationError(f"step must be > 0, got {step!r}")
-    total = step * n_y * (n_y + 1) / 2.0
-    if total >= 1.0 - 1e-9:
-        raise ValidationError(
-            f"step {step!r} infeasible for {n_y} blocks: total mass {total:.3f} must stay below 1"
-        )
-    return _quantile_cells(env, [step * j for j in range(1, n_y + 1)]), (2 * n_y - 1) * step
+    if not isinstance(env, Gaussian):
+        raise ValidationError("interval mechanisms need an environment with a quantile function")
+    # adjacent cells, centred on the median
+    masses = [half, half] + [filler] * (n_y - 2)
+    start = (1.0 - sum(masses)) / 2.0
+    xs = env.ppf(np.concatenate([[start], start + np.cumsum(masses)]))
+    if not np.all(xs[:-1] < xs[1:]):
+        raise ValidationError("degenerate quantile cell; mass too small to resolve")
+    return [Interval(float(a), float(b)) for a, b in zip(xs[:-1], xs[1:])], pinned_mass
 
 
 def minimax_instance(eta: float, env: Environment) -> CredalSpec:

@@ -5,10 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import summarize_by_row_scan
 
 from credal.harness.config import (
+    _PRESETS,
     EXPERIMENTS,
     SCHEMA_VERSION,
     ConfigError,
@@ -23,7 +26,7 @@ from credal.harness import experiments
 from credal.harness.experiments import run
 from credal.harness.summary import SummaryError, summarize_columns, wilson_interval
 from credal.estimation import write_annotations
-from credal.measures import Gaussian, Sigmoid, Threshold, joint_tv_exact
+from credal.measures import DiscreteGrid, Gaussian, Sigmoid, Threshold, joint_tv_exact
 from credal.sets import CredalSpec, pairwise_bounds
 from credal.synthgen import GenSeed, sample_annotated
 
@@ -52,7 +55,7 @@ class TestConfig:
         # every preset's params, delta and quadrature, pinned
         assert " ".join(hashes) == (
             "5624efaad42a 8145403259c1 6db8d27563e1 f1a2f1633870 301d1eed6817 7f5e6629f10c "
-            "2d889b224001 e62ffdfef131 4e58a7460aeb ba6937a914ec 3a4feecc9f4d 762e434a548b "
+            "2d889b224001 e62ffdfef131 4e58a7460aeb ba6937a914ec 83277798a5e7 4206a7332e1d "
             "b1c2596bb9cc 540d37a2bbdf a6e6f1943322 1e715ca2ef28 e6b8277dbd9a d9f6a8bb6abd"
         )
         # a config owns its params: changing one leaves the presets as they were
@@ -88,11 +91,48 @@ class TestConfig:
             ({"mean": 0.0, "std": 1.0}, "must be a mapping with a 'type'"),
             ({"type": "laplace", "mean": 0.0}, "unknown environment type"),
             ({"type": "gaussian", "mean": 0.0, "sd": 1.0}, "unknown keys in gaussian environment"),
+            ({"type": "gaussian", "mean": "abc", "std": 1.0}, "gaussian environment mean must be a number"),
+            ({"type": "gaussian", "mean": 0.0}, "gaussian environment std must be a number, got None"),
+            ({"type": "gaussian", "mean": 0.0, "std": 0.0}, "invalid gaussian environment"),
+            ({"type": "grid", "points": [0.0, 1.0], "weights": [1.0]}, "invalid grid environment"),
+            ({"type": "grid", "points": 0.0, "weights": [1.0]}, "grid environment points must be a list"),
+            ({"type": ["gaussian"]}, "unknown environment type"),
         ],
     )
     def test_malformed_environment_rejected(self, env, match):
         with pytest.raises(ConfigError, match=match):
             parse_env(env)
+
+    def test_preset_values_validate_as_given(self):
+        # every preset value, given as a param in the table's form (tuples for
+        # fixed-length lists) or in its JSON form, gives the preset's config
+        for name in EXPERIMENTS:
+            for preset in ("desk", "paper"):
+                desk, paper = _PRESETS[name]
+                params = {**desk, **paper} if preset == "paper" else desk
+                want = preset_config(name, preset)
+                for given_params in (params, json.loads(json.dumps(params))):
+                    doc = {"schema_version": SCHEMA_VERSION, "experiment": name, "preset": preset, "params": given_params}
+                    assert validate_config(doc) == want
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name in EXPERIMENTS for key in _PRESETS[name][0]])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_params_take_their_preset_shapes(self, name, key, data):
+        # a param changed in type and shape is rejected, or every param of
+        # the config has the JSON shape of its preset value
+        preset = data.draw(st.sampled_from(("desk", "paper")))
+        desk, paper = _PRESETS[name]
+        base = {**desk, **paper} if preset == "paper" else desk
+        for value in _near(base[key]) + [data.draw(_mutants(base[key]))]:
+            doc = {"schema_version": SCHEMA_VERSION, "experiment": name, "preset": preset, "params": {key: value}}
+            try:
+                params = validate_config(doc).params
+            except ConfigError:
+                continue
+            assert params[key] == json.loads(json.dumps(value))
+            for k, v in params.items():
+                assert _has_shape(v, base[k]), (name, k, v)
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -148,6 +188,52 @@ class TestConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="valid JSON"):
             load_config(path)
+
+
+# JSON values near the preset fields: scalars of every type, lists and mappings
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["type", "mean", "std", "points", "weights"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+_GRID = {"type": "grid", "points": [-1.0, 1], "weights": [0.5, 0.5]}
+
+
+def _near(preset) -> list:
+    """The preset value, and ones changed in type or shape: a list for a scalar, a scalar
+    for a list, a wrong length, a string, a bool or a float for an int, in a list too."""
+    near = [preset, [preset], str(preset), True, 1.5, 2, None]
+    if isinstance(preset, (list, tuple)):
+        items = list(preset)
+        near += [items, items[0], items + items[:1], items[:-1], [str(items[0])], [True] * len(items), [1.5] * len(items)]
+    if isinstance(preset, dict):
+        near += [_GRID, {**preset, "type": "grid"}]
+    return near
+
+
+def _mutants(preset):
+    """Random JSON values, and the preset value with one item or environment field replaced by one."""
+    mutants = [_JSON]
+    if isinstance(preset, (list, tuple)):
+        items = list(preset)
+        mutants.append(st.integers(0, len(items) - 1).flatmap(lambda k: _JSON.map(lambda v: items[:k] + [v] + items[k + 1 :])))
+    if isinstance(preset, dict):
+        for env in (preset, _GRID):
+            mutants.append(st.sampled_from(sorted(env)).flatmap(lambda k, env=env: _JSON.map(lambda v: {**env, k: v})))
+    return st.one_of(mutants)
+
+
+def _has_shape(value, preset) -> bool:
+    """Whether a validated value has the JSON shape of its preset value, stated by exact types."""
+    if isinstance(preset, dict):
+        return isinstance(parse_env(value), (Gaussian, DiscreteGrid))
+    if isinstance(preset, (list, tuple)):
+        shapes = preset if isinstance(preset, tuple) else [preset[0]] * len(value)
+        return type(value) is list and len(value) == len(shapes) and all(map(_has_shape, value, shapes))
+    return type(value) in ((int, float) if type(preset) is float else (type(preset),))
 
 
 def _columns(rows):
@@ -307,7 +393,7 @@ _PINNED = {
         "3490ccce98f907e24eddf830255a2c0e5d9bbaa6e1859199350071f7c10da230",
         "e977b47f328bc8e56fecc03cd0420cc313dac42e8b9391815efbf3e9af83c101",
     ),
-    "mechanism_complexity": ({"replications": 20}, "1541ecc2b7ae65c757ae643409f729204a8c8d4c29f90c3919e514cfcaa2281d", "75c527747906946918143e06841207856ba9474dcf73c2a5713b289b1771f3cc"),
+    "mechanism_complexity": ({"replications": 20}, "7af2b99e01a3ed0d56addfa6881bc5fb4cf38d0652c983e06e3ded23787a5bf7", "7220d2fb221867333ecf53c99af322810231ccea2bbf1585ad21ecedd18c061b"),
     "minimax_demo": ({}, "32e606d594e1b317ab891175a406059410927d6e4d7344b337060850ac1c7567", "2833f6b9076f037911c2c6eaa1d4b6095296f025d3457e299dcf8b9eda0a7843"),
     "dro_train": ({}, "eb75ab9b1888b5b8c31d4cb1a820b625909451f59cb4b046bb0848572193e987", "af2525e75d8229d1c0e45ff5ad5ef7b63a74c138954c83cbf7cdbed73095c7a4"),
     "certificate": (
@@ -384,11 +470,6 @@ class TestRunners:
                 id="sample_complexity",
             ),
             pytest.param("mechanism_complexity", {"n_y_list": [2, 12], "replications": 30}, id="mechanism_interval"),
-            pytest.param(
-                "mechanism_complexity",
-                {"method": "block", "n_y_list": [2, 5, 12], "replications": 30},
-                id="mechanism_block",
-            ),
         ],
     )
     def test_jobs_do_not_change_output(self, experiment, params, tmp_path):
@@ -669,6 +750,27 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and experiment in err
+
+    @pytest.mark.parametrize(
+        "experiment, params, match",
+        [
+            ("gating_curve", {"sigmoid_boundaries": [-1.0, 0.0, 1.0]}, "params.sigmoid_boundaries must be a list of 2 items"),
+            ("sample_complexity", {"n_list": 100}, "params.n_list must be a list"),
+            ("dro_train", {"steps": "10"}, "params.steps must be an integer"),
+            ("dro_train", {"oracle_grid": [-3.0, 3.0, 601.0]}, "params.oracle_grid[2] must be an integer"),
+            ("bounds_sweep", {"labeler_count": True}, "params.labeler_count must be an integer"),
+            ("noise_ablation", {"env": {"type": "gaussian", "mean": "abc", "std": 1.0}}, "params.env: gaussian environment mean"),
+            ("mechanism_complexity", {"method": "interval"}, "unknown keys in params for mechanism_complexity: ['method']"),
+        ],
+    )
+    def test_wrong_shaped_param_exits_2(self, tmp_path, capsys, experiment, params, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": experiment, "params": params}))
+        code = cli_main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and experiment in err and match in err
+        assert not (tmp_path / "out").exists()
 
     def test_certificate_end_to_end(self, tmp_path, capsys):
         samples = sample_annotated(

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from credal.estimation import (
     AnnotatedBatch,
@@ -21,16 +20,14 @@ from credal.measures import (
     ValidationError,
     expected_conditional_tv,
 )
-from credal.sets import CredalSpec, diameter_bounds
+from credal.sets import diameter_bounds
 from credal.synthgen import (
     GenSeed,
     _draw_hard_labels,
-    block_mechanisms,
     interval_mechanisms,
     minimax_instance,
     sample_annotated,
     sample_hard_arrays,
-    sample_mixture,
     sample_soft_arrays,
 )
 from credal.dro import ThresholdClassifier, world_risks
@@ -161,8 +158,6 @@ class TestHardLabelRange:
         env = DiscreteGrid((0.0,), (1.0,))
         _, labels = sample_hard_arrays(env, [self.SHORT, self.SHORT], 50, _TopSeed())
         assert labels.min() >= 0 and labels.max() < 2
-        pairs = sample_mixture(CredalSpec((env,), (self.SHORT,)), [1.0], 50, _TopSeed())
-        assert all(0 <= y < 2 for _, y in pairs)
 
     def test_full_rows_draw_as_before(self):
         # the last class's comparison only ever counted draws above a full row
@@ -175,44 +170,6 @@ class TestHardLabelRange:
             u = rng.random(20_000)
             cdf = np.cumsum(lab.prob_matrix(xs), axis=1)
             assert np.array_equal(labels[:, j], (u[:, None] > cdf).sum(axis=1))
-
-
-class TestSampleMixture:
-    def test_point_mass_matches_env(self):
-        spec = CredalSpec((Gaussian(-2, 1), Gaussian(2, 1)), (Threshold(0),))
-        pairs = sample_mixture(spec, [0.0, 1.0], 10_000, GenSeed(7))
-        xs = np.asarray([x for x, _ in pairs])
-        # KS against the selected vertex's environment
-        stat, pvalue = stats.kstest(xs, "norm", args=(2, 1))
-        assert pvalue > 1e-4
-
-    def test_off_simplex_rejected(self):
-        spec = CredalSpec((Gaussian(0, 1),), (Threshold(0),))
-        with pytest.raises(ValidationError):
-            sample_mixture(spec, [0.7, 0.7], 10, GenSeed(8))
-
-    def test_vertex_frequencies_match_pi(self):
-        spec = CredalSpec((Gaussian(-4, 0.5), Gaussian(4, 0.5)), (Threshold(0),))
-        pi = [0.25, 0.75]
-        pairs = sample_mixture(spec, pi, 20_000, GenSeed(9))
-        xs = np.asarray([x for x, _ in pairs])
-        frac_right = float(np.mean(xs > 0))
-        se = math.sqrt(0.75 * 0.25 / len(pairs))
-        assert abs(frac_right - 0.75) <= 4 * se
-
-    def test_bimodal_class_rate_matches_quadrature(self):
-        envs = (Gaussian(-2, 1), Gaussian(2, 1))
-        lab = Sigmoid(1.0, 0.0)
-        spec = CredalSpec(envs, (lab,))
-        pairs = sample_mixture(spec, [0.5, 0.5], 40_000, GenSeed(10))
-        ys = np.asarray([y for _, y in pairs])
-        want = 0.5 * (
-            expected_conditional_tv(envs[0], lab, Threshold(math.inf))
-            + expected_conditional_tv(envs[1], lab, Threshold(math.inf))
-        )
-        # TV against the never-fires labeler is exactly P(Y=1)
-        se = math.sqrt(want * (1 - want) / len(pairs))
-        assert abs(float(ys.mean()) - want) <= 4 * se
 
 
 class TestIntervalMechanisms:
@@ -268,32 +225,6 @@ class TestIntervalMechanisms:
             interval_mechanisms(3, grid, 0.2)
 
 
-class TestBlockMechanisms:
-    def test_implied_eta_grows(self):
-        env = Gaussian(0, 1)
-        etas = [block_mechanisms(n_y, env, 0.012)[1] for n_y in (2, 5, 12)]
-        assert etas == sorted(etas)
-        assert etas[0] == pytest.approx(3 * 0.012)
-
-    def test_quadrature_confirms_implied_eta(self):
-        env = Gaussian(0, 1)
-        labs, eta = block_mechanisms(6, env, 0.012)
-        worst = max(
-            expected_conditional_tv(env, a, b)
-            for i, a in enumerate(labs)
-            for b in labs[i + 1 :]
-        )
-        assert worst == pytest.approx(eta, abs=1e-9)
-
-    def test_needs_two_blocks(self):
-        with pytest.raises(ValidationError):
-            block_mechanisms(1, Gaussian(0, 1), 0.012)
-
-    def test_infeasible_total_mass(self):
-        with pytest.raises(ValidationError):
-            block_mechanisms(20, Gaussian(0, 1), 0.012)
-
-
 class TestMinimaxInstance:
     def test_diameter_equals_eta(self):
         for eta in (0.1, 0.5, 0.9):
@@ -337,10 +268,4 @@ class TestReproducibility:
         labs = [Threshold(-1), Sigmoid(1, 0)]
         a = sample_annotated(env, labs, 200, "hard", GenSeed(42).derive(3))
         b = sample_annotated(env, labs, 200, "hard", GenSeed(42).derive(3))
-        assert a == b
-
-    def test_mixture_bit_identical(self):
-        spec = CredalSpec((Gaussian(0, 1),), (Sigmoid(1, 0),))
-        a = sample_mixture(spec, [1.0], 50, GenSeed(13))
-        b = sample_mixture(spec, [1.0], 50, GenSeed(13))
         assert a == b
