@@ -11,12 +11,10 @@ assembles the pieces into a :class:`Certificate`.
 Annotations travel as an :class:`AnnotatedBatch`: read-only columns ``x``
 of shape (n,) and either ``hard`` (n, k) int64 class indices or ``soft``
 (n, k, C) belief vectors, validated once with vectorised checks.  The
-batch is also a sequence of :class:`AnnotatedSample` records, so code
-that indexes, iterates or compares records keeps working; sampling, the
-annotation file and the estimators pass columns and build no per-row
-objects.  The annotation rules are written once, over columns: a record
-checks its row as a one-row batch, so records, batches, label arrays
-and annotation files accept the same rows and raise the same errors.
+estimators and the annotation file take and give batches; the rules are
+written once, over columns, so batches, label arrays and annotation files
+accept the same rows and raise the same errors.  Indexing or iterating a
+batch yields plain :class:`AnnotatedSample` row tuples.
 
 Annotation file format (shared with the experiment harness)
 ------------------------------------------------------------
@@ -34,7 +32,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Literal, Optional, get_args
+from typing import Callable, Literal, NamedTuple, Optional, get_args
 
 import numpy as np
 
@@ -56,12 +54,6 @@ def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
-def _kind(hard, soft) -> str:
-    if (hard is None) == (soft is None):
-        raise ValidationError("exactly one of hard/soft must be provided")
-    return "hard" if hard is not None else "soft"
-
-
 def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tuple[np.ndarray, np.ndarray]:
     """The annotation rules, over whole columns; returns ``(x, observations)`` as arrays.
 
@@ -69,7 +61,9 @@ def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tupl
     indices and ``soft`` an (n, k, C) array of vectors on the simplex within
     ``SOFT_SIMPLEX_TOL``.  The first bad row raises, named ``where(i)``.
     """
-    kind = _kind(hard, soft)
+    if (hard is None) == (soft is None):
+        raise ValidationError("exactly one of hard/soft must be provided")
+    kind = "hard" if hard is not None else "soft"
     obs = np.asarray(hard) if kind == "hard" else np.asarray(soft, dtype=float)
     ndim = 2 if kind == "hard" else 3
     if obs.ndim != ndim or obs.shape[0] < 1:
@@ -84,7 +78,7 @@ def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tupl
     else:
         total = np.zeros(obs.shape[:2])
         for c in range(obs.shape[2]):
-            total += obs[:, :, c]  # left to right: the verdicts at the tolerance edge files and records always had
+            total += obs[:, :, c]  # left to right: the tolerance-edge verdicts annotation files always had
         # written so that a NaN entry or sum is off the simplex too
         off = (obs < -SOFT_SIMPLEX_TOL).any(axis=2) | ~(np.abs(total - 1.0) <= SOFT_SIMPLEX_TOL)
     x = np.asarray(x, dtype=float)
@@ -102,39 +96,17 @@ def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tupl
     return x, obs
 
 
-@dataclass(frozen=True)
-class AnnotatedSample:
-    """One covariate with the observations of every annotator.
+class AnnotatedSample(NamedTuple):
+    """One row of a batch: a covariate with the observations of every annotator.
 
-    Exactly one of ``hard`` (class indices) or ``soft`` (simplex vectors)
-    is set; a sample never mixes observation kinds.
+    ``hard`` is a tuple of class indices or ``soft`` a tuple of simplex
+    vectors, and the other is None.  A row is a plain tuple: the batch it
+    came from holds the validated columns.
     """
 
     x: float
     hard: Optional[tuple[int, ...]] = None
     soft: Optional[tuple[tuple[float, ...], ...]] = None
-
-    def __post_init__(self) -> None:
-        # what the array conversion would lose or refuse; the rest is checked as a one-row batch
-        kind = _kind(self.hard, self.soft)
-        obs = tuple(getattr(self, kind))
-        if not obs:
-            raise ValidationError("need at least one annotator")
-        if kind == "hard" and not {bool, np.bool_}.isdisjoint(map(type, obs)):
-            raise ValidationError(f"sample: hard labels must be integer class indices, got {obs!r}")
-        if kind == "soft" and len(set(map(len, obs))) > 1:
-            raise ValidationError("soft vectors must share one class count")
-        x, rows = _check_columns([self.x], lambda i: "sample", **{kind: [obs]})
-        object.__setattr__(self, "x", x.item())
-        object.__setattr__(self, kind, tuple(map(tuple, rows[0].tolist())) if kind == "soft" else tuple(rows[0].tolist()))
-
-    @property
-    def kind(self) -> str:
-        return "hard" if self.hard is not None else "soft"
-
-    @property
-    def annotators(self) -> int:
-        return len(self.hard) if self.hard is not None else len(self.soft)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +114,9 @@ class AnnotatedBatch(Sequence):
     """Columns of n annotated samples, validated once and read-only.
 
     ``x`` has shape (n,); exactly one of ``hard`` ((n, k) int64 class
-    indices) or ``soft`` ((n, k, C) simplex vectors) is set.  As a
-    sequence it yields :class:`AnnotatedSample` records, a slice is a batch
-    of the sliced rows, and it equals any sequence of records element by
-    element.
+    indices) or ``soft`` ((n, k, C) simplex vectors) is set; it holds at
+    least one row.  As a sequence it yields :class:`AnnotatedSample` rows,
+    and a slice is a batch of the sliced rows.
     """
 
     x: np.ndarray
@@ -158,23 +129,6 @@ class AnnotatedBatch(Sequence):
             arr = np.array(arr, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def of(cls, samples: Sequence[AnnotatedSample]) -> "AnnotatedBatch":
-        """``samples`` itself if it is a batch, else its records stacked into one."""
-        if isinstance(samples, cls):
-            return samples
-        if not samples:
-            raise ValidationError("empty sample list")
-        kind, k = samples[0].kind, samples[0].annotators
-        if any(s.kind != kind for s in samples):
-            raise ValidationError("all samples must share one observation kind")
-        if any(s.annotators != k for s in samples):
-            raise ValidationError("all samples must have the same annotator count")
-        obs = [getattr(s, kind) for s in samples]
-        if kind == "soft" and len({len(rows[0]) for rows in obs}) > 1:
-            raise ValidationError("all samples must share one class count")
-        return cls(x=[s.x for s in samples], **{kind: obs})
 
     @property
     def kind(self) -> str:
@@ -193,26 +147,24 @@ class AnnotatedBatch(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            # a batch holds at least one sample, so an empty slice is an empty list
-            rows = range(len(self))[i]
-            return AnnotatedBatch(self.x[i], **{self.kind: self._obs[i]}) if rows else []
-        return AnnotatedSample(x=float(self.x[i]), **{self.kind: self._obs[i].tolist()})
+            # a batch holds at least one row, so an empty slice is an empty list
+            return AnnotatedBatch(self.x[i], **{self.kind: self._obs[i]}) if range(len(self))[i] else []
+        return self._row(float(self.x[i]), self._obs[i].tolist())
 
     def __iter__(self):
-        kind = self.kind
-        for x, obs in zip(self.x.tolist(), self._obs.tolist()):
-            yield AnnotatedSample(x=x, **{kind: obs})
+        # a block at a time, so the nested lists of every row are never in memory at once
+        for a in range(0, len(self), 4096):
+            yield from map(self._row, self.x[a : a + 4096].tolist(), self._obs[a : a + 4096].tolist())
+
+    def _row(self, x: float, obs: list) -> AnnotatedSample:
+        if self.hard is not None:
+            return AnnotatedSample(x, hard=tuple(obs))
+        return AnnotatedSample(x, soft=tuple(map(tuple, obs)))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, AnnotatedBatch):
-            return (
-                self.kind == other.kind
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self._obs, other._obs)
-            )
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, AnnotatedBatch):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.x, other.x) and np.array_equal(self._obs, other._obs)
 
 
 @dataclass(frozen=True)
@@ -298,25 +250,23 @@ def _soft_gram(probs: np.ndarray) -> DisagreementMatrix:
     return _build_matrix(values, n, "soft")
 
 
-def empirical_disagreement_hard(samples: Sequence[AnnotatedSample]) -> DisagreementMatrix:
-    """Pairwise disagreement rates from hard labels.
+def empirical_disagreement_hard(batch: AnnotatedBatch) -> DisagreementMatrix:
+    """Pairwise disagreement rates from a batch of hard labels.
 
     For deterministic annotators this is an unbiased estimate of the
     pairwise expected conditional TV; for stochastic annotators it estimates
     the independent-coupling disagreement, an upper bound on the TV (the
     conservative direction).
     """
-    batch = AnnotatedBatch.of(samples)
     if batch.kind != "hard":
-        raise ValidationError("all samples must carry hard labels")
+        raise ValidationError("empirical_disagreement_hard needs a batch of hard labels")
     return _hard_gram(batch.hard)
 
 
-def empirical_disagreement_soft(samples: Sequence[AnnotatedSample]) -> DisagreementMatrix:
-    """Mean half-L1 distance between annotator belief vectors, per pair."""
-    batch = AnnotatedBatch.of(samples)
+def empirical_disagreement_soft(batch: AnnotatedBatch) -> DisagreementMatrix:
+    """Mean half-L1 distance between annotator belief vectors, per pair, from a batch of soft labels."""
     if batch.kind != "soft":
-        raise ValidationError("all samples must carry soft labels")
+        raise ValidationError("empirical_disagreement_soft needs a batch of soft labels")
     return _soft_gram(batch.soft)
 
 
@@ -414,8 +364,8 @@ def certificate(
         raise ValidationError(
             f"regime {regime!r} requires a {wants}-label matrix, got {matrix.kind!r}"
         )
-    if eps_star is not None and eps_star < 0:
-        raise ValidationError("eps_star must be >= 0")
+    if eps_star is not None and not eps_star >= 0:
+        raise ValidationError(f"eps_star must be >= 0, got {eps_star!r}")
     eps = hoeffding_epsilon(matrix.n, matrix.k, delta)
     return Certificate(
         eta_hat=matrix.eta_hat,
@@ -434,16 +384,12 @@ def certificate(
 # ---------------------------------------------------------------------------
 
 
-def write_annotations(path, samples: Sequence[AnnotatedSample]) -> None:
-    """Write samples in the delimited annotation format (bit-exact floats).
+def write_annotations(path, batch: AnnotatedBatch) -> None:
+    """Write a batch in the delimited annotation format (bit-exact floats).
 
-    ``samples`` is a batch or a list of records.  Each column is formatted
-    whole: floats with ``repr``, class indices through a string table of
-    the classes present.
+    Each column is formatted whole: floats with ``repr``, class indices
+    through a string table of the classes present.
     """
-    if not samples:
-        raise ValidationError("refusing to write an empty annotation file")
-    batch = AnnotatedBatch.of(samples)
     if batch.kind == "hard":
         present, index = np.unique(batch.hard, return_inverse=True)
         classes = int(present[-1]) + 1

@@ -71,6 +71,8 @@ def _assemble_config(args: argparse.Namespace):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         config = _assemble_config(args)
     except ConfigError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -228,7 +229,7 @@ def validate_config(doc: Mapping[str, Any]) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return validate_config(doc)
 
@@ -240,8 +241,9 @@ _SCALARS = {str: ("a string", str), int: ("an integer", int), float: ("a number"
 def _check_shape(value, preset, where: str) -> None:
     """Raise :class:`ConfigError` unless ``value`` has the JSON shape of the preset value ``preset``.
 
-    A float takes a number and an int an int, never a bool; a list takes a list of items shaped as its first
-    item, and a tuple a list of its length, item by item (a tuple for a list too); a mapping is an environment.
+    A float takes a number and an int an int, never a bool nor a number beyond a float's range; a list takes a
+    list of items shaped as its first item, and a tuple a list of its length, item by item (a tuple for a list
+    too); a mapping is an environment.
     """
     if isinstance(preset, Mapping):
         try:
@@ -259,6 +261,8 @@ def _check_shape(value, preset, where: str) -> None:
     kind, types = _SCALARS[type(preset)]
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    if types is not str and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be {kind} that a float can hold, got {value!r}")
 
 
 # environment type -> the preset shapes of its fields

@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -61,9 +62,11 @@ class ExperimentError(RuntimeError):
 
 
 def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    # a fork pool starts all its workers at the first submit: no more than there are items or cores
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -110,8 +110,8 @@ def sample_annotated(
 
     The draws are :func:`sample_hard_arrays` or :func:`sample_soft_arrays`
     with the same seed, returned as the columns of one validated,
-    read-only :class:`~credal.estimation.AnnotatedBatch` (a sequence of
-    ``AnnotatedSample`` records); no per-sample objects are built.
+    read-only :class:`~credal.estimation.AnnotatedBatch`; no per-sample
+    objects are built (iterating the batch yields ``AnnotatedSample`` rows).
     """
     if kind not in ("hard", "soft"):
         raise ValidationError(f"kind must be 'hard' or 'soft', got {kind!r}")

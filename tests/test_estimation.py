@@ -27,53 +27,30 @@ from oracles import bsc_disagreement_mc, hard_gram_by_class
 
 
 def hard(x, labels):
-    return AnnotatedSample(x=x, hard=tuple(labels))
+    """A batch of hard rows: ``x`` a list of covariates, ``labels`` one list of class indices per row."""
+    return AnnotatedBatch(np.asarray(x, dtype=float), hard=np.asarray(labels))
 
 
-def soft(x, rows):
-    return AnnotatedSample(x=x, soft=tuple(tuple(r) for r in rows))
-
-
-class TestAnnotatedSample:
-    def test_exactly_one_kind(self):
-        with pytest.raises(ValidationError):
-            AnnotatedSample(x=0.0)
-        with pytest.raises(ValidationError):
-            AnnotatedSample(x=0.0, hard=(0,), soft=((1.0, 0.0),))
-
-    def test_soft_simplex_enforced(self):
-        with pytest.raises(ValidationError):
-            soft(0.0, [(0.7, 0.4)])
-
-    def test_kind(self):
-        assert hard(0.0, [0, 1]).kind == "hard"
-        assert soft(0.0, [(0.5, 0.5)]).kind == "soft"
+def soft(x, probs):
+    """A batch of soft rows: one list of annotator belief vectors per covariate."""
+    return AnnotatedBatch(np.asarray(x, dtype=float), soft=np.asarray(probs, dtype=float))
 
 
 class TestAnnotatedBatch:
     def test_sequence_of_records(self):
-        batch = AnnotatedBatch(np.asarray([0.5, -1.0]), hard=np.asarray([[0, 1], [2, 2]]))
+        batch = hard([0.5, -1.0], [[0, 1], [2, 2]])
         assert len(batch) == 2 and batch.kind == "hard" and batch.annotators == 2
-        assert batch[1] == hard(-1.0, [2, 2]) and batch[-2] == hard(0.5, [0, 1])
-        assert list(batch) == [hard(0.5, [0, 1]), hard(-1.0, [2, 2])]
-        assert batch == [hard(0.5, [0, 1]), hard(-1.0, [2, 2])]
-        assert batch != [hard(0.5, [0, 1])]
-        assert isinstance(batch[1:], AnnotatedBatch) and batch[1:] == [hard(-1.0, [2, 2])] and batch[2:] == []
+        assert batch[1] == AnnotatedSample(-1.0, hard=(2, 2)) and batch[-2] == AnnotatedSample(0.5, hard=(0, 1))
+        assert list(batch) == [AnnotatedSample(0.5, hard=(0, 1)), AnnotatedSample(-1.0, hard=(2, 2))]
+        assert batch[1].x == -1.0 and batch[1].hard == (2, 2) and batch[1].soft is None
+        assert isinstance(batch[1:], AnnotatedBatch) and batch[1:] == hard([-1.0], [[2, 2]]) and batch[2:] == []
+        assert batch != hard([0.5], [[0, 1]]) and batch != list(batch)
         assert batch.hard.dtype == np.int64
         with pytest.raises(IndexError):
             batch[2]
-
-    def test_of_stacks_records_and_keeps_batches(self):
-        samples = [soft(0.1, [(0.25, 0.75), (1.0, 0.0)]), soft(0.2, [(0.5, 0.5), (0.0, 1.0)])]
-        batch = AnnotatedBatch.of(samples)
-        assert batch.soft.shape == (2, 2, 2) and batch == samples
-        assert AnnotatedBatch.of(batch) is batch
-        with pytest.raises(ValidationError):
-            AnnotatedBatch.of([hard(0, [0, 1]), soft(1, [(1, 0), (0, 1)])])
-        with pytest.raises(ValidationError):
-            AnnotatedBatch.of([hard(0, [0, 1]), hard(1, [0, 1, 1])])
-        with pytest.raises(ValidationError):
-            AnnotatedBatch.of([])
+        rows = soft([0.1], [[(0.25, 0.75), (1.0, 0.0)]])
+        assert list(rows) == [AnnotatedSample(0.1, soft=((0.25, 0.75), (1.0, 0.0)))]
+        assert rows != hard([0.1], [[0, 0]])
 
     def test_arrays_are_read_only(self):
         labels = np.asarray([[0, 1], [1, 1]])
@@ -111,22 +88,6 @@ class TestAnnotatedBatch:
         with pytest.raises(ValidationError, match="shape"):
             AnnotatedBatch(x[:2], hard=np.zeros((3, 2), int))
 
-    def test_records_follow_the_same_rules(self):
-        with pytest.raises(ValidationError, match="x must be finite"):
-            hard(math.inf, [0])
-        with pytest.raises(ValidationError, match="at least one annotator"):
-            hard(0.0, [])
-        with pytest.raises(ValidationError, match="at least one annotator"):
-            soft(0.0, [])
-        with pytest.raises(ValidationError, match="non-negative"):
-            hard(0.0, [0, -1])
-        with pytest.raises(ValidationError, match="one class count"):
-            soft(0.0, [(1.0, 0.0), (1.0,)])
-        for labels in ([0, 1.5], [True, 0], [np.float64(1.0)]):
-            with pytest.raises(ValidationError, match="integer class indices"):
-                hard(0.0, labels)
-        assert hard(0.0, [np.int64(2), 1]).hard == (2, 1)
-
     @staticmethod
     def _accepts(build) -> bool:
         try:
@@ -135,11 +96,7 @@ class TestAnnotatedBatch:
             return False
         return True
 
-    def test_records_and_batches_accept_the_same_rows(self):
-        for x, labels in [(0.0, [0, 3]), (math.nan, [0]), (-math.inf, [1]), (0.0, [2, -1])]:
-            assert self._accepts(lambda: hard(x, labels)) == self._accepts(
-                lambda: AnnotatedBatch(np.asarray([x]), hard=np.asarray([labels]))
-            )
+    def test_soft_tolerance_edge_follows_a_left_to_right_sum(self):
         # nine-class vectors one tolerance off the simplex: numpy's pairwise
         # sum and a left-to-right sum put about one in six on different sides
         rng = np.random.default_rng(5)
@@ -148,37 +105,46 @@ class TestAnnotatedBatch:
         p[:, 0] += rng.choice([-1.0, 1.0], size=2000) * SOFT_SIMPLEX_TOL * (1.0 + 1e-7 * rng.normal(size=2000))
         p[:3, 1] = (math.nan, math.inf, -2 * SOFT_SIMPLEX_TOL)
         verdicts = []
-        for row in p:
-            record = self._accepts(lambda: soft(0.0, [row.tolist()]))
-            assert record == self._accepts(lambda: AnnotatedBatch(np.zeros(1), soft=row[None, None]))
-            verdicts.append(record)
+        for row in p.tolist():
+            total = 0.0
+            for v in row:
+                total += v
+            want = all(v >= -SOFT_SIMPLEX_TOL for v in row) and abs(total - 1.0) <= SOFT_SIMPLEX_TOL
+            assert self._accepts(lambda: soft([0.0], [[row]])) == want
+            verdicts.append(want)
         assert 100 < sum(verdicts) < 1900
+        pairwise = np.abs(p.sum(axis=1) - 1.0) <= SOFT_SIMPLEX_TOL
+        assert (pairwise != verdicts).sum() > 100
 
 
 class TestHardDisagreement:
     def test_all_agree(self):
-        m = empirical_disagreement_hard([hard(0, [1, 1, 1]), hard(1, [0, 0, 0])])
+        m = empirical_disagreement_hard(hard([0, 1], [[1, 1, 1], [0, 0, 0]]))
         assert m.eta_hat == 0.0
         assert np.all(m.values == 0.0)
 
     def test_worked_example(self):
-        samples = [hard(0, [0, 0]), hard(1, [0, 1]), hard(2, [1, 1]), hard(3, [0, 1])]
-        m = empirical_disagreement_hard(samples)
+        m = empirical_disagreement_hard(hard([0, 1, 2, 3], [[0, 0], [0, 1], [1, 1], [0, 1]]))
         assert m.values[0, 1] == pytest.approx(0.5)
         assert m.eta_hat == pytest.approx(0.5)
         assert m.argmax == (0, 1)
 
     def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_disagreement_hard([hard(0, [0, 1]), soft(1, [(1, 0), (0, 1)])])
+        with pytest.raises(ValidationError, match="hard labels"):
+            empirical_disagreement_hard(soft([1], [[(1, 0), (0, 1)]]))
+        with pytest.raises(ValidationError, match="soft labels"):
+            empirical_disagreement_soft(hard([0], [[0, 1]]))
+        with pytest.raises(ValidationError, match="exactly one"):
+            AnnotatedBatch(np.zeros(1), hard=np.zeros((1, 2), int), soft=np.ones((1, 2, 1)))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_disagreement_hard([])
-
-    def test_ragged_annotators_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_disagreement_hard([hard(0, [0, 1]), hard(1, [0, 1, 1])])
+        for build in (
+            lambda: hard([], np.zeros((0, 2), int)),
+            lambda: soft([], np.zeros((0, 2, 2))),
+            lambda: disagreement_hard_from_labels(np.zeros((0, 2), int)),
+        ):
+            with pytest.raises(ValidationError, match="non-empty"):
+                build()
 
     def test_matrix_symmetry_and_range(self):
         rng = np.random.default_rng(0)
@@ -211,12 +177,6 @@ class TestHardDisagreement:
         m = disagreement_hard_from_labels(np.asarray([[0, 1], [1, 1]], dtype=np.uint8))
         assert m.values[0, 1] == 0.5
 
-    def test_list_of_records_and_batch_agree(self):
-        samples = [hard(0.0, [0, 1, 2]), hard(1.0, [1, 1, 2]), hard(2.0, [0, 0, 0])]
-        a = empirical_disagreement_hard(samples)
-        b = empirical_disagreement_hard(AnnotatedBatch.of(samples))
-        assert np.array_equal(a.values, b.values) and a.argmax == b.argmax
-
     def test_batches_are_validated_once(self, monkeypatch):
         # a batch checks its columns when built; the estimators reuse them
         import credal.estimation as est
@@ -237,8 +197,7 @@ class TestHardDisagreement:
 
     def test_argmax_lexicographic_tie(self):
         # pairs (0,1) and (0,2) tie; lexicographic keeps (0,1)
-        samples = [hard(0, [0, 1, 1]), hard(1, [0, 0, 0])]
-        m = empirical_disagreement_hard(samples)
+        m = empirical_disagreement_hard(hard([0, 1], [[0, 1, 1], [0, 0, 0]]))
         assert m.argmax == (0, 1)
         # (0,3) ties (1,2): the first in row-major order, where a
         # column-major scan would meet (1,2) first
@@ -271,24 +230,14 @@ class TestHardDisagreement:
 
 class TestSoftDisagreement:
     def test_identical_vectors(self):
-        m = empirical_disagreement_soft([soft(0, [(0.5, 0.5), (0.5, 0.5)])])
+        m = empirical_disagreement_soft(soft([0], [[(0.5, 0.5), (0.5, 0.5)]]))
         assert m.eta_hat == 0.0
 
     def test_single_sample_half_l1(self):
-        m = empirical_disagreement_soft([soft(0, [(0.9, 0.1), (0.6, 0.4)])])
+        m = empirical_disagreement_soft(soft([0], [[(0.9, 0.1), (0.6, 0.4)]]))
         assert m.values[0, 1] == pytest.approx(0.3)
-
-    def test_list_input_and_stacking_checks(self):
-        samples = [soft(0, [(0.9, 0.1), (0.6, 0.4)]), soft(1, [(0.5, 0.5), (0.5, 0.5)])]
-        assert empirical_disagreement_soft(samples).values[0, 1] == pytest.approx(0.15)
-        with pytest.raises(ValidationError):
-            empirical_disagreement_soft([*samples, hard(2, [0, 1])])
-        with pytest.raises(ValidationError):
-            empirical_disagreement_soft([*samples, soft(2, [(1.0, 0.0)] * 3)])
-        with pytest.raises(ValidationError):
-            empirical_disagreement_soft([*samples, soft(2, [(1.0, 0.0, 0.0)] * 2)])
-        with pytest.raises(ValidationError):
-            empirical_disagreement_soft([])
+        m = empirical_disagreement_soft(soft([0, 1], [[(0.9, 0.1), (0.6, 0.4)], [(0.5, 0.5), (0.5, 0.5)]]))
+        assert m.values[0, 1] == pytest.approx(0.15)
 
     def test_beliefs_off_the_simplex_rejected(self):
         nan = np.full((2, 2, 2), 0.5)
@@ -431,6 +380,10 @@ class TestCertificate:
                 eta_hat=0.5, epsilon=0.1, delta=0.05, n=100, k=2,
                 regime="exact_hard_deterministic", penalty_upper=0.7,
             )
+        for eps_star in (-0.1, math.nan):
+            with pytest.raises(ValidationError, match="eps_star must be >= 0"):
+                certificate(self._matrix(0.1), eps_star=eps_star)
+        assert certificate(self._matrix(0.1), eps_star=0.0).eps_star_input == 0.0
 
     def test_conservative_for_stochastic_hard(self):
         # independent-coupling disagreement upper-bounds the conditional TV:
@@ -456,25 +409,18 @@ class TestCertificate:
 
 class TestAnnotationIO:
     def test_hard_round_trip_bit_exact(self, tmp_path):
-        samples = [
-            hard(-0.5321974918742317, [0, 1, 0]),
-            hard(1e-17, [1, 1, 2]),
-            hard(123456.789012345678, [2, 0, 1]),
-        ]
+        samples = hard([-0.5321974918742317, 1e-17, 123456.789012345678], [[0, 1, 0], [1, 1, 2], [2, 0, 1]])
         path = tmp_path / "ann_hard.csv"
         write_annotations(path, samples)
         back = read_annotations(path)
-        assert back == samples
+        assert back == samples and list(back) == list(samples)
         # second write is byte-identical
         path2 = tmp_path / "ann_hard_2.csv"
         write_annotations(path2, back)
         assert path.read_text() == path2.read_text()
 
     def test_soft_round_trip_bit_exact(self, tmp_path):
-        samples = [
-            soft(0.1, [(0.7000000000000001, 0.2999999999999999), (0.5, 0.5)]),
-            soft(-2.25, [(1.0, 0.0), (1 / 3, 2 / 3)]),
-        ]
+        samples = soft([0.1, -2.25], [[(0.7000000000000001, 0.2999999999999999), (0.5, 0.5)], [(1.0, 0.0), (1 / 3, 2 / 3)]])
         path = tmp_path / "ann_soft.csv"
         write_annotations(path, samples)
         back = read_annotations(path)
@@ -482,7 +428,7 @@ class TestAnnotationIO:
 
     def test_header_declares_shape(self, tmp_path):
         path = tmp_path / "ann.csv"
-        write_annotations(path, [hard(0.0, [0, 1])])
+        write_annotations(path, hard([0.0], [[0, 1]]))
         first = path.read_text().splitlines()[0]
         assert first.startswith("#")
         assert "kind=hard" in first and "classes=2" in first and "annotators=2" in first
@@ -532,6 +478,8 @@ class TestColumnarAnnotationIO:
         assert isinstance(back, AnnotatedBatch)
         assert back.x.tobytes() == x.tobytes()
         assert np.array_equal(back.hard, labels) and back == batch
+        # rows come a block at a time: every one, in order, across the block edges
+        assert list(back) == [AnnotatedSample(v, hard=tuple(row)) for v, row in zip(x.tolist(), labels.tolist())]
 
     def test_soft_batch_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -547,19 +495,9 @@ class TestColumnarAnnotationIO:
         back = read_annotations(path)
         assert back.x.tobytes() == x.tobytes() and back.soft.tobytes() == probs.tobytes()
 
-    def test_list_of_records_writes_the_same_bytes(self, tmp_path):
-        samples = [hard(0.25, [0, 1]), hard(-3.5, [1, 1])]
-        write_annotations(tmp_path / "list.csv", samples)
-        write_annotations(tmp_path / "batch.csv", AnnotatedBatch.of(samples))
-        assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
-        with pytest.raises(ValidationError):
-            write_annotations(tmp_path / "mixed.csv", [*samples, soft(0.0, [(1.0, 0.0), (0.0, 1.0)])])
-        with pytest.raises(ValidationError):
-            write_annotations(tmp_path / "ragged.csv", [*samples, hard(0.0, [0, 1, 1])])
-
     def test_sparse_large_labels(self, tmp_path):
         # the label strings come from the classes present, not from range(classes)
-        samples = [hard(0.5, [0, 10**12]), hard(1.5, [10**12, 3])]
+        samples = hard([0.5, 1.5], [[0, 10**12], [10**12, 3]])
         path = tmp_path / "sparse.csv"
         write_annotations(path, samples)
         assert path.read_text() == _hard_file([0.5, 1.5], [[0, 10**12], [10**12, 3]], 10**12 + 1)

@@ -672,6 +672,10 @@ class TestCli:
         code = cli_main(["gating_curve", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "schema_version" in capsys.readouterr().err
+        # an integer longer than Python parses is a JSON error too, not a traceback
+        bad.write_text('{"schema_version": %d, "experiment": "gating_curve", "params": {"window_std": 1%s}}' % (SCHEMA_VERSION, "0" * 5000))
+        assert cli_main(["gating_curve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_experiment_mismatch_exits_2(self, tmp_path, capsys):
         cfg = preset_config("minimax_demo", "desk")
@@ -761,6 +765,7 @@ class TestCli:
             ("bounds_sweep", {"labeler_count": True}, "params.labeler_count must be an integer"),
             ("noise_ablation", {"env": {"type": "gaussian", "mean": "abc", "std": 1.0}}, "params.env: gaussian environment mean"),
             ("mechanism_complexity", {"method": "interval"}, "unknown keys in params for mechanism_complexity: ['method']"),
+            ("gating_curve", {"window_std": 10**400}, "params.window_std must be a number that a float can hold"),
         ],
     )
     def test_wrong_shaped_param_exits_2(self, tmp_path, capsys, experiment, params, match):
@@ -771,6 +776,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and experiment in err and match in err
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _fake_pool(monkeypatch, cpus):
+        """Make the process pool a serial stand-in that records its size and starts no process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        return sizes
+
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, monkeypatch):
+        sizes = self._fake_pool(monkeypatch, 4)
+        for jobs in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["sample_complexity", "--jobs", jobs, "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2 and f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert sizes == [] and not (tmp_path / "out").exists()
+
+    def test_pool_size_is_bounded_by_items_and_cores(self, tmp_path, capsys, monkeypatch):
+        sizes = self._fake_pool(monkeypatch, 4)
+        assert experiments._parallel_map(abs, [-1, 2, -3], 5000) == [1, 2, 3]
+        assert experiments._parallel_map(abs, list(range(-9, 0)), 5000) == list(range(9, 0, -1))
+        assert experiments._parallel_map(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
+        assert sizes == [3, 4, 2]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)  # unknown: one core, run serially
+        assert experiments._parallel_map(abs, [-1, 2], 5000) == [1, 2] and sizes == [3, 4, 2]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        path = tmp_path / "cfg.json"
+        params = {"n_list": [10, 30], "replications": 4, "violation_n_list": [10], "violation_replications": 4}
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": "sample_complexity", "params": params}))
+        code = cli_main(["sample_complexity", "--config", str(path), "--jobs", "5000", "--out", str(tmp_path / "out")])
+        assert code == 0 and sizes[3:] and max(sizes[3:]) <= 4
 
     def test_certificate_end_to_end(self, tmp_path, capsys):
         samples = sample_annotated(
