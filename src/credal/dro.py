@@ -30,8 +30,8 @@ from credal.measures import (
     ValidationError,
     _EVAL_BUDGET,
     _label_probs,
-    _simpson_worklist,
     _window,
+    _worklist,
     joint_tv_many,
 )
 from credal.sets import CredalSpec
@@ -199,7 +199,7 @@ def _world_integrals(
             return g(x, label_probs(x, world), par) * Gaussian.kernel(x, *moments.take(world, axis=1))
 
         windows = [_window((env,), (lab, h), cfg) for env, lab in zip(envs, labs) for _ in range(n_par)]
-        values[gauss] = _simpson_worklist(integrand, windows, cfg.abs_tol, _EVAL_BUDGET).reshape(-1, n_par)
+        values[gauss] = _worklist(integrand, windows, cfg.abs_tol, _EVAL_BUDGET).reshape(-1, n_par)
     return values
 
 

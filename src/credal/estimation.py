@@ -64,8 +64,11 @@ def _check_columns(x, where: Callable[[int], str], hard=None, soft=None) -> tupl
     if (hard is None) == (soft is None):
         raise ValidationError("exactly one of hard/soft must be provided")
     kind = "hard" if hard is not None else "soft"
-    obs = np.asarray(hard) if kind == "hard" else np.asarray(soft, dtype=float)
     ndim = 2 if kind == "hard" else 3
+    try:
+        obs = np.asarray(hard) if kind == "hard" else np.asarray(soft, dtype=float)
+    except ValueError as exc:  # ragged rows: numpy cannot build the array
+        raise ValidationError(f"{kind} observations must be a {ndim}-d array, one entry per annotator in every row: {exc}") from None
     if obs.ndim != ndim or obs.shape[0] < 1:
         raise ValidationError(f"{kind} observations must be a non-empty {ndim}-d array, got shape {obs.shape}")
     if obs.shape[1] < 1:

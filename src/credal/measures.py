@@ -22,8 +22,9 @@ crossings of two Gaussians with deterministic labelers), each becomes a
 (cells x classes) joint mass table and the TV is the half-L1 distance
 between the tables; the TV between environments is the case of a constant
 labeler; :func:`joint_tv_many` builds a block of such tables per pass.
-Every other pair is integrated by one adaptive Simpson worklist engine cut
-at split hints, a group of pairs per pass; the smoothed risks and
+Every other pair is integrated by one adaptive worklist engine of 15-point
+Gauss-Kronrod panels (QUADPACK's G7/K15 pair) cut at split hints and at the
+kinks of the integrand, a group of pairs per pass; the smoothed risks and
 gradients of :mod:`credal.dro` use the same engine and the same gather of
 labeler parameters (:func:`_label_probs`).  Each value has the same bits
 as alone, because elementwise kernels give the same bits on whichever
@@ -413,9 +414,9 @@ _CONSTANT = Threshold(math.inf)  # class 0 everywhere: the joint TV under it is 
 class QuadratureConfig:
     """Settings for 1-D numerical integration against a Gaussian environment.
 
-    Adaptive Simpson on a [mean +/- domain_halfwidth_sigmas * std] window,
-    split at hints, to ``abs_tol``.  The window is at least +/-8 std, where
-    the hints of :func:`_window` cut.
+    Adaptive 15-point Gauss-Kronrod panels on a [mean +/- domain_halfwidth_sigmas
+    * std] window, split at hints, to ``abs_tol``.  The window is at least
+    +/-8 std, where the hints of :func:`_window` cut.
     """
 
     abs_tol: float = 1e-8
@@ -437,88 +438,90 @@ _EXACT_BLOCK = 2048  # exact pairs per pass: the paper hard sweep's 18,190 peak 
 _QUAD_BLOCK = 32  # quadrature pairs per worklist: the soft desk sweep's 216 peak at 2.6 MiB traced, 15 MiB unblocked
 
 
-def _simpson_worklist(
+# QUADPACK's qk15 pair (Piessens et al., 1983) on [-1, 1]: the 15 Kronrod
+# nodes in ascending order and their weights, and the weights of the 7-point
+# Gauss rule on the odd-indexed nodes, which are its nodes
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_KRONROD_X = np.array([*(-x for x in _XGK), 0.0, *_XGK[::-1]])
+_KRONROD_W = np.array([*_WGK, *_WGK[-2::-1]])
+_GAUSS_W = np.array([*_WG, *_WG[-2::-1]])
+
+
+def _worklist(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     windows: Sequence[tuple[float, float, tuple[float, ...]]],
     abs_tol: float,
     eval_budget: int,
 ) -> np.ndarray:
-    """Adaptive Simpson over many integrals in one worklist; one value per window.
+    """Adaptive Gauss-Kronrod over many integrals in one worklist; one value per window.
 
     Window ``k = (a, b, breakpoints)`` is integral ``k`` over [a, b], split
     at its breakpoints inside (a, b).  Every segment carries its owner
     ``k``, and ``f(x, own)`` evaluates integral ``own[i]``'s integrand at
-    ``x[i]``.  Each initial segment's end values are one-sided limits,
-    taken one ulp inside the segment, so a jump at a cut lies outside every
-    segment whichever side the integrand assigns the cut point itself to.
-    Segments are refined by standard adaptive Simpson with Richardson
-    extrapolation.  Acceptance depends only on the owner's own width, and
-    an owner's accepted values are summed in worklist order, where its
-    segments keep the order they have alone, so each integral comes out
-    bit for bit as in a batch of one.  Raises :class:`QuadratureError`
-    with the residual of the first integral whose own evaluation count
-    passes ``eval_budget``.
+    ``x[i]``.  A pass evaluates every live segment at its 15 Kronrod nodes
+    in one call of ``f``; the segment's value is the 15-point Kronrod sum
+    and its error estimate the distance to the embedded 7-point Gauss sum.
+    The nodes are interior, so a jump at a cut lies outside every segment.
+    A segment whose error is at most a quarter of ``abs_tol`` times its
+    share of its owner's width is accepted, and any other is halved for the
+    next pass.  Acceptance depends only on the owner's own width, a
+    segment's sums are elementwise products reduced over its own 15 values
+    (no BLAS), and an owner's accepted values are summed in worklist order,
+    where its segments keep the order they have alone, so each integral
+    comes out bit for bit as in a batch of one.  Raises
+    :class:`QuadratureError` with the residual of the first integral whose
+    own evaluation count passes ``eval_budget``.
     """
-    lo_cuts, hi_cuts, owners = [], [], []
+    segments = []
     for k, (a, b, bps) in enumerate(windows):
         if not (b > a):
             raise ValidationError(f"empty integration interval [{a}, {b}]")
         cuts = sorted({a, b, *(p for p in bps if a < p < b)})
-        lo_cuts += cuts[:-1]
-        hi_cuts += cuts[1:]
-        owners += [k] * (len(cuts) - 1)
+        segments += [(lo, hi, b - a, k) for lo, hi in zip(cuts, cuts[1:])]
+    # the worklist: one column per segment, one row per field (lo, hi, the
+    # owner's width, the owner; owner indices are exact in float64)
+    state = np.array(segments, dtype=float).reshape(-1, 4).T
     n_int = len(windows)
-    own = np.asarray(owners, dtype=np.intp)
-    lo = np.asarray(lo_cuts, dtype=float)
-    hi = np.asarray(hi_cuts, dtype=float)
-    mid = 0.5 * (lo + hi)
-    n = lo.size
-    fx = f(np.concatenate([np.nextafter(lo, hi), mid, np.nextafter(hi, lo)]), np.tile(own, 3))
-    f_lo, f_mid, f_hi = fx[:n], fx[n : 2 * n], fx[2 * n :]
-    coarse = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    width = np.asarray([b - a for a, b, _ in windows])[own]
-    # the worklist: one column per segment, one row per field (owner indices
-    # are exact in float64)
-    state = np.array([lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own, np.zeros(n)])
-    # a pass stacks m1, m2, f_m1, f_m2, left, right, err / 32 under the state
-    # as rows 10-16; field r of a kept segment's left and right children comes
-    # from rows children[r] of that table
-    children = np.asarray(
-        [[0, 1], [10, 11], [1, 2], [3, 4], [12, 13], [4, 5], [14, 15], [7, 7], [8, 8], [16, 16]]
-    )
-
-    total = np.zeros(n_int)
-    evals = 3 * np.bincount(own, minlength=n_int)
+    total, evals = np.zeros(n_int), np.zeros(n_int, dtype=np.intp)
     while state.shape[1]:
-        lo, mid, hi, f_lo, f_mid, f_hi, coarse, width, own, inherited = state
-        n = lo.size
+        lo, hi, width, own = state
         own = own.astype(np.intp)
-        m1 = 0.5 * (lo + mid)
-        m2 = 0.5 * (mid + hi)
-        f_m = f(np.concatenate([m1, m2]), np.concatenate([own, own]))
-        f_m1, f_m2 = f_m[:n], f_m[n:]
-        evals += 2 * np.bincount(own, minlength=n_int)
-        left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_m1 + f_mid)
-        right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_m2 + f_hi)
-        fine = left + right
-        err = np.abs(fine - coarse) / 15.0
-        # factor 4 guards against the Richardson estimate running optimistic
-        # near kinks; the integrals here are cheap enough to over-refine.  A
-        # half's error is about 1/32 of its parent's, so an estimate far
-        # below that is taken for a lucky cancellation, not for convergence
-        accept = np.maximum(err, inherited) <= 0.25 * abs_tol * np.maximum((hi - lo) / width, 1e-300)
-        total += np.bincount(
-            own[accept], weights=(fine + (fine - coarse) / 15.0)[accept], minlength=n_int
-        )
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _KRONROD_X
+        fx = f(x.ravel(), own.repeat(15)).reshape(-1, 15)
+        evals += 15 * np.bincount(own, minlength=n_int)
+        kronrod = half * (fx * _KRONROD_W).sum(axis=1)
+        err = np.abs(kronrod - half * (fx[:, 1::2] * _GAUSS_W).sum(axis=1))
+        # |K15 - G7| is about the error of G7, far above that of K15, and the
+        # factor 4 is a margin on top; the integrals here are cheap enough to
+        # over-refine
+        accept = err <= 0.25 * abs_tol * np.maximum((hi - lo) / width, 1e-300)
+        total += np.bincount(own[accept], weights=kronrod[accept], minlength=n_int)
         keep = ~accept
         if evals.max() > eval_budget:
             over = (evals > eval_budget) & (np.bincount(own[keep], minlength=n_int) > 0)
             if over.any():
                 k = int(np.argmax(over))
-                residual = float(np.sum(err[keep & (own == k)]))
-                raise QuadratureError("quadrature eval budget exhausted", residual)
-        table = np.concatenate([state, np.array([m1, m2, f_m1, f_m2, left, right, err / 32.0])])
-        state = table[:, keep][children].reshape(len(children), -1)
+                raise QuadratureError("quadrature eval budget exhausted", float(np.sum(err[keep & (own == k)])))
+        # the kept segments' left halves, then their right halves
+        lo, hi, width, own = state[:, keep]
+        mid = 0.5 * (lo + hi)
+        state = np.array([[lo, mid], [mid, hi], [width, width], [own, own]]).reshape(4, -1)
     return total
 
 
@@ -786,7 +789,7 @@ def joint_tv_many(
     give an exact sum over a shared finite partition (union atoms, or CDF
     cells between label boundaries and density crossings), one pass per
     kind, class count and block of pairs.  Other Gaussian pairs share one
-    adaptive Simpson worklist per block, cut at their labelers' and
+    Gauss-Kronrod worklist per block, cut at their labelers' and
     environments' hints, density crossings and the kinks of :func:`_kinks`;
     its integrand is one kernel per family, parameters gathered by owner.
     Fixed-size blocks bound the memory; each value is bit for bit the pair's alone.
@@ -814,7 +817,7 @@ def joint_tv_many(
         def integrand(x: np.ndarray, own: np.ndarray) -> np.ndarray:
             return 0.5 * np.abs(np.subtract(*joints(x, own))).sum(axis=1)
 
-        values[block] = _simpson_worklist(integrand, wins, cfg.abs_tol, _EVAL_BUDGET)
+        values[block] = _worklist(integrand, wins, cfg.abs_tol, _EVAL_BUDGET)
     return [_clip01(v, "joint_tv") for v in values.tolist()]
 
 
@@ -824,11 +827,14 @@ def _kinks(
     """Per window, the kinks of ``|j1 - j2|``: where a class's two joint densities cross.
 
     Window ``k`` is scanned at 33 even points and one ulp either side of
-    each hint, so a jump at a hint brackets no sign change.  While a
-    bracket's width times its larger ``|j1 - j2|`` exceeds ``abs_tol/1000``,
-    all such brackets are refined at once by regula falsi with the Illinois
-    step on ``log j1 - log j2``, which stays well scaled over hundreds of
-    orders of magnitude.
+    each hint, so a jump at a hint brackets no sign change.  Two crossings
+    between neighbouring scan points leave no sign change there, so where
+    ``log j1 - log j2`` comes nearer 0 at a scan point than at both its
+    neighbours, the vertex of the parabola through the three is probed as
+    well.  While a bracket's width times its larger ``|j1 - j2|`` exceeds
+    ``abs_tol/1000``, all such brackets are refined at once by regula falsi
+    with the Illinois step on ``log j1 - log j2``, which stays well scaled
+    over hundreds of orders of magnitude.
     """
 
     def log_gap(j1: np.ndarray, j2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -846,14 +852,32 @@ def _kinks(
     j1, j2 = (j.T.ravel() for j in joints(xs, own))
     n, d = xs.size, j1 - j2
     seq = np.tile(own, j1.size // n) + len(windows) * np.repeat(np.arange(j1.size // n), n)
+    x, (g, gap) = np.tile(xs, j1.size // n), log_gap(j1, j2)
     nz = np.flatnonzero(d)
     i, j = nz[:-1], nz[1:]
-    mass = np.maximum(np.abs(d[i]), np.abs(d[j])) * (xs[j % n] - xs[i % n])
-    flip = (seq[i] == seq[j]) & ((d[i] > 0) != (d[j] > 0)) & (mass > 1e-3 * abs_tol)
+    flip = (seq[i] == seq[j]) & ((d[i] > 0) != (d[j] > 0))
     i, j = i[flip], j[flip]
-    col, win = i // n, own[i % n]
-    a, b, kept = xs[i % n], xs[j % n], np.zeros(i.size)
-    (fa, da), (fb, db) = log_gap(j1[i], j2[i]), log_gap(j1[j], j2[j])
+    # near touches: a sign change at the vertex gives two brackets
+    t = np.arange(1, g.size - 1)
+    mass = np.maximum(gap[t - 1], gap[t + 1]) * (x[t + 1] - x[t - 1]) > 1e-3 * abs_tol
+    one_sign = (g[t - 1] * g[t] > 0) & (g[t] * g[t + 1] > 0) & (seq[t - 1] == seq[t + 1])
+    t = t[mass & one_sign & (np.abs(g[t]) < np.minimum(np.abs(g[t - 1]), np.abs(g[t + 1])))]
+    if t.size:
+        (x0, x1, x2), (g0, g1, g2) = x[[t - 1, t, t + 1]], g[[t - 1, t, t + 1]]
+        p, q = (x1 - x0) * (g1 - g2), (x1 - x2) * (g1 - g0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.clip(np.where(p != q, x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / (p - q), x1), x0, x2)
+        gv, dv = log_gap(*(jv[np.arange(t.size), t // n] for jv in joints(v, own[t % n])))
+        hit = gv * g1 < 0
+        t, at = t[hit], g.size + np.arange(np.count_nonzero(hit))
+        x, g, gap = (np.concatenate([z, zv[hit]]) for z, zv in ((x, v), (g, gv), (gap, dv)))
+        seq = np.concatenate([seq, seq[t]])
+        i, j = np.concatenate([i, t - 1, at]), np.concatenate([j, at, t + 1])
+    mass = np.maximum(gap[i], gap[j]) * (x[j] - x[i])
+    i, j = i[mass > 1e-3 * abs_tol], j[mass > 1e-3 * abs_tol]
+    col, win = np.divmod(seq[i], len(windows))
+    a, b, kept = x[i], x[j], np.zeros(i.size)
+    fa, da, fb, db = g[i], gap[i], g[j], gap[j]
     for _ in range(100):
         live = np.maximum(da, db) * (b - a) > 1e-3 * abs_tol
         if not live.any():
@@ -882,17 +906,23 @@ def _joint_densities(
 
     Both sides of all owners are stacked, and each point's ``(mean, std)``
     and labeler parameters are gathered by owner: one ``Gaussian.kernel``
-    call and one kernel call per labeler family serve a whole pass.
+    call and one kernel call per labeler family serve a whole pass.  A pair
+    whose two environments are one object reuses side 1's densities for
+    side 2, the same kernel on the same points and so the same bits.
     """
     m = len(pairs)
     # slot s * m + k is side s of pair k
     moments = np.array([p[s].row for s in (0, 2) for p in pairs], dtype=float).T.copy()
     label_probs = _label_probs([p[s] for s in (1, 3) for p in pairs])
+    two_envs = np.array([p[0] is not p[2] for p in pairs])
 
     def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.size
         xs, slot = np.concatenate([x, x]), np.concatenate([own, own + m])
-        joint = label_probs(xs, slot) * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
+        density = np.concatenate([Gaussian.kernel(x, *moments.take(own, axis=1))] * 2)
+        at = n + np.flatnonzero(two_envs.take(own))
+        density[at] = Gaussian.kernel(xs[at], *moments.take(slot[at], axis=1))
+        joint = label_probs(xs, slot) * density[:, None]
         return joint[:n], joint[n:]
 
     return joints

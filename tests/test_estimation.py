@@ -88,6 +88,17 @@ class TestAnnotatedBatch:
         with pytest.raises(ValidationError, match="shape"):
             AnnotatedBatch(x[:2], hard=np.zeros((3, 2), int))
 
+    def test_ragged_hard_rows_are_rejected(self):
+        # lists whose rows hold unequal annotator counts cannot form an array
+        with pytest.raises(ValidationError, match="hard observations must be a 2-d array, one entry per annotator in every row"):
+            AnnotatedBatch([0.0, 1.0], hard=[[0, 1], [0, 1, 1]])
+
+    def test_ragged_soft_rows_are_rejected(self):
+        # unequal annotator counts, then unequal class counts
+        for soft in ([[[0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]], [[[0.5, 0.5], [1.0]], [[0.5, 0.5], [1.0, 0.0]]]):
+            with pytest.raises(ValidationError, match="soft observations must be a 3-d array, one entry per annotator in every row"):
+                AnnotatedBatch([0.0, 1.0], soft=soft)
+
     @staticmethod
     def _accepts(build) -> bool:
         try:

@@ -384,8 +384,8 @@ class TestCsvWriter:
 # every desk experiment at seed 3 and of the paper hard sweep at seed 104;
 # replication experiments run smaller overlays
 _PINNED = {
-    "gating_curve": ({}, "8f90bbc0dd86021c6e623a63091a5675ba8d115c379e9ace58c127babf311aef", "6a6db6070108bc5a191c0c8e0a0dfd56ac17cf2015c8cde94e66ee1a4d011545"),
-    "bounds_sweep": ({}, "d94acfb8973898da965b485e2a008d03d8dc6963efabefa34888b4e436cfe723", "7a0b0025e3ca4073cc2d96e6d94a2304f374e0039b73501d739079b6a1d2b364"),
+    "gating_curve": ({}, "a890df7e273d6d86d75f4a543ccd59a9e4b5a91c787541635eff91f06c563f37", "b5f72e9a60eb49199558880bc7988b4bbf5272dfe5362be435dc0013b8634eda"),
+    "bounds_sweep": ({}, "e7c05019844b7f9cdc3c7145c59c98f3dbe36af177283d501cea0a7a48faff26", "962bbb4129e7820cd9b014b5237d3ded6380e9d28e1854b15743e2a955c293e6"),
     "diameter_ablation": ({}, "3551d475a9f0b375f82f819d08e0b04cc2569eab28de418a5e5cc82d35e49717", "3ba5d5b28bcd247397a7a03a2ab46b2299348fd2baa05a3bc925281182bea748"),
     "noise_ablation": ({"replications": 20}, "7ff8a982c79decc4e05f3bc3157d399531f4db69436d1ad917e69c6f5a0c604e", "bb57de9b6376954b8b00b50786fe355da3aaea53917b147d4b254b13af3f1575"),
     "sample_complexity": (
@@ -395,7 +395,7 @@ _PINNED = {
     ),
     "mechanism_complexity": ({"replications": 20}, "7af2b99e01a3ed0d56addfa6881bc5fb4cf38d0652c983e06e3ded23787a5bf7", "7220d2fb221867333ecf53c99af322810231ccea2bbf1585ad21ecedd18c061b"),
     "minimax_demo": ({}, "32e606d594e1b317ab891175a406059410927d6e4d7344b337060850ac1c7567", "2833f6b9076f037911c2c6eaa1d4b6095296f025d3457e299dcf8b9eda0a7843"),
-    "dro_train": ({}, "eb75ab9b1888b5b8c31d4cb1a820b625909451f59cb4b046bb0848572193e987", "af2525e75d8229d1c0e45ff5ad5ef7b63a74c138954c83cbf7cdbed73095c7a4"),
+    "dro_train": ({}, "cb972e7a2ba52be6b65484eec44dd3b2a16c4cafe5318f16533507a7daf4751c", "ab4cc8fdcd758611cfa5cc5eb72c0c212acc0e328ee53fd3f7d7d6a96777b93a"),
     "certificate": (
         {"annotations": "ann.csv", "regime": "conservative_stochastic_hard"},
         "5c303e0c52ada7eded50e781a44823faba9c9093b9e46fcb168d351d977c2045",
@@ -432,8 +432,8 @@ class TestByteIdentity:
         # the Probit labelers, soft sampling and the soft disagreement Gram
         doc = {"experiment": "diameter_ablation", "seed": 3, "params": {"regime": "soft", "env_count": 8, "runs_per_env": 4}}
         assert self._digests(doc, tmp_path) == (
-            "8750f83c96a0607252ee02b54cf497766345eb4a80662ef7bfe875bff2ed2f7e",
-            "c89d0680821b8120b1685a7203a1561434b422843ad5bc6b1f12e8c18a7e97c8",
+            "856ee607aae36efb58a71ba664a7da0ca93c2795a20f72d000aba9e23c2695fd",
+            "ce41dc8e8a508dd97992d81a8c85ccc464c8b454837bd7691690b3b58a658720",
         )
 
 

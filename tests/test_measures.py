@@ -38,7 +38,7 @@ from credal.measures import (
     tv_discrete,
     tv_env,
     _joint_densities,
-    _simpson_worklist,
+    _worklist,
 )
 
 from oracles import (
@@ -641,17 +641,17 @@ class TestJointTvMany:
 
     def test_budget_exhaustion_names_its_integral(self):
         # at an unreachable tolerance every nonzero integral refines until
-        # its budget runs out: `hard` starts from 3 segments (two density
-        # crossings) and runs out passes before the 1-segment `slow`, which
-        # is still refining; the identical pair is exactly 0 in one pass
+        # its budget runs out: `fast` runs out two passes before `hard` (two
+        # density crossings), which is still refining; the identical pair is
+        # exactly 0 in one pass
         cfg = QuadratureConfig(abs_tol=1e-300)
         same = (Gaussian(0, 1), Sigmoid(1.0, 0.0), Gaussian(0, 1), Sigmoid(1.0, 0.0))
-        slow = (Gaussian(0, 1), Sigmoid(1.0, 0.0), Gaussian(0, 1), Sigmoid(1.5, 0.0))
+        fast = (Gaussian(0, 1), Sigmoid(1.0, 0.0), Gaussian(0, 1), Sigmoid(1.5, 0.0))
         hard = (Gaussian(0, 1), Sigmoid(2.0, -1.0), Gaussian(0.5, 1.5), Probit(1.0, 0.5))
         with pytest.raises(QuadratureError) as alone:
-            joint_tv_exact(*hard, cfg)
+            joint_tv_exact(*fast, cfg)
         with pytest.raises(QuadratureError) as batched:
-            joint_tv_many([same, slow, hard, same], cfg)
+            joint_tv_many([same, hard, fast, same], cfg)
         assert batched.value.residual == alone.value.residual > 0
         assert joint_tv_many([same, same], cfg) == [0.0, 0.0]
 
@@ -855,6 +855,54 @@ class TestSteepCrossingLabelers:
         e2, l2 = Gaussian(1.5648805906928946, 0.5036676132485229), Probit(306.5524708915743, -294.17949838981804)
         assert joint_tv_exact(e1, l1, e2, l2) == pytest.approx(quadrature_joint_tv(e1, l1, e2, l2), abs=TOL)
 
+    def test_adversarial_pairs_meet_abs_tol(self):
+        # 300 seeded pairs under the default config, every second one under
+        # one environment object: Sigmoid/Probit links with |slope| in
+        # 10^[-1, 2.5] and bias within 3 |slope| of 0, one in five a noisy
+        # threshold or interval, and stds in 10^[-1.5, 1]; each value alone
+        # has the bits it has in the batch
+        rng = np.random.default_rng(23)
+
+        def labeler():
+            if rng.random() < 0.2:
+                t = float(rng.uniform(-1, 1))
+                base = Threshold(t) if rng.random() < 0.5 else Interval(t, t + float(10 ** rng.uniform(-1.5, 0.5)))
+                return SymmetricNoise(base, float(rng.uniform(0, 0.5)))
+            slope = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 2.5))
+            return (Sigmoid if rng.random() < 0.5 else Probit)(slope, float(rng.uniform(-3, 3) * abs(slope)))
+
+        def env():
+            return Gaussian(float(rng.uniform(-1, 1)), float(10 ** rng.uniform(-1.5, 1)))
+
+        pairs = []
+        for k in range(300):
+            e1 = env()
+            pairs.append((e1, labeler(), e1 if k % 2 == 0 else env(), labeler()))
+        got = joint_tv_many(pairs)
+        for pair, value in zip(pairs, got):
+            assert value == pytest.approx(quadrature_joint_tv(*pair), abs=TOL), pair
+        assert got == [joint_tv_exact(*pair) for pair in pairs]
+
+    def test_recorded_misses_meet_abs_tol(self):
+        # a five-point rule whose first samples agreed put the first 4.65e-8
+        # and the third 1.51e-8 low; two are under one environment object
+        shared, other = Gaussian(0.5786, 0.2341), Gaussian(0.239, 0.152)
+        pairs = [
+            (shared, Probit(-28.04, 65.87), shared, Sigmoid(6.112, 4.821)),
+            (Gaussian(0.1701, 0.0553), Probit(-13.58, -34.85), Gaussian(0.3836, 8.031), Probit(1.152, -2.336)),
+            (other, Probit(0.237, -0.215), other, Probit(-0.361, -0.482)),
+            # class 1's joint densities cross twice, 0.0175 apart, between
+            # two kink-scan points: 4.2e-6 low unless the near touch is probed
+            (
+                Gaussian(0.733941685044444, 0.3496287695228823),
+                Sigmoid(-61.520243622867184, 132.4526107356584),
+                Gaussian(0.33879664546961985, 0.16948510951588347),
+                Sigmoid(-0.6445124979265471, -1.1874910154735565),
+            ),
+        ]
+        for pair in pairs:
+            assert joint_tv_exact(*pair) == pytest.approx(quadrature_joint_tv(*pair), abs=TOL), pair
+
     def test_smooth_pair_imports_no_root_finder(self):
         # scipy.optimize would add about 20 MiB of resident memory to every run
         code = (
@@ -866,12 +914,12 @@ class TestSteepCrossingLabelers:
         assert proc.returncode == 0, proc.stderr
 
 
-class TestAdaptiveSimpson:
+class TestWorklist:
     """The worklist engine on one integral: ``f`` over ``[a, b]`` cut at ``cuts``."""
 
     @staticmethod
     def _integral(f, a, b, tol, cuts=(), budget=200_000):
-        return _simpson_worklist(lambda x, own: f(x), [(a, b, cuts)], tol, budget)[0]
+        return _worklist(lambda x, own: f(x), [(a, b, cuts)], tol, budget)[0]
 
     def test_budget_exhaustion_carries_residual(self):
         # highly oscillatory integrand with a tiny budget
@@ -881,6 +929,7 @@ class TestAdaptiveSimpson:
         assert err.value.residual > 0
 
     def test_jump_at_cut_takes_one_pass(self):
+        # the Kronrod nodes are interior, so each side of the cut is constant
         calls = []
 
         def step(x):
@@ -888,9 +937,26 @@ class TestAdaptiveSimpson:
             return (x > 0.3).astype(float)
 
         assert self._integral(step, -1.0, 2.0, 1e-10, (0.3,)) == 1.7
-        assert sum(calls) <= 10
+        assert calls == [2 * 15]
 
     def test_polynomial_exact(self):
-        # integral of x^3 - x + 2 over [-1, 2] is 33/4; Simpson is exact on cubics
+        # integral of x^3 - x + 2 over [-1, 2] is 33/4
         got = self._integral(lambda x: x**3 - x + 2.0, -1.0, 2.0, 1e-10)
         assert got == pytest.approx(8.25, abs=1e-9)
+
+    def test_rules_are_exact_to_their_degrees(self):
+        # on [-1, 1], K15 integrates x^k exactly for k <= 22 and G7 for
+        # k <= 13, and neither at the next even degree: a check of the
+        # hard-coded nodes and weights
+        x, w_k, w_g = measures._KRONROD_X, measures._KRONROD_W, measures._GAUSS_W
+
+        def moment_error(w, nodes, k):
+            return abs(float(np.sum(w * nodes**k)) - (0.0 if k % 2 else 2.0 / (k + 1)))
+
+        assert max(moment_error(w_k, x, k) for k in range(23)) < 1e-15
+        assert max(moment_error(w_g, x[1::2], k) for k in range(14)) < 1e-15
+        assert moment_error(w_k, x, 24) > 1e-9 and moment_error(w_g, x[1::2], 14) > 1e-5
+        # G7's nodes are the odd-indexed Kronrod nodes, ascending
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(x[1::2], nodes, rtol=0, atol=1e-15) and np.allclose(w_g, weights, rtol=0, atol=1e-15)
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])

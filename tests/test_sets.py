@@ -363,7 +363,7 @@ class TestDiameterBounds:
             rep = diameter_bounds(spec, with_exact=True)
             assert (rep.exact, rep.argmax_pair) == full_loop_diameter(spec)
         rep = diameter_bounds(crossing_spec(), with_exact=True)
-        assert rep.exact == 0.698493888201456
+        assert rep.exact == 0.6984938880844815
         assert rep.argmax_pair == ((2, 3), (4, 4))
         assert (rep.exact, rep.argmax_pair) == full_loop_diameter(crossing_spec())
 
