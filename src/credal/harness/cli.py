@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--preset", choices=("desk", "paper"), help="scale preset (default desk)")
         p.add_argument("--delta", type=float, help="confidence parameter")
-        p.add_argument("--jobs", type=int, default=1, help="parallel replication workers")
+        replicated = "diameter_ablation, noise_ablation, sample_complexity and mechanism_complexity"
+        p.add_argument("--jobs", type=int, default=1, help=f"parallel replication workers for {replicated}")
         if name == "certificate":
             p.add_argument("--annotations", help="annotation file to certify")
             p.add_argument("--regime", choices=get_args(Regime), help="certificate regime tag")

@@ -38,7 +38,6 @@ from credal.estimation import (
 from credal.harness.config import ConfigError, ExperimentConfig, config_hash, parse_env
 from credal.harness.summary import SummaryError, summarize_columns
 from credal.measures import (
-    Environment,
     Gaussian,
     Probit,
     Sigmoid,
@@ -124,20 +123,52 @@ def _sort_rows(table: dict, *keys: str) -> dict:
     return {name: column[order] for name, column in table.items()}
 
 
-def _rep_chunks(total: int, jobs: int) -> list[list[int]]:
-    """Replication indices 0..total-1 split into about ``jobs`` contiguous chunks."""
-    chunk = max(1, total // max(jobs, 1))
-    return [list(range(s, min(s + chunk, total))) for s in range(0, total, chunk)]
+def _draw_reps(task) -> list[tuple]:
+    """The rows of one chunk of a group's replications (see :func:`_replicate`)."""
+    draw, args, reps, where = task
+    rows = []
+    for rep in reps:
+        try:
+            rows.append(draw(*args, rep))
+        except (ValidationError, ConfigError):
+            raise
+        except Exception as exc:
+            raise ExperimentError(f"{where} rep={rep}: {exc}") from exc
+    return rows
 
 
-def _concentration_summary(metrics: dict, eps: float) -> dict:
-    """Error quantiles and Hoeffding-violation rate of one replication group, from its summary metrics."""
-    err, viol = metrics["err"], metrics["viol"]
-    return {
-        "replications": err["count"], "q50_err": err["median"], "q95_err": err["q95"], "eps_hoeff": eps,
-        "p_viol": viol["mean"], "wilson_low": viol["wilson_low"], "wilson_high": viol["wilson_high"],
-        "tightness_ratio": eps / err["q95"] if err["q95"] > 0 else float("inf"),
-    }
+def _replicate(config: ExperimentConfig, jobs: int, names: Sequence[str], groups: list, draw: Callable) -> dict:
+    """The replication rows of every group as one table, sorted by its first column and ``rep``.
+
+    A group is ``(value, replications, args)``: replication ``rep`` is the row ``draw(*args, rep)``,
+    whose first cell is ``value``.  Each group's replications run in about ``jobs`` contiguous
+    chunks.  ``draw`` is a top-level function that draws from its own substream of ``rep``, so the
+    rows do not depend on the chunks or the workers.  A ``ValidationError`` or ``ConfigError``
+    passes through; any other failure becomes an :class:`ExperimentError` naming the group value
+    and the replication.
+    """
+    where = f"{config.experiment} failed at {names[0]}="
+    tasks = []
+    for value, total, args in groups:
+        step = max(1, total // max(jobs, 1))
+        tasks += [(draw, args, range(total)[s : s + step], f"{where}{value}") for s in range(0, total, step)]
+    rows = [row for chunk in _parallel_map(_draw_reps, tasks, jobs) for row in chunk]
+    return _sort_rows(_table(names, rows), names[0], "rep")
+
+
+def _concentration_summary(table: dict, key: str, eps: dict) -> dict:
+    """The table's summary by ``key``, with each group's error quantiles and Hoeffding-violation rate
+    (radius ``eps[value]``) under ``per_<key>``."""
+    summary = summarize_columns(table, group_by=key)
+    summary[f"per_{key}"] = {}
+    for value, radius in eps.items():
+        err, viol = summary["groups"][str(value)]["err"], summary["groups"][str(value)]["viol"]
+        summary[f"per_{key}"][str(value)] = {
+            "replications": err["count"], "q50_err": err["median"], "q95_err": err["q95"], "eps_hoeff": radius,
+            "p_viol": viol["mean"], "wilson_low": viol["wilson_low"], "wilson_high": viol["wilson_high"],
+            "tightness_ratio": radius / err["q95"] if err["q95"] > 0 else float("inf"),
+        }
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -226,115 +257,74 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     return table, summary
 
 
+def _diameter_row(regime, env, labs, n, master, e_idx, eta_star, rep) -> tuple:
+    sub = GenSeed(master).derive(1, e_idx, rep)
+    if regime == "hard":
+        eta_hat = disagreement_hard_from_labels(sample_hard_arrays(env, labs, n, sub)[1]).eta_hat
+    else:
+        eta_hat = disagreement_soft_from_probs(sample_soft_arrays(env, labs, n, sub)[1]).eta_hat
+    return e_idx, rep, env.mean, env.std, eta_star, eta_hat
+
+
 def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
-    quad = config.quadrature
     regime = p["regime"]
     if regime == "hard":
-        labs = tuple(Threshold(float(t)) for t in p["thresholds"])
+        param, labs = "thresholds", tuple(Threshold(float(t)) for t in p["thresholds"])
     elif regime == "soft":
-        labs = tuple(Probit(float(p["probit_kappa"]), -float(p["probit_kappa"]) * float(b)) for b in p["probit_biases"])
+        kappa = float(p["probit_kappa"])
+        param, labs = "probit_biases", tuple(Probit(kappa, -kappa * float(b)) for b in p["probit_biases"])
     else:
         raise ConfigError(f"unknown regime {regime!r}")
-    seed = GenSeed(config.seed)
-    env_rng = seed.derive(0).generator()
-    n = int(p["n"])
-    rows = []
-    for e_idx in range(int(p["env_count"])):
-        env = Gaussian(
-            float(env_rng.uniform(*p["mean_range"])), float(env_rng.uniform(*p["std_range"]))
-        )
-        lab_pairs = itertools.combinations(labs, 2)
-        eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs], quad))
-        for run in range(int(p["runs_per_env"])):
-            sub = seed.derive(1, e_idx, run)
-            try:
-                if regime == "hard":
-                    _, labels = sample_hard_arrays(env, labs, n, sub)
-                    eta_hat = disagreement_hard_from_labels(labels).eta_hat
-                else:
-                    _, probs = sample_soft_arrays(env, labs, n, sub)
-                    eta_hat = disagreement_soft_from_probs(probs).eta_hat
-            except Exception as exc:
-                raise ExperimentError(
-                    f"diameter_ablation failed at env={e_idx} run={run}: {exc}"
-                ) from exc
-            rows.append((e_idx, run, env.mean, env.std, eta_star, eta_hat))
-    table = _table(("env_index", "rep", "env_mean", "env_std", "eta_star", "eta_hat"), rows)
+    if len(labs) < 2:
+        raise ConfigError(f"diameter_ablation needs at least two {param} in the {regime} regime")
+    env_rng = GenSeed(config.seed).derive(0).generator()
+    envs = [
+        Gaussian(float(env_rng.uniform(*p["mean_range"])), float(env_rng.uniform(*p["std_range"])))
+        for _ in range(int(p["env_count"]))
+    ]
+    lab_pairs = list(itertools.combinations(labs, 2))
+    pairs = [(env, l1, env, l2) for env in envs for l1, l2 in lab_pairs]
+    eta_stars = np.reshape(joint_tv_many(pairs, config.quadrature), (-1, len(lab_pairs))).max(axis=1)
+    groups = [
+        (e_idx, int(p["runs_per_env"]), (regime, env, labs, int(p["n"]), config.seed, e_idx, eta_star))
+        for e_idx, (env, eta_star) in enumerate(zip(envs, eta_stars))
+    ]
+    names = ("env_index", "rep", "env_mean", "env_std", "eta_star", "eta_hat")
+    table = _replicate(config, jobs, names, groups, _diameter_row)
     table["gap"] = table["eta_hat"] - table["eta_star"]
     table["abs_gap"] = np.abs(table["gap"])
     return table, summarize_columns(table)
 
 
+def _noise_row(env, base, k, n, master, eps_idx, eps_max, rep) -> tuple:
+    sub = GenSeed(master).derive(eps_idx, rep)
+    eps = sub.generator().uniform(0.0, eps_max, size=k)
+    eta_true, bound = noisy_closed_form(eps.tolist())
+    _, labels = sample_hard_arrays(env, tuple(SymmetricNoise(base, float(e)) for e in eps), n, sub.derive(1))
+    return eps_max, rep, eta_true, bound, disagreement_hard_from_labels(labels).eta_hat
+
+
 def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
-    env = parse_env(p["env"])
-    base = Threshold(float(p["base_threshold"]))
-    k = int(p["annotators"])
-    n = int(p["n"])
-    seed = GenSeed(config.seed)
-    rows = []
-    for eps_idx, eps_max in enumerate(dict.fromkeys(map(float, p["eps_max_list"]))):
-        for rep in range(int(p["replications"])):
-            sub = seed.derive(eps_idx, rep)
-            rng = sub.generator()
-            eps = rng.uniform(0.0, eps_max, size=k)
-            eta_true, bound = noisy_closed_form(eps.tolist())
-            labs = tuple(SymmetricNoise(base, float(e)) for e in eps)
-            try:
-                _, labels = sample_hard_arrays(env, labs, n, sub.derive(1))
-                eta_hat = disagreement_hard_from_labels(labels).eta_hat
-            except Exception as exc:
-                raise ExperimentError(
-                    f"noise_ablation failed at eps_max={eps_max} rep={rep}: {exc}"
-                ) from exc
-            rows.append((eps_max, rep, eta_true, bound, eta_hat))
-    table = _table(("eps_max", "rep", "eta_true", "bound", "eta_hat"), rows)
+    args = (parse_env(p["env"]), Threshold(float(p["base_threshold"])), int(p["annotators"]), int(p["n"]), config.seed)
+    groups = [
+        (eps_max, int(p["replications"]), (*args, eps_idx, eps_max))
+        for eps_idx, eps_max in enumerate(dict.fromkeys(map(float, p["eps_max_list"])))
+    ]
+    table = _replicate(config, jobs, ("eps_max", "rep", "eta_true", "bound", "eta_hat"), groups, _noise_row)
     table["gap"] = table["eta_hat"] - table["eta_true"]
     table["abs_gap"] = np.abs(table["gap"])
     table["hat_exceeds_bound"] = (table["eta_hat"] > table["bound"]).astype(float)
-    table = _sort_rows(table, "eps_max", "rep")
     return table, summarize_columns(table, group_by="eps_max")
 
 
-def _concentration_reps(args) -> dict:
-    key, value, n, env, labs, stream, reps, master, constants, eta_star, eps = args
-    seed = GenSeed(master)
-    rows = []
-    for rep in reps:
-        _, labels = sample_hard_arrays(env, labs, n, seed.derive(stream, value, rep))
-        rows.append((value, rep, *constants.values(), disagreement_hard_from_labels(labels).eta_hat))
-    table = _table((key, "rep", *constants, "eta_hat"), rows)
-    table["err"] = np.abs(table["eta_hat"] - eta_star)
-    table["viol"] = (table["err"] > eps).astype(float)
-    return table
-
-
-def _run_concentration(
-    config: ExperimentConfig, jobs: int, env: Environment, key: str, stream: int, groups: list
-) -> tuple[dict, dict]:
-    """Hard-label replications of ``eta_hat`` against ``eta_star`` and its Hoeffding radius, per group.
-
-    A group is ``(value, n, labelers, replications, constants, eta_star, eps)``: its ``key`` column
-    holds ``value``, the columns ``constants`` go before ``eta_hat``, and replication ``rep`` draws
-    ``n`` labels under ``env`` from substream ``(stream, value, rep)``.  The summary has one
-    :func:`_concentration_summary` per group under ``per_<key>``.
-    """
-    tasks = [
-        (key, value, n, env, labs, stream, reps, config.seed, constants, eta_star, eps)
-        for value, n, labs, total, constants, eta_star, eps in groups
-        for reps in _rep_chunks(total, jobs)
-    ]
-    try:
-        chunks = _parallel_map(_concentration_reps, tasks, jobs)
-    except Exception as exc:
-        raise ExperimentError(f"{config.experiment} replication failed: {exc}") from exc
-    table = _sort_rows(_stack(chunks), key, "rep")
-    summary = summarize_columns(table, group_by=key)
-    summary[f"per_{key}"] = {
-        str(value): _concentration_summary(summary["groups"][str(value)], eps) for value, *_, eps in groups
-    }
-    return table, summary
+def _concentration_row(env, labs, n, master, stream, value, constants, eta_star, eps, rep) -> tuple:
+    """Replication ``rep`` of a concentration group, from substream ``(stream, value, rep)``."""
+    _, labels = sample_hard_arrays(env, labs, n, GenSeed(master).derive(stream, value, rep))
+    eta_hat = disagreement_hard_from_labels(labels).eta_hat
+    err = abs(eta_hat - eta_star)
+    return value, rep, *constants, eta_hat, err, float(err > eps)
 
 
 def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
@@ -350,11 +340,10 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, d
         plan[int(n)] = max(plan.get(int(n), 0), int(p["replications"]))
     for n in p["violation_n_list"]:
         plan[int(n)] = max(plan.get(int(n), 0), int(p["violation_replications"]))
-    groups = [
-        (n, n, labs, total, {}, eta_star, hoeffding_epsilon(n, len(labs), config.delta))
-        for n, total in sorted(plan.items())
-    ]
-    table, summary = _run_concentration(config, jobs, env, "n", 2, groups)
+    eps = {n: hoeffding_epsilon(n, len(labs), config.delta) for n in sorted(plan)}
+    groups = [(n, plan[n], (env, labs, n, config.seed, 2, n, (), eta_star, eps[n])) for n in eps]
+    table = _replicate(config, jobs, ("n", "rep", "eta_hat", "err", "viol"), groups, _concentration_row)
+    summary = _concentration_summary(table, "n", eps)
     summary["population_diameter"] = eta_star
     slope_ns = list(dict.fromkeys(map(int, p["n_list"])))
     if len(slope_ns) >= 3:
@@ -367,13 +356,16 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict
     p = config.params
     env = parse_env(p["env"])
     n = int(p["n"])
-    groups = []
+    groups, eta_stars, eps = [], {}, {}
     for n_y in dict.fromkeys(map(int, p["n_y_list"])):
-        labs, eta_star = interval_mechanisms(n_y, env, float(p["pinned_mass"]))
-        eps = hoeffding_epsilon(n, n_y, config.delta)
-        groups.append((n_y, n, labs, int(p["replications"]), {"eta_star": eta_star}, eta_star, eps))
-    table, summary = _run_concentration(config, jobs, env, "n_y", 3, groups)
-    for n_y, *_, eta_star, _ in groups:
+        labs, eta_stars[n_y] = interval_mechanisms(n_y, env, float(p["pinned_mass"]))
+        eps[n_y] = hoeffding_epsilon(n, n_y, config.delta)
+        args = (env, labs, n, config.seed, 3, n_y, (eta_stars[n_y],), eta_stars[n_y], eps[n_y])
+        groups.append((n_y, int(p["replications"]), args))
+    names = ("n_y", "rep", "eta_star", "eta_hat", "err", "viol")
+    table = _replicate(config, jobs, names, groups, _concentration_row)
+    summary = _concentration_summary(table, "n_y", eps)
+    for n_y, eta_star in eta_stars.items():
         summary["per_n_y"][str(n_y)]["implied_eta_star"] = eta_star
     return table, summary
 

@@ -124,7 +124,10 @@ def quadrature_joint_tv(e1, l1, e2, l2, panels: int = 64, halfwidth: float = 10.
 
     kinks = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        xs = np.linspace(a, b, 1025)
+        # from one ulp inside the left cut: at the cut a labeler takes its
+        # left value, and a kink just right of a jump would be bracketed
+        # against the jump
+        xs = np.linspace(np.nextafter(a, b), b, 1025)
         d = gaps(xs)
         for y in range(d.shape[1]):
             for k in np.flatnonzero(d[:-1, y] * d[1:, y] < 0):

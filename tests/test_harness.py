@@ -470,6 +470,13 @@ class TestRunners:
                 id="sample_complexity",
             ),
             pytest.param("mechanism_complexity", {"n_y_list": [2, 12], "replications": 30}, id="mechanism_interval"),
+            pytest.param(
+                "noise_ablation", {"eps_max_list": [0.1, 0.25], "replications": 20, "n": 200}, id="noise_ablation"
+            ),
+            pytest.param("diameter_ablation", {"env_count": 4, "runs_per_env": 5}, id="diameter_hard"),
+            pytest.param(
+                "diameter_ablation", {"regime": "soft", "env_count": 4, "runs_per_env": 5}, id="diameter_soft"
+            ),
         ],
     )
     def test_jobs_do_not_change_output(self, experiment, params, tmp_path):
@@ -745,6 +752,9 @@ class TestCli:
             ("noise_ablation", {"annotators": 1}),
             ("bounds_sweep", {"labeler_count": 0}),
             ("gating_curve", {"window_std": -1}),
+            # a value the sampler rejects inside a replication is a config error too
+            ("diameter_ablation", {"n": 0}),
+            ("noise_ablation", {"n": 0}),
         ],
     )
     def test_invalid_library_input_exits_2(self, tmp_path, capsys, experiment, params):
@@ -754,6 +764,48 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and experiment in err
+
+    @pytest.mark.parametrize(
+        "params, param",
+        [({"thresholds": [0.0]}, "thresholds"), ({"regime": "soft", "probit_biases": []}, "probit_biases")],
+    )
+    def test_diameter_ablation_needs_two_labelers(self, tmp_path, capsys, params, param):
+        path = tmp_path / "cfg.json"
+        doc = {"schema_version": SCHEMA_VERSION, "experiment": "diameter_ablation", "params": params}
+        path.write_text(json.dumps(doc))
+        assert cli_main(["diameter_ablation", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: diameter_ablation needs at least two") and param in err
+
+    @pytest.mark.parametrize(
+        "experiment, params, where",
+        [
+            ("diameter_ablation", {"env_count": 3, "runs_per_env": 4}, "env_index=1 rep=2"),
+            ("noise_ablation", {"eps_max_list": [0.1, 0.25], "replications": 4, "n": 50}, "eps_max=0.25 rep=2"),
+            (
+                "sample_complexity",
+                {"n_list": [10, 30], "replications": 4, "violation_n_list": [10], "violation_replications": 4},
+                "n=30 rep=2",
+            ),
+            ("mechanism_complexity", {"n_y_list": [2, 12], "replications": 4}, "n_y=12 rep=2"),
+        ],
+    )
+    def test_failed_replication_names_its_coordinates(self, tmp_path, capsys, monkeypatch, experiment, params, where):
+        # four replications a group, run serially: the seventh estimate is group 1's replication 2
+        estimate, calls = experiments.disagreement_hard_from_labels, []
+
+        def failing(labels):
+            calls.append(None)
+            if len(calls) == 7:
+                raise FloatingPointError("injected")
+            return estimate(labels)
+
+        monkeypatch.setattr(experiments, "disagreement_hard_from_labels", failing)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": experiment, "params": params}))
+        code = cli_main([experiment, "--config", str(path), "--jobs", "1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"numerical failure: {experiment} failed at {where}: injected\n"
 
     @pytest.mark.parametrize(
         "experiment, params, match",
@@ -817,10 +869,19 @@ class TestCli:
         assert experiments._parallel_map(abs, [-1, 2], 5000) == [1, 2] and sizes == [3, 4, 2]
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         path = tmp_path / "cfg.json"
-        params = {"n_list": [10, 30], "replications": 4, "violation_n_list": [10], "violation_replications": 4}
-        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": "sample_complexity", "params": params}))
-        code = cli_main(["sample_complexity", "--config", str(path), "--jobs", "5000", "--out", str(tmp_path / "out")])
-        assert code == 0 and sizes[3:] and max(sizes[3:]) <= 4
+        # every replication experiment reaches the pool
+        for experiment, params in [
+            (
+                "sample_complexity",
+                {"n_list": [10, 30], "replications": 4, "violation_n_list": [10], "violation_replications": 4},
+            ),
+            ("diameter_ablation", {"env_count": 2, "runs_per_env": 4}),
+            ("noise_ablation", {"eps_max_list": [0.1], "replications": 4, "n": 50}),
+        ]:
+            before = len(sizes)
+            path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": experiment, "params": params}))
+            code = cli_main([experiment, "--config", str(path), "--jobs", "5000", "--out", str(tmp_path / experiment)])
+            assert code == 0 and sizes[before:] and max(sizes[before:]) <= 4, experiment
 
     def test_certificate_end_to_end(self, tmp_path, capsys):
         samples = sample_annotated(

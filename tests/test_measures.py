@@ -899,6 +899,14 @@ class TestSteepCrossingLabelers:
                 Gaussian(0.33879664546961985, 0.16948510951588347),
                 Sigmoid(-0.6445124979265471, -1.1874910154735565),
             ),
+            # a kink 0.0086 right of the interval's end: an oracle that scanned
+            # from the cut itself missed it and was 2.3e-7 off (1.04e-7 at 256 panels)
+            (
+                Gaussian(-0.7441174361448306, 0.9156056807815092),
+                SymmetricNoise(Threshold(0.7694275784976019), 0.23603786341925137),
+                Gaussian(0.045131599108028775, 3.908641574064383),
+                SymmetricNoise(Interval(0.8149842105859706, 1.1045679527738508), 0.4326447126952242),
+            ),
         ]
         for pair in pairs:
             assert joint_tv_exact(*pair) == pytest.approx(quadrature_joint_tv(*pair), abs=TOL), pair
