@@ -10,11 +10,13 @@ assembles the pieces into a :class:`Certificate`.
 
 Annotations travel as an :class:`AnnotatedBatch`: read-only columns ``x``
 of shape (n,) and either ``hard`` (n, k) int64 class indices or ``soft``
-(n, k, C) belief vectors, validated once with vectorised checks.  The
-estimators and the annotation file take and give batches; the rules are
-written once, over columns, so batches, label arrays and annotation files
-accept the same rows and raise the same errors.  Indexing or iterating a
-batch yields plain :class:`AnnotatedSample` row tuples.
+(n, k, C) belief vectors, validated once with vectorised checks.  The one
+estimator, :func:`empirical_disagreement`, takes a batch and reads its
+kind; the annotation file takes and gives batches.  The rules are written
+once, over columns, so batches and annotation files accept the same rows
+and raise the same errors; bare label arrays become a batch with
+``AnnotatedBatch(x, hard=labels)``.  Indexing or iterating a batch yields
+plain :class:`AnnotatedSample` row tuples.
 
 Annotation file format (shared with the experiment harness)
 ------------------------------------------------------------
@@ -210,19 +212,6 @@ def _build_matrix(values: np.ndarray, n: int, kind: str) -> DisagreementMatrix:
     return DisagreementMatrix(n=n, k=k, values=values, eta_hat=eta_hat, argmax=argmax, kind=kind)
 
 
-def disagreement_hard_from_labels(labels: np.ndarray) -> DisagreementMatrix:
-    """Disagreement matrix from an (n, k) integer label array.
-
-    Agreement counts come from per-class indicator Grams, so the cost is
-    O(C k^2 n) in BLAS rather than a Python pair loop; the classes are found
-    without sorting the n*k labels, and no memory grows with the label
-    values.  The experiment harness feeds replication sweeps through this
-    entry point.  Labels of another dtype (float, bool) or negative labels
-    raise ``ValidationError``.
-    """
-    return _hard_gram(_check_columns(np.zeros(np.shape(labels)[:1]), lambda i: f"row {i}", hard=labels)[1])
-
-
 def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
     n, k = labels.shape
     agree, ind = np.zeros((k, k)), np.empty((n, k))
@@ -238,11 +227,6 @@ def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
     return _build_matrix(values, n, "hard")
 
 
-def disagreement_soft_from_probs(probs: np.ndarray) -> DisagreementMatrix:
-    """Disagreement matrix from an (n, k, C) array of belief vectors on the simplex."""
-    return _soft_gram(_check_columns(np.zeros(np.shape(probs)[:1]), lambda i: f"row {i}", soft=probs)[1])
-
-
 def _soft_gram(probs: np.ndarray) -> DisagreementMatrix:
     n, k, _ = probs.shape
     values = np.zeros((k, k))
@@ -253,24 +237,19 @@ def _soft_gram(probs: np.ndarray) -> DisagreementMatrix:
     return _build_matrix(values, n, "soft")
 
 
-def empirical_disagreement_hard(batch: AnnotatedBatch) -> DisagreementMatrix:
-    """Pairwise disagreement rates from a batch of hard labels.
+def empirical_disagreement(batch: AnnotatedBatch) -> DisagreementMatrix:
+    """Pairwise disagreement between the annotators of a batch, of the batch's kind.
 
-    For deterministic annotators this is an unbiased estimate of the
-    pairwise expected conditional TV; for stochastic annotators it estimates
-    the independent-coupling disagreement, an upper bound on the TV (the
-    conservative direction).
+    Hard labels give disagreement rates: for deterministic annotators an
+    unbiased estimate of the pairwise expected conditional TV, for
+    stochastic ones of the independent-coupling disagreement, an upper
+    bound on the TV (the conservative direction).  Agreement counts come
+    from per-class indicator Grams, O(C k^2 n) in BLAS; the classes are
+    found without sorting the n*k labels, and no memory grows with the
+    label values.  Soft labels give the mean half-L1 distance between the
+    annotators' belief vectors.
     """
-    if batch.kind != "hard":
-        raise ValidationError("empirical_disagreement_hard needs a batch of hard labels")
-    return _hard_gram(batch.hard)
-
-
-def empirical_disagreement_soft(batch: AnnotatedBatch) -> DisagreementMatrix:
-    """Mean half-L1 distance between annotator belief vectors, per pair, from a batch of soft labels."""
-    if batch.kind != "soft":
-        raise ValidationError("empirical_disagreement_soft needs a batch of soft labels")
-    return _soft_gram(batch.soft)
+    return _hard_gram(batch.hard) if batch.kind == "hard" else _soft_gram(batch.soft)
 
 
 def noisy_closed_form(epsilons: Sequence[float]) -> tuple[float, float]:

@@ -241,9 +241,9 @@ _SCALARS = {str: ("a string", str), int: ("an integer", int), float: ("a number"
 def _check_shape(value, preset, where: str) -> None:
     """Raise :class:`ConfigError` unless ``value`` has the JSON shape of the preset value ``preset``.
 
-    A float takes a number and an int an int, never a bool nor a number beyond a float's range; a list takes a
-    list of items shaped as its first item, and a tuple a list of its length, item by item (a tuple for a list
-    too); a mapping is an environment.
+    A float takes a number and an int an int, never a bool nor a number beyond a float's range, and never a
+    negative int: every integer param is a count.  A list takes a list of items shaped as its first item, and a
+    tuple a list of its length, item by item (a tuple for a list too); a mapping is an environment.
     """
     if isinstance(preset, Mapping):
         try:
@@ -263,6 +263,8 @@ def _check_shape(value, preset, where: str) -> None:
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
     if types is not str and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where} must be {kind} that a float can hold, got {value!r}")
+    if types is int and value < 0:
+        raise ConfigError(f"{where} must be a non-negative integer (a count), got {value!r}")
 
 
 # environment type -> the preset shapes of its fields

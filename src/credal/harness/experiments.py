@@ -25,16 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from credal.dro import ThresholdClassifier, TrainConfig, _risks, brute_force_minimax, train, world_risks
-from credal.estimation import (
-    certificate,
-    disagreement_hard_from_labels,
-    disagreement_soft_from_probs,
-    hoeffding_epsilon,
-    noisy_closed_form,
-    read_annotations,
-    empirical_disagreement_hard,
-    empirical_disagreement_soft,
-)
+from credal.estimation import certificate, empirical_disagreement, hoeffding_epsilon, noisy_closed_form
+from credal.estimation import read_annotations
 from credal.harness.config import ConfigError, ExperimentConfig, config_hash, parse_env
 from credal.harness.summary import SummaryError, summarize_columns
 from credal.measures import (
@@ -47,13 +39,7 @@ from credal.measures import (
     joint_tv_many,
 )
 from credal.sets import PAIR_CLASSES, CredalSpec, _pair_classes, _pair_values, _vertex_pairs
-from credal.synthgen import (
-    GenSeed,
-    interval_mechanisms,
-    minimax_instance,
-    sample_hard_arrays,
-    sample_soft_arrays,
-)
+from credal.synthgen import GenSeed, interval_mechanisms, minimax_instance, sample_annotated
 
 
 class ExperimentError(RuntimeError):
@@ -143,13 +129,15 @@ def _replicate(config: ExperimentConfig, jobs: int, names: Sequence[str], groups
     A group is ``(value, replications, args)``: replication ``rep`` is the row ``draw(*args, rep)``,
     whose first cell is ``value``.  Each group's replications run in about ``jobs`` contiguous
     chunks.  ``draw`` is a top-level function that draws from its own substream of ``rep``, so the
-    rows do not depend on the chunks or the workers.  A ``ValidationError`` or ``ConfigError``
-    passes through; any other failure becomes an :class:`ExperimentError` naming the group value
-    and the replication.
+    rows do not depend on the chunks or the workers.  A group with no replications is a
+    ``ConfigError``.  A ``ValidationError`` or ``ConfigError`` passes through; any other failure
+    becomes an :class:`ExperimentError` naming the group value and the replication.
     """
     where = f"{config.experiment} failed at {names[0]}="
     tasks = []
     for value, total, args in groups:
+        if total < 1:
+            raise ConfigError(f"{config.experiment} needs at least one replication at {names[0]}={value}")
         step = max(1, total // max(jobs, 1))
         tasks += [(draw, args, range(total)[s : s + step], f"{where}{value}") for s in range(0, total, step)]
     rows = [row for chunk in _parallel_map(_draw_reps, tasks, jobs) for row in chunk]
@@ -258,11 +246,8 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
 
 
 def _diameter_row(regime, env, labs, n, master, e_idx, eta_star, rep) -> tuple:
-    sub = GenSeed(master).derive(1, e_idx, rep)
-    if regime == "hard":
-        eta_hat = disagreement_hard_from_labels(sample_hard_arrays(env, labs, n, sub)[1]).eta_hat
-    else:
-        eta_hat = disagreement_soft_from_probs(sample_soft_arrays(env, labs, n, sub)[1]).eta_hat
+    batch = sample_annotated(env, labs, n, regime, GenSeed(master).derive(1, e_idx, rep))
+    eta_hat = empirical_disagreement(batch).eta_hat
     return e_idx, rep, env.mean, env.std, eta_star, eta_hat
 
 
@@ -301,8 +286,8 @@ def _noise_row(env, base, k, n, master, eps_idx, eps_max, rep) -> tuple:
     sub = GenSeed(master).derive(eps_idx, rep)
     eps = sub.generator().uniform(0.0, eps_max, size=k)
     eta_true, bound = noisy_closed_form(eps.tolist())
-    _, labels = sample_hard_arrays(env, tuple(SymmetricNoise(base, float(e)) for e in eps), n, sub.derive(1))
-    return eps_max, rep, eta_true, bound, disagreement_hard_from_labels(labels).eta_hat
+    batch = sample_annotated(env, tuple(SymmetricNoise(base, float(e)) for e in eps), n, "hard", sub.derive(1))
+    return eps_max, rep, eta_true, bound, empirical_disagreement(batch).eta_hat
 
 
 def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
@@ -321,8 +306,8 @@ def _run_noise_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, dict
 
 def _concentration_row(env, labs, n, master, stream, value, constants, eta_star, eps, rep) -> tuple:
     """Replication ``rep`` of a concentration group, from substream ``(stream, value, rep)``."""
-    _, labels = sample_hard_arrays(env, labs, n, GenSeed(master).derive(stream, value, rep))
-    eta_hat = disagreement_hard_from_labels(labels).eta_hat
+    batch = sample_annotated(env, labs, n, "hard", GenSeed(master).derive(stream, value, rep))
+    eta_hat = empirical_disagreement(batch).eta_hat
     err = abs(eta_hat - eta_star)
     return value, rep, *constants, eta_hat, err, float(err > eps)
 
@@ -375,6 +360,8 @@ def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     env = parse_env(p["env"])
     quad = config.quadrature
     grid_n = int(p["grid_n"])
+    if grid_n < 1:
+        raise ConfigError(f"minimax_demo needs grid_n >= 1, got {grid_n}")
     rows = []
     for eta in p["etas"]:
         spec = minimax_instance(float(eta), env)
@@ -427,11 +414,7 @@ def _run_certificate(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
         raise ConfigError(f"cannot read annotations file {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed annotations file {path!r}: {exc}") from exc
-    matrix = (
-        empirical_disagreement_hard(batch) if batch.kind == "hard" else empirical_disagreement_soft(batch)
-    )
-    regime = p["regime"]
-    cert = certificate(matrix, delta=config.delta, regime=regime)
+    cert = certificate(empirical_disagreement(batch), delta=config.delta, regime=p["regime"])
     row = cert.to_dict()
     return _table(list(row), [tuple(row.values())]), {"certificate": row}
 

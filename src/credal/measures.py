@@ -906,23 +906,17 @@ def _joint_densities(
 
     Both sides of all owners are stacked, and each point's ``(mean, std)``
     and labeler parameters are gathered by owner: one ``Gaussian.kernel``
-    call and one kernel call per labeler family serve a whole pass.  A pair
-    whose two environments are one object reuses side 1's densities for
-    side 2, the same kernel on the same points and so the same bits.
+    call and one kernel call per labeler family serve a whole pass.
     """
     m = len(pairs)
     # slot s * m + k is side s of pair k
     moments = np.array([p[s].row for s in (0, 2) for p in pairs], dtype=float).T.copy()
     label_probs = _label_probs([p[s] for s in (1, 3) for p in pairs])
-    two_envs = np.array([p[0] is not p[2] for p in pairs])
 
     def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.size
         xs, slot = np.concatenate([x, x]), np.concatenate([own, own + m])
-        density = np.concatenate([Gaussian.kernel(x, *moments.take(own, axis=1))] * 2)
-        at = n + np.flatnonzero(two_envs.take(own))
-        density[at] = Gaussian.kernel(xs[at], *moments.take(slot[at], axis=1))
-        joint = label_probs(xs, slot) * density[:, None]
+        joint = label_probs(xs, slot) * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
         return joint[:n], joint[n:]
 
     return joints

@@ -1,5 +1,9 @@
 """Seeded generators for annotated samples, mechanism families, and minimax instances.
 
+Annotated samples come from one sampler, :func:`sample_annotated`, as an
+:class:`~credal.estimation.AnnotatedBatch` of hard labels or soft beliefs,
+which :func:`~credal.estimation.empirical_disagreement` reads directly.
+
 All generators are pure functions of (configuration, seed).  Seeds are
 derived through counter-based Philox substreams, so replication r of an
 experiment draws an independent stream regardless of execution order and
@@ -53,46 +57,6 @@ def _draw_hard_labels(labeler: Labeler, xs: np.ndarray, rng: np.random.Generator
     return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
 
-def sample_hard_arrays(
-    env: Environment,
-    labelers: Sequence[Labeler],
-    n: int,
-    seed: GenSeed,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of hard annotation sampling: (covariates (n,), labels (n, k)).
-
-    The experiment harness uses this directly for bulk replication sweeps;
-    :func:`sample_annotated` wraps the same arrays in an ``AnnotatedBatch``.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    if not labelers:
-        raise ValidationError("need at least one labeler")
-    rng = seed.generator()
-    xs = env.sample(rng, n)
-    labels = np.column_stack([_draw_hard_labels(l, xs, rng) for l in labelers])
-    return xs, labels
-
-
-def sample_soft_arrays(
-    env: Environment,
-    labelers: Sequence[Labeler],
-    n: int,
-    seed: GenSeed,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of soft annotation sampling: (covariates (n,), beliefs (n, k, C))."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    if not labelers:
-        raise ValidationError("need at least one labeler")
-    if any(isinstance(l, SymmetricNoise) for l in labelers):
-        raise ValidationError("soft sampling is undefined for symmetric-noise labelers")
-    rng = seed.generator()
-    xs = env.sample(rng, n)
-    probs = np.stack([l.prob_matrix(xs) for l in labelers], axis=1)
-    return xs, probs
-
-
 def sample_annotated(
     env: Environment,
     labelers: Sequence[Labeler],
@@ -108,18 +72,25 @@ def sample_annotated(
     rejects symmetric-noise annotators, whose belief about the latent truth
     is not what the noisy channel emits.
 
-    The draws are :func:`sample_hard_arrays` or :func:`sample_soft_arrays`
-    with the same seed, returned as the columns of one validated,
-    read-only :class:`~credal.estimation.AnnotatedBatch`; no per-sample
-    objects are built (iterating the batch yields ``AnnotatedSample`` rows).
+    The covariates are drawn first, then one uniform per row for each
+    stochastic labeler in order.  The draws are the columns of one
+    validated, read-only :class:`~credal.estimation.AnnotatedBatch`; no
+    per-sample objects are built (iterating the batch yields
+    ``AnnotatedSample`` rows).
     """
     if kind not in ("hard", "soft"):
         raise ValidationError(f"kind must be 'hard' or 'soft', got {kind!r}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n!r}")
+    if not labelers:
+        raise ValidationError("need at least one labeler")
+    if kind == "soft" and any(isinstance(l, SymmetricNoise) for l in labelers):
+        raise ValidationError("soft sampling is undefined for symmetric-noise labelers")
+    rng = seed.generator()
+    xs = env.sample(rng, n)
     if kind == "hard":
-        xs, labels = sample_hard_arrays(env, labelers, n, seed)
-        return AnnotatedBatch(xs, hard=labels)
-    xs, probs = sample_soft_arrays(env, labelers, n, seed)
-    return AnnotatedBatch(xs, soft=probs)
+        return AnnotatedBatch(xs, hard=np.column_stack([_draw_hard_labels(l, xs, rng) for l in labelers]))
+    return AnnotatedBatch(xs, soft=np.stack([l.prob_matrix(xs) for l in labelers], axis=1))
 
 
 def interval_mechanisms(

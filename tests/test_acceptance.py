@@ -25,7 +25,7 @@ from credal.dro import (
     _smoothed_risk,
 )
 from credal.estimation import (
-    disagreement_hard_from_labels,
+    empirical_disagreement,
     hoeffding_epsilon,
     noisy_closed_form,
     required_samples,
@@ -42,7 +42,7 @@ from credal.measures import (
     tv_env,
 )
 from credal.sets import CredalSpec, diameter_bounds, pairwise_bounds
-from credal.synthgen import GenSeed, minimax_instance, sample_hard_arrays
+from credal.synthgen import GenSeed, minimax_instance, sample_annotated
 
 from oracles import bsc_disagreement_mc, discrete_spec_diameter, discrete_spec_pair_tv
 
@@ -214,8 +214,7 @@ def test_criterion_06_estimator_bias():
     seed = GenSeed(101)
     hats = np.empty(500)
     for r in range(500):
-        _, labels = sample_hard_arrays(env, labs, 1000, seed.derive(0, r))
-        hats[r] = disagreement_hard_from_labels(labels).eta_hat
+        hats[r] = empirical_disagreement(sample_annotated(env, labs, 1000, "hard", seed.derive(0, r))).eta_hat
     mean_abs = float(np.mean(np.abs(hats - eta_star)))
     signed = float(np.mean(hats) - eta_star)
     report(
@@ -237,8 +236,8 @@ def test_criterion_07_concentration():
         eps = hoeffding_epsilon(n, 2, delta)
         viols = 0
         for r in range(2000):
-            _, labels = sample_hard_arrays(env, labs, n, seed.derive(1, n, r))
-            viols += abs(disagreement_hard_from_labels(labels).eta_hat - eta_star) > eps
+            batch = sample_annotated(env, labs, n, "hard", seed.derive(1, n, r))
+            viols += abs(empirical_disagreement(batch).eta_hat - eta_star) > eps
         viol_rates[n] = viols / 2000
     ok_viol = all(rate <= delta for rate in viol_rates.values())
 
@@ -247,8 +246,8 @@ def test_criterion_07_concentration():
     for n in ns:
         errs = np.empty(500)
         for r in range(500):
-            _, labels = sample_hard_arrays(env, labs, n, seed.derive(2, n, r))
-            errs[r] = abs(disagreement_hard_from_labels(labels).eta_hat - eta_star)
+            batch = sample_annotated(env, labs, n, "hard", seed.derive(2, n, r))
+            errs[r] = abs(empirical_disagreement(batch).eta_hat - eta_star)
         medians.append(float(np.median(errs)))
     slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
     ok_slope = -0.6 <= slope <= -0.4

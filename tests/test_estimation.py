@@ -11,10 +11,7 @@ from credal.estimation import (
     Certificate,
     DisagreementMatrix,
     certificate,
-    disagreement_hard_from_labels,
-    disagreement_soft_from_probs,
-    empirical_disagreement_hard,
-    empirical_disagreement_soft,
+    empirical_disagreement,
     hoeffding_epsilon,
     noisy_closed_form,
     read_annotations,
@@ -34,6 +31,12 @@ def hard(x, labels):
 def soft(x, probs):
     """A batch of soft rows: one list of annotator belief vectors per covariate."""
     return AnnotatedBatch(np.asarray(x, dtype=float), soft=np.asarray(probs, dtype=float))
+
+
+def labelled(labels):
+    """A batch of bare hard labels, one row per sample, at covariates 0, 1, ..."""
+    labels = np.asarray(labels)
+    return AnnotatedBatch(np.arange(len(labels), dtype=float), hard=labels)
 
 
 class TestAnnotatedBatch:
@@ -128,23 +131,31 @@ class TestAnnotatedBatch:
         assert (pairwise != verdicts).sum() > 100
 
 
+class TestEmpiricalDisagreement:
+    def test_worked_examples_of_both_kinds(self):
+        # the batch's kind picks the estimator: 0/1 disagreement or half-L1 between beliefs
+        m = empirical_disagreement(hard([0, 1, 2, 3], [[0, 0], [0, 1], [1, 1], [0, 1]]))
+        assert (m.kind, m.n, m.k) == ("hard", 4, 2)
+        assert m.values.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+        m = empirical_disagreement(soft([0, 1], [[(0.9, 0.1), (0.6, 0.4)], [(0.5, 0.5), (0.5, 0.5)]]))
+        assert (m.kind, m.n, m.k) == ("soft", 2, 2)
+        assert m.values == pytest.approx(np.array([[0.0, 0.15], [0.15, 0.0]]), abs=1e-15)
+        assert m.values[0, 0] == m.values[1, 1] == 0.0
+
+
 class TestHardDisagreement:
     def test_all_agree(self):
-        m = empirical_disagreement_hard(hard([0, 1], [[1, 1, 1], [0, 0, 0]]))
+        m = empirical_disagreement(hard([0, 1], [[1, 1, 1], [0, 0, 0]]))
         assert m.eta_hat == 0.0
         assert np.all(m.values == 0.0)
 
     def test_worked_example(self):
-        m = empirical_disagreement_hard(hard([0, 1, 2, 3], [[0, 0], [0, 1], [1, 1], [0, 1]]))
+        m = empirical_disagreement(hard([0, 1, 2, 3], [[0, 0], [0, 1], [1, 1], [0, 1]]))
         assert m.values[0, 1] == pytest.approx(0.5)
         assert m.eta_hat == pytest.approx(0.5)
         assert m.argmax == (0, 1)
 
     def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValidationError, match="hard labels"):
-            empirical_disagreement_hard(soft([1], [[(1, 0), (0, 1)]]))
-        with pytest.raises(ValidationError, match="soft labels"):
-            empirical_disagreement_soft(hard([0], [[0, 1]]))
         with pytest.raises(ValidationError, match="exactly one"):
             AnnotatedBatch(np.zeros(1), hard=np.zeros((1, 2), int), soft=np.ones((1, 2, 1)))
 
@@ -152,7 +163,6 @@ class TestHardDisagreement:
         for build in (
             lambda: hard([], np.zeros((0, 2), int)),
             lambda: soft([], np.zeros((0, 2, 2))),
-            lambda: disagreement_hard_from_labels(np.zeros((0, 2), int)),
         ):
             with pytest.raises(ValidationError, match="non-empty"):
                 build()
@@ -160,7 +170,7 @@ class TestHardDisagreement:
     def test_matrix_symmetry_and_range(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=(50, 4))
-        m = disagreement_hard_from_labels(labels)
+        m = empirical_disagreement(labelled(labels))
         assert np.allclose(m.values, m.values.T)
         assert np.all(np.diag(m.values) == 0)
         assert np.all((m.values >= 0) & (m.values <= 1))
@@ -175,7 +185,7 @@ class TestHardDisagreement:
             rng.integers(0, 3, size=(2000, 40)),
             np.where(rng.random((3000, 6)) < 0.4, 0, 10**12),
         ):
-            assert (disagreement_hard_from_labels(labels).values == hard_gram_by_class(labels)).all()
+            assert (empirical_disagreement(labelled(labels)).values == hard_gram_by_class(labels)).all()
 
     def test_labels_must_be_class_indices(self):
         for labels in (
@@ -184,8 +194,8 @@ class TestHardDisagreement:
             np.asarray([[-1, 1], [-1, -1]]),
         ):
             with pytest.raises(ValidationError):
-                disagreement_hard_from_labels(labels)
-        m = disagreement_hard_from_labels(np.asarray([[0, 1], [1, 1]], dtype=np.uint8))
+                labelled(labels)
+        m = empirical_disagreement(labelled(np.asarray([[0, 1], [1, 1]], dtype=np.uint8)))
         assert m.values[0, 1] == 0.5
 
     def test_batches_are_validated_once(self, monkeypatch):
@@ -200,24 +210,24 @@ class TestHardDisagreement:
         hard_batch = AnnotatedBatch(x, hard=rng.integers(0, 3, size=(300, 4)))
         soft_batch = AnnotatedBatch(x, soft=rng.dirichlet(np.ones(3), size=(300, 4)))
         assert len(checks) == 2
-        a, b = empirical_disagreement_hard(hard_batch), empirical_disagreement_soft(soft_batch)
+        a, b = empirical_disagreement(hard_batch), empirical_disagreement(soft_batch)
         assert len(checks) == 2
-        assert np.array_equal(a.values, disagreement_hard_from_labels(hard_batch.hard).values)
-        assert np.array_equal(b.values, disagreement_soft_from_probs(soft_batch.soft).values)
-        assert len(checks) == 4
+        assert (a.kind, b.kind) == ("hard", "soft")
+        assert np.array_equal(a.values, est._hard_gram(hard_batch.hard).values)
+        assert np.array_equal(b.values, est._soft_gram(soft_batch.soft).values)
 
     def test_argmax_lexicographic_tie(self):
         # pairs (0,1) and (0,2) tie; lexicographic keeps (0,1)
-        m = empirical_disagreement_hard(hard([0, 1], [[0, 1, 1], [0, 0, 0]]))
+        m = empirical_disagreement(hard([0, 1], [[0, 1, 1], [0, 0, 0]]))
         assert m.argmax == (0, 1)
         # (0,3) ties (1,2): the first in row-major order, where a
         # column-major scan would meet (1,2) first
-        m = disagreement_hard_from_labels(np.array([[0, 0, 1, 1], [0, 1, 0, 1]]))
+        m = empirical_disagreement(labelled([[0, 0, 1, 1], [0, 1, 0, 1]]))
         assert (m.argmax, m.eta_hat) == ((0, 3), 1.0)
         # no disagreement keeps the default pair, one annotator its diagonal
-        m = disagreement_hard_from_labels(np.array([[1, 1, 1]]))
+        m = empirical_disagreement(labelled([[1, 1, 1]]))
         assert (m.argmax, m.eta_hat) == ((0, 1), 0.0)
-        m = disagreement_hard_from_labels(np.array([[0], [1]]))
+        m = empirical_disagreement(labelled([[0], [1]]))
         assert (m.argmax, m.eta_hat) == ((0, 0), 0.0)
 
     def test_max_vs_estimate_of_max_inequality(self):
@@ -231,7 +241,7 @@ class TestHardDisagreement:
             labels[:, 0] = base
             labels[:, 1] = np.where(rng.random(n) < 0.3, 1 - base, base)
             labels[:, 2] = np.where(rng.random(n) < 0.5, 1 - base, base)
-            m = disagreement_hard_from_labels(labels)
+            m = empirical_disagreement(labelled(labels))
             true_eta = max(true_vals.values())
             per_pair_err = max(
                 abs(m.values[j, k] - true_vals[(j, k)]) for j, k in true_vals
@@ -241,37 +251,36 @@ class TestHardDisagreement:
 
 class TestSoftDisagreement:
     def test_identical_vectors(self):
-        m = empirical_disagreement_soft(soft([0], [[(0.5, 0.5), (0.5, 0.5)]]))
+        m = empirical_disagreement(soft([0], [[(0.5, 0.5), (0.5, 0.5)]]))
         assert m.eta_hat == 0.0
 
     def test_single_sample_half_l1(self):
-        m = empirical_disagreement_soft(soft([0], [[(0.9, 0.1), (0.6, 0.4)]]))
+        m = empirical_disagreement(soft([0], [[(0.9, 0.1), (0.6, 0.4)]]))
         assert m.values[0, 1] == pytest.approx(0.3)
-        m = empirical_disagreement_soft(soft([0, 1], [[(0.9, 0.1), (0.6, 0.4)], [(0.5, 0.5), (0.5, 0.5)]]))
+        m = empirical_disagreement(soft([0, 1], [[(0.9, 0.1), (0.6, 0.4)], [(0.5, 0.5), (0.5, 0.5)]]))
         assert m.values[0, 1] == pytest.approx(0.15)
 
     def test_beliefs_off_the_simplex_rejected(self):
         nan = np.full((2, 2, 2), 0.5)
         nan[1, 0, 0] = np.nan
         for probs, row in ((np.zeros((2, 2, 3)), 0), (np.full((2, 2, 2), 7.0), 0), (nan, 1)):
-            with pytest.raises(ValidationError, match=f"row {row}: soft vector off the simplex"):
-                disagreement_soft_from_probs(probs)
+            with pytest.raises(ValidationError, match=f"sample {row}: soft vector off the simplex"):
+                AnnotatedBatch(np.zeros(2), soft=probs)
 
     def test_unbiased_against_population(self):
         # soft estimator averages the exact pointwise TV, so its expectation
         # is the population value; check to within 3 standard errors
         rng = np.random.default_rng(2)
         from credal.measures import Gaussian, Probit, expected_conditional_tv
-        from credal.synthgen import GenSeed, sample_soft_arrays
-        from credal.estimation import disagreement_soft_from_probs
+        from credal.synthgen import GenSeed, sample_annotated
 
         env = Gaussian(0, 1)
         labs = (Probit(1.0, -0.8), Probit(1.0, 0.8))
         pop = expected_conditional_tv(env, labs[0], labs[1])
         hats = []
         for r in range(60):
-            _, probs = sample_soft_arrays(env, labs, 400, GenSeed(17).derive(r))
-            hats.append(disagreement_soft_from_probs(probs).eta_hat)
+            batch = sample_annotated(env, labs, 400, "soft", GenSeed(17).derive(r))
+            hats.append(empirical_disagreement(batch).eta_hat)
         se = np.std(hats) / math.sqrt(len(hats))
         assert abs(np.mean(hats) - pop) <= 3 * se + 1e-3
 
@@ -400,8 +409,7 @@ class TestCertificate:
         # independent-coupling disagreement upper-bounds the conditional TV:
         # the mean estimate sits above the true diameter minus sampling noise
         from credal.measures import Gaussian, SymmetricNoise, Threshold, expected_conditional_tv
-        from credal.synthgen import GenSeed, sample_hard_arrays
-        from credal.estimation import disagreement_hard_from_labels
+        from credal.synthgen import GenSeed, sample_annotated
 
         env = Gaussian(0, 1)
         labs = (
@@ -411,8 +419,8 @@ class TestCertificate:
         true_diameter = expected_conditional_tv(env, labs[0], labs[1])
         hats = []
         for r in range(80):
-            _, labels = sample_hard_arrays(env, labs, 500, GenSeed(23).derive(r))
-            hats.append(disagreement_hard_from_labels(labels).eta_hat)
+            batch = sample_annotated(env, labs, 500, "hard", GenSeed(23).derive(r))
+            hats.append(empirical_disagreement(batch).eta_hat)
         mean_hat = float(np.mean(hats))
         se = float(np.std(hats)) / math.sqrt(len(hats))
         assert mean_hat >= true_diameter - 2 * se

@@ -755,6 +755,9 @@ class TestCli:
             # a value the sampler rejects inside a replication is a config error too
             ("diameter_ablation", {"n": 0}),
             ("noise_ablation", {"n": 0}),
+            # an empty grid, and a group of replications with none
+            ("minimax_demo", {"grid_n": 0}),
+            ("sample_complexity", {"replications": 0}),
         ],
     )
     def test_invalid_library_input_exits_2(self, tmp_path, capsys, experiment, params):
@@ -792,15 +795,15 @@ class TestCli:
     )
     def test_failed_replication_names_its_coordinates(self, tmp_path, capsys, monkeypatch, experiment, params, where):
         # four replications a group, run serially: the seventh estimate is group 1's replication 2
-        estimate, calls = experiments.disagreement_hard_from_labels, []
+        estimate, calls = experiments.empirical_disagreement, []
 
-        def failing(labels):
+        def failing(batch):
             calls.append(None)
             if len(calls) == 7:
                 raise FloatingPointError("injected")
-            return estimate(labels)
+            return estimate(batch)
 
-        monkeypatch.setattr(experiments, "disagreement_hard_from_labels", failing)
+        monkeypatch.setattr(experiments, "empirical_disagreement", failing)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": experiment, "params": params}))
         code = cli_main([experiment, "--config", str(path), "--jobs", "1", "--out", str(tmp_path / "out")])
@@ -818,6 +821,9 @@ class TestCli:
             ("noise_ablation", {"env": {"type": "gaussian", "mean": "abc", "std": 1.0}}, "params.env: gaussian environment mean"),
             ("mechanism_complexity", {"method": "interval"}, "unknown keys in params for mechanism_complexity: ['method']"),
             ("gating_curve", {"window_std": 10**400}, "params.window_std must be a number that a float can hold"),
+            # every integer param is a count
+            ("bounds_sweep", {"grid_env_count": -1}, "params.grid_env_count must be a non-negative integer"),
+            ("bounds_sweep", {"random_env_count": -1}, "params.random_env_count must be a non-negative integer"),
         ],
     )
     def test_wrong_shaped_param_exits_2(self, tmp_path, capsys, experiment, params, match):

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from credal.estimation import (
-    AnnotatedBatch,
-    AnnotatedSample,
-    disagreement_hard_from_labels,
-    empirical_disagreement_hard,
-)
+from credal.estimation import AnnotatedBatch, AnnotatedSample, empirical_disagreement
 from credal.measures import (
     DiscreteGrid,
     Gaussian,
@@ -27,8 +22,6 @@ from credal.synthgen import (
     interval_mechanisms,
     minimax_instance,
     sample_annotated,
-    sample_hard_arrays,
-    sample_soft_arrays,
 )
 from credal.dro import ThresholdClassifier, world_risks
 
@@ -62,14 +55,13 @@ class TestSampleAnnotated:
         samples = sample_annotated(
             Gaussian(0, 1), [Threshold(0.5), Threshold(0.5)], 500, "hard", GenSeed(2)
         )
-        m = empirical_disagreement_hard(samples)
+        m = empirical_disagreement(samples)
         assert m.eta_hat == 0.0
 
     def test_deterministic_disagreement_matches_quadrature(self):
         env = Gaussian(0, 1)
         labs = [Threshold(-1), Threshold(1)]
-        _, labels = sample_hard_arrays(env, labs, 100_000, GenSeed(3))
-        m = disagreement_hard_from_labels(labels)
+        m = empirical_disagreement(sample_annotated(env, labs, 100_000, "hard", GenSeed(3)))
         want = expected_conditional_tv(env, labs[0], labs[1])
         assert abs(m.eta_hat - want) < 0.005
 
@@ -93,7 +85,7 @@ class TestSampleAnnotated:
         base = Threshold(0.0)
         e1, e2 = 0.2, 0.35
         labs = [base, SymmetricNoise(base, e1), SymmetricNoise(base, e2)]
-        _, labels = sample_hard_arrays(env, labs, 100_000, GenSeed(6))
+        labels = sample_annotated(env, labs, 100_000, "hard", GenSeed(6)).hard
         truth = labels[:, 0]
         flip1 = labels[:, 1] != truth
         flip2 = labels[:, 2] != truth
@@ -108,11 +100,14 @@ class TestSampleAnnotated:
 
 class TestColumnarSampling:
     def test_hard_batch_equals_records_of_the_arrays(self):
+        # the covariates first, then one uniform per row for each stochastic labeler, in order
         env = Gaussian(0.3, 1.7)
         labs = [Threshold(-0.5), Sigmoid(2.0, 0.1), SymmetricNoise(Threshold(0.4), 0.2)]
         seed = GenSeed(11).derive(2)
         batch = sample_annotated(env, labs, 3_000, "hard", seed)
-        xs, labels = sample_hard_arrays(env, labs, 3_000, seed)
+        rng = seed.generator()
+        xs = env.sample(rng, 3_000)
+        labels = np.column_stack([_draw_hard_labels(lab, xs, rng) for lab in labs])
         assert isinstance(batch, AnnotatedBatch)
         want = [AnnotatedSample(x=float(x), hard=tuple(int(v) for v in row)) for x, row in zip(xs, labels)]
         assert list(batch) == want
@@ -123,8 +118,10 @@ class TestColumnarSampling:
         env = Gaussian(0, 1)
         labs = [Sigmoid(1.0, -0.3), Sigmoid(2.0, 0.7)]
         batch = sample_annotated(env, labs, 500, "soft", GenSeed(12))
-        xs, probs = sample_soft_arrays(env, labs, 500, GenSeed(12))
+        xs = env.sample(GenSeed(12).generator(), 500)
+        probs = np.stack([lab.prob_matrix(xs) for lab in labs], axis=1)
         assert batch.x.tobytes() == xs.tobytes() and batch.soft.tobytes() == probs.tobytes()
+        assert batch.soft.shape == (500, 2, 2) and batch.soft.flags.c_contiguous
         assert batch[3] == AnnotatedSample(x=float(xs[3]), soft=tuple(map(tuple, probs[3].tolist())))
 
 
@@ -156,14 +153,14 @@ class TestHardLabelRange:
 
     def test_samplers_stay_in_class_range(self):
         env = DiscreteGrid((0.0,), (1.0,))
-        _, labels = sample_hard_arrays(env, [self.SHORT, self.SHORT], 50, _TopSeed())
+        labels = sample_annotated(env, [self.SHORT, self.SHORT], 50, "hard", _TopSeed()).hard
         assert labels.min() >= 0 and labels.max() < 2
 
     def test_full_rows_draw_as_before(self):
         # the last class's comparison only ever counted draws above a full row
         env = Gaussian(0, 1)
         labs = [Sigmoid(1.5, 0.2), SymmetricNoise(Threshold(0.0), 0.3)]
-        _, labels = sample_hard_arrays(env, labs, 20_000, GenSeed(14))
+        labels = sample_annotated(env, labs, 20_000, "hard", GenSeed(14)).hard
         rng = GenSeed(14).generator()
         xs = env.sample(rng, 20_000)
         for j, lab in enumerate(labs):
