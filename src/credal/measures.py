@@ -684,8 +684,12 @@ def sup_conditional_tv(l1: Labeler, l2: Labeler, points=None) -> float:
     end values, which at the outer cells are the links' limits at +/-inf;
     two links of one kind also take the mean-value bound, ``max L'`` over
     the cell's z-range times ``max |z1 - z2|``, which sends equal links to
-    0.  Cells whose bound exceeds their pair's best end value by more than
-    ``_SUP_TOL`` are halved; the value is the largest end value or bound left.
+    0; every pair takes the second-order bound, as ``(p1 - p2)' = 0`` at an
+    interior maximiser: the larger end gap plus ``(hi - lo)^2 / 8`` times
+    ``sum s^2 max |L''|`` over its links (``1/(6 sqrt 3)`` logistic, ``phi(1)``
+    probit, 0 for a family constant on a cell).  Cells whose bound exceeds
+    their pair's best end value by more than ``_SUP_TOL`` are halved; the
+    value is the largest end value or bound left.
     """
     _check_class_counts(l1, l2)
     if points is not None and np.size(points) == 0:
@@ -694,10 +698,12 @@ def sup_conditional_tv(l1: Labeler, l2: Labeler, points=None) -> float:
 
 
 _SUP_TOL = 1e-6  # 1e-7 takes about 2.5x as long on the soft sweep's labeler pairs
+_BENDS = (1.0 / (6.0 * math.sqrt(3.0)), math.exp(-0.5) / math.sqrt(2.0 * math.pi))  # max |L''|: logistic, probit
 
 
 def _sup_tvs(pairs: Sequence[tuple[Labeler, Labeler]], points=None) -> np.ndarray:
-    """:func:`sup_conditional_tv` of each pair, refined in one array loop whose state is per pair (batches of one agree)."""
+    """:func:`sup_conditional_tv` of each pair: cells take the least of the monotone, mean-value and second-order
+    bounds and are halved in one array loop whose state is per pair (batches of one agree)."""
     if points is not None:
         return np.array([0.5 * np.abs(l1.prob_matrix(points) - l2.prob_matrix(points)).sum(axis=1).max() for l1, l2 in pairs])
     if not pairs:
@@ -716,14 +722,18 @@ def _sup_tvs(pairs: Sequence[tuple[Labeler, Labeler]], points=None) -> np.ndarra
 
     # slope, bias, probit flag of l1 then of l2 where both are links of one kind, else NaN (no mean-value bound)
     links = np.array([(*l1.row, *l2.row) if isinstance(l1, _Link) and type(l1) is type(l2) else (math.nan,) * 6 for l1, l2 in pairs]).T
+    # a pair's max |(p1 - p2)''|: s * s * max |L''| summed over its links (s ** 2 would raise OverflowError)
+    curv = np.array([sum(lab.row[0] * lab.row[0] * _BENDS[int(lab.probit)] for lab in pair if isinstance(lab, _Link))
+                     for pair in pairs], dtype=float)
     best, worst = np.zeros(len(pairs)), np.zeros(len(pairs))
     with np.errstate(over="ignore", invalid="ignore"):
         state = np.concatenate([[lo, hi, own], positive(np.concatenate([lo, hi]), np.concatenate([own, own])).reshape(4, -1)])
         while True:
             lo, hi, own, p1lo, p1hi, p2lo, p2hi = state
             own = own.astype(np.intp)
-            np.maximum.at(best, own, np.maximum(np.abs(p1lo - p2lo), np.abs(p1hi - p2hi)))
+            np.maximum.at(best, own, ends := np.maximum(np.abs(p1lo - p2lo), np.abs(p1hi - p2hi)))
             bound = np.maximum(np.maximum(p1lo, p1hi) - np.minimum(p2lo, p2hi), np.maximum(p2lo, p2hi) - np.minimum(p1lo, p1hi))
+            bound = np.fmin(bound, ends + 0.125 * (hi - lo) ** 2 * curv[own])
             s1, c1, probit, s2, c2, _ = links.take(own, axis=1)
             z1, z2 = s1 * state[:2] + c1, s2 * state[:2] + c2
             # |z| nearest 0 on the cell, capped where exp would turn slow and subnormal
@@ -790,12 +800,14 @@ def joint_tv_many(
     cells between label boundaries and density crossings), one pass per
     kind, class count and block of pairs.  Other Gaussian pairs share one
     Gauss-Kronrod worklist per block, cut at their labelers' and
-    environments' hints, density crossings and the kinks of :func:`_kinks`;
-    its integrand is one kernel per family, parameters gathered by owner.
+    environments' hints, density crossings and kinks: two links of one kind
+    under one environment object cross only at ``z1 = z2``, in closed form,
+    and :func:`_kinks` scans the other windows; its integrand is one kernel
+    per family, parameters gathered by owner.
     Fixed-size blocks bound the memory; each value is bit for bit the pair's alone.
     """
     values = np.zeros(len(pairs))
-    exact, windows, quad = {}, [], []
+    exact, windows, quad, scanned = {}, [], [], []
     for k, (e1, l1, e2, l2) in enumerate(pairs):
         classes, gaussian = _check_class_counts(l1, l2), isinstance(e1, Gaussian)
         if gaussian != isinstance(e2, Gaussian):
@@ -804,15 +816,21 @@ def joint_tv_many(
             exact.setdefault((gaussian, classes), []).append(k)
             continue
         lo, hi, hints = _window((e1, e2), (l1, l2), cfg)
-        windows.append((lo, hi, hints + _gaussian_crossings(e1, e2)))
+        closed = e1 is e2 and isinstance(l1, _Link) and type(l1) is type(l2)
+        kink = ((l2.bias - l1.bias) / (l1.row[0] - l2.row[0]),) if closed and l1.row[0] != l2.row[0] else ()
+        windows.append((lo, hi, hints + _gaussian_crossings(e1, e2) + kink))
         quad.append(k)
+        scanned.append(not closed)
     for (gaussian, _), ks in exact.items():
         for block in (ks[s : s + _EXACT_BLOCK] for s in range(0, len(ks), _EXACT_BLOCK)):
             values[block] = _partition_tvs([pairs[k] for k in block], gaussian)
     for s in range(0, len(quad), _QUAD_BLOCK):
         block, wins = quad[s : s + _QUAD_BLOCK], windows[s : s + _QUAD_BLOCK]
         joints = _joint_densities([pairs[k] for k in block])
-        wins = [(lo, hi, h + k) for (lo, hi, h), k in zip(wins, _kinks(joints, wins, cfg.abs_tol))]
+        if left := [i for i in range(len(block)) if scanned[s + i]]:
+            found = _kinks(lambda x, own: joints(x, np.take(left, own)), [wins[i] for i in left], cfg.abs_tol)
+            for i, kinks in zip(left, found):
+                wins[i] = (*wins[i][:2], wins[i][2] + kinks)
 
         def integrand(x: np.ndarray, own: np.ndarray) -> np.ndarray:
             return 0.5 * np.abs(np.subtract(*joints(x, own))).sum(axis=1)
@@ -834,7 +852,9 @@ def _kinks(
     well.  While a bracket's width times its larger ``|j1 - j2|`` exceeds
     ``abs_tol/1000``, all such brackets are refined at once by regula falsi
     with the Illinois step on ``log j1 - log j2``, which stays well scaled
-    over hundreds of orders of magnitude.
+    over hundreds of orders of magnitude.  :func:`joint_tv_many` sends only
+    windows with no closed form: mixed links, a link beside another family,
+    and joint shifts.
     """
 
     def log_gap(j1: np.ndarray, j2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -467,6 +467,36 @@ class TestSupConditionalTv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sup_conditional_tv(Sigmoid(1e300, 0), Probit(-1e300, 1)) == 1.0
+            # slope^2 overflows where the slope does not: the second-order bound is inf, not an error
+            assert sup_conditional_tv(Sigmoid(1e155, 0), Probit(-1e155, 1)) == 1.0
+            want = float(expit(0.5) - expit(-0.5))
+            assert want <= sup_conditional_tv(Sigmoid(1e155, 0), Sigmoid(1e155, 1)) <= want + measures._SUP_TOL
+
+    def test_crossing_spec_certificate_cost(self, monkeypatch):
+        # the 10 labeler pairs of the benchmark's soft_set crossing spec
+        # (bench/inputs._crossing_spec, rebuilt here from its stream): the
+        # first-order cell bounds alone took 41,734 label evaluations; the
+        # second-order bound must keep to a quarter of that
+        r = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=0, spawn_key=(1,))))
+        for _ in range(6):
+            r.uniform(-2.0, 2.0), r.uniform(0.5, 2.0)  # the environments' means and stds
+        labs = []
+        for j in range(5):
+            slope = float(r.uniform(0.5, 3.0)) * (1.0 if j % 2 == 0 else -1.0)
+            labs.append((Sigmoid if j % 2 == 0 else Probit)(slope, -slope * float(r.uniform(-1.5, 1.5))))
+        pairs = [(l1, l2) for k, l1 in enumerate(labs) for l2 in labs[k + 1 :]]
+        evals, real = [], measures._label_probs
+
+        def counting(labelers):
+            probs = real(labelers)
+            return lambda xs, slot: evals.append(np.broadcast(xs, slot).size) or probs(xs, slot)
+
+        monkeypatch.setattr(measures, "_label_probs", counting)
+        got = measures._sup_tvs(pairs)
+        assert sum(evals) <= 10_434
+        for (l1, l2), value in zip(pairs, got.tolist()):
+            scan, slack = sup_link_tv_scan(l1, l2)
+            assert scan <= value <= scan + measures._SUP_TOL + slack, (l1, l2)
 
 
 class TestJointTvExact:
@@ -575,6 +605,8 @@ class TestJointTvMany:
             j, jp = rng.integers(len(labs), size=2)
             pairs.append((envs[i], labs[j], envs[ip], labs[jp]))
         pairs.append((envs[0], labs[2], envs[4], labs[8]))
+        # probit links under one environment object (a closed-form kink) and under its equal copy (scanned)
+        pairs += [(envs[0], labs[3], envs[0], Probit(-labs[3].kappa, 0.4)), (envs[0], labs[3], envs[4], Probit(2.0, 0.4))]
         pts = (-1.0, 0.0, 1.5)
         grid = DiscreteGrid(pts, (0.2, 0.5, 0.3))
         pairs.append((grid, Tabular(pts, ((0.9, 0.1), (0.4, 0.6), (0.5, 0.5))), grid, Threshold(0.5)))
@@ -910,6 +942,41 @@ class TestSteepCrossingLabelers:
         ]
         for pair in pairs:
             assert joint_tv_exact(*pair) == pytest.approx(quadrature_joint_tv(*pair), abs=TOL), pair
+
+    def test_shared_environment_same_kind_links_take_the_closed_form(self, monkeypatch):
+        # two links of one kind under one environment object cross only at
+        # z1 = z2, with no scan: steep seeded pairs, near-equal and equal
+        # slopes, and crossings outside the window; under an equal but
+        # distinct copy of the environment (a joint shift) the scan finds them
+        env = Gaussian(0.3, 1.2)
+        pairs = [(l1, l2) for l1, l2 in steep_link_pairs(60, seed=19) if type(l1) is type(l2)]
+        pairs += [
+            (Sigmoid(1.0, 0.2), Sigmoid(1.0 + 1e-12, 0.2)),
+            (Probit(1.0, 0.2), Probit(1.0 + 1e-12, -0.4)),
+            (Sigmoid(-2.0, 0.5), Sigmoid(-2.0, -0.5)),
+            (Probit(2.0, 0.5), Probit(2.0, 0.5)),
+            (Sigmoid(3.0, 0.0), Sigmoid(2.0, 40.0)),
+            (Probit(-1.5, 0.3), Probit(0.7, -30.0)),
+        ]
+        scanned, real = [], measures._kinks
+        monkeypatch.setattr(measures, "_kinks", lambda joints, wins, tol: scanned.extend(wins) or real(joints, wins, tol))
+        windows, work = [], measures._worklist
+        monkeypatch.setattr(measures, "_worklist", lambda f, wins, *args: windows.extend(wins) or work(f, wins, *args))
+        got = joint_tv_many([(env, l1, env, l2) for l1, l2 in pairs])
+        assert scanned == [] and len(pairs) > 30
+        # where P(1|x) of the two links changes order in the window, they agree at a cut
+        for (l1, l2), (lo, hi, cuts) in zip(pairs, windows):
+            xs = np.linspace(lo, hi, 10_001)
+            d = l1.prob_matrix(xs)[:, 1] - l2.prob_matrix(xs)[:, 1]
+            if d.min() < 0 < d.max():
+                assert min(conditional_tv(l1, l2, x) for x in cuts if lo < x < hi) <= 1e-12, (l1, l2)
+        for (l1, l2), value in zip(pairs, got):
+            assert value == pytest.approx(quadrature_joint_tv(env, l1, env, l2, panels=256), abs=TOL), (l1, l2)
+        copy = Gaussian(env.mean, env.std)
+        shifted = joint_tv_many([(env, l1, copy, l2) for l1, l2 in pairs])
+        assert len(scanned) == len(pairs)
+        for (l1, l2), value, want in zip(pairs, shifted, got):
+            assert value == pytest.approx(want, abs=TOL), (l1, l2)
 
     def test_smooth_pair_imports_no_root_finder(self):
         # scipy.optimize would add about 20 MiB of resident memory to every run
