@@ -192,7 +192,7 @@ class DisagreementMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.k, self.k):
             raise ValidationError("values must be a k x k matrix")
-        if not np.allclose(values, values.T, atol=1e-12) or np.any(np.diag(values) != 0.0):
+        if not np.array_equal(values, values.T) or np.any(np.diag(values) != 0.0):
             raise ValidationError("values must be symmetric with a zero diagonal")
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValidationError("disagreement values must lie in [0, 1]")
@@ -205,23 +205,25 @@ def _build_matrix(values: np.ndarray, n: int, kind: str) -> DisagreementMatrix:
     k = values.shape[0]
     # the first maximum in row-major order over the pairs j < jp: (0, 1)
     # when every entry is 0, and the diagonal (0, 0) with one annotator
-    rows, cols = np.triu_indices(k, min(1, k - 1))
-    upper = values[rows, cols]
-    best = int(np.argmax(upper))
-    eta_hat, argmax = float(upper[best]), (int(rows[best]), int(cols[best]))
-    return DisagreementMatrix(n=n, k=k, values=values, eta_hat=eta_hat, argmax=argmax, kind=kind)
+    argmax = divmod(int(np.argmax(np.where(np.tri(k, dtype=bool), -1.0, values))), k)
+    return DisagreementMatrix(n=n, k=k, values=values, eta_hat=float(values[argmax]), argmax=argmax, kind=kind)
 
 
 def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
     n, k = labels.shape
     agree, ind = np.zeros((k, k)), np.empty((n, k))
-    # the classes in ascending order, each the least label above the last one
-    rest = labels.ravel()
-    while rest.size:
-        c = rest.min()
-        np.equal(labels, c, out=ind)
-        agree += ind.T @ ind
-        rest = rest[rest > c]
+    rest, top = labels.ravel(), labels.max()
+    if not ((rest > rest.min()) & (rest < top)).any():
+        # at most two classes: agree = n - (c_i + c_j - 2 (L'L)_ij) with L the top class, exact integers
+        count = np.equal(labels, top, out=ind).sum(axis=0)
+        agree = n - (count[:, None] + count - 2.0 * (ind.T @ ind))
+    else:
+        # the classes in ascending order, each the least label above the last one
+        while rest.size:
+            c = rest.min()
+            np.equal(labels, c, out=ind)
+            agree += ind.T @ ind
+            rest = rest[rest > c]
     values = 1.0 - agree / n
     np.fill_diagonal(values, 0.0)
     return _build_matrix(values, n, "hard")
@@ -244,10 +246,10 @@ def empirical_disagreement(batch: AnnotatedBatch) -> DisagreementMatrix:
     unbiased estimate of the pairwise expected conditional TV, for
     stochastic ones of the independent-coupling disagreement, an upper
     bound on the TV (the conservative direction).  Agreement counts come
-    from per-class indicator Grams, O(C k^2 n) in BLAS; the classes are
-    found without sorting the n*k labels, and no memory grows with the
-    label values.  Soft labels give the mean half-L1 distance between the
-    annotators' belief vectors.
+    from one indicator Gram in BLAS for at most two classes, else one per
+    class, O(C k^2 n); the classes are found without sorting the n*k
+    labels, and no memory grows with the label values.  Soft labels give
+    the mean half-L1 distance between the annotators' belief vectors.
     """
     return _hard_gram(batch.hard) if batch.kind == "hard" else _soft_gram(batch.soft)
 

@@ -3,6 +3,8 @@
 Annotated samples come from one sampler, :func:`sample_annotated`, as an
 :class:`~credal.estimation.AnnotatedBatch` of hard labels or soft beliefs,
 which :func:`~credal.estimation.empirical_disagreement` reads directly.
+Hard labels take one kernel call per labeler family and one uniform draw
+for the stochastic labelers, in the order of a draw one labeler at a time.
 
 All generators are pure functions of (configuration, seed).  Seeds are
 derived through counter-based Philox substreams, so replication r of an
@@ -28,6 +30,7 @@ from credal.measures import (
     Threshold,
     ValidationError,
 )
+from credal.measures import _families, _gather
 from credal.sets import CredalSpec
 
 
@@ -46,15 +49,25 @@ class GenSeed:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def _draw_hard_labels(labeler: Labeler, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if labeler.is_deterministic:
-        return labeler.labels(xs)
-    probs = labeler.prob_matrix(xs)
-    # the last class takes every u above the other classes' cumulative mass,
-    # also on rows that sum to just under 1 (within the labelers' simplex tolerance)
-    cdf = np.cumsum(probs[:, :-1], axis=1)
-    u = rng.random(xs.shape[0])
-    return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
+def _draw_hard_labels(labelers: Sequence[Labeler], xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(k, n) class indices, one kernel call per family; stochastic labeler r takes row r of one uniform draw."""
+    stochastic = np.array([not lab.is_deterministic for lab in labelers])
+    u, rank = rng.random((int(stochastic.sum()), xs.shape[0])), stochastic.cumsum() - 1
+    out, x = np.empty((len(labelers), xs.shape[0]), np.int64), xs[None, :]
+    for kernel, slots, params in _families(labelers):
+        row = _gather(params, np.arange(len(slots))[:, None])
+        if not stochastic[slots[0]]:
+            out[slots] = labelers[slots[0]].label_kernel(x, *row)
+            continue
+        probs, draws = kernel(x, *row), u.take(rank[slots], axis=0)
+        # the last class takes every u above the other classes' mass, also on rows summing to just
+        # under 1 (within the simplex tolerance); summed a class at a time: the bits of ``np.cumsum``
+        cdf = probs[..., 0]
+        out[slots] = draws > cdf
+        for c in range(1, probs.shape[-1] - 1):
+            cdf = cdf + probs[..., c]
+            out[slots] += draws > cdf
+    return out
 
 
 def sample_annotated(
@@ -73,10 +86,10 @@ def sample_annotated(
     is not what the noisy channel emits.
 
     The covariates are drawn first, then one uniform per row for each
-    stochastic labeler in order.  The draws are the columns of one
-    validated, read-only :class:`~credal.estimation.AnnotatedBatch`; no
-    per-sample objects are built (iterating the batch yields
-    ``AnnotatedSample`` rows).
+    stochastic labeler in order, as one array; one kernel call per labeler
+    family gives the labels, the columns of one validated, read-only
+    :class:`~credal.estimation.AnnotatedBatch`; no per-sample objects are
+    built (iterating the batch yields ``AnnotatedSample`` rows).
     """
     if kind not in ("hard", "soft"):
         raise ValidationError(f"kind must be 'hard' or 'soft', got {kind!r}")
@@ -89,7 +102,7 @@ def sample_annotated(
     rng = seed.generator()
     xs = env.sample(rng, n)
     if kind == "hard":
-        return AnnotatedBatch(xs, hard=np.column_stack([_draw_hard_labels(l, xs, rng) for l in labelers]))
+        return AnnotatedBatch(xs, hard=_draw_hard_labels(labelers, xs, rng).T)
     return AnnotatedBatch(xs, soft=np.stack([l.prob_matrix(xs) for l in labelers], axis=1))
 
 

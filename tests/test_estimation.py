@@ -179,13 +179,17 @@ class TestHardDisagreement:
         # agreement counts are exact integers in float64, so the counting
         # Gram has the bits of one indicator Gram per distinct label value,
         # also for labels far apart (no memory follows the largest label)
+        # and for at most two classes, which take one product
         rng = np.random.default_rng(11)
         for labels in (
             rng.integers(0, 3, size=(5000, 5)),
             rng.integers(0, 3, size=(2000, 40)),
             np.where(rng.random((3000, 6)) < 0.4, 0, 10**12),
+            rng.integers(0, 2, size=(3000, 7)),
+            2 * rng.integers(0, 2, size=(1000, 5)),
+            np.full((40, 3), 3),
         ):
-            assert (empirical_disagreement(labelled(labels)).values == hard_gram_by_class(labels)).all()
+            assert empirical_disagreement(labelled(labels)).values.tobytes() == hard_gram_by_class(labels).tobytes()
 
     def test_labels_must_be_class_indices(self):
         for labels in (
@@ -229,6 +233,27 @@ class TestHardDisagreement:
         assert (m.argmax, m.eta_hat) == ((0, 1), 0.0)
         m = empirical_disagreement(labelled([[0], [1]]))
         assert (m.argmax, m.eta_hat) == ((0, 0), 0.0)
+
+    def test_first_maximum_matches_the_upper_triangle_scan(self):
+        import credal.estimation as est
+
+        def scan(values):
+            k = values.shape[0]
+            rows, cols = np.triu_indices(k, min(1, k - 1))
+            upper = values[rows, cols]
+            best = int(np.argmax(upper))
+            return float(upper[best]), (int(rows[best]), int(cols[best]))
+
+        rng = np.random.default_rng(31)
+        cases = [np.zeros((1, 1)), np.zeros((2, 2)), np.asarray([[0.0, 0.5], [0.5, 0.0]]), np.zeros((6, 6))]
+        for k in range(3, 9):
+            for _ in range(20):
+                upper = np.triu(rng.integers(0, 3, size=(k, k)) / 4.0, 1)  # three values: many ties
+                cases.append(upper + upper.T)
+        for values in cases:
+            m = est._build_matrix(values, 10, "hard")
+            assert (m.eta_hat, m.argmax) == scan(values)
+            assert all(type(i) is int for i in m.argmax)
 
     def test_max_vs_estimate_of_max_inequality(self):
         rng = np.random.default_rng(5)
@@ -388,11 +413,13 @@ class TestCertificate:
             certificate(self._matrix(0.1, kind="hard"), regime="exact_soft")
 
     def test_matrix_invariants(self):
-        with pytest.raises(ValidationError):
-            DisagreementMatrix(
-                n=5, k=2, values=np.asarray([[0.0, 0.2], [0.3, 0.0]]),
-                eta_hat=0.3, argmax=(0, 1), kind="hard",
-            )
+        # both Grams are exactly symmetric, so an asymmetry of 1e-13 is rejected too
+        for low in (0.3, 0.2 + 1e-13):
+            with pytest.raises(ValidationError, match="symmetric"):
+                DisagreementMatrix(
+                    n=5, k=2, values=np.asarray([[0.0, 0.2], [low, 0.0]]),
+                    eta_hat=low, argmax=(0, 1), kind="hard",
+                )
 
     def test_certificate_invariants(self):
         with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ from credal.measures import (
     DiscreteGrid,
     Gaussian,
     Interval,
+    Probit,
     Sigmoid,
     SymmetricNoise,
     Tabular,
@@ -98,6 +99,19 @@ class TestSampleAnnotated:
             assert abs(float(np.mean(flips)) - eps) <= 3 * se
 
 
+def _per_labeler_draw(labs, xs, rng):
+    """The draw one labeler at a time: covariates first, then one uniform per row per stochastic labeler."""
+    columns = []
+    for lab in labs:
+        if lab.is_deterministic:
+            columns.append(lab.labels(xs))
+            continue
+        cdf = np.cumsum(lab.prob_matrix(xs)[:, :-1], axis=1)
+        u = rng.random(xs.shape[0])
+        columns.append((u[:, None] > cdf).sum(axis=1).astype(np.int64))
+    return np.column_stack(columns)
+
+
 class TestColumnarSampling:
     def test_hard_batch_equals_records_of_the_arrays(self):
         # the covariates first, then one uniform per row for each stochastic labeler, in order
@@ -107,12 +121,51 @@ class TestColumnarSampling:
         batch = sample_annotated(env, labs, 3_000, "hard", seed)
         rng = seed.generator()
         xs = env.sample(rng, 3_000)
-        labels = np.column_stack([_draw_hard_labels(lab, xs, rng) for lab in labs])
+        labels = _per_labeler_draw(labs, xs, rng)
         assert isinstance(batch, AnnotatedBatch)
         want = [AnnotatedSample(x=float(x), hard=tuple(int(v) for v in row)) for x, row in zip(xs, labels)]
         assert list(batch) == want
         assert np.asarray([s.x for s in batch]).tobytes() == xs.tobytes()
         assert batch.hard.dtype == np.int64 and np.array_equal(batch.hard, labels)
+
+    GRID = (0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "env, labs",
+        [
+            # interleaved families: constant thresholds, an interval, logistic and
+            # probit links sharing one family, and noise on both bases
+            (
+                Gaussian(0.3, 1.7),
+                [
+                    Threshold(math.inf), Sigmoid(2.0, 0.1), Interval(-1.0, 0.5), Probit(1.5, -0.2),
+                    SymmetricNoise(Threshold(0.4), 0.2), Threshold(-math.inf), Sigmoid(-1.0, 0.3),
+                    SymmetricNoise(Interval(-0.3, 1.0), 0.1), Probit(1.5, -0.2), Threshold(0.2),
+                ],
+            ),
+            # a 3-class table beside binary labelers
+            (
+                DiscreteGrid(GRID, (0.2, 0.5, 0.3)),
+                [
+                    Tabular(GRID, ((0.1, 0.6, 0.3), (0.3, 0.3, 0.4), (0.0, 0.2, 0.8))), Threshold(0.5),
+                    Tabular(GRID, ((0.5, 0.5),) * 3), Sigmoid(1.0, -0.5),
+                ],
+            ),
+            (Gaussian(0, 1), [Threshold(0.1), Interval(-0.5, 0.5), Threshold(0.1), Threshold(-math.inf)]),
+            (Gaussian(0, 1), [Sigmoid(1.0, 0.0), Sigmoid(1.0, 0.0), Probit(2.0, 1.0), SymmetricNoise(Threshold(0.0), 0.3)]),
+            (Gaussian(0, 1), [SymmetricNoise(Interval(-1.0, 1.0), 0.25)]),
+        ],
+        ids=["mixed", "three_class_table", "deterministic_only", "stochastic_only", "single"],
+    )
+    def test_family_draw_equals_the_per_labeler_draw(self, env, labs):
+        # one kernel call per family draws the per-labeler labels bit for bit
+        seed = GenSeed(27).derive(len(labs))
+        batch = sample_annotated(env, labs, 2_000, "hard", seed)
+        rng = seed.generator()
+        xs = env.sample(rng, 2_000)
+        want = _per_labeler_draw(labs, xs, rng)
+        assert batch.x.tobytes() == xs.tobytes() and batch.hard.tobytes() == want.tobytes()
+        assert want.max() == max(lab.class_count for lab in labs) - 1
 
     def test_soft_batch_equals_the_arrays(self):
         env = Gaussian(0, 1)
@@ -148,8 +201,8 @@ class TestHardLabelRange:
     SHORT = Tabular((0.0,), ((0.4999999999996, 0.5),))
 
     def test_draw_stays_below_class_count(self):
-        labels = _draw_hard_labels(self.SHORT, np.zeros(4), _TopRng())
-        assert labels.tolist() == [1, 1, 1, 1]
+        labels = _draw_hard_labels([self.SHORT], np.zeros(4), _TopRng())
+        assert labels.tolist() == [[1, 1, 1, 1]]
 
     def test_samplers_stay_in_class_range(self):
         env = DiscreteGrid((0.0,), (1.0,))
