@@ -214,9 +214,11 @@ def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
     agree, ind = np.zeros((k, k)), np.empty((n, k))
     rest, top = labels.ravel(), labels.max()
     if not ((rest > rest.min()) & (rest < top)).any():
-        # at most two classes: agree = n - (c_i + c_j - 2 (L'L)_ij) with L the top class, exact integers
-        count = np.equal(labels, top, out=ind).sum(axis=0)
-        agree = n - (count[:, None] + count - 2.0 * (ind.T @ ind))
+        # at most two classes: agree = n/2 + 2 (L'L)_ij with L the top class's indicator less 1/2, in exact quarters
+        np.subtract(np.equal(labels, top, out=ind), 0.5, out=ind)
+        agree = ind.T @ ind
+        agree *= 2.0
+        agree += 0.5 * n
     else:
         # the classes in ascending order, each the least label above the last one
         while rest.size:
@@ -224,7 +226,7 @@ def _hard_gram(labels: np.ndarray) -> DisagreementMatrix:
             np.equal(labels, c, out=ind)
             agree += ind.T @ ind
             rest = rest[rest > c]
-    values = 1.0 - agree / n
+    values = np.subtract(1.0, np.divide(agree, n, out=agree), out=agree)
     np.fill_diagonal(values, 0.0)
     return _build_matrix(values, n, "hard")
 

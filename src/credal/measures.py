@@ -54,7 +54,7 @@ from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import expit, log_ndtr, ndtr, ndtri
 
 logger = logging.getLogger(__name__)
 
@@ -215,11 +215,8 @@ class _Link(_LabelerBase):
     @staticmethod
     def kernel(x: np.ndarray, slope, bias, probit) -> np.ndarray:
         z = slope * x + bias
-        if isinstance(probit, np.ndarray):
-            p1, at = np.empty_like(z), np.broadcast_to(probit, z.shape) != 0
-            p1[~at], p1[at] = expit(z[~at]), ndtr(z[at])
-        else:
-            p1 = ndtr(z) if probit else expit(z)
+        scalar = not isinstance(probit, np.ndarray)
+        p1 = (ndtr(z) if probit else expit(z)) if scalar else np.where(probit != 0, ndtr(z), expit(z))
         probs = np.empty((*p1.shape, 2))
         np.subtract(1.0, p1, out=probs[..., 0])
         probs[..., 1] = p1
@@ -768,6 +765,33 @@ def _gaussian_crossings(e1: Gaussian, e2: Gaussian) -> tuple[float, ...]:
     return tuple(sorted((q / a, c / q)))
 
 
+def _link_crossings(l1: _Link, l2: _Link) -> tuple[float, ...]:
+    """Where two links' P(1|x) cross: the kinks of their expected conditional TV under any environment.
+
+    Links of one kind cross at ``z1 = z2``; a logistic and a probit link, ``z = s_p x + b_p``, where ``g(z) = r z + c``
+    (``g = logit o Phi``, odd; ``r = s_l / s_p``; ``c = b_l - r b_p``).  On ``z >= 0`` ``g`` is convex and >= z^2/2:
+    Newton steps from 0 and from the root of ``z^2/2 = r z +/- c`` reach each half's roots (two at most) or turn back.
+    """
+    if l1.probit == l2.probit:
+        return ((l2.bias - l1.bias) / (l1.row[0] - l2.row[0]),) if l1.row[0] != l2.row[0] else ()
+    (sl, bl, _), (sp, bp, _) = (l1.row, l2.row) if l2.probit else (l2.row, l1.row)
+    if not sp:
+        return ((log_ndtr(bp) - log_ndtr(-bp) - bl) / sl,) if sl else ()
+    r, roots = sl / sp, []
+    with np.errstate(all="ignore"):  # steep links overflow to non-finite roots, which the worklist drops
+        for sign, c in ((1.0, bl - r * bp), (-1.0, r * bp - bl)):
+            for z, d in ((0.0 if c <= 0 else -1.0, 1.0), (r + math.sqrt(max(r * r + 2.0 * c, 0.0)), -1.0)):
+                while z >= 0:
+                    l, m = log_ndtr(z), log_ndtr(-z)
+                    v = l - m - r * z - c
+                    step = v / (np.exp(-0.5 * z * z - l - m) * 0.3989422804014327 - r)  # g'(z) = phi / (Phi Phi(-z))
+                    if not (v > 0 and abs(step) > 4e-16 * z):
+                        roots.append(sign * z)
+                        break
+                    z = z - step if d * step < 0 else -1.0
+    return tuple((z - bp) / sp for z in roots)
+
+
 def tv_env(e1: Environment, e2: Environment) -> float:
     """Exact TV between environments of one kind: their joint TV under a constant labeler."""
     return joint_tv_many([(e1, _CONSTANT, e2, _CONSTANT)])[0]
@@ -800,14 +824,13 @@ def joint_tv_many(
     cells between label boundaries and density crossings), one pass per
     kind, class count and block of pairs.  Other Gaussian pairs share one
     Gauss-Kronrod worklist per block, cut at their labelers' and
-    environments' hints, density crossings and kinks: two links of one kind
-    under one environment object cross only at ``z1 = z2``, in closed form,
-    and :func:`_kinks` scans the other windows; its integrand is one kernel
-    per family, parameters gathered by owner.
+    environments' hints, density crossings and kinks: two links under one
+    environment object cross in closed form (:func:`_link_crossings`), and
+    :func:`_kinks` scans only joint shifts and a link beside another family.
     Fixed-size blocks bound the memory; each value is bit for bit the pair's alone.
     """
     values = np.zeros(len(pairs))
-    exact, windows, quad, scanned = {}, [], [], []
+    exact, windows, quad, scanned, crossings = {}, [], [], [], {}
     for k, (e1, l1, e2, l2) in enumerate(pairs):
         classes, gaussian = _check_class_counts(l1, l2), isinstance(e1, Gaussian)
         if gaussian != isinstance(e2, Gaussian):
@@ -816,11 +839,12 @@ def joint_tv_many(
             exact.setdefault((gaussian, classes), []).append(k)
             continue
         lo, hi, hints = _window((e1, e2), (l1, l2), cfg)
-        closed = e1 is e2 and isinstance(l1, _Link) and type(l1) is type(l2)
-        kink = ((l2.bias - l1.bias) / (l1.row[0] - l2.row[0]),) if closed and l1.row[0] != l2.row[0] else ()
-        windows.append((lo, hi, hints + _gaussian_crossings(e1, e2) + kink))
+        links = e1 is e2 and isinstance(l1, _Link) and isinstance(l2, _Link)
+        if links and (l1, l2) not in crossings:  # once per distinct labeler pair: the kinks ignore the environment
+            crossings[l1, l2] = _link_crossings(l1, l2)
+        windows.append((lo, hi, hints + _gaussian_crossings(e1, e2) + (crossings[l1, l2] if links else ())))
         quad.append(k)
-        scanned.append(not closed)
+        scanned.append(not links)
     for (gaussian, _), ks in exact.items():
         for block in (ks[s : s + _EXACT_BLOCK] for s in range(0, len(ks), _EXACT_BLOCK)):
             values[block] = _partition_tvs([pairs[k] for k in block], gaussian)
@@ -852,9 +876,8 @@ def _kinks(
     well.  While a bracket's width times its larger ``|j1 - j2|`` exceeds
     ``abs_tol/1000``, all such brackets are refined at once by regula falsi
     with the Illinois step on ``log j1 - log j2``, which stays well scaled
-    over hundreds of orders of magnitude.  :func:`joint_tv_many` sends only
-    windows with no closed form: mixed links, a link beside another family,
-    and joint shifts.
+    over hundreds of orders of magnitude.  Only joint shifts and a link
+    beside another family reach it (:func:`joint_tv_many`).
     """
 
     def log_gap(j1: np.ndarray, j2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

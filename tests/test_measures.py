@@ -607,6 +607,9 @@ class TestJointTvMany:
         pairs.append((envs[0], labs[2], envs[4], labs[8]))
         # probit links under one environment object (a closed-form kink) and under its equal copy (scanned)
         pairs += [(envs[0], labs[3], envs[0], Probit(-labs[3].kappa, 0.4)), (envs[0], labs[3], envs[4], Probit(2.0, 0.4))]
+        # a logistic and a probit link under one environment object, under a
+        # second one (one solve for both) and under a joint shift, in one block
+        pairs += [(envs[1], labs[2], envs[1], labs[3]), (envs[2], labs[2], envs[2], labs[3]), (envs[1], labs[2], envs[2], labs[3])]
         pts = (-1.0, 0.0, 1.5)
         grid = DiscreteGrid(pts, (0.2, 0.5, 0.3))
         pairs.append((grid, Tabular(pts, ((0.9, 0.1), (0.4, 0.6), (0.5, 0.5))), grid, Threshold(0.5)))
@@ -972,6 +975,63 @@ class TestSteepCrossingLabelers:
                 assert min(conditional_tv(l1, l2, x) for x in cuts if lo < x < hi) <= 1e-12, (l1, l2)
         for (l1, l2), value in zip(pairs, got):
             assert value == pytest.approx(quadrature_joint_tv(env, l1, env, l2, panels=256), abs=TOL), (l1, l2)
+        copy = Gaussian(env.mean, env.std)
+        shifted = joint_tv_many([(env, l1, copy, l2) for l1, l2 in pairs])
+        assert len(scanned) == len(pairs)
+        for (l1, l2), value, want in zip(pairs, shifted, got):
+            assert value == pytest.approx(want, abs=TOL), (l1, l2)
+
+    def test_shared_environment_mixed_links_take_the_closed_form(self, monkeypatch):
+        # a logistic and a probit link under one environment object cross
+        # where g(z) = r z + c, g = logit o Phi, with no scan: steep seeded
+        # pairs, one crossing (r <= 4 phi(0)) and three, a near tangent on
+        # either side of 0, slopes of opposite sign, zero slopes and
+        # crossings outside the window; each labeler pair is solved once per
+        # call, and under an equal copy of the environment the scan finds them
+        from scipy.optimize import brentq
+        from scipy.special import log_ndtr
+
+        def g(z):
+            return float(log_ndtr(z) - log_ndtr(-z))
+
+        # the probit's z = x; where g'(z) = 3 the middle extremum of F = g - 3 z - c sits 5e-10 from 0
+        tangent = brentq(lambda z: math.exp(-0.5 * z * z - log_ndtr(z) - log_ndtr(-z)) / math.sqrt(2 * math.pi) - 3.0, 0.0, 3.0)
+        env = Gaussian(0.3, 1.2)
+        pairs = [(l1, l2) for l1, l2 in steep_link_pairs(60, seed=19) if type(l1) is not type(l2)]
+        pairs += [
+            (Sigmoid(1.2, 0.3), Probit(1.0, 0.0)),
+            (Probit(1.0, 0.0), Sigmoid(3.0, 0.3)),
+            (Sigmoid(3.0, g(tangent) - 3.0 * tangent + 5e-10), Probit(1.0, 0.0)),
+            (Sigmoid(3.0, g(tangent) - 3.0 * tangent - 5e-10), Probit(1.0, 0.0)),
+            (Sigmoid(-2.0, 0.5), Probit(1.5, -0.2)),
+            (Probit(-0.8, 0.1), Sigmoid(4.0, -1.0)),
+            (Sigmoid(0.0, 0.4), Probit(1.3, 0.2)),
+            (Probit(0.0, -0.3), Sigmoid(2.0, 0.1)),
+            (Sigmoid(0.0, 0.3), Probit(0.0, 0.1)),
+            (Sigmoid(1.5, -30.0), Probit(1.0, -18.0)),
+        ]
+        assert len(measures._link_crossings(*pairs[-9])) == 3
+        scanned, real = [], measures._kinks
+        monkeypatch.setattr(measures, "_kinks", lambda joints, wins, tol: scanned.extend(wins) or real(joints, wins, tol))
+        windows, work = [], measures._worklist
+        monkeypatch.setattr(measures, "_worklist", lambda f, wins, *args: windows.extend(wins) or work(f, wins, *args))
+        solved, solve = [], measures._link_crossings
+        monkeypatch.setattr(measures, "_link_crossings", lambda l1, l2: solved.append((l1, l2)) or solve(l1, l2))
+        got = joint_tv_many([(env, l1, env, l2) for l1, l2 in pairs])
+        assert scanned == [] and len(pairs) > 30 and len(solved) == len(set(solved)) == len(pairs)
+        # where P(1|x) of the two links changes order in the window, they agree at a cut inside the change
+        near = np.linspace(tangent - 1e-4, tangent + 1e-4, 2_001)
+        for (l1, l2), (lo, hi, cuts) in zip(pairs, windows):
+            xs = np.sort(np.concatenate([np.linspace(lo, hi, 10_001), near]))
+            d = l1.prob_matrix(xs)[:, 1] - l2.prob_matrix(xs)[:, 1]
+            for k in np.flatnonzero(d[:-1] * d[1:] < 0):
+                assert min(conditional_tv(l1, l2, x) for x in cuts if xs[k] <= x <= xs[k + 1]) <= 1e-12, (l1, l2)
+        for (l1, l2), value in zip(pairs, got):
+            assert value == pytest.approx(quadrature_joint_tv(env, l1, env, l2, panels=256), abs=TOL), (l1, l2)
+        # the same labeler pairs under a second environment object: solved once more, not twice
+        solved.clear()
+        assert joint_tv_many([(e, l1, e, l2) for e in (env, Gaussian(-0.5, 0.7)) for l1, l2 in pairs])[: len(pairs)] == got
+        assert len(solved) == len(pairs)
         copy = Gaussian(env.mean, env.std)
         shifted = joint_tv_many([(env, l1, copy, l2) for l1, l2 in pairs])
         assert len(scanned) == len(pairs)
