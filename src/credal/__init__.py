@@ -14,7 +14,6 @@ from credal.measures import (
     Interval,
     Labeler,
     Probit,
-    QuadratureConfig,
     Sigmoid,
     SymmetricNoise,
     Tabular,
@@ -49,7 +48,6 @@ __all__ = [
     "Labeler",
     "PairwiseBounds",
     "Probit",
-    "QuadratureConfig",
     "Sigmoid",
     "SymmetricNoise",
     "Tabular",

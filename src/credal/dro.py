@@ -21,12 +21,11 @@ from typing import Callable, Literal, Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit
 
+from credal import measures
 from credal.measures import (
-    DEFAULT_QUADRATURE,
     CrispLabeler,
     Gaussian,
     Labeler,
-    QuadratureConfig,
     ValidationError,
     _EVAL_BUDGET,
     _label_probs,
@@ -171,9 +170,7 @@ def _check_binary(spec: CredalSpec) -> None:
 SMOOTHING_TEMPERATURE = 0.1
 
 
-def _world_integrals(
-    h: Hypothesis, worlds: Sequence[tuple], n_par: int, g: Callable, cfg: QuadratureConfig
-) -> np.ndarray:
+def _world_integrals(h: Hypothesis, worlds: Sequence[tuple], n_par: int, g: Callable) -> np.ndarray:
     """``E_env[g(x, p(.|x), par)]`` of every world ``(env, labeler)`` and ``par < n_par``, as (worlds, n_par).
 
     Grid worlds are finite sums over their atoms.  All Gaussian integrals
@@ -198,24 +195,22 @@ def _world_integrals(
             world, par = np.divmod(own, n_par)
             return g(x, label_probs(x, world), par) * Gaussian.kernel(x, *moments.take(world, axis=1))
 
-        windows = [_window((env,), (lab, h), cfg) for env, lab in zip(envs, labs) for _ in range(n_par)]
-        values[gauss] = _worklist(integrand, windows, cfg.abs_tol, _EVAL_BUDGET).reshape(-1, n_par)
+        windows = [_window((env,), (lab, h)) for env, lab in zip(envs, labs) for _ in range(n_par)]
+        values[gauss] = _worklist(integrand, windows, measures.ABS_TOL, _EVAL_BUDGET).reshape(-1, n_par)
     return values
 
 
-def _smoothed_risk(h: Hypothesis, env, labeler: Labeler, cfg: QuadratureConfig) -> float:
+def _smoothed_risk(h: Hypothesis, env, labeler: Labeler) -> float:
     """Logistic smoothing of the 0-1 risk: the hard decision becomes sigma(score/T)."""
 
     def g(x: np.ndarray, probs: np.ndarray, par) -> np.ndarray:
         s = expit(h.score(x) / SMOOTHING_TEMPERATURE)
         return probs[:, 1] * (1.0 - s) + probs[:, 0] * s
 
-    return float(_world_integrals(h, [(env, labeler)], 1, g, cfg)[0, 0])
+    return float(_world_integrals(h, [(env, labeler)], 1, g)[0, 0])
 
 
-def _smoothed_gradient(
-    h: Hypothesis, worlds: Sequence[tuple], weights: Sequence[float], cfg: QuadratureConfig
-) -> np.ndarray:
+def _smoothed_gradient(h: Hypothesis, worlds: Sequence[tuple], weights: Sequence[float]) -> np.ndarray:
     """Gradient in h's parameters of the worlds' smoothed risks, summed with ``weights`` in the worlds' order.
 
     With ``s = sigma(score/T)``, the derivative of ``E[p1 (1 - s) + p0 s]``
@@ -228,26 +223,24 @@ def _smoothed_gradient(
         return (probs[:, 0] - probs[:, 1]) * (s * (1.0 - s) / SMOOTHING_TEMPERATURE) * h.score_grad_kernel(x, par, *h.row)
 
     grad = np.zeros(h.params.size)
-    for w, v in zip(weights, _world_integrals(h, worlds, h.params.size, g, cfg)):
+    for w, v in zip(weights, _world_integrals(h, worlds, h.params.size, g)):
         grad += w * v
     return grad
 
 
-def world_risks(
-    h: Hypothesis, spec: CredalSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> WorldRisk:
+def world_risks(h: Hypothesis, spec: CredalSpec) -> WorldRisk:
     """Exact 0-1 risks of h in every world, with lexicographic worst-world tie-break."""
-    values = _risks([h], spec, cfg)
+    values = _risks([h], spec)
     flat = values.index(max(values))  # first maximum in row-major order = lexicographic
     risks = np.asarray(values).reshape(spec.n_x, spec.n_y)
     risks.setflags(write=False)
     return WorldRisk(risks=risks, worst_world=divmod(flat, spec.n_y), worst_value=values[flat])
 
 
-def _risks(hs: Sequence[Hypothesis], spec: CredalSpec, cfg: QuadratureConfig) -> list[float]:
+def _risks(hs: Sequence[Hypothesis], spec: CredalSpec) -> list[float]:
     """Exact 0-1 risks of every hypothesis in every world, hypothesis-major, as one batch."""
     _check_binary(spec)
-    return joint_tv_many([(env, lab, env, h) for h in hs for env in spec.environments for lab in spec.labelers], cfg)
+    return joint_tv_many([(env, lab, env, h) for h in hs for env in spec.environments for lab in spec.labelers])
 
 
 def lse_objective(risks: WorldRisk, tau: float) -> tuple[float, np.ndarray]:
@@ -280,12 +273,7 @@ def _default_init(spec: CredalSpec, seed: int) -> Hypothesis:
     return ThresholdClassifier(theta=float(rng.uniform(lo, hi)), orientation=1)
 
 
-def train(
-    spec: CredalSpec,
-    cfg: TrainConfig,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    init: Optional[Hypothesis] = None,
-) -> tuple[Hypothesis, list[WorldRisk]]:
+def train(spec: CredalSpec, cfg: TrainConfig, init: Optional[Hypothesis] = None) -> tuple[Hypothesis, list[WorldRisk]]:
     """Robust training against the worst world.
 
     Greedy mode steps along the analytic gradient of the worst world's
@@ -308,7 +296,7 @@ def train(
     prev_worst = math.inf
     worst_rises = 0
     for _ in range(cfg.steps):
-        wr = world_risks(h, spec, quad)
+        wr = world_risks(h, spec)
         if cfg.mode == "lse":
             value, weights = lse_objective(wr, cfg.tau)
             wr = replace(wr, lse_value=value, weights=weights)
@@ -338,18 +326,14 @@ def train(
             worlds = [ij for ij, w in np.ndenumerate(wr.weights) if w >= 1e-12]
             weights = [wr.weights[ij] for ij in worlds]
         envs_labs = [(spec.environments[i], spec.labelers[j]) for i, j in worlds]
-        h = h.with_params(h.params - step * _smoothed_gradient(h, envs_labs, weights, quad))
-    final = world_risks(h, spec, quad)
+        h = h.with_params(h.params - step * _smoothed_gradient(h, envs_labs, weights))
+    final = world_risks(h, spec)
     if final.worst_value < best_worst:
         best_h = h
     return best_h, trace
 
 
-def brute_force_minimax(
-    spec: CredalSpec,
-    theta_grid: Sequence[float],
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
+def brute_force_minimax(spec: CredalSpec, theta_grid: Sequence[float]) -> tuple[float, float]:
     """Exhaustive min over a theta grid of the max exact world risk.
 
     Oracle for the threshold-classifier family (orientation +1); ties keep
@@ -358,6 +342,6 @@ def brute_force_minimax(
     grid = [float(t) for t in theta_grid]
     if not grid:
         raise ValidationError("theta_grid must be non-empty")
-    worst = np.asarray(_risks([ThresholdClassifier(t, 1) for t in grid], spec, quad)).reshape(len(grid), -1).max(axis=1)
+    worst = np.asarray(_risks([ThresholdClassifier(t, 1) for t in grid], spec)).reshape(len(grid), -1).max(axis=1)
     best = int(np.argmin(worst))  # the first minimum
     return grid[best], float(worst[best])

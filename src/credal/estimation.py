@@ -15,8 +15,8 @@ estimator, :func:`empirical_disagreement`, takes a batch and reads its
 kind; the annotation file takes and gives batches.  The rules are written
 once, over columns, so batches and annotation files accept the same rows
 and raise the same errors; bare label arrays become a batch with
-``AnnotatedBatch(x, hard=labels)``.  Indexing or iterating a batch yields
-plain :class:`AnnotatedSample` row tuples.
+``AnnotatedBatch(x, hard=labels)``.  A batch is read through its columns;
+iterating it yields plain :class:`AnnotatedSample` row tuples.
 
 Annotation file format (shared with the experiment harness)
 ------------------------------------------------------------
@@ -115,13 +115,12 @@ class AnnotatedSample(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class AnnotatedBatch(Sequence):
+class AnnotatedBatch:
     """Columns of n annotated samples, validated once and read-only.
 
     ``x`` has shape (n,); exactly one of ``hard`` ((n, k) int64 class
     indices) or ``soft`` ((n, k, C) simplex vectors) is set; it holds at
-    least one row.  As a sequence it yields :class:`AnnotatedSample` rows,
-    and a slice is a batch of the sliced rows.
+    least one row.  Iterating it yields :class:`AnnotatedSample` rows.
     """
 
     x: np.ndarray
@@ -150,12 +149,6 @@ class AnnotatedBatch(Sequence):
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            # a batch holds at least one row, so an empty slice is an empty list
-            return AnnotatedBatch(self.x[i], **{self.kind: self._obs[i]}) if range(len(self))[i] else []
-        return self._row(float(self.x[i]), self._obs[i].tolist())
-
     def __iter__(self):
         # a block at a time, so the nested lists of every row are never in memory at once
         for a in range(0, len(self), 4096):
@@ -165,11 +158,6 @@ class AnnotatedBatch(Sequence):
         if self.hard is not None:
             return AnnotatedSample(x, hard=tuple(obs))
         return AnnotatedSample(x, soft=tuple(map(tuple, obs)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AnnotatedBatch):
-            return NotImplemented
-        return self.kind == other.kind and np.array_equal(self.x, other.x) and np.array_equal(self._obs, other._obs)
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from credal.measures import DiscreteGrid, Gaussian, QuadratureConfig, ValidationError
+from credal.measures import DiscreteGrid, Gaussian, ValidationError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-_TOP_KEYS = {"schema_version", "experiment", "preset", "seed", "delta", "quadrature", "params"}
-_QUAD_KEYS = {f.name for f in fields(QuadratureConfig)}
+_TOP_KEYS = {"schema_version", "experiment", "preset", "seed", "delta", "params"}
 
 
 class ConfigError(ValueError):
@@ -36,7 +35,6 @@ class ExperimentConfig:
     preset: str
     seed: int
     delta: float
-    quadrature: QuadratureConfig
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def document(self) -> dict:
@@ -204,15 +202,6 @@ def validate_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     if not isinstance(delta, (int, float)) or not 0.0 < float(delta) < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta!r}")
 
-    quad_doc = doc.get("quadrature", {})
-    if not isinstance(quad_doc, Mapping):
-        raise ConfigError("quadrature must be a mapping")
-    _require_keys(quad_doc, _QUAD_KEYS, "quadrature")
-    try:
-        quadrature = QuadratureConfig(**quad_doc)
-    except Exception as exc:
-        raise ConfigError(f"invalid quadrature settings: {exc}") from exc
-
     desk, paper = _PRESETS[experiment]
     base = {**desk, **paper} if preset == "paper" else desk
     params_doc = doc.get("params", {})
@@ -223,7 +212,7 @@ def validate_config(doc: Mapping[str, Any]) -> ExperimentConfig:
         _check_shape(value, base[key], f"{experiment} params.{key}")
     # the JSON form: lists for tuples, and no config aliases the table's lists
     params = json.loads(json.dumps({**base, **params_doc}))
-    return ExperimentConfig(experiment, preset, seed, float(delta), quadrature, params)
+    return ExperimentConfig(experiment, preset, seed, float(delta), params)
 
 
 def load_config(path) -> ExperimentConfig:

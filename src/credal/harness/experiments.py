@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from credal import measures
 from credal.dro import ThresholdClassifier, TrainConfig, _risks, brute_force_minimax, train, world_risks
 from credal.estimation import certificate, empirical_disagreement, hoeffding_epsilon, noisy_closed_form
 from credal.estimation import read_annotations
@@ -166,7 +167,6 @@ def _concentration_summary(table: dict, key: str, eps: dict) -> dict:
 
 def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
-    quad = config.quadrature
     slope = float(p["sigmoid_slope"])
     b_left, b_right = (float(b) for b in p["sigmoid_boundaries"])
     l_left = Sigmoid(slope, -slope * b_left)
@@ -176,7 +176,7 @@ def _run_gating_curve(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     envs = [Gaussian(float(m) + side * gap / 2.0, std) for m in p["window_means"] for side in (-1.0, 1.0)]
     # window k is the joint-shift vertex pair (2k, l_left) -- (2k + 1, l_right)
     pairs = np.arange(len(p["window_means"]))[:, None] * [2, 0, 2, 0] + [0, 0, 1, 1]
-    cov, _, _, lower, upper, _, joint = _pair_values(CredalSpec(tuple(envs), (l_left, l_right)), pairs, quad, True)
+    cov, _, _, lower, upper, _, joint = _pair_values(CredalSpec(tuple(envs), (l_left, l_right)), pairs, True)
     names = ("window_center", "cov_tv", "joint_tv", "lower_bound", "upper_bound")
     table = dict(zip(names, (np.array(p["window_means"], dtype=float), cov, joint, lower, upper)))
     table = _sort_rows(table, "window_center")
@@ -194,7 +194,6 @@ def _sweep_labelers(regime: str, count: int, lo: float, hi: float):
 
 def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
-    quad = config.quadrature
     rng = GenSeed(config.seed).derive(0).generator()
     mean_lo, mean_hi = p["env_mean_range"]
     envs = [Gaussian(float(m), float(p["env_std"])) for m in np.linspace(mean_lo, mean_hi, p["grid_env_count"])]
@@ -209,11 +208,11 @@ def _run_bounds_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     if not regimes:
         raise ConfigError("bounds_sweep needs at least one labeler regime")
     tables = []
-    tol = 2.0 * quad.abs_tol
+    tol = 2.0 * measures.ABS_TOL
     for regime in regimes:
         spec = CredalSpec(tuple(envs), _sweep_labelers(regime, p["labeler_count"], *p["labeler_range"]))
         pairs = _vertex_pairs(spec)
-        _, _, _, lower, upper, upper_raw, exact = _pair_values(spec, pairs, quad, True)
+        _, _, _, lower, upper, upper_raw, exact = _pair_values(spec, pairs, True)
         tables.append(
             {
                 "regime": np.full(len(pairs), regimes.index(regime)),
@@ -270,7 +269,7 @@ def _run_diameter_ablation(config: ExperimentConfig, jobs: int) -> tuple[dict, d
     ]
     lab_pairs = list(itertools.combinations(labs, 2))
     pairs = [(env, l1, env, l2) for env in envs for l1, l2 in lab_pairs]
-    eta_stars = np.reshape(joint_tv_many(pairs, config.quadrature), (-1, len(lab_pairs))).max(axis=1)
+    eta_stars = np.reshape(joint_tv_many(pairs), (-1, len(lab_pairs))).max(axis=1)
     groups = [
         (e_idx, int(p["runs_per_env"]), (regime, env, labs, int(p["n"]), config.seed, e_idx, eta_star))
         for e_idx, (env, eta_star) in enumerate(zip(envs, eta_stars))
@@ -319,7 +318,7 @@ def _run_sample_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict, d
     if len(labs) < 2:
         raise ConfigError("sample_complexity needs at least two thresholds")
     lab_pairs = itertools.combinations(labs, 2)
-    eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs], config.quadrature))
+    eta_star = max(joint_tv_many([(env, l1, env, l2) for l1, l2 in lab_pairs]))
     plan: dict[int, int] = {}
     for n in p["n_list"]:
         plan[int(n)] = max(plan.get(int(n), 0), int(p["replications"]))
@@ -358,7 +357,6 @@ def _run_mechanism_complexity(config: ExperimentConfig, jobs: int) -> tuple[dict
 def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
-    quad = config.quadrature
     grid_n = int(p["grid_n"])
     if grid_n < 1:
         raise ConfigError(f"minimax_demo needs grid_n >= 1, got {grid_n}")
@@ -367,7 +365,7 @@ def _run_minimax_demo(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
         spec = minimax_instance(float(eta), env)
         grid = np.linspace(env.mean - 4.0 * env.std, env.mean + 4.0 * env.std, grid_n)
         hs = [ThresholdClassifier(float(theta), 1) for theta in grid]
-        risks = np.asarray(_risks(hs, spec, quad)).reshape(grid_n, -1)
+        risks = np.asarray(_risks(hs, spec)).reshape(grid_n, -1)
         min_sum = float(risks.sum(axis=1).min())
         min_max = float(risks.max(axis=1).min())
         sum_ok, minimax_ok = min_sum >= float(eta) - 1e-9, min_max >= float(eta) / 2.0 - 1e-3
@@ -380,17 +378,16 @@ def _run_dro_train(config: ExperimentConfig, jobs: int) -> tuple[dict, dict]:
     p = config.params
     env = parse_env(p["env"])
     spec = CredalSpec((env,), tuple(Threshold(float(t)) for t in p["thresholds"]))
-    quad = config.quadrature
     mode = p["mode"]
     tau = float(p["tau"]) if mode == "lse" else None
     cfg = TrainConfig(
         mode=mode, tau=tau, step_size=float(p["step_size"]), steps=int(p["steps"]), seed=config.seed
     )
-    h, trace = train(spec, cfg, quad)
+    h, trace = train(spec, cfg)
     lo, hi, count = p["oracle_grid"]
-    theta_star, oracle_value = brute_force_minimax(spec, np.linspace(float(lo), float(hi), int(count)), quad)
+    theta_star, oracle_value = brute_force_minimax(spec, np.linspace(float(lo), float(hi), int(count)))
     rows = [(step, wr.worst_value, *wr.worst_world, wr.lse_value) for step, wr in enumerate(trace)]
-    final = world_risks(h, spec, quad)
+    final = world_risks(h, spec)
     table = _table(("step", "worst_value", "worst_i", "worst_j", "lse_value"), rows)
     summary = summarize_columns(table)
     summary["trained"] = {
@@ -451,7 +448,7 @@ def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
         "experiment": config.experiment,
         "config": config.document(),
         "config_hash": cfg_hash,
-        "abs_tol": config.quadrature.abs_tol,
+        "abs_tol": measures.ABS_TOL,
     }
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -22,7 +22,8 @@ crossings of two Gaussians with deterministic labelers), each becomes a
 (cells x classes) joint mass table and the TV is the half-L1 distance
 between the tables; the TV between environments is the case of a constant
 labeler; :func:`joint_tv_many` builds a block of such tables per pass.
-Every other pair is integrated by one adaptive worklist engine of 15-point
+Every other pair is integrated to the one absolute tolerance :data:`ABS_TOL`
+on a +/-8 std window by one adaptive worklist engine of 15-point
 Gauss-Kronrod panels (QUADPACK's G7/K15 pair) cut at split hints and at the
 kinks of the integrand, a group of pairs per pass; the smoothed risks and
 gradients of :mod:`credal.dro` use the same engine and the same gather of
@@ -78,12 +79,12 @@ class QuadratureError(MeasureError):
     """Adaptive quadrature did not converge within the node budget.
 
     Carries ``residual``, the remaining error estimate when the budget ran
-    out.
+    out, and ``integral``, the failed integral's index in its call.
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, integral: int):
         super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
+        self.residual, self.integral = residual, integral
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -216,6 +217,8 @@ class _Link(_LabelerBase):
     def kernel(x: np.ndarray, slope, bias, probit) -> np.ndarray:
         z = slope * x + bias
         scalar = not isinstance(probit, np.ndarray)
+        # np.where, not the ufuncs' where=: given a boolean where= (with or without out=), expit, ndtr and
+        # log_ndtr corrupt the heap and crash the interpreter under scipy 1.17.1 and numpy 2.4.6
         p1 = (ndtr(z) if probit else expit(z)) if scalar else np.where(probit != 0, ndtr(z), expit(z))
         probs = np.empty((*p1.shape, 2))
         np.subtract(1.0, p1, out=probs[..., 0])
@@ -403,30 +406,11 @@ _CONSTANT = Threshold(math.inf)  # class 0 everywhere: the joint TV under it is 
 
 
 # ---------------------------------------------------------------------------
-# Quadrature configuration and engine
+# Quadrature engine
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings for 1-D numerical integration against a Gaussian environment.
-
-    Adaptive 15-point Gauss-Kronrod panels on a [mean +/- domain_halfwidth_sigmas
-    * std] window, split at hints, to ``abs_tol``.  The window is at least
-    +/-8 std, where the hints of :func:`_window` cut.
-    """
-
-    abs_tol: float = 1e-8
-    domain_halfwidth_sigmas: float = 8.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.abs_tol <= 1e-4):
-            raise ValidationError("abs_tol must be in (0, 1e-4]")
-        if not (math.isfinite(self.domain_halfwidth_sigmas) and self.domain_halfwidth_sigmas >= 8.0):
-            raise ValidationError(f"domain_halfwidth_sigmas must be finite and >= 8, got {self.domain_halfwidth_sigmas!r}")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# every quadrature value's absolute error target; read at call time
+ABS_TOL = 1e-8
 
 # integrand evaluations one integral may take before QuadratureError
 _EVAL_BUDGET = 256_000
@@ -481,8 +465,8 @@ def _worklist(
     (no BLAS), and an owner's accepted values are summed in worklist order,
     where its segments keep the order they have alone, so each integral
     comes out bit for bit as in a batch of one.  Raises
-    :class:`QuadratureError` with the residual of the first integral whose
-    own evaluation count passes ``eval_budget``.
+    :class:`QuadratureError` with the index and residual of the first
+    integral whose own evaluation count passes ``eval_budget``.
     """
     segments = []
     for k, (a, b, bps) in enumerate(windows):
@@ -514,7 +498,7 @@ def _worklist(
             over = (evals > eval_budget) & (np.bincount(own[keep], minlength=n_int) > 0)
             if over.any():
                 k = int(np.argmax(over))
-                raise QuadratureError("quadrature eval budget exhausted", float(np.sum(err[keep & (own == k)])))
+                raise QuadratureError("quadrature eval budget exhausted", float(np.sum(err[keep & (own == k)])), k)
         # the kept segments' left halves, then their right halves
         lo, hi, width, own = state[:, keep]
         mid = 0.5 * (lo + hi)
@@ -530,16 +514,14 @@ def _split_hints(lab: Labeler) -> tuple[float, ...]:
     return tuple((k - lab.bias) / slope for k in (0, -2, 2, -8, 8, -30, 30))
 
 
-def _window(
-    envs: Sequence[Gaussian], labs: Sequence[Labeler], cfg: QuadratureConfig
-) -> tuple[float, float, tuple[float, ...]]:
-    """An integral's domain, the union of ``mean +/- domain_halfwidth_sigmas * std``, and its hints.
+def _window(envs: Sequence[Gaussian], labs: Sequence[Labeler]) -> tuple[float, float, tuple[float, ...]]:
+    """An integral's domain, the union of ``mean +/- 8 std``, and its hints.
 
     The hints are each labeler's :func:`_split_hints`, then each
     environment's ``mean + {-8, -2, 0, 2, 8} * std``.
     """
-    lo = min(e.mean - cfg.domain_halfwidth_sigmas * e.std for e in envs)
-    hi = max(e.mean + cfg.domain_halfwidth_sigmas * e.std for e in envs)
+    lo = min(e.mean - 8.0 * e.std for e in envs)
+    hi = max(e.mean + 8.0 * e.std for e in envs)
     hints = [h for lab in labs for h in _split_hints(lab)]
     hints += [e.mean + k * e.std for e in envs for k in (-8.0, -2.0, 0.0, 2.0, 8.0)]
     return lo, hi, tuple(hints)
@@ -657,15 +639,13 @@ def _partition_tvs(pairs: Sequence[tuple], gaussian: bool) -> np.ndarray:
     return 0.5 * tvs
 
 
-def expected_conditional_tv(
-    env: Environment, l1: Labeler, l2: Labeler, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def expected_conditional_tv(env: Environment, l1: Labeler, l2: Labeler) -> float:
     """E_{X~env}[ TV(l1(.|X), l2(.|X)) ]: the joint TV with the environment held fixed.
 
     This is :func:`joint_tv_many` of the one pair ``(env, l1, env, l2)``, so
     a batch of such pairs gives the same values.
     """
-    return joint_tv_many([(env, l1, env, l2)], cfg)[0]
+    return joint_tv_many([(env, l1, env, l2)])[0]
 
 
 def sup_conditional_tv(l1: Labeler, l2: Labeler, points=None) -> float:
@@ -797,26 +777,17 @@ def tv_env(e1: Environment, e2: Environment) -> float:
     return joint_tv_many([(e1, _CONSTANT, e2, _CONSTANT)])[0]
 
 
-def joint_tv_exact(
-    e1: Environment,
-    l1: Labeler,
-    e2: Environment,
-    l2: Labeler,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def joint_tv_exact(e1: Environment, l1: Labeler, e2: Environment, l2: Labeler) -> float:
     """TV distance between the product distributions (e1, l1) and (e2, l2).
 
     Computes (1/2) * integral of sum_y |p1(x) p1(y|x) - p2(x) p2(y|x)| dx
     as :func:`joint_tv_many` of the one pair.  Reduces to :func:`tv_env`
     when l1 == l2 and to :func:`expected_conditional_tv` when e1 == e2.
     """
-    return joint_tv_many([(e1, l1, e2, l2)], cfg)[0]
+    return joint_tv_many([(e1, l1, e2, l2)])[0]
 
 
-def joint_tv_many(
-    pairs: Sequence[tuple[Environment, Labeler, Environment, Labeler]],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[float]:
+def joint_tv_many(pairs: Sequence[tuple[Environment, Labeler, Environment, Labeler]]) -> list[float]:
     """Joint TV of every pair ``(e1, l1, e2, l2)`` of product distributions.
 
     Two grid environments, or two Gaussians with deterministic labelers,
@@ -828,6 +799,8 @@ def joint_tv_many(
     environment object cross in closed form (:func:`_link_crossings`), and
     :func:`_kinks` scans only joint shifts and a link beside another family.
     Fixed-size blocks bound the memory; each value is bit for bit the pair's alone.
+    Each integral targets :data:`ABS_TOL`; one that cannot meet it raises
+    :class:`QuadratureError` naming the pair and its index in ``pairs``.
     """
     values = np.zeros(len(pairs))
     exact, windows, quad, scanned, crossings = {}, [], [], [], {}
@@ -838,7 +811,7 @@ def joint_tv_many(
         if not gaussian or (l1.is_deterministic and l2.is_deterministic):
             exact.setdefault((gaussian, classes), []).append(k)
             continue
-        lo, hi, hints = _window((e1, e2), (l1, l2), cfg)
+        lo, hi, hints = _window((e1, e2), (l1, l2))
         links = e1 is e2 and isinstance(l1, _Link) and isinstance(l2, _Link)
         if links and (l1, l2) not in crossings:  # once per distinct labeler pair: the kinks ignore the environment
             crossings[l1, l2] = _link_crossings(l1, l2)
@@ -852,14 +825,18 @@ def joint_tv_many(
         block, wins = quad[s : s + _QUAD_BLOCK], windows[s : s + _QUAD_BLOCK]
         joints = _joint_densities([pairs[k] for k in block])
         if left := [i for i in range(len(block)) if scanned[s + i]]:
-            found = _kinks(lambda x, own: joints(x, np.take(left, own)), [wins[i] for i in left], cfg.abs_tol)
+            found = _kinks(lambda x, own: joints(x, np.take(left, own)), [wins[i] for i in left], ABS_TOL)
             for i, kinks in zip(left, found):
                 wins[i] = (*wins[i][:2], wins[i][2] + kinks)
 
         def integrand(x: np.ndarray, own: np.ndarray) -> np.ndarray:
             return 0.5 * np.abs(np.subtract(*joints(x, own))).sum(axis=1)
 
-        values[block] = _worklist(integrand, wins, cfg.abs_tol, _EVAL_BUDGET)
+        try:
+            values[block] = _worklist(integrand, wins, ABS_TOL, _EVAL_BUDGET)
+        except QuadratureError as exc:
+            k = block[exc.integral]
+            raise QuadratureError(f"pair {k} {pairs[k]!r}: quadrature eval budget exhausted", exc.residual, k) from None
     return [_clip01(v, "joint_tv") for v in values.tolist()]
 
 

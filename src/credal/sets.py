@@ -20,12 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from credal import measures
 from credal.measures import (
-    DEFAULT_QUADRATURE,
     DiscreteGrid,
     Environment,
     Labeler,
-    QuadratureConfig,
     ValidationError,
     _CONSTANT,
     _sup_tvs,
@@ -92,7 +91,7 @@ class PairwiseBounds:
     lower: float
     upper: float
     exact: Optional[float] = None
-    # slack for exact-inside-bounds checks; 2x the default quadrature target
+    # slack for exact-inside-bounds checks: 2 * measures.ABS_TOL, as pairwise_bounds passes it
     tol: float = 2e-8
 
     def __post_init__(self) -> None:
@@ -155,9 +154,7 @@ def _vertex_pairs(spec: CredalSpec) -> np.ndarray:
     return np.stack([*np.divmod(a, spec.n_y), *np.divmod(b, spec.n_y)], axis=1)
 
 
-def _pair_values(
-    spec: CredalSpec, pairs: np.ndarray, cfg: QuadratureConfig, with_exact: bool
-) -> tuple[np.ndarray, ...]:
+def _pair_values(spec: CredalSpec, pairs: np.ndarray, with_exact: bool) -> tuple[np.ndarray, ...]:
     """Columns ``(cov, a_i, a_ip, lower, upper, upper_raw, exact)`` over vertex pairs.
 
     ``pairs`` holds one int row ``(i, j, ip, jp)`` per vertex pair.  ``cov``
@@ -185,18 +182,12 @@ def _pair_values(
             exact = slots.setdefault((i, j, ip, jp), len(slots)) if with_exact else -2
         at.append((cov, a_i, a_ip, exact))
     members = [(envs[e1], labs[l1], envs[e2], labs[l2]) for e1, l1, e2, l2 in slots]
-    values = np.array([*joint_tv_many(members, cfg), math.nan, 0.0])
+    values = np.array([*joint_tv_many(members), math.nan, 0.0])
     cov, a_i, a_ip, exact = values[np.array(at, dtype=np.intp).reshape(-1, 4).T]
     return cov, a_i, a_ip, *joint_shift_bounds(cov, a_i, a_ip), exact
 
 
-def pairwise_bounds(
-    spec: CredalSpec,
-    a: VertexIndex,
-    b: VertexIndex,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    with_exact: bool = False,
-) -> PairwiseBounds:
+def pairwise_bounds(spec: CredalSpec, a: VertexIndex, b: VertexIndex, with_exact: bool = False) -> PairwiseBounds:
     """Distance bounds (and exact values where available) for vertices a, b.
 
     Shared-environment pairs are exactly the expected conditional
@@ -206,7 +197,7 @@ def pairwise_bounds(
     when requested.  All values come from :func:`_pair_values`.
     """
     pair = (spec.check_vertex(a), spec.check_vertex(b))
-    values = _pair_values(spec, np.array([[*pair[0], *pair[1]]]), cfg, with_exact)
+    values = _pair_values(spec, np.array([[*pair[0], *pair[1]]]), with_exact)
     cov, a_i, a_ip, lower, upper, _, exact = np.concatenate(values).tolist()
     return PairwiseBounds(
         pair=pair,
@@ -216,7 +207,7 @@ def pairwise_bounds(
         lower=lower,
         upper=upper,
         exact=None if math.isnan(exact) else exact,
-        tol=2.0 * cfg.abs_tol,
+        tol=2.0 * measures.ABS_TOL,
     )
 
 
@@ -240,9 +231,7 @@ def _pure_pairs(spec: CredalSpec) -> np.ndarray:
     return pairs[_pair_classes(pairs) < 2]
 
 
-def component_diameters(
-    spec: CredalSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[float, float, float]:
+def component_diameters(spec: CredalSpec) -> tuple[float, float, float]:
     """(eta_x, eta_star, eta_bar) for the spec.
 
     eta_x: max environment TV (shared-labeler pairs); eta_star: max over
@@ -251,14 +240,10 @@ def component_diameters(
     and eta_star: exact on the atoms when every environment is a grid, else
     certified over the line to 1e-6.
     """
-    return _components(spec, _pair_values(spec, _pure_pairs(spec), cfg, False))
+    return _components(spec, _pair_values(spec, _pure_pairs(spec), False))
 
 
-def diameter_bounds(
-    spec: CredalSpec,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    with_exact: bool = False,
-) -> DiameterReport:
+def diameter_bounds(spec: CredalSpec, with_exact: bool = False) -> DiameterReport:
     """Diameter bounds (and optionally the exact diameter) of the credal set.
 
     ``lower = max(eta_x, eta_star)`` and ``upper = eta_x + eta_eff`` with
@@ -270,15 +255,15 @@ def diameter_bounds(
     When ``with_exact`` is set, the exact diameter is the largest
     :func:`pairwise_bounds` ``exact`` over all vertex pairs (sufficient
     because TV is maximized at extreme points).  Only joint-shift pairs with
-    ``upper + 8 abs_tol >= max(lower)`` are integrated: bounds and exact
-    values are each within ``2 abs_tol``, so a skipped pair cannot beat the
+    ``upper + 8 ABS_TOL >= max(lower)`` are integrated: bounds and exact
+    values are each within ``2 ABS_TOL``, so a skipped pair cannot beat the
     pair attaining ``max(lower)``, and ``exact`` and ``argmax_pair`` are the
     full loop's; ``lower <= exact``.  The pairs that can win are integrated
     in one :func:`~credal.measures.joint_tv_many` call.  Ties break
     lexicographically on the pair of vertex indices.
     """
     pairs = _vertex_pairs(spec) if with_exact else _pure_pairs(spec)
-    values = _pair_values(spec, pairs, cfg, False)
+    values = _pair_values(spec, pairs, False)
     eta_x, eta_star, eta_bar = _components(spec, values)
     eta_eff = min(eta_star, (1.0 - eta_x) * eta_bar)
     lower = min(1.0, max(eta_x, eta_star))
@@ -286,9 +271,9 @@ def diameter_bounds(
     exact = argmax_pair = None
     if with_exact:
         envs, labs = spec.environments, spec.labelers
-        win = values[4] + 8.0 * cfg.abs_tol >= values[3].max(initial=0.0)
+        win = values[4] + 8.0 * measures.ABS_TOL >= values[3].max(initial=0.0)
         ks = np.flatnonzero(np.isnan(values[-1]) & win)  # joint-shift pairs that can win
-        values[-1][ks] = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for i, j, ip, jp in pairs[ks].tolist()], cfg)
+        values[-1][ks] = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for i, j, ip, jp in pairs[ks].tolist()])
         k = int(np.argmax(np.append(0.0, np.nan_to_num(values[-1]))))  # first largest above a leading 0, NaN as 0
         exact = float(values[-1][k - 1]) if k else 0.0
         i, j, ip, jp = pairs[k - 1].tolist() if k else (0, 0, 0, 0)

@@ -33,9 +33,9 @@ from credal.estimation import (
 from credal.harness.config import preset_config
 from credal.harness.experiments import run
 from credal.measures import (
+    ABS_TOL,
     DiscreteGrid,
     Gaussian,
-    QuadratureConfig,
     Tabular,
     Threshold,
     expected_conditional_tv,
@@ -45,9 +45,6 @@ from credal.sets import CredalSpec, diameter_bounds, pairwise_bounds
 from credal.synthgen import GenSeed, minimax_instance, sample_annotated
 
 from oracles import bsc_disagreement_mc, discrete_spec_diameter, discrete_spec_pair_tv
-
-QUAD = QuadratureConfig()
-
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -97,12 +94,12 @@ def test_criterion_02_bound_coverage():
             for _ in range(n_y)
         )
         spec = CredalSpec(envs, labs)
-        rep = diameter_bounds(spec, QUAD, with_exact=False)
+        rep = diameter_bounds(spec, with_exact=False)
         brute = discrete_spec_diameter(spec)
         if not (rep.lower - 1e-9 <= brute <= rep.upper + 1e-9):
             spec_viols += 1
         for va, vb in itertools.combinations(spec.vertices(), 2):
-            pb = pairwise_bounds(spec, va, vb, QUAD)
+            pb = pairwise_bounds(spec, va, vb)
             exact = discrete_spec_pair_tv(spec, va, vb)
             if not (pb.lower - 1e-9 <= exact <= pb.upper + 1e-9):
                 pair_viols += 1
@@ -133,10 +130,10 @@ def test_criterion_03_pure_regime_exactness():
     for va, vb in itertools.combinations(spec.vertices(), 2):
         if va[0] != vb[0] and va[1] != vb[1]:
             continue
-        pb = pairwise_bounds(spec, va, vb, QUAD)
+        pb = pairwise_bounds(spec, va, vb)
         exact = joint_tv_exact(
             spec.environments[va[0]], spec.labelers[va[1]],
-            spec.environments[vb[0]], spec.labelers[vb[1]], QUAD,
+            spec.environments[vb[0]], spec.labelers[vb[1]],
         )
         worst_quad = max(worst_quad, abs(pb.lower - exact), abs(pb.upper - exact))
 
@@ -154,13 +151,13 @@ def test_criterion_03_pure_regime_exactness():
     for va, vb in itertools.combinations(disc.vertices(), 2):
         if va[0] != vb[0] and va[1] != vb[1]:
             continue
-        pb = pairwise_bounds(disc, va, vb, QUAD)
+        pb = pairwise_bounds(disc, va, vb)
         exact = discrete_spec_pair_tv(disc, va, vb)
         worst_disc = max(worst_disc, abs(pb.lower - exact), abs(pb.upper - exact))
     report(
         "criterion-03 pure-regime exactness",
-        worst_quad <= 2 * QUAD.abs_tol and worst_disc <= 1e-6,
-        f"max |exact - bound|: quadrature {worst_quad:.2e} (<= {2 * QUAD.abs_tol:.0e}), "
+        worst_quad <= 2 * ABS_TOL and worst_disc <= 1e-6,
+        f"max |exact - bound|: quadrature {worst_quad:.2e} (<= {2 * ABS_TOL:.0e}), "
         f"discrete {worst_disc:.2e} (<= 1e-6)",
     )
 
@@ -195,9 +192,9 @@ def test_criterion_04_joint_shift_gap_magnitudes(tmp_path):
 def test_criterion_05_population_diameters():
     t = (Threshold(-1), Threshold(1))
     vals = {
-        "N(0,1)": (expected_conditional_tv(Gaussian(0, 1), *t, QUAD), 0.6827),
-        "N(0,2)": (expected_conditional_tv(Gaussian(0, 2), *t, QUAD), 0.3829),
-        "N(2,1)": (expected_conditional_tv(Gaussian(2, 1), *t, QUAD), 0.1573),
+        "N(0,1)": (expected_conditional_tv(Gaussian(0, 1), *t), 0.6827),
+        "N(0,2)": (expected_conditional_tv(Gaussian(0, 2), *t), 0.3829),
+        "N(2,1)": (expected_conditional_tv(Gaussian(2, 1), *t), 0.1573),
     }
     ok = all(abs(got - want) <= 1e-3 for got, want in vals.values())
     report(
@@ -210,7 +207,7 @@ def test_criterion_05_population_diameters():
 def test_criterion_06_estimator_bias():
     env = Gaussian(0, 1)
     labs = (Threshold(-1), Threshold(1))
-    eta_star = expected_conditional_tv(env, *labs, QUAD)
+    eta_star = expected_conditional_tv(env, *labs)
     seed = GenSeed(101)
     hats = np.empty(500)
     for r in range(500):
@@ -228,7 +225,7 @@ def test_criterion_07_concentration():
     ok_n = required_samples(0.1, 10, 0.05) == 375
     env = Gaussian(0, 1)
     labs = (Threshold(-1), Threshold(1))
-    eta_star = expected_conditional_tv(env, *labs, QUAD)
+    eta_star = expected_conditional_tv(env, *labs)
     seed = GenSeed(101)
     delta = 0.005
     viol_rates = {}
@@ -283,13 +280,13 @@ def test_criterion_08_noisy_closed_form():
 
 def test_criterion_09_dro_optimality():
     spec = CredalSpec((Gaussian(0, 1),), (Threshold(-1), Threshold(1)))
-    theta_star, oracle = brute_force_minimax(spec, np.linspace(-3, 3, 6001), QUAD)
-    h, _ = train(spec, TrainConfig(mode="greedy", steps=300, seed=1), QUAD)
-    trained = world_risks(h, spec, QUAD).worst_value
+    theta_star, oracle = brute_force_minimax(spec, np.linspace(-3, 3, 6001))
+    h, _ = train(spec, TrainConfig(mode="greedy", steps=300, seed=1))
+    trained = world_risks(h, spec).worst_value
     ok_train = abs(trained - oracle) <= 0.01 and abs(oracle - 0.3413) <= 1e-3
 
     tau = 0.02
-    _, trace = train(spec, TrainConfig(mode="lse", tau=tau, steps=200, seed=1), QUAD)
+    _, trace = train(spec, TrainConfig(mode="lse", tau=tau, steps=200, seed=1))
     ok_sandwich = all(
         wr.worst_value - 1e-12 <= wr.lse_value <= wr.worst_value + tau * math.log(2) + 1e-12
         for wr in trace
@@ -306,7 +303,7 @@ def test_criterion_09_dro_optimality():
         t = float(rng.uniform(0.05, 0.5))
         risks = np.asarray(
             [
-                [_smoothed_risk(h0, env, lab, QUAD) for lab in two_env.labelers]
+                [_smoothed_risk(h0, env, lab) for lab in two_env.labelers]
                 for env in two_env.environments
             ]
         )
@@ -316,8 +313,8 @@ def test_criterion_09_dro_optimality():
         parts = np.zeros_like(weights)
         for i, env in enumerate(two_env.environments):
             for j, lab in enumerate(two_env.labelers):
-                up = _smoothed_risk(h0.with_params(h0.params + eps), env, lab, QUAD)
-                dn = _smoothed_risk(h0.with_params(h0.params - eps), env, lab, QUAD)
+                up = _smoothed_risk(h0.with_params(h0.params + eps), env, lab)
+                dn = _smoothed_risk(h0.with_params(h0.params - eps), env, lab)
                 parts[i, j] = (up - dn) / (2 * eps)
         analytic = float((weights * parts).sum())
 
@@ -325,7 +322,7 @@ def test_criterion_09_dro_optimality():
             r = np.asarray(
                 [
                     [
-                        _smoothed_risk(h0.with_params(params), env, lab, QUAD)
+                        _smoothed_risk(h0.with_params(params), env, lab)
                         for lab in two_env.labelers
                     ]
                     for env in two_env.environments
@@ -357,7 +354,7 @@ def test_criterion_10_minimax_instance():
         min_sum = math.inf
         min_max = math.inf
         for theta in grid:
-            wr = world_risks(ThresholdClassifier(float(theta), 1), spec, QUAD)
+            wr = world_risks(ThresholdClassifier(float(theta), 1), spec)
             min_sum = min(min_sum, float(wr.risks.sum()))
             min_max = min(min_max, wr.worst_value)
         ok = min_sum >= eta - 1e-9 and min_max >= eta / 2 - 1e-3

@@ -18,12 +18,11 @@ from credal.dro import (
     _smoothed_risk,
 )
 from credal.measures import (
-    DEFAULT_QUADRATURE,
+    ABS_TOL,
     DiscreteGrid,
     Gaussian,
     Interval,
     Probit,
-    QuadratureConfig,
     Sigmoid,
     SymmetricNoise,
     Tabular,
@@ -95,7 +94,7 @@ class TestWorldRisks:
         for world_env, lab, oracle in cases:
             risk = world_risks(h, CredalSpec((world_env,), (lab,))).risks[0, 0]
             assert risk == expected_conditional_tv(world_env, lab, h)
-            assert risk == pytest.approx(oracle, abs=DEFAULT_QUADRATURE.abs_tol)
+            assert risk == pytest.approx(oracle, abs=ABS_TOL)
 
     def test_jump_at_split_point_is_resolved(self):
         # the hypothesis's jump sits at a cut of the Sigmoid-labeler integral;
@@ -104,7 +103,7 @@ class TestWorldRisks:
         h = ThresholdClassifier(-1.899068975581462, 1)
         env, sig = Gaussian(-0.45253765953320735, 1.907039479456706), Sigmoid(10.0, -1.0467212200648612)
         risk = world_risks(h, CredalSpec((env,), (sig,))).risks[0, 0]
-        assert risk == pytest.approx(quadrature_joint_tv(env, sig, env, h), abs=DEFAULT_QUADRATURE.abs_tol)
+        assert risk == pytest.approx(quadrature_joint_tv(env, sig, env, h), abs=ABS_TOL)
 
     def test_binary_only(self):
         tab3 = Tabular((0.0,), ((0.2, 0.3, 0.5),))
@@ -146,9 +145,9 @@ class TestSmoothedRisk:
         # sigma(score / T) steps over a width of order T at the decision
         # point, so the integral must be split there to meet abs_tol
         for env, lab, h in _smoothed_risk_cases():
-            got = _smoothed_risk(h, env, lab, DEFAULT_QUADRATURE)
+            got = _smoothed_risk(h, env, lab)
             want = smoothed_risk(env, lab, h, SMOOTHING_TEMPERATURE)
-            assert got == pytest.approx(want, abs=DEFAULT_QUADRATURE.abs_tol)
+            assert got == pytest.approx(want, abs=ABS_TOL)
 
     def test_values_are_pinned(self):
         # the values of these cases under the Gauss-Kronrod worklist, each
@@ -160,7 +159,7 @@ class TestSmoothedRisk:
             0.5965281828225348, 0.5757165909799143, 0.32543482648507593, 0.8484419709479031,
             0.5453752919094611, 0.16978560616987481, 0.8275295287249165, 0.09621106321053335,
         ]
-        got = [_smoothed_risk(h, env, lab, DEFAULT_QUADRATURE) for env, lab, h in _smoothed_risk_cases()]
+        got = [_smoothed_risk(h, env, lab) for env, lab, h in _smoothed_risk_cases()]
         assert got == pinned
 
 
@@ -194,10 +193,10 @@ def _gradient_cases():
 class TestSmoothedGradient:
     def test_matches_dense_oracle(self):
         for env, lab, h in _gradient_cases():
-            got = _smoothed_gradient(h, [(env, lab)], [1.0], DEFAULT_QUADRATURE)
+            got = _smoothed_gradient(h, [(env, lab)], [1.0])
             want = smoothed_risk_gradient(env, lab, h, SMOOTHING_TEMPERATURE)
             assert got.shape == h.params.shape
-            assert got == pytest.approx(want, abs=DEFAULT_QUADRATURE.abs_tol)
+            assert got == pytest.approx(want, abs=ABS_TOL)
 
     def test_narrow_bump_against_a_segment_end_meets_abs_tol(self):
         # the tail of s(1 - s) times the labeler's gap makes a bump about
@@ -207,17 +206,17 @@ class TestSmoothedGradient:
         h = LinearLogistic(-0.40037822923448774, 0.841238927181694)
         lab = Sigmoid(0.4034545770788265, 0.3627484918626438)
         env = Gaussian(0.5512027710813481, 0.6803488407673977)
-        got = _smoothed_gradient(h, [(env, lab)], [1.0], DEFAULT_QUADRATURE)
+        got = _smoothed_gradient(h, [(env, lab)], [1.0])
         want = smoothed_risk_gradient(env, lab, h, SMOOTHING_TEMPERATURE)
-        assert got == pytest.approx(want, abs=DEFAULT_QUADRATURE.abs_tol)
+        assert got == pytest.approx(want, abs=ABS_TOL)
 
     def test_matches_central_differences_of_the_risk(self):
         eps = 1e-5
         for env, lab, h in _gradient_cases():
-            got = _smoothed_gradient(h, [(env, lab)], [1.0], DEFAULT_QUADRATURE)
+            got = _smoothed_gradient(h, [(env, lab)], [1.0])
             for k, step in enumerate(np.eye(h.params.size) * eps):
-                up = _smoothed_risk(h.with_params(h.params + step), env, lab, DEFAULT_QUADRATURE)
-                dn = _smoothed_risk(h.with_params(h.params - step), env, lab, DEFAULT_QUADRATURE)
+                up = _smoothed_risk(h.with_params(h.params + step), env, lab)
+                dn = _smoothed_risk(h.with_params(h.params - step), env, lab)
                 assert got[k] == pytest.approx((up - dn) / (2 * eps), rel=1e-4, abs=1e-10)
 
     def test_batch_equals_weighted_batches_of_one(self):
@@ -226,15 +225,15 @@ class TestSmoothedGradient:
         labs = (Sigmoid(2.0, -0.5), Probit(-1.5, 0.3), Threshold(0.4), SymmetricNoise(Interval(-1.0, 0.5), 0.2))
         worlds = [(env, lab) for env in envs for lab in labs]
         h = LinearLogistic(1.3, -0.2)
-        alone = [_smoothed_gradient(h, [world], [1.0], DEFAULT_QUADRATURE) for world in worlds]
+        alone = [_smoothed_gradient(h, [world], [1.0]) for world in worlds]
         weights = rng.dirichlet(np.ones(len(worlds)))
         want = np.zeros(2)
         for w, value in zip(weights, alone):
             want += w * value
-        assert _smoothed_gradient(h, worlds, weights, DEFAULT_QUADRATURE).tolist() == want.tolist()
+        assert _smoothed_gradient(h, worlds, weights).tolist() == want.tolist()
         # a unit weight reads one owner pair of the batch: the same bits as alone
         for k, unit in enumerate(np.eye(len(worlds))):
-            assert _smoothed_gradient(h, worlds, unit, DEFAULT_QUADRATURE).tolist() == alone[k].tolist()
+            assert _smoothed_gradient(h, worlds, unit).tolist() == alone[k].tolist()
 
 
 class TestLseObjective:
@@ -289,7 +288,6 @@ class TestLseObjective:
         spec = CredalSpec(
             (Gaussian(0, 1), Gaussian(0.8, 1.3)), (Sigmoid(1.5, -0.5), Sigmoid(1.0, 0.9))
         )
-        quad = QuadratureConfig()
         for _ in range(20):
             h = ThresholdClassifier(float(rng.uniform(-1.5, 1.5)), 1)
             tau = float(rng.uniform(0.05, 0.5))
@@ -298,7 +296,7 @@ class TestLseObjective:
                 hh = h.with_params(params)
                 risks = np.asarray(
                     [
-                        [_smoothed_risk(hh, env, lab, quad) for lab in spec.labelers]
+                        [_smoothed_risk(hh, env, lab) for lab in spec.labelers]
                         for env in spec.environments
                     ]
                 )
@@ -308,7 +306,7 @@ class TestLseObjective:
             # analytic weighting: sum_ij w_ij * dL_ij/dtheta
             risks = np.asarray(
                 [
-                    [_smoothed_risk(h, env, lab, quad) for lab in spec.labelers]
+                    [_smoothed_risk(h, env, lab) for lab in spec.labelers]
                     for env in spec.environments
                 ]
             )
@@ -318,8 +316,8 @@ class TestLseObjective:
             grad_parts = np.zeros_like(weights)
             for i, env in enumerate(spec.environments):
                 for j, lab in enumerate(spec.labelers):
-                    up = _smoothed_risk(h.with_params(h.params + eps), env, lab, quad)
-                    dn = _smoothed_risk(h.with_params(h.params - eps), env, lab, quad)
+                    up = _smoothed_risk(h.with_params(h.params + eps), env, lab)
+                    dn = _smoothed_risk(h.with_params(h.params - eps), env, lab)
                     grad_parts[i, j] = (up - dn) / (2 * eps)
             analytic = float((weights * grad_parts).sum())
             fd = (lse_of_params(h.params + eps) - lse_of_params(h.params - eps)) / (2 * eps)

@@ -21,6 +21,7 @@ from credal.harness.config import (
     preset_config,
     validate_config,
 )
+from credal import measures
 from credal.harness.cli import main as cli_main
 from credal.harness import experiments
 from credal.harness.experiments import run
@@ -52,11 +53,11 @@ class TestConfig:
                 assert cfg.experiment == name
                 assert cfg.preset == preset
                 hashes.append(config_hash(cfg))
-        # every preset's params, delta and quadrature, pinned
+        # every preset's params and delta, pinned
         assert " ".join(hashes) == (
-            "5624efaad42a 8145403259c1 6db8d27563e1 f1a2f1633870 301d1eed6817 7f5e6629f10c "
-            "2d889b224001 e62ffdfef131 4e58a7460aeb ba6937a914ec 83277798a5e7 4206a7332e1d "
-            "b1c2596bb9cc 540d37a2bbdf a6e6f1943322 1e715ca2ef28 e6b8277dbd9a d9f6a8bb6abd"
+            "47750d146478 33d8872b87ab b42720463e28 d9d6e48255b9 73351b2efa91 8110e0bee3ae "
+            "e94c6012b9c7 17e052fd3c96 42f138fa3b70 81a81c9b37c3 348125e82982 4ea23ee6f79c "
+            "6f406a0f6d21 6dcfc8acb6e1 29919af4e19b 012c9dfb9579 b28d18851e9d 36acdc006dd3"
         )
         # a config owns its params: changing one leaves the presets as they were
         preset_config("noise_ablation").params["env"]["mean"] = 5.0
@@ -72,9 +73,7 @@ class TestConfig:
             ({"seed": -1}, "seed must be a non-negative integer"),
             ({"delta": 1.0}, "delta must lie"),
             ({"delta": "0.1"}, "delta must lie"),
-            ({"quadrature": [1e-8]}, "quadrature must be a mapping"),
-            ({"quadrature": {"abs_tol": 0.5}}, "invalid quadrature"),
-            ({"quadrature": {"domain_halfwidth_sigmas": 4.0}}, "invalid quadrature"),
+            ({"quadrature": {"abs_tol": 1e-8}}, "unknown keys in config"),
             ({"params": ["n"]}, "params must be a mapping"),
         ],
     )
@@ -384,22 +383,22 @@ class TestCsvWriter:
 # every desk experiment at seed 3 and of the paper hard sweep at seed 104;
 # replication experiments run smaller overlays
 _PINNED = {
-    "gating_curve": ({}, "a890df7e273d6d86d75f4a543ccd59a9e4b5a91c787541635eff91f06c563f37", "b5f72e9a60eb49199558880bc7988b4bbf5272dfe5362be435dc0013b8634eda"),
-    "bounds_sweep": ({}, "e7c05019844b7f9cdc3c7145c59c98f3dbe36af177283d501cea0a7a48faff26", "962bbb4129e7820cd9b014b5237d3ded6380e9d28e1854b15743e2a955c293e6"),
-    "diameter_ablation": ({}, "3551d475a9f0b375f82f819d08e0b04cc2569eab28de418a5e5cc82d35e49717", "3ba5d5b28bcd247397a7a03a2ab46b2299348fd2baa05a3bc925281182bea748"),
-    "noise_ablation": ({"replications": 20}, "7ff8a982c79decc4e05f3bc3157d399531f4db69436d1ad917e69c6f5a0c604e", "bb57de9b6376954b8b00b50786fe355da3aaea53917b147d4b254b13af3f1575"),
+    "gating_curve": ({}, "fce3ee6a5270b495dc9d4c4bc4ad142f0e1e7a8b59e8d6996c2b6c3e3e994794", "8e64e2de349f5e1ab82f3f6de2fc9bca902adacaf65901ab4c65e3db1e11c7ed"),
+    "bounds_sweep": ({}, "5e2e68554923dd468e7db02c414414e88609cb581da18dd8324e575bdee161c0", "1f3da0f95f62c8c5d8569c61bc4e16b8be422d4159187daef040caa8a7dd99e3"),
+    "diameter_ablation": ({}, "1a232061efdf983b7fcd3deb7d84ccfc761d2a253aa710eb689507489641a056", "1a8db6e91b1404034882c4d86fcdf0448b04c05a32960363ef425f3b32fdb2b2"),
+    "noise_ablation": ({"replications": 20}, "0acd12f4920a0125e552b1d6adad7f28bd6f8beebf408e611e1a82fb7780efbc", "e06fe9e370463a7c357d36bb14b54c5879b479fc5c20bb5118db32b00d1292ab"),
     "sample_complexity": (
         {"replications": 40, "violation_replications": 60},
-        "3490ccce98f907e24eddf830255a2c0e5d9bbaa6e1859199350071f7c10da230",
-        "e977b47f328bc8e56fecc03cd0420cc313dac42e8b9391815efbf3e9af83c101",
+        "1cb398128b041c21dc02a2099d90830f35c3bac3ce09b5eea544c400c9de3789",
+        "ad99d2faf36a3373fe48785714df23d101067e1a927d8f583aab2d8e83fd166a",
     ),
-    "mechanism_complexity": ({"replications": 20}, "7af2b99e01a3ed0d56addfa6881bc5fb4cf38d0652c983e06e3ded23787a5bf7", "7220d2fb221867333ecf53c99af322810231ccea2bbf1585ad21ecedd18c061b"),
-    "minimax_demo": ({}, "32e606d594e1b317ab891175a406059410927d6e4d7344b337060850ac1c7567", "2833f6b9076f037911c2c6eaa1d4b6095296f025d3457e299dcf8b9eda0a7843"),
-    "dro_train": ({}, "cb972e7a2ba52be6b65484eec44dd3b2a16c4cafe5318f16533507a7daf4751c", "ab4cc8fdcd758611cfa5cc5eb72c0c212acc0e328ee53fd3f7d7d6a96777b93a"),
+    "mechanism_complexity": ({"replications": 20}, "bdee5a178f4c5246c86b0876c44be8e3f3761a0e6d93fc3f1cff569caf21cb12", "1f88e1f5228195805ef6da153592dd486540233d4fae9dae48c1e73b57991f21"),
+    "minimax_demo": ({}, "5c05a5c50140256b18917db18ced5f1474a965984d140fb21784e9dfced5b911", "a30778851754229032e057ea094dc275e2671fcba82405cc3a4d2777572f221a"),
+    "dro_train": ({}, "51c56dd37104c0a49ae157016513966e32b1450e68cc219bda996ae902dad3bb", "914b30eb1a4627860ba7bd6fb3f2a898b770baa8eb35961f0f8d67969c1854f7"),
     "certificate": (
         {"annotations": "ann.csv", "regime": "conservative_stochastic_hard"},
-        "5c303e0c52ada7eded50e781a44823faba9c9093b9e46fcb168d351d977c2045",
-        "7ac521fccf0b864bec8aedd0b8d5b8df4a5b700f52a8141558912c9189947a60",
+        "ee2ebb4a4c99ad29430257bf5173f3117db8576139f8ed713ebed490997a5d22",
+        "69ca6f04707936e8174e5784f825a60090f2731072e313b20f41d1e04e01c3f7",
     ),
 }
 
@@ -424,16 +423,16 @@ class TestByteIdentity:
     def test_paper_hard_sweep_is_pinned(self, tmp_path):
         doc = {"experiment": "bounds_sweep", "preset": "paper", "seed": 104, "params": {"regimes": ["hard"]}}
         assert self._digests(doc, tmp_path) == (
-            "72dc8838ffbeca8f50357aac2ce5939d06f3bec36b8967d8e4f45f12380990d8",
-            "ef0dd6855ac177b71ae54f5cea28807f3bf66709b0a6c53fe3729e4eeb8615e3",
+            "7411e06774e8229e57e35d7d9480d16659d15ae5a91da675ada22d9378621d59",
+            "2aa8dc045a4dfa43903d383572f3d9be8e046c3314ec5deb7036dcbba5778cc0",
         )
 
     def test_soft_diameter_ablation_is_pinned(self, tmp_path):
         # the Probit labelers, soft sampling and the soft disagreement Gram
         doc = {"experiment": "diameter_ablation", "seed": 3, "params": {"regime": "soft", "env_count": 8, "runs_per_env": 4}}
         assert self._digests(doc, tmp_path) == (
-            "856ee607aae36efb58a71ba664a7da0ca93c2795a20f72d000aba9e23c2695fd",
-            "ce41dc8e8a508dd97992d81a8c85ccc464c8b454837bd7691690b3b58a658720",
+            "b89ab7ee25cbf7b3b0362cc81eaec70cfe64437a5eef48ce48fd3303f5cd8c30",
+            "c8b37015777c6d18acfbdcd9776655003783396c3b9e3be08e1fee322b767630",
         )
 
 
@@ -550,9 +549,9 @@ class TestRunners:
         batches = []
         batched = dro.joint_tv_many
 
-        def batch(pairs, cfg):
+        def batch(pairs):
             batches.append(({id(lab) for pair in pairs for lab in pair[1::2]}, {}))
-            return batched(pairs, cfg)
+            return batched(pairs)
 
         def spy(cls):
             label_kernel = cls.label_kernel
@@ -586,7 +585,7 @@ class TestRunners:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config_hash"] == manifest["config_hash"]
         assert summary["config"]["experiment"] == "minimax_demo"
-        assert summary["abs_tol"] == cfg.quadrature.abs_tol
+        assert summary["abs_tol"] == measures.ABS_TOL == 1e-8
 
     def test_sweep_and_gating_bounds_match_pairwise_bounds(self, tmp_path):
         cfg = validate_config(
@@ -626,13 +625,13 @@ class TestRunners:
             a = (int(r["i"]), int(r["j"]))
             b = (int(r["ip"]), int(r["jp"]))
             spec = specs[r["regime"]]
-            want = pairwise_bounds(spec, a, b, cfg.quadrature, with_exact=True)
+            want = pairwise_bounds(spec, a, b, with_exact=True)
             got = (float(r["lower"]), float(r["upper"]), float(r["exact"]))
             assert got == (want.lower, want.upper, want.exact)
             if r["pair_class"] == "joint_shift":
                 exact = joint_tv_exact(
                     spec.environments[a[0]], spec.labelers[a[1]],
-                    spec.environments[b[0]], spec.labelers[b[1]], cfg.quadrature,
+                    spec.environments[b[0]], spec.labelers[b[1]],
                 )
                 assert float(r["exact"]) == exact
 
@@ -654,11 +653,11 @@ class TestRunners:
                 (Gaussian(m - gap / 2.0, std), Gaussian(m + gap / 2.0, std)),
                 tuple(Sigmoid(slope, -slope * float(b)) for b in p["sigmoid_boundaries"]),
             )
-            want = pairwise_bounds(spec, (0, 0), (1, 1), cfg.quadrature, with_exact=True)
+            want = pairwise_bounds(spec, (0, 0), (1, 1), with_exact=True)
             got = (float(row["lower_bound"]), float(row["upper_bound"]), float(row["joint_tv"]))
             assert got == (want.lower, want.upper, want.exact)
             envs, labs = spec.environments, spec.labelers
-            joint = joint_tv_exact(envs[0], labs[0], envs[1], labs[1], cfg.quadrature)
+            joint = joint_tv_exact(envs[0], labs[0], envs[1], labs[1])
             assert float(row["joint_tv"]) == joint
 
     def test_every_row_carries_hash_and_seed(self, tmp_path):
@@ -683,6 +682,11 @@ class TestCli:
         bad.write_text('{"schema_version": %d, "experiment": "gating_curve", "params": {"window_std": 1%s}}' % (SCHEMA_VERSION, "0" * 5000))
         assert cli_main(["gating_curve", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "is not valid JSON" in capsys.readouterr().err
+        # the quadrature tolerance is not a setting: a quadrature block is an unknown key
+        doc = {"schema_version": SCHEMA_VERSION, "experiment": "gating_curve", "quadrature": {"abs_tol": 1e-8}}
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["gating_curve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "unknown keys in config: ['quadrature']" in capsys.readouterr().err
 
     def test_experiment_mismatch_exits_2(self, tmp_path, capsys):
         cfg = preset_config("minimax_demo", "desk")
@@ -809,6 +813,16 @@ class TestCli:
         code = cli_main([experiment, "--config", str(path), "--jobs", "1", "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"numerical failure: {experiment} failed at {where}: injected\n"
+
+    def test_quadrature_failure_names_its_pair(self, tmp_path, capsys, monkeypatch):
+        # at an unreachable tolerance the first window's expected conditional TV runs out of budget
+        monkeypatch.setattr(measures, "ABS_TOL", 1e-300)
+        code = cli_main(["gating_curve", "--out", str(tmp_path / "out")])
+        assert code == 1
+        env, labs = Gaussian(-6.5, 1.0), (Sigmoid(1.0, 1.0), Sigmoid(1.0, -1.0))
+        pair = (env, labs[0], env, labs[1])  # pair 0 is the windows' environment TV, an exact value
+        want = f"numerical failure: pair 1 {pair!r}: quadrature eval budget exhausted (residual estimate "
+        assert capsys.readouterr().err.startswith(want)
 
     @pytest.mark.parametrize(
         "experiment, params, match",

@@ -16,13 +16,12 @@ from credal import measures
 from credal.dro import LinearLogistic, ThresholdClassifier
 from credal.harness import SCHEMA_VERSION, ConfigError, validate_config
 from credal.measures import (
-    DEFAULT_QUADRATURE,
+    ABS_TOL,
     DiscreteGrid,
     Gaussian,
     Interval,
     MeasureError,
     Probit,
-    QuadratureConfig,
     QuadratureError,
     Sigmoid,
     SupportError,
@@ -51,7 +50,7 @@ from oracles import (
     tv_subset_brute_force,
 )
 
-TOL = DEFAULT_QUADRATURE.abs_tol
+TOL = ABS_TOL
 
 
 @st.composite
@@ -144,19 +143,12 @@ class TestEnvironmentTypes:
             Tabular((0.0, 1.0), ((math.nan, 1.0), (0.5, 0.5)))
 
     def test_quadrature_config_validation(self):
-        with pytest.raises(ValidationError):
-            QuadratureConfig(abs_tol=1e-3)
-        # the window's hints cut at +/-8 std: a narrower window would drop
-        # the mass beyond it (0.0464 of 0.3497 here), an infinite one has no scale
-        for width in (0.5, 7.999, math.inf, math.nan):
-            with pytest.raises(ValidationError, match="domain_halfwidth_sigmas"):
-                QuadratureConfig(domain_halfwidth_sigmas=width)
-        wide = QuadratureConfig(domain_halfwidth_sigmas=12.0)
-        assert expected_conditional_tv(Gaussian(0, 1), Sigmoid(1, 0), Sigmoid(-1, 0), wide) == pytest.approx(0.3497137, abs=1e-7)
-        # there is one integration engine: no method to pick, no node count to set
-        for key, value in (("node_count", 8), ("method", "romberg"), ("method", "grid"), ("method", "gauss_hermite")):
+        # there is one integration engine at one tolerance, measures.ABS_TOL:
+        # no method to pick, no node count, tolerance or window to set
+        for key, value in (("node_count", 8), ("method", "romberg"), ("method", "grid"), ("method", "gauss_hermite"),
+                           ("abs_tol", 1e-8), ("domain_halfwidth_sigmas", 8.0)):
             doc = {"schema_version": SCHEMA_VERSION, "experiment": "gating_curve", "quadrature": {key: value}}
-            with pytest.raises(ConfigError, match="unknown keys in quadrature"):
+            with pytest.raises(ConfigError, match=r"unknown keys in config: \['quadrature'\]"):
                 validate_config(doc)
 
 
@@ -674,21 +666,24 @@ class TestJointTvMany:
         for value, want in checked:
             assert value == pytest.approx(want, abs=1e-12)
 
-    def test_budget_exhaustion_names_its_integral(self):
+    def test_budget_exhaustion_names_its_integral(self, monkeypatch):
         # at an unreachable tolerance every nonzero integral refines until
         # its budget runs out: `fast` runs out two passes before `hard` (two
         # density crossings), which is still refining; the identical pair is
         # exactly 0 in one pass
-        cfg = QuadratureConfig(abs_tol=1e-300)
+        monkeypatch.setattr(measures, "ABS_TOL", 1e-300)
         same = (Gaussian(0, 1), Sigmoid(1.0, 0.0), Gaussian(0, 1), Sigmoid(1.0, 0.0))
         fast = (Gaussian(0, 1), Sigmoid(1.0, 0.0), Gaussian(0, 1), Sigmoid(1.5, 0.0))
         hard = (Gaussian(0, 1), Sigmoid(2.0, -1.0), Gaussian(0.5, 1.5), Probit(1.0, 0.5))
         with pytest.raises(QuadratureError) as alone:
-            joint_tv_exact(*fast, cfg)
+            joint_tv_exact(*fast)
         with pytest.raises(QuadratureError) as batched:
-            joint_tv_many([same, hard, fast, same], cfg)
+            joint_tv_many([same, hard, fast, same])
         assert batched.value.residual == alone.value.residual > 0
-        assert joint_tv_many([same, same], cfg) == [0.0, 0.0]
+        assert joint_tv_many([same, same]) == [0.0, 0.0]
+        # the error names the pair: its index in the call, and the pair itself
+        assert (alone.value.integral, batched.value.integral) == (0, 2)
+        assert str(batched.value).startswith(f"pair 2 {fast!r}: quadrature eval budget exhausted (residual estimate ")
 
     def test_exact_edge_cases_keep_their_pinned_bits(self):
         # each value's float.hex: coinciding, missing and overflowed cuts

@@ -1,7 +1,10 @@
-"""The README's Python examples run as written, so a renamed API cannot leave them stale."""
+"""The README's examples run as written, so a renamed API or a schema change cannot leave them stale."""
 
+import json
 import re
 from pathlib import Path
+
+from credal.harness import validate_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,10 @@ def test_python_blocks_run_in_order():
     for k, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {k}", "exec"), namespace)
     assert namespace["cert"].penalty_upper == namespace["cert"].eta_hat + namespace["cert"].epsilon
+
+
+def test_json_blocks_are_valid_configs():
+    blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        validate_config(json.loads(block))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from credal.measures import (
-    DEFAULT_QUADRATURE,
+    ABS_TOL,
     DiscreteGrid,
     Gaussian,
     Probit,
@@ -28,7 +28,7 @@ from credal.sets import (
 
 from oracles import discrete_joint_pmf, discrete_spec_diameter
 
-TOL = DEFAULT_QUADRATURE.abs_tol
+TOL = ABS_TOL
 
 
 def random_discrete_spec(rng, max_side=4, max_grid=16, max_classes=3):
@@ -303,9 +303,9 @@ class TestDiameterBounds:
         )
         seen = []
 
-        def recording(pairs, cfg):
+        def recording(pairs):
             seen.extend(pairs)
-            return joint_tv_many(pairs, cfg)
+            return joint_tv_many(pairs)
 
         monkeypatch.setattr(sets, "joint_tv_many", recording)
         for spec in (small, crossing_spec()):
@@ -333,9 +333,9 @@ class TestDiameterBounds:
         # all their pairs in one call, whatever the environment pairs
         calls = []
 
-        def counting(pairs, cfg):
+        def counting(pairs):
             calls.append(len(pairs))
-            return joint_tv_many(pairs, cfg)
+            return joint_tv_many(pairs)
 
         monkeypatch.setattr(sets, "joint_tv_many", counting)
         spec = crossing_spec()
@@ -345,7 +345,7 @@ class TestDiameterBounds:
                 pairwise_bounds(spec, a, b, with_exact=with_exact)
                 assert len(calls) == 1
         calls.clear()
-        sets._pair_values(spec, sets._vertex_pairs(spec), DEFAULT_QUADRATURE, True)
+        sets._pair_values(spec, sets._vertex_pairs(spec), True)
         assert calls == [15 + 6 * 10 + 15 * 20]
         calls.clear()
         diameter_bounds(spec, with_exact=True)
