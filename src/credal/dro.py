@@ -21,21 +21,18 @@ from typing import Callable, Literal, Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit
 
-from credal import measures
 from credal.measures import (
     CrispLabeler,
     Gaussian,
     Labeler,
+    QuadratureError,
     ValidationError,
-    _EVAL_BUDGET,
-    _label_probs,
+    _densities,
     _window,
     _worklist,
     joint_tv_many,
 )
-from credal.sets import CredalSpec
-
-VertexIndex = tuple[int, int]
+from credal.sets import CredalSpec, VertexIndex
 
 
 class DivergenceError(Exception):
@@ -159,11 +156,6 @@ class TrainConfig:
             raise ValidationError("steps must be >= 1")
 
 
-def _check_binary(spec: CredalSpec) -> None:
-    if spec.class_count != 2:
-        raise ValidationError("robust training supports binary specs only")
-
-
 # decision smoothing scale: sigma(score / T).  Small enough that the
 # surrogate minimizer tracks the 0-1 minimizer to well under the training
 # tolerance, large enough to keep usable gradients off the boundary.
@@ -178,8 +170,10 @@ def _world_integrals(h: Hypothesis, worlds: Sequence[tuple], n_par: int, g: Call
     hypothesis's decision point, where sigma(score/T) steps over a width of
     order T, and at the environment's hints.  Owner ``k`` is parameter
     ``k % n_par`` of Gaussian world ``k // n_par``; the integrand gathers
-    each point's labeler and environment parameters by its world, so each
-    integral has the bits it has alone.
+    each point's labeler and environment parameters by its world
+    (:func:`~credal.measures._densities`), so each integral has the bits it
+    has alone.  A :class:`~credal.measures.QuadratureError` names the world,
+    the parameter and the hypothesis.
     """
     values = np.empty((len(worlds), n_par))
     gauss = [k for k, (env, _) in enumerate(worlds) if isinstance(env, Gaussian)]
@@ -188,15 +182,20 @@ def _world_integrals(h: Hypothesis, worlds: Sequence[tuple], n_par: int, g: Call
             x = np.asarray(env.points)
             values[k] = [np.dot(env.weights, g(x, lab.prob_matrix(x), par)) for par in range(n_par)]
     if gauss:
-        envs, labs = zip(*[worlds[k] for k in gauss])
-        moments, label_probs = np.array([e.row for e in envs]).T.copy(), _label_probs(labs)
+        densities = _densities([worlds[k] for k in gauss])
 
         def integrand(x: np.ndarray, own: np.ndarray) -> np.ndarray:
             world, par = np.divmod(own, n_par)
-            return g(x, label_probs(x, world), par) * Gaussian.kernel(x, *moments.take(world, axis=1))
+            probs, phi = densities(x, world)
+            return g(x, probs, par) * phi
 
-        windows = [_window((env,), (lab, h)) for env, lab in zip(envs, labs) for _ in range(n_par)]
-        values[gauss] = _worklist(integrand, windows, measures.ABS_TOL, _EVAL_BUDGET).reshape(-1, n_par)
+        windows = [_window((env,), (lab, h)) for env, lab in (worlds[k] for k in gauss) for _ in range(n_par)]
+        try:
+            values[gauss] = _worklist(integrand, windows).reshape(-1, n_par)
+        except QuadratureError as exc:
+            k, par = gauss[exc.integral // n_par], exc.integral % n_par
+            message = f"world {worlds[k]!r}, parameter {par} of {h!r}: quadrature eval budget exhausted"
+            raise QuadratureError(message, exc.residual, k * n_par + par) from None
     return values
 
 
@@ -239,7 +238,8 @@ def world_risks(h: Hypothesis, spec: CredalSpec) -> WorldRisk:
 
 def _risks(hs: Sequence[Hypothesis], spec: CredalSpec) -> list[float]:
     """Exact 0-1 risks of every hypothesis in every world, hypothesis-major, as one batch."""
-    _check_binary(spec)
+    if spec.class_count != 2:
+        raise ValidationError("robust training supports binary specs only")
     return joint_tv_many([(env, lab, env, h) for h in hs for env in spec.environments for lab in spec.labelers])
 
 
@@ -286,7 +286,6 @@ def train(spec: CredalSpec, cfg: TrainConfig, init: Optional[Hypothesis] = None)
     :class:`DivergenceError` carrying the trace.  Returns the best
     hypothesis seen (by worst-world 0-1 risk) and the trace.
     """
-    _check_binary(spec)
     h = init if init is not None else _default_init(spec, cfg.seed)
     step = cfg.step_size
     trace: list[WorldRisk] = []

@@ -312,7 +312,6 @@ class Certificate:
     k: int
     regime: Regime
     penalty_upper: float
-    eps_star_input: Optional[float] = None
 
     def __post_init__(self) -> None:
         if abs(self.penalty_upper - (self.eta_hat + self.epsilon)) > 1e-12:
@@ -328,7 +327,6 @@ def certificate(
     matrix: DisagreementMatrix,
     delta: float = 0.05,
     regime: Regime = "exact_hard_deterministic",
-    eps_star: Optional[float] = None,
 ) -> Certificate:
     """Assemble a finite-sample certificate from a disagreement matrix."""
     if regime not in get_args(Regime):
@@ -338,8 +336,6 @@ def certificate(
         raise ValidationError(
             f"regime {regime!r} requires a {wants}-label matrix, got {matrix.kind!r}"
         )
-    if eps_star is not None and not eps_star >= 0:
-        raise ValidationError(f"eps_star must be >= 0, got {eps_star!r}")
     eps = hoeffding_epsilon(matrix.n, matrix.k, delta)
     return Certificate(
         eta_hat=matrix.eta_hat,
@@ -349,7 +345,6 @@ def certificate(
         k=matrix.k,
         regime=regime,
         penalty_upper=matrix.eta_hat + eps,
-        eps_star_input=eps_star,
     )
 
 

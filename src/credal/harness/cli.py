@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import get_args
 
 from credal.estimation import Regime
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     if config.experiment == "certificate":
-        summary = json.loads(open(manifest["summary"]).read())
+        summary = json.loads(Path(manifest["summary"]).read_text())
         print(json.dumps(summary["certificate"], indent=2, sort_keys=True))
     else:
         print(json.dumps(manifest, indent=2, sort_keys=True))

@@ -104,8 +104,6 @@ def _stack(tables: list[dict]) -> dict:
 
 def _sort_rows(table: dict, *keys: str) -> dict:
     """The table's rows ordered by the ``keys`` columns, stably, as ``list.sort`` on them."""
-    if not table:
-        return table
     order = np.lexsort([table[k] for k in reversed(keys)])
     return {name: column[order] for name, column in table.items()}
 

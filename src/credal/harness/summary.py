@@ -23,14 +23,14 @@ class SummaryError(ValueError):
     """Rows cannot be aggregated (no rows, invalid counts)."""
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise SummaryError(f"invalid counts: {successes}/{trials}")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + _Z95 * _Z95 / trials
+    center = (p + _Z95 * _Z95 / (2 * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1 - p) / trials + _Z95 * _Z95 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

@@ -22,15 +22,15 @@ crossings of two Gaussians with deterministic labelers), each becomes a
 (cells x classes) joint mass table and the TV is the half-L1 distance
 between the tables; the TV between environments is the case of a constant
 labeler; :func:`joint_tv_many` builds a block of such tables per pass.
-Every other pair is integrated to the one absolute tolerance :data:`ABS_TOL`
-on a +/-8 std window by one adaptive worklist engine of 15-point
-Gauss-Kronrod panels (QUADPACK's G7/K15 pair) cut at split hints and at the
-kinks of the integrand, a group of pairs per pass; the smoothed risks and
-gradients of :mod:`credal.dro` use the same engine and the same gather of
-labeler parameters (:func:`_label_probs`).  Each value has the same bits
-as alone, because elementwise kernels give the same bits on whichever
-points they run, so :func:`joint_tv_many` takes its pairs in fixed-size
-blocks, which bound its memory, and callers pass a whole sweep at once.
+Every other pair is integrated on a +/-8 std window by one adaptive
+worklist engine of 15-point Gauss-Kronrod panels (QUADPACK's G7/K15 pair)
+cut at split hints and at the kinks of the integrand, a group of pairs per
+pass, to the one absolute tolerance :data:`ABS_TOL`, read at call time.
+The smoothed risks and gradients of :mod:`credal.dro` use the same engine
+and the same gather of world densities (:func:`_densities`).  Each value
+has the same bits as alone, because elementwise kernels give the same bits
+on whichever points they run, so :func:`joint_tv_many` takes its pairs in
+fixed-size blocks, which bound its memory; callers pass a whole sweep.
 
 The module also provides discrete TV between probability vectors and the
 pointwise conditional TV with its supremum, certified over the line.
@@ -444,10 +444,7 @@ _GAUSS_W = np.array([*_WG, *_WG[-2::-1]])
 
 
 def _worklist(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    windows: Sequence[tuple[float, float, tuple[float, ...]]],
-    abs_tol: float,
-    eval_budget: int,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], windows: Sequence[tuple[float, float, tuple[float, ...]]]
 ) -> np.ndarray:
     """Adaptive Gauss-Kronrod over many integrals in one worklist; one value per window.
 
@@ -458,7 +455,7 @@ def _worklist(
     in one call of ``f``; the segment's value is the 15-point Kronrod sum
     and its error estimate the distance to the embedded 7-point Gauss sum.
     The nodes are interior, so a jump at a cut lies outside every segment.
-    A segment whose error is at most a quarter of ``abs_tol`` times its
+    A segment whose error is at most a quarter of :data:`ABS_TOL` times its
     share of its owner's width is accepted, and any other is halved for the
     next pass.  Acceptance depends only on the owner's own width, a
     segment's sums are elementwise products reduced over its own 15 values
@@ -466,7 +463,7 @@ def _worklist(
     where its segments keep the order they have alone, so each integral
     comes out bit for bit as in a batch of one.  Raises
     :class:`QuadratureError` with the index and residual of the first
-    integral whose own evaluation count passes ``eval_budget``.
+    integral whose own evaluation count passes ``_EVAL_BUDGET``.
     """
     segments = []
     for k, (a, b, bps) in enumerate(windows):
@@ -491,11 +488,11 @@ def _worklist(
         # |K15 - G7| is about the error of G7, far above that of K15, and the
         # factor 4 is a margin on top; the integrals here are cheap enough to
         # over-refine
-        accept = err <= 0.25 * abs_tol * np.maximum((hi - lo) / width, 1e-300)
+        accept = err <= 0.25 * ABS_TOL * np.maximum((hi - lo) / width, 1e-300)
         total += np.bincount(own[accept], weights=kronrod[accept], minlength=n_int)
         keep = ~accept
-        if evals.max() > eval_budget:
-            over = (evals > eval_budget) & (np.bincount(own[keep], minlength=n_int) > 0)
+        if evals.max() > _EVAL_BUDGET:
+            over = (evals > _EVAL_BUDGET) & (np.bincount(own[keep], minlength=n_int) > 0)
             if over.any():
                 k = int(np.argmax(over))
                 raise QuadratureError("quadrature eval budget exhausted", float(np.sum(err[keep & (own == k)])), k)
@@ -823,9 +820,17 @@ def joint_tv_many(pairs: Sequence[tuple[Environment, Labeler, Environment, Label
             values[block] = _partition_tvs([pairs[k] for k in block], gaussian)
     for s in range(0, len(quad), _QUAD_BLOCK):
         block, wins = quad[s : s + _QUAD_BLOCK], windows[s : s + _QUAD_BLOCK]
-        joints = _joint_densities([pairs[k] for k in block])
+        # slot s * m + i is world (e1, l1) (s = 0) or (e2, l2) (s = 1) of pair i
+        m, densities = len(block), _densities([pairs[k][a : a + 2] for a in (0, 2) for k in block])
+
+        def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # the joint densities (phi1 p1(y|x), phi2 p2(y|x)) of pair own at x, one column per class
+            probs, phi = densities(np.concatenate([x, x]), np.concatenate([own, own + m]))
+            joint = probs * phi[:, None]
+            return joint[: x.size], joint[x.size :]
+
         if left := [i for i in range(len(block)) if scanned[s + i]]:
-            found = _kinks(lambda x, own: joints(x, np.take(left, own)), [wins[i] for i in left], ABS_TOL)
+            found = _kinks(lambda x, own: joints(x, np.take(left, own)), [wins[i] for i in left])
             for i, kinks in zip(left, found):
                 wins[i] = (*wins[i][:2], wins[i][2] + kinks)
 
@@ -833,16 +838,14 @@ def joint_tv_many(pairs: Sequence[tuple[Environment, Labeler, Environment, Label
             return 0.5 * np.abs(np.subtract(*joints(x, own))).sum(axis=1)
 
         try:
-            values[block] = _worklist(integrand, wins, ABS_TOL, _EVAL_BUDGET)
+            values[block] = _worklist(integrand, wins)
         except QuadratureError as exc:
             k = block[exc.integral]
             raise QuadratureError(f"pair {k} {pairs[k]!r}: quadrature eval budget exhausted", exc.residual, k) from None
     return [_clip01(v, "joint_tv") for v in values.tolist()]
 
 
-def _kinks(
-    joints: Callable, windows: Sequence[tuple[float, float, tuple[float, ...]]], abs_tol: float
-) -> list[tuple[float, ...]]:
+def _kinks(joints: Callable, windows: Sequence[tuple[float, float, tuple[float, ...]]]) -> list[tuple[float, ...]]:
     """Per window, the kinks of ``|j1 - j2|``: where a class's two joint densities cross.
 
     Window ``k`` is scanned at 33 even points and one ulp either side of
@@ -851,7 +854,7 @@ def _kinks(
     ``log j1 - log j2`` comes nearer 0 at a scan point than at both its
     neighbours, the vertex of the parabola through the three is probed as
     well.  While a bracket's width times its larger ``|j1 - j2|`` exceeds
-    ``abs_tol/1000``, all such brackets are refined at once by regula falsi
+    ``ABS_TOL/1000``, all such brackets are refined at once by regula falsi
     with the Illinois step on ``log j1 - log j2``, which stays well scaled
     over hundreds of orders of magnitude.  Only joint shifts and a link
     beside another family reach it (:func:`joint_tv_many`).
@@ -879,7 +882,7 @@ def _kinks(
     i, j = i[flip], j[flip]
     # near touches: a sign change at the vertex gives two brackets
     t = np.arange(1, g.size - 1)
-    mass = np.maximum(gap[t - 1], gap[t + 1]) * (x[t + 1] - x[t - 1]) > 1e-3 * abs_tol
+    mass = np.maximum(gap[t - 1], gap[t + 1]) * (x[t + 1] - x[t - 1]) > 1e-3 * ABS_TOL
     one_sign = (g[t - 1] * g[t] > 0) & (g[t] * g[t + 1] > 0) & (seq[t - 1] == seq[t + 1])
     t = t[mass & one_sign & (np.abs(g[t]) < np.minimum(np.abs(g[t - 1]), np.abs(g[t + 1])))]
     if t.size:
@@ -894,12 +897,12 @@ def _kinks(
         seq = np.concatenate([seq, seq[t]])
         i, j = np.concatenate([i, t - 1, at]), np.concatenate([j, at, t + 1])
     mass = np.maximum(gap[i], gap[j]) * (x[j] - x[i])
-    i, j = i[mass > 1e-3 * abs_tol], j[mass > 1e-3 * abs_tol]
+    i, j = i[mass > 1e-3 * ABS_TOL], j[mass > 1e-3 * ABS_TOL]
     col, win = np.divmod(seq[i], len(windows))
     a, b, kept = x[i], x[j], np.zeros(i.size)
     fa, da, fb, db = g[i], gap[i], g[j], gap[j]
     for _ in range(100):
-        live = np.maximum(da, db) * (b - a) > 1e-3 * abs_tol
+        live = np.maximum(da, db) * (b - a) > 1e-3 * ABS_TOL
         if not live.any():
             break
         # the ends of a live bracket have values of opposite signs
@@ -919,27 +922,16 @@ def _kinks(
     return [tuple(roots[win == k]) for k in range(len(windows))]
 
 
-def _joint_densities(
-    pairs: Sequence[tuple[Gaussian, Labeler, Gaussian, Labeler]],
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Joint densities ``(phi1 p1(y|x), phi2 p2(y|x))`` of pair ``own`` at x, one column per class.
+def _densities(worlds: Sequence[tuple[Gaussian, Labeler]]) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """Label probabilities ``p(y|x)`` (one column per class) and density ``phi(x)`` of world ``slot`` at x.
 
-    Both sides of all owners are stacked, and each point's ``(mean, std)``
-    and labeler parameters are gathered by owner: one ``Gaussian.kernel``
+    A world is ``(env, labeler)``.  Each point's ``(mean, std)`` and
+    labeler parameters are gathered by its slot: one ``Gaussian.kernel``
     call and one kernel call per labeler family serve a whole pass.
     """
-    m = len(pairs)
-    # slot s * m + k is side s of pair k
-    moments = np.array([p[s].row for s in (0, 2) for p in pairs], dtype=float).T.copy()
-    label_probs = _label_probs([p[s] for s in (1, 3) for p in pairs])
-
-    def joints(x: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = x.size
-        xs, slot = np.concatenate([x, x]), np.concatenate([own, own + m])
-        joint = label_probs(xs, slot) * Gaussian.kernel(xs, *moments.take(slot, axis=1))[:, None]
-        return joint[:n], joint[n:]
-
-    return joints
+    moments = np.array([env.row for env, _ in worlds], dtype=float).T.copy()
+    label_probs = _label_probs([lab for _, lab in worlds])
+    return lambda x, slot: (label_probs(x, slot), Gaussian.kernel(x, *moments.take(slot, axis=1)))
 
 
 def _label_probs(labs: Sequence[Labeler]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

@@ -25,6 +25,7 @@ from credal.measures import (
     DiscreteGrid,
     Environment,
     Labeler,
+    QuadratureError,
     ValidationError,
     _CONSTANT,
     _sup_tvs,
@@ -166,7 +167,9 @@ def _pair_values(spec: CredalSpec, pairs: np.ndarray, with_exact: bool) -> tuple
     equal) close on the pair's one value, its ``exact``.  A joint-shift
     pair's ``exact`` is the joint TV ``(env_i, lab_j, env_ip, lab_jp)`` if
     ``with_exact``, else NaN.  Each distinct value is computed once, all in
-    one :func:`joint_tv_many` call, which bounds its memory by blocks.
+    one :func:`joint_tv_many` call, which bounds its memory by blocks.  A
+    :class:`~credal.measures.QuadratureError` names the first row that reads
+    the failed value, and its ``integral`` is that row's index.
     """
     envs, labs = spec.environments, (*spec.labelers, _CONSTANT)
     # value (env, lab, env', lab') by index, lab -1 the constant labeler -> slot; slot -1 holds 0.0, -2 NaN
@@ -182,7 +185,12 @@ def _pair_values(spec: CredalSpec, pairs: np.ndarray, with_exact: bool) -> tuple
             exact = slots.setdefault((i, j, ip, jp), len(slots)) if with_exact else -2
         at.append((cov, a_i, a_ip, exact))
     members = [(envs[e1], labs[l1], envs[e2], labs[l2]) for e1, l1, e2, l2 in slots]
-    values = np.array([*joint_tv_many(members), math.nan, 0.0])
+    try:
+        values = np.array([*joint_tv_many(members), math.nan, 0.0])
+    except QuadratureError as exc:
+        row = next(r for r, row_slots in enumerate(at) if exc.integral in row_slots)
+        where = f"vertex pair {tuple(pairs[row].tolist())} (row {row}), value {members[exc.integral]!r}"
+        raise QuadratureError(f"{where}: quadrature eval budget exhausted", exc.residual, row) from None
     cov, a_i, a_ip, exact = values[np.array(at, dtype=np.intp).reshape(-1, 4).T]
     return cov, a_i, a_ip, *joint_shift_bounds(cov, a_i, a_ip), exact
 
@@ -211,26 +219,6 @@ def pairwise_bounds(spec: CredalSpec, a: VertexIndex, b: VertexIndex, with_exact
     )
 
 
-def _components(spec: CredalSpec, values: tuple[np.ndarray, ...]) -> tuple[float, float, float]:
-    """(eta_x, eta_star, eta_bar) from the :func:`_pair_values` columns of a pair list.
-
-    The list holds every pure-regime pair, so each ``cov`` and ``a_i`` is
-    also a pure-regime pair's value, and their maxima are eta_x and eta_star.
-    eta_bar is clamped to at least eta_star, to absorb its quadrature tolerance.
-    """
-    eta_x = float(values[0].max(initial=0.0))
-    eta_star = float(values[1].max(initial=0.0))
-    envs = spec.environments
-    atoms = np.unique(np.concatenate([e.points for e in envs])) if all(isinstance(e, DiscreteGrid) for e in envs) else None
-    sups = _sup_tvs(list(itertools.combinations(spec.labelers, 2)), atoms)
-    return eta_x, eta_star, min(1.0, float(sups.max(initial=eta_star)))
-
-
-def _pure_pairs(spec: CredalSpec) -> np.ndarray:
-    pairs = _vertex_pairs(spec)
-    return pairs[_pair_classes(pairs) < 2]
-
-
 def component_diameters(spec: CredalSpec) -> tuple[float, float, float]:
     """(eta_x, eta_star, eta_bar) for the spec.
 
@@ -238,9 +226,10 @@ def component_diameters(spec: CredalSpec) -> tuple[float, float, float]:
     (env, labeler pair) of the expected conditional TV (shared-environment
     pairs); eta_bar: max over labeler pairs of :func:`~credal.measures.sup_conditional_tv`
     and eta_star: exact on the atoms when every environment is a grid, else
-    certified over the line to 1e-6.
+    certified over the line to 1e-6.  They are :func:`diameter_bounds`' fields.
     """
-    return _components(spec, _pair_values(spec, _pure_pairs(spec), False))
+    report = diameter_bounds(spec)
+    return report.eta_x, report.eta_star, report.eta_bar
 
 
 def diameter_bounds(spec: CredalSpec, with_exact: bool = False) -> DiameterReport:
@@ -262,15 +251,21 @@ def diameter_bounds(spec: CredalSpec, with_exact: bool = False) -> DiameterRepor
     in one :func:`~credal.measures.joint_tv_many` call.  Ties break
     lexicographically on the pair of vertex indices.
     """
-    pairs = _vertex_pairs(spec) if with_exact else _pure_pairs(spec)
+    pairs = _vertex_pairs(spec)
+    pairs = pairs if with_exact else pairs[_pair_classes(pairs) < 2]
     values = _pair_values(spec, pairs, False)
-    eta_x, eta_star, eta_bar = _components(spec, values)
+    # the pairs include every pure-regime pair, so each cov and a_i is also a pure-regime pair's value, and
+    # their maxima are eta_x and eta_star; eta_bar is at least eta_star, to absorb its quadrature tolerance
+    eta_x, eta_star = float(values[0].max(initial=0.0)), float(values[1].max(initial=0.0))
+    envs, labs = spec.environments, spec.labelers
+    grids = all(isinstance(e, DiscreteGrid) for e in envs)
+    atoms = np.unique(np.concatenate([e.points for e in envs])) if grids else None
+    eta_bar = min(1.0, float(_sup_tvs(list(itertools.combinations(labs, 2)), atoms).max(initial=eta_star)))
     eta_eff = min(eta_star, (1.0 - eta_x) * eta_bar)
     lower = min(1.0, max(eta_x, eta_star))
     upper = min(1.0, eta_x + eta_eff)
     exact = argmax_pair = None
     if with_exact:
-        envs, labs = spec.environments, spec.labelers
         win = values[4] + 8.0 * measures.ABS_TOL >= values[3].max(initial=0.0)
         ks = np.flatnonzero(np.isnan(values[-1]) & win)  # joint-shift pairs that can win
         values[-1][ks] = joint_tv_many([(envs[i], labs[j], envs[ip], labs[jp]) for i, j, ip, jp in pairs[ks].tolist()])

@@ -8,8 +8,8 @@ joint-shift table (about 6 s on a 2-core x86_64 host).
 import itertools
 import json
 import math
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ def test_criterion_02_bound_coverage():
 
     out = tempfile.mkdtemp()
     run(cfg, out)
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     sweep_viols = sum(
         summary[f"joint_shift_{regime}"]["violations"] for regime in ("hard", "soft")
     )
@@ -370,7 +370,7 @@ def test_criterion_11_mechanism_complexity():
 
     out = tempfile.mkdtemp()
     run(cfg, out)
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     per = summary["per_n_y"]
     ratios = {k: per[k]["tightness_ratio"] for k in per}
     viols = sum(int(per[k]["p_viol"] * per[k]["replications"]) for k in per)

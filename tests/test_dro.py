@@ -23,6 +23,7 @@ from credal.measures import (
     Gaussian,
     Interval,
     Probit,
+    QuadratureError,
     Sigmoid,
     SymmetricNoise,
     Tabular,
@@ -30,6 +31,7 @@ from credal.measures import (
     ValidationError,
     expected_conditional_tv,
 )
+from credal import measures
 from credal.sets import CredalSpec
 
 from oracles import (
@@ -234,6 +236,21 @@ class TestSmoothedGradient:
         # a unit weight reads one owner pair of the batch: the same bits as alone
         for k, unit in enumerate(np.eye(len(worlds))):
             assert _smoothed_gradient(h, worlds, unit).tolist() == alone[k].tolist()
+
+    def test_quadrature_failure_names_its_world(self, monkeypatch):
+        # a grid world is a finite sum; the Gaussian world's error names it, the parameter and the
+        # hypothesis, with its index in the (world, parameter) output and the residual it has alone
+        monkeypatch.setattr(measures, "ABS_TOL", 1e-300)
+        h = LinearLogistic(1.5, -0.2)
+        grid, world = (DiscreteGrid((0.0, 1.0), (0.5, 0.5)), Threshold(0.5)), (Gaussian(0.3, 1.2), Sigmoid(2.0, 0.1))
+        with pytest.raises(QuadratureError) as alone:
+            _smoothed_gradient(h, [world], [1.0])
+        with pytest.raises(QuadratureError) as batched:
+            _smoothed_gradient(h, [grid, world], [0.5, 0.5])
+        par = alone.value.integral
+        assert batched.value.integral == 2 + par and batched.value.residual == alone.value.residual > 0
+        assert str(batched.value) == str(alone.value)
+        assert str(alone.value).startswith(f"world {world!r}, parameter {par} of {h!r}: quadrature eval budget exhausted (")
 
 
 class TestLseObjective:

@@ -427,10 +427,17 @@ class TestCertificate:
                 eta_hat=0.5, epsilon=0.1, delta=0.05, n=100, k=2,
                 regime="exact_hard_deterministic", penalty_upper=0.7,
             )
-        for eps_star in (-0.1, math.nan):
-            with pytest.raises(ValidationError, match="eps_star must be >= 0"):
-                certificate(self._matrix(0.1), eps_star=eps_star)
-        assert certificate(self._matrix(0.1), eps_star=0.0).eps_star_input == 0.0
+        for delta in (0.0, 1.0, math.nan):
+            with pytest.raises(ValidationError, match="delta must lie in"):
+                Certificate(
+                    eta_hat=0.5, epsilon=0.1, delta=delta, n=100, k=2,
+                    regime="exact_hard_deterministic", penalty_upper=0.6,
+                )
+        with pytest.raises(ValidationError, match="unknown regime 'exact'"):
+            certificate(self._matrix(0.1), regime="exact")
+        # the certificate holds its inputs and its penalty, and no field it never fills
+        fields = {"eta_hat", "epsilon", "delta", "n", "k", "regime", "penalty_upper"}
+        assert set(certificate(self._matrix(0.1)).to_dict()) == fields
 
     def test_conservative_for_stochastic_hard(self):
         # independent-coupling disagreement upper-bounds the conditional TV:

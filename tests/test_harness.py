@@ -21,7 +21,7 @@ from credal.harness.config import (
     preset_config,
     validate_config,
 )
-from credal import measures
+from credal import dro, measures
 from credal.harness.cli import main as cli_main
 from credal.harness import experiments
 from credal.harness.experiments import run
@@ -397,8 +397,8 @@ _PINNED = {
     "dro_train": ({}, "51c56dd37104c0a49ae157016513966e32b1450e68cc219bda996ae902dad3bb", "914b30eb1a4627860ba7bd6fb3f2a898b770baa8eb35961f0f8d67969c1854f7"),
     "certificate": (
         {"annotations": "ann.csv", "regime": "conservative_stochastic_hard"},
-        "ee2ebb4a4c99ad29430257bf5173f3117db8576139f8ed713ebed490997a5d22",
-        "69ca6f04707936e8174e5784f825a60090f2731072e313b20f41d1e04e01c3f7",
+        "95f4fedf18d5982be188c1dee3c350f2d740711984bd12629854e791c4592e9f",
+        "9c5f0e8493bed6b7d04dbaec56e0e17af2d1e601c93b93819efdc2bc16268ca0",
     ),
 }
 
@@ -815,14 +815,43 @@ class TestCli:
         assert capsys.readouterr().err == f"numerical failure: {experiment} failed at {where}: injected\n"
 
     def test_quadrature_failure_names_its_pair(self, tmp_path, capsys, monkeypatch):
-        # at an unreachable tolerance the first window's expected conditional TV runs out of budget
+        # at an unreachable tolerance the first window's expected conditional TV runs out of budget: the
+        # error names window 0's vertex pair (i, j, ip, jp) and the value, with the value's own residual
         monkeypatch.setattr(measures, "ABS_TOL", 1e-300)
         code = cli_main(["gating_curve", "--out", str(tmp_path / "out")])
         assert code == 1
         env, labs = Gaussian(-6.5, 1.0), (Sigmoid(1.0, 1.0), Sigmoid(1.0, -1.0))
-        pair = (env, labs[0], env, labs[1])  # pair 0 is the windows' environment TV, an exact value
-        want = f"numerical failure: pair 1 {pair!r}: quadrature eval budget exhausted (residual estimate "
-        assert capsys.readouterr().err.startswith(want)
+        value = (env, labs[0], env, labs[1])
+        with pytest.raises(measures.QuadratureError) as alone:
+            measures.expected_conditional_tv(env, *labs)
+        where = f"vertex pair (0, 0, 1, 1) (row 0), value {value!r}"
+        want = f"numerical failure: {where}: quadrature eval budget exhausted (residual estimate {alone.value.residual:.3e})\n"
+        assert capsys.readouterr().err == want
+
+    def test_sweep_failure_names_its_vertex_pair(self, tmp_path, capsys, monkeypatch):
+        # the error names the first row that reads the value that ran out of budget, an expected
+        # conditional TV of the soft sweep, not the value's slot among the sweep's distinct integrals
+        monkeypatch.setattr(measures, "ABS_TOL", 1e-300)
+        code = cli_main(["bounds_sweep", "--out", str(tmp_path / "out")])
+        assert code == 1
+        env, labs = Gaussian(1.7999999999999998, 1.0), (Sigmoid(1.0, 4.0), Sigmoid(1.0, 1.3333333333333335))
+        where = f"vertex pair (0, 0, 4, 1) (row 16), value {(env, labs[0], env, labs[1])!r}"
+        assert capsys.readouterr().err.startswith(f"numerical failure: {where}: quadrature eval budget exhausted (")
+
+    def test_training_failure_names_its_world(self, tmp_path, capsys, monkeypatch):
+        # the exact 0-1 risks need no quadrature; the first smoothed gradient, the worst world's, fails
+        monkeypatch.setattr(measures, "ABS_TOL", 1e-300)
+        code = cli_main(["dro_train", "--out", str(tmp_path / "out")])
+        assert code == 1
+        cfg = preset_config("dro_train")
+        spec = CredalSpec((Gaussian(0.0, 1.0),), (Threshold(-1.0), Threshold(1.0)))
+        h = dro._default_init(spec, cfg.seed)
+        i, j = dro.world_risks(h, spec).worst_world
+        world = (spec.environments[i], spec.labelers[j])
+        with pytest.raises(measures.QuadratureError) as alone:
+            dro._smoothed_gradient(h, [world], [1.0])
+        assert str(alone.value).startswith(f"world {world!r}, parameter 0 of {h!r}: quadrature eval budget exhausted (")
+        assert capsys.readouterr().err == f"numerical failure: {alone.value}\n"
 
     @pytest.mark.parametrize(
         "experiment, params, match",
@@ -848,6 +877,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and experiment in err and match in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, params, match",
+        [
+            ("bounds_sweep", {"regimes": ["hard", "medium"]}, "unknown labeler regime 'medium'"),
+            ("diameter_ablation", {"regime": "medium"}, "unknown regime 'medium'"),
+            ("sample_complexity", {"thresholds": [0.5]}, "sample_complexity needs at least two thresholds"),
+        ],
+    )
+    def test_param_the_runner_rejects_exits_2(self, tmp_path, capsys, experiment, params, match):
+        # well-shaped params whose values the runner cannot use
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "experiment": experiment, "params": params}))
+        code = cli_main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {match}\n"
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (None, "cannot read annotations file"),
+            ("# kind=hard classes=2 annotators=2\n0.5,0,1\n0.7,1\n", "malformed annotations file"),
+        ],
+    )
+    def test_certificate_of_a_bad_file_exits_2(self, tmp_path, capsys, text, match):
+        ann = tmp_path / "ann.csv"
+        if text is not None:
+            ann.write_text(text)
+        code = cli_main(["certificate", "--annotations", str(ann), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {match} {str(ann)!r}: "), err
+        if text is not None:
+            assert err.endswith("line 3: expected 3 cells, got 2: '0.7,1'\n"), err
 
     @staticmethod
     def _fake_pool(monkeypatch, cpus):

@@ -36,7 +36,7 @@ from credal.measures import (
     sup_conditional_tv,
     tv_discrete,
     tv_env,
-    _joint_densities,
+    _densities,
     _worklist,
 )
 
@@ -824,15 +824,19 @@ class TestFamilyKernels:
         ]
         own = rng.integers(len(pairs), size=3000)
         x = np.asarray([pairs[k][0].mean for k in own]) + rng.normal(0, 2, own.size)
-        j1, j2 = _joint_densities(pairs)(x, own)
+        worlds = [p[a : a + 2] for a in (0, 2) for p in pairs]  # slot s * len(pairs) + k is side s of pair k
+        probs, phi = _densities(worlds)(np.concatenate([x, x]), np.concatenate([own, own + len(pairs)]))
+        j1, j2 = np.split(probs * phi[:, None], 2)
         for k, (e1, l1, e2, l2) in enumerate(pairs):
             at = own == k
             assert (j1[at] == e1.pdf(x[at])[:, None] * l1.prob_matrix(x[at])).all()
             assert (j2[at] == e2.pdf(x[at])[:, None] * l2.prob_matrix(x[at])).all()
         # one family and one labeler: the same values
-        one = [(e1, labs[8], e2, labs[8]) for e1, _, e2, _ in pairs]
-        j1, j2 = _joint_densities(one)(x, own)
-        assert (j1 == np.concatenate([[one[k][0].pdf(x[i : i + 1])[0]] for i, k in enumerate(own)])[:, None] * labs[8].prob_matrix(x)).all()
+        one = [(e1, labs[8]) for e1, _, _, _ in pairs]
+        probs, phi = _densities(one)(x, own)
+        pdfs = np.concatenate([[one[k][0].pdf(x[i : i + 1])[0]] for i, k in enumerate(own)])
+        assert (phi == pdfs).all() and (probs == labs[8].prob_matrix(x)).all()
+        assert (probs * phi[:, None] == pdfs[:, None] * labs[8].prob_matrix(x)).all()
 
     def test_mixed_hypothesis_batches_equal_batch_of_one(self):
         rng = np.random.default_rng(47)
@@ -957,9 +961,9 @@ class TestSteepCrossingLabelers:
             (Probit(-1.5, 0.3), Probit(0.7, -30.0)),
         ]
         scanned, real = [], measures._kinks
-        monkeypatch.setattr(measures, "_kinks", lambda joints, wins, tol: scanned.extend(wins) or real(joints, wins, tol))
+        monkeypatch.setattr(measures, "_kinks", lambda joints, wins: scanned.extend(wins) or real(joints, wins))
         windows, work = [], measures._worklist
-        monkeypatch.setattr(measures, "_worklist", lambda f, wins, *args: windows.extend(wins) or work(f, wins, *args))
+        monkeypatch.setattr(measures, "_worklist", lambda f, wins: windows.extend(wins) or work(f, wins))
         got = joint_tv_many([(env, l1, env, l2) for l1, l2 in pairs])
         assert scanned == [] and len(pairs) > 30
         # where P(1|x) of the two links changes order in the window, they agree at a cut
@@ -1007,9 +1011,9 @@ class TestSteepCrossingLabelers:
         ]
         assert len(measures._link_crossings(*pairs[-9])) == 3
         scanned, real = [], measures._kinks
-        monkeypatch.setattr(measures, "_kinks", lambda joints, wins, tol: scanned.extend(wins) or real(joints, wins, tol))
+        monkeypatch.setattr(measures, "_kinks", lambda joints, wins: scanned.extend(wins) or real(joints, wins))
         windows, work = [], measures._worklist
-        monkeypatch.setattr(measures, "_worklist", lambda f, wins, *args: windows.extend(wins) or work(f, wins, *args))
+        monkeypatch.setattr(measures, "_worklist", lambda f, wins: windows.extend(wins) or work(f, wins))
         solved, solve = [], measures._link_crossings
         monkeypatch.setattr(measures, "_link_crossings", lambda l1, l2: solved.append((l1, l2)) or solve(l1, l2))
         got = joint_tv_many([(env, l1, env, l2) for l1, l2 in pairs])
@@ -1049,7 +1053,11 @@ class TestWorklist:
 
     @staticmethod
     def _integral(f, a, b, tol, cuts=(), budget=200_000):
-        return _worklist(lambda x, own: f(x), [(a, b, cuts)], tol, budget)[0]
+        # the engine reads its tolerance and budget at call time
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "ABS_TOL", tol)
+            patch.setattr(measures, "_EVAL_BUDGET", budget)
+            return _worklist(lambda x, own: f(x), [(a, b, cuts)])[0]
 
     def test_budget_exhaustion_carries_residual(self):
         # highly oscillatory integrand with a tiny budget

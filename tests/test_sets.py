@@ -8,15 +8,17 @@ from credal.measures import (
     DiscreteGrid,
     Gaussian,
     Probit,
+    QuadratureError,
     Sigmoid,
     SymmetricNoise,
     Tabular,
     Threshold,
     ValidationError,
+    expected_conditional_tv,
     joint_tv_exact,
     joint_tv_many,
 )
-from credal import sets
+from credal import measures, sets
 from credal.sets import (
     CredalSpec,
     DiameterReport,
@@ -143,6 +145,26 @@ class TestPairwiseBounds:
         spec = CredalSpec((Gaussian(0, 1),), (Threshold(0),))
         with pytest.raises(ValidationError):
             pairwise_bounds(spec, (0, 0), (1, 0))
+
+    def test_quadrature_failure_names_its_vertex_pair(self, monkeypatch):
+        # at an unreachable tolerance the shared-environment value runs out of budget: the error names
+        # the vertex pair and the value, with the value's own residual
+        monkeypatch.setattr(measures, "ABS_TOL", 1e-300)
+        env, labs = Gaussian(0.5, 1.5), (Threshold(0.0), Sigmoid(1.0, 0.0))
+        spec = CredalSpec((Gaussian(0, 1), env), labs)
+        with pytest.raises(QuadratureError) as alone:
+            expected_conditional_tv(env, *labs)
+        with pytest.raises(QuadratureError) as err:
+            pairwise_bounds(spec, (1, 0), (1, 1))
+        assert (err.value.integral, err.value.residual) == (0, alone.value.residual)
+        assert str(err.value).startswith(f"vertex pair (1, 0, 1, 1) (row 0), value {(env, *labs[:1], env, *labs[1:])!r}: ")
+        # in a list of vertex pairs: the first row that reads the value, not the value's slot
+        # (rows 0 and 1 share the exact environment TV, slot 0; rows 2 and 3 read the value, slot 1)
+        pairs = np.array([[0, 0, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [1, 0, 1, 1]])
+        with pytest.raises(QuadratureError) as err:
+            sets._pair_values(spec, pairs, False)
+        assert (err.value.integral, err.value.residual) == (2, alone.value.residual)
+        assert str(err.value).startswith("vertex pair (1, 1, 1, 0) (row 2), value ")
 
 
 class TestComponentDiameters:
