@@ -9,7 +9,6 @@ import itertools
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,15 +61,12 @@ def test_criterion_01_gaussian_covariate_tv():
     )
 
 
-def test_criterion_02_bound_coverage():
+def test_criterion_02_bound_coverage(tmp_path):
     t0 = time.time()
     # part 1: desk-preset quadrature sweep, hard + soft
     cfg = preset_config("bounds_sweep", "desk", seed=0)
-    import tempfile
-
-    out = tempfile.mkdtemp()
-    run(cfg, out)
-    summary = json.loads(Path(out, "summary.json").read_text())
+    run(cfg, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
     sweep_viols = sum(
         summary[f"joint_shift_{regime}"]["violations"] for regime in ("hard", "soft")
     )
@@ -363,14 +359,11 @@ def test_criterion_10_minimax_instance():
     report("criterion-10 minimax instance", all_ok, "; ".join(details))
 
 
-def test_criterion_11_mechanism_complexity():
+def test_criterion_11_mechanism_complexity(tmp_path):
     t0 = time.time()
     cfg = preset_config("mechanism_complexity", "desk", seed=0)
-    import tempfile
-
-    out = tempfile.mkdtemp()
-    run(cfg, out)
-    summary = json.loads(Path(out, "summary.json").read_text())
+    run(cfg, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
     per = summary["per_n_y"]
     ratios = {k: per[k]["tightness_ratio"] for k in per}
     viols = sum(int(per[k]["p_viol"] * per[k]["replications"]) for k in per)

@@ -250,7 +250,8 @@ class TestSmoothedGradient:
         par = alone.value.integral
         assert batched.value.integral == 2 + par and batched.value.residual == alone.value.residual > 0
         assert str(batched.value) == str(alone.value)
-        assert str(alone.value).startswith(f"world {world!r}, parameter {par} of {h!r}: quadrature eval budget exhausted (")
+        want = f"world {world!r}, parameter {par} of {h!r}: quadrature eval budget exhausted ("
+        assert str(alone.value).startswith(want)
 
 
 class TestLseObjective:

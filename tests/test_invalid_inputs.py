@@ -25,8 +25,18 @@ from credal.measures import (
 from credal.sets import CredalSpec, DiameterReport, PairwiseBounds, robust_penalty
 from credal.synthgen import GenSeed, interval_mechanisms, minimax_instance, sample_annotated
 
-_REPORT = dict(eta_x=0.0, eta_star=0.0, eta_bar=0.0, eta_eff=0.0, lower=0.0)
 _PAIR = ((0, 0), (0, 1))
+_TWO_ROWS = ((1.0, 0.0), (0.0, 1.0))
+_THREE_CLASSES = Tabular((0.0,), ((0.2, 0.3, 0.5),))
+
+
+def _report(upper: float) -> DiameterReport:
+    return DiameterReport(eta_x=0.0, eta_star=0.0, eta_bar=0.0, eta_eff=0.0, lower=0.0, upper=upper)
+
+
+def _matrix(values: np.ndarray) -> DisagreementMatrix:
+    return DisagreementMatrix(n=5, k=2, values=values, eta_hat=float(values.max()), argmax=(0, 1), kind="hard")
+
 
 # (call, message regex): each call must raise ValidationError matching the message
 _REJECTED = {
@@ -35,9 +45,9 @@ _REJECTED = {
     "threshold_nan": (lambda: Threshold(math.nan), "theta must not be NaN"),
     "tabular_lengths": (lambda: Tabular((0.0, 1.0), ((1.0, 0.0),)), "grid and probs must be equal-length"),
     "tabular_empty": (lambda: Tabular((), ()), "grid and probs must be equal-length and non-empty"),
-    "tabular_point_inf": (lambda: Tabular((0.0, math.inf), ((1.0, 0.0), (0.0, 1.0))), "tabular grid points must be finite"),
-    "tabular_order": (lambda: Tabular((1.0, 0.0), ((1.0, 0.0), (0.0, 1.0))), "tabular grid must be strictly increasing"),
-    "tabular_repeat": (lambda: Tabular((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))), "tabular grid must be strictly increasing"),
+    "tabular_point_inf": (lambda: Tabular((0.0, math.inf), _TWO_ROWS), "tabular grid points must be finite"),
+    "tabular_order": (lambda: Tabular((1.0, 0.0), _TWO_ROWS), "tabular grid must be strictly increasing"),
+    "tabular_repeat": (lambda: Tabular((0.0, 0.0), _TWO_ROWS), "tabular grid must be strictly increasing"),
     "tabular_widths": (lambda: Tabular((0.0, 1.0), ((1.0, 0.0), (0.2, 0.3, 0.5))), "share one class count >= 2"),
     "tabular_one_class": (lambda: Tabular((0.0, 1.0), ((1.0,), (1.0,))), "share one class count >= 2"),
     # a window of +/-8e-10 around 1e10 rounds to one point: the engine has nothing to integrate
@@ -48,8 +58,8 @@ _REJECTED = {
     "bounds_order": (lambda: PairwiseBounds(_PAIR, 0.1, 0.2, 0.3, lower=0.5, upper=0.4), "lower 0.5 exceeds upper 0.4"),
     "exact_below": (lambda: PairwiseBounds(_PAIR, 0.1, 0.2, 0.3, 0.2, 0.4, exact=0.1), "exact 0.1 escapes"),
     "exact_above": (lambda: PairwiseBounds(_PAIR, 0.1, 0.2, 0.3, 0.2, 0.4, exact=0.5, tol=0.05), "exact 0.5 escapes"),
-    "penalty_inf": (lambda: robust_penalty(DiameterReport(**_REPORT, upper=math.inf), 0.0), "diameter report must be finite"),
-    "penalty_nan": (lambda: robust_penalty(DiameterReport(**_REPORT, upper=math.nan), 0.0), "diameter report must be finite"),
+    "penalty_inf": (lambda: robust_penalty(_report(math.inf), 0.0), "diameter report must be finite"),
+    "penalty_nan": (lambda: robust_penalty(_report(math.nan), 0.0), "diameter report must be finite"),
     "classifier_theta": (lambda: ThresholdClassifier(math.inf), "theta must be finite"),
     "classifier_orientation": (lambda: ThresholdClassifier(0.0, 0), "orientation must be \\+1 or -1"),
     "logistic_weight": (lambda: LinearLogistic(math.nan, 0.0), "weight and bias must be finite"),
@@ -63,19 +73,19 @@ _REJECTED = {
     ),
     # robust training needs binary labelers before its first step
     "train_classes": (
-        lambda: train(CredalSpec((DiscreteGrid((0.0,), (1.0,)),), (Tabular((0.0,), ((0.2, 0.3, 0.5),)),)), TrainConfig()),
+        lambda: train(CredalSpec((DiscreteGrid((0.0,), (1.0,)),), (_THREE_CLASSES,)), TrainConfig()),
         "robust training supports binary specs only",
     ),
     "matrix_shape": (
-        lambda: DisagreementMatrix(n=5, k=2, values=np.zeros((3, 3)), eta_hat=0.0, argmax=(0, 1), kind="hard"),
+        lambda: _matrix(np.zeros((3, 3))),
         "values must be a k x k matrix",
     ),
     "matrix_above_one": (
-        lambda: DisagreementMatrix(n=5, k=2, values=np.array([[0.0, 1.5], [1.5, 0.0]]), eta_hat=1.5, argmax=(0, 1), kind="hard"),
+        lambda: _matrix(np.array([[0.0, 1.5], [1.5, 0.0]])),
         r"disagreement values must lie in \[0, 1\]",
     ),
     "matrix_negative": (
-        lambda: DisagreementMatrix(n=5, k=2, values=np.array([[0.0, -0.1], [-0.1, 0.0]]), eta_hat=0.0, argmax=(0, 1), kind="hard"),
+        lambda: _matrix(np.array([[0.0, -0.1], [-0.1, 0.0]])),
         r"disagreement values must lie in \[0, 1\]",
     ),
     "sample_kind": (

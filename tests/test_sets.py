@@ -157,7 +157,7 @@ class TestPairwiseBounds:
         with pytest.raises(QuadratureError) as err:
             pairwise_bounds(spec, (1, 0), (1, 1))
         assert (err.value.integral, err.value.residual) == (0, alone.value.residual)
-        assert str(err.value).startswith(f"vertex pair (1, 0, 1, 1) (row 0), value {(env, *labs[:1], env, *labs[1:])!r}: ")
+        assert str(err.value).startswith(f"vertex pair (1, 0, 1, 1) (row 0), value {(env, labs[0], env, labs[1])!r}: ")
         # in a list of vertex pairs: the first row that reads the value, not the value's slot
         # (rows 0 and 1 share the exact environment TV, slot 0; rows 2 and 3 read the value, slot 1)
         pairs = np.array([[0, 0, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [1, 0, 1, 1]])
